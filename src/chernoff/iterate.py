@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -281,10 +280,3 @@ def discrete_comparison_check(
         certificate_violation=float(violation),
         passed=(not vacuous) and max_slack <= tol,
     )
-
-
-def timed_iterate(op: StepOperator, f: GridFunction, t: float, h: float):
-    """chernoff_iterate plus the wall time, for curve bookkeeping."""
-    start = time.perf_counter()
-    out = chernoff_iterate(op, f, t, h)
-    return out, time.perf_counter() - start

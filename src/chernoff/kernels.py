@@ -2,17 +2,21 @@
 
 Every expectation step downstream reduces to convolving grid values
 with a short nonnegative tap vector that sums to one: a sampled
-Gaussian for diffusion, a one- or two-tap stencil for transport.  The
-taps act on the grid with constant extension at the box edges, so each
-step preserves constants, monotonicity, convexity (in 1D), the sup
-norm, and Lipschitz bounds exactly; the only error relative to the
-continuum operator is Gaussian sampling aliasing, which decays like
+Gaussian for diffusion, a one- or two-tap stencil for transport, the
+mollifier's space bump.  ``apply_taps`` is the one primitive that
+applies such a vector; the step families, ``gaussian_convolve`` and
+the mollifier all call it by that name.  The taps act on the grid
+with constant extension at the box edges, so each step preserves
+constants, monotonicity, convexity (in 1D), the sup norm, and
+Lipschitz bounds exactly; the only error relative to the continuum
+operator is Gaussian sampling aliasing, which decays like
 exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import correlate1d
 
 from .core import DomainError, Grid
 
@@ -69,13 +73,37 @@ def aliasing_bound(std: float, dx: float) -> float:
 def apply_taps(
     values: np.ndarray, offsets: np.ndarray, weights: np.ndarray, ax: int = 0
 ) -> np.ndarray:
-    """Convolve along one axis with constant extension at the edges."""
+    """Convolve along one axis with constant extension at the edges:
+    ``out[i] = sum_j weights[j] * values[clip(i + offsets[j], 0, n - 1)]``.
+
+    Offsets may be unsorted or repeated.  The result is a new array.
+    """
+    offsets = np.asarray(offsets)
+    weights = np.asarray(weights, dtype=float)
+    if offsets.ndim != 1 or offsets.size == 0:
+        raise DomainError("apply_taps: offsets must be a nonempty 1D tap list")
+    if weights.shape != offsets.shape:
+        raise DomainError(
+            f"apply_taps: weights has {weights.size} entries, offsets has {offsets.size}"
+        )
     n = values.shape[ax]
-    idx = np.arange(n)
-    acc = np.zeros_like(values, dtype=float)
-    for j, wj in zip(offsets, weights):
-        acc += wj * np.take(values, np.clip(idx + j, 0, n - 1), axis=ax)
-    return acc
+    lo, hi = int(offsets.min()), int(offsets.max())
+    # Dense taps over [lo, hi] only, so a far whole-cell shift stays O(n).
+    taps = np.zeros(hi - lo + 1)
+    np.add.at(taps, offsets - lo, weights)
+    # The edge-clamped window: window[k] = values[clip(lo + k, 0, n - 1)].
+    window = np.take(
+        np.asarray(values, dtype=float), np.clip(np.arange(lo, n + hi), 0, n - 1), axis=ax
+    )
+    if taps.size == 1:
+        window *= taps[0]
+        return window
+    # correlate1d centres the taps at taps.size // 2; outputs from there
+    # on read only inside the window, so the mode never applies.
+    full = correlate1d(window, taps, axis=ax, mode="nearest")
+    keep = [slice(None)] * window.ndim
+    keep[ax] = slice(taps.size // 2, taps.size // 2 + n)
+    return full[tuple(keep)]
 
 
 def gaussian_convolve(

@@ -30,6 +30,7 @@ from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from .core import DomainError, GridFunction, SpaceTimeFunction
+from .kernels import apply_taps
 
 __all__ = [
     "MollifierKernel",
@@ -243,21 +244,12 @@ def _space_taps(dim: int, eps2: float, dx: float) -> tuple[np.ndarray, np.ndarra
     return offsets, weights / total
 
 
-def _apply_taps(values: np.ndarray, offsets: np.ndarray, weights: np.ndarray, ax: int):
-    n = values.shape[ax]
-    idx = np.arange(n)
-    acc = np.zeros_like(values)
-    for j, wj in zip(offsets, weights):
-        acc += wj * np.take(values, np.clip(idx + j, 0, n - 1), axis=ax)
-    return acc
-
-
 def _smooth_space(values: np.ndarray, grid, eps2: float) -> np.ndarray:
     """Average over the space kernel, one axis at a time."""
     out = values
     for ax in range(grid.dim):
         offsets, weights = _space_taps(grid.dim, eps2, grid.spacing[ax])
-        out = _apply_taps(out, offsets, weights, ax)
+        out = apply_taps(out, offsets, weights, ax)
     return out
 
 

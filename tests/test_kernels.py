@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernoff.core import Grid, GridFunction
+from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
     aliasing_bound,
     apply_taps,
@@ -113,3 +113,49 @@ def test_apply_taps_axis1():
     out = apply_taps(vals, offs, w, ax=1)
     expected = vals[:, [1, 2, 3, 3]]
     np.testing.assert_array_equal(out, expected)
+
+
+def _clipped_sum(values, offsets, weights, ax):
+    """The defining sum: w_j * values[clip(i + offsets_j, 0, n - 1)] along ax."""
+    n = values.shape[ax]
+    out = np.zeros(values.shape)
+    for j, wj in zip(offsets, weights):
+        out += wj * np.take(values, np.clip(np.arange(n) + j, 0, n - 1), axis=ax)
+    return out
+
+
+_N = 301
+
+
+@pytest.mark.parametrize(
+    "shape, ax, offsets, weights",
+    [
+        pytest.param((_N,), 0, *gaussian_taps(0.35, 0.08, 0.01), id="gaussian-drift"),
+        pytest.param((_N,), 0, [_N + 12], [1.0], id="shift-past-plus-n"),
+        pytest.param((_N,), 0, [-_N - 40], [0.5], id="shift-past-minus-n"),
+        pytest.param((_N,), 0, [7, 7], [0.25, 0.5], id="duplicate-one-offset"),
+        pytest.param((_N,), 0, [0], [1.0], id="zero-shift"),
+        pytest.param((_N,), 0, *shift_taps(-0.137, 0.01), id="two-tap-fractional"),
+        pytest.param((_N,), 0, [4, -3, 4, 0, -3], [0.1, 0.2, 0.3, 0.15, 0.25], id="unsorted-duplicate"),
+        pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0"),
+        pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1"),
+    ],
+)
+def test_apply_taps_matches_clipped_index_sum(shape, ax, offsets, weights):
+    values = np.random.default_rng(5).normal(size=shape) * 7.0
+    before = values.copy()
+    out = apply_taps(values, np.asarray(offsets), np.asarray(weights), ax)
+    expected = _clipped_sum(values, offsets, weights, ax)
+    assert out.shape == values.shape
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(values)))
+    np.testing.assert_array_equal(values, before)
+    assert not np.shares_memory(out, values)
+
+
+@pytest.mark.parametrize(
+    "offsets, weights, name",
+    [([], [], "offsets"), ([0, 1], [1.0], "weights"), ([0], [0.5, 0.5], "weights")],
+)
+def test_apply_taps_rejects_bad_tap_lists(offsets, weights, name):
+    with pytest.raises(DomainError, match=name):
+        apply_taps(np.zeros(5), np.asarray(offsets, dtype=int), np.asarray(weights), 0)
