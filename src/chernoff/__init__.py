@@ -7,201 +7,4 @@ and checks the measured approximation errors against explicit
 convergence-rate bounds.
 """
 
-from .bounds import (
-    BoundReport,
-    HolderParameters,
-    RateParameters,
-    bound_table_digest,
-    clt_bounds,
-    general_rate_constant,
-    general_rate_exponent,
-    holder_parameters,
-    lln_bounds,
-    load_bound_table,
-    nisio_bounds,
-    nisio_rate_parameters,
-)
-from .config import ConfigError, Experiment, load_config, parse_h_list, parse_step
-from .convex_expectation import (
-    GrowthCertificate,
-    Scenario,
-    ScenarioConvexExpectation,
-    cexp_eval,
-    clt_step,
-    g_function,
-    growth_certificate,
-    lln_step,
-    load_scenarios,
-    maximally_distributed_limit,
-    parse_scenarios,
-)
-from .core import (
-    DomainError,
-    Grid,
-    GridFunction,
-    SpaceTimeFunction,
-    WeightFunction,
-    kappa_constant,
-    lipschitz_estimate,
-    negative_part_norm,
-    positive_part_norm,
-    weighted_norm,
-)
-from .iterate import (
-    ComparisonReport,
-    IterationError,
-    Partition,
-    StepOperator,
-    chernoff_iterate,
-    discrete_comparison_check,
-    partition,
-    read_trajectory,
-    write_trajectory,
-)
-from .mollifier import (
-    DerivativeBoundReport,
-    Epsilon,
-    MollifierKernel,
-    bump,
-    bump_derivative,
-    derivative_bound_check,
-    kernel_constant,
-    mollify,
-)
-from .nisio import (
-    ConsistencyReport,
-    GeneratorBounds,
-    NisioFamily,
-    consistency_residual,
-    generator_apply,
-    linear_step,
-    nisio_step,
-)
-from .properties import (
-    PropertyResult,
-    SuiteReport,
-    admit_operator,
-    appendix_suite,
-    negated_operator,
-    structural_suite,
-)
-from .rates import (
-    BoundCheck,
-    ErrorCurve,
-    ErrorPoint,
-    HolderReport,
-    InconclusiveError,
-    RateFit,
-    RateReport,
-    fit_rate,
-    holder_check,
-    measure_errors,
-    rate_report,
-    read_error_curve,
-    verify_bound,
-    worker_count,
-    write_error_curve,
-)
-from .reference import (
-    OracleResult,
-    certify_shape,
-    clt_limit_reference,
-    fine_oracle,
-    gheat_convex_reference,
-    heat_exact,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundCheck",
-    "BoundReport",
-    "ComparisonReport",
-    "ConfigError",
-    "ConsistencyReport",
-    "DerivativeBoundReport",
-    "DomainError",
-    "Epsilon",
-    "ErrorCurve",
-    "ErrorPoint",
-    "Experiment",
-    "GeneratorBounds",
-    "Grid",
-    "GridFunction",
-    "GrowthCertificate",
-    "HolderParameters",
-    "HolderReport",
-    "InconclusiveError",
-    "IterationError",
-    "MollifierKernel",
-    "NisioFamily",
-    "OracleResult",
-    "Partition",
-    "PropertyResult",
-    "RateFit",
-    "RateParameters",
-    "RateReport",
-    "Scenario",
-    "ScenarioConvexExpectation",
-    "SpaceTimeFunction",
-    "StepOperator",
-    "SuiteReport",
-    "WeightFunction",
-    "admit_operator",
-    "appendix_suite",
-    "bound_table_digest",
-    "bump",
-    "bump_derivative",
-    "cexp_eval",
-    "certify_shape",
-    "chernoff_iterate",
-    "clt_bounds",
-    "clt_limit_reference",
-    "clt_step",
-    "consistency_residual",
-    "derivative_bound_check",
-    "discrete_comparison_check",
-    "fine_oracle",
-    "fit_rate",
-    "g_function",
-    "general_rate_constant",
-    "general_rate_exponent",
-    "generator_apply",
-    "gheat_convex_reference",
-    "growth_certificate",
-    "heat_exact",
-    "holder_check",
-    "holder_parameters",
-    "kappa_constant",
-    "kernel_constant",
-    "linear_step",
-    "lipschitz_estimate",
-    "lln_bounds",
-    "lln_step",
-    "load_bound_table",
-    "load_config",
-    "load_scenarios",
-    "maximally_distributed_limit",
-    "measure_errors",
-    "mollify",
-    "negated_operator",
-    "negative_part_norm",
-    "nisio_bounds",
-    "nisio_rate_parameters",
-    "nisio_step",
-    "parse_h_list",
-    "parse_scenarios",
-    "parse_step",
-    "partition",
-    "positive_part_norm",
-    "rate_report",
-    "read_error_curve",
-    "read_trajectory",
-    "structural_suite",
-    "verify_bound",
-    "weighted_norm",
-    "worker_count",
-    "write_error_curve",
-    "write_trajectory",
-    "__version__",
-]

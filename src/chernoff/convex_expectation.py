@@ -5,24 +5,25 @@ expectations minus penalties,
 
     E[X] = max_i ( E_i[X] - alpha_i ),     min_i alpha_i = 0,
 
-with each E_i a point mass, an isotropic Gaussian, or a finite discrete
-distribution.  This class is closed under everything the iteration
-needs and makes E computable: scalar functionals by Gauss-Hermite
-quadrature or direct enumeration, grid steps by exact discrete
-convolutions, and the maximally distributed limit by a discrete
-Legendre transform plus sup-convolution.
+with each E_i an isotropic Gaussian or a finite discrete distribution
+(a point mass is a one-atom discrete distribution).  This class is
+closed under everything the iteration needs and makes E computable:
+scalar functionals by Gauss-Hermite quadrature or direct enumeration,
+grid steps by exact discrete convolutions, and the maximally
+distributed limit by a discrete Legendre transform plus
+sup-convolution.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, Grid, GridFunction
+from .core import DomainError, GridFunction, tensor_points
 from .kernels import apply_taps, gaussian_convolve, shift_taps
 
 __all__ = [
@@ -42,13 +43,21 @@ __all__ = [
 DEFAULT_GH_ORDER = 32
 
 
+@lru_cache(maxsize=None)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per order, read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One linear expectation with a penalty.
 
-    ``kind`` is "point", "gaussian" (isotropic, std ``sigma``), or
-    "discrete"; ``mean`` is the location for the first two; atoms carry
-    their own probabilities for the third.
+    ``kind`` is "gaussian" (isotropic, std ``sigma``, located at
+    ``mean``) or "discrete" (atoms with their own probabilities).
     """
 
     kind: str
@@ -59,7 +68,7 @@ class Scenario:
     penalty: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("point", "gaussian", "discrete"):
+        if self.kind not in ("gaussian", "discrete"):
             raise DomainError(f"unknown scenario kind {self.kind!r}")
         if not (np.isfinite(self.penalty) and self.penalty >= 0):
             raise DomainError("scenario penalty must be finite and >= 0")
@@ -79,7 +88,8 @@ class Scenario:
 
     @classmethod
     def point(cls, mean, penalty: float = 0.0) -> "Scenario":
-        return cls("point", _as_vector(mean), penalty=float(penalty))
+        """A point mass: the one-atom discrete scenario."""
+        return cls.discrete([mean], [1.0], penalty)
 
     @classmethod
     def gaussian(cls, mean, sigma: float, penalty: float = 0.0) -> "Scenario":
@@ -112,30 +122,22 @@ class Scenario:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        d = self.dim
-        if self.kind == "point":
-            return np.zeros((d, d))
         if self.kind == "gaussian":
-            return self.sigma**2 * np.eye(d)
+            return self.sigma**2 * np.eye(self.dim)
         pts = np.asarray(self.atoms, dtype=float) - self.mean_vector
         return (np.asarray(self.weights)[:, None] * pts).T @ pts
 
     # -- integration -------------------------------------------------------
 
     def support_points(self, gh_order: int = DEFAULT_GH_ORDER):
-        """Quadrature points and weights for E_i (exact for point/discrete)."""
-        d = self.dim
-        if self.kind == "point":
-            return self.mean_vector[None, :], np.array([1.0])
+        """Quadrature points and weights for E_i: the atoms themselves, or
+        the tensor Gauss-Hermite rule of order ``gh_order`` on each axis."""
         if self.kind == "discrete":
             return np.asarray(self.atoms, dtype=float), np.asarray(self.weights)
-        nodes, w = np.polynomial.hermite.hermgauss(gh_order)
-        pts1 = [self.mean_vector[ax] + self.sigma * np.sqrt(2.0) * nodes for ax in range(d)]
-        if d == 1:
-            return pts1[0][:, None], w / np.sqrt(np.pi)
-        xx, yy = np.meshgrid(pts1[0], pts1[1], indexing="ij")
-        ww = np.outer(w, w).ravel() / np.pi
-        return np.column_stack([xx.ravel(), yy.ravel()]), ww
+        nodes, w = _hermite_rule(gh_order)
+        axes = [m + self.sigma * np.sqrt(2.0) * nodes for m in self.mean_vector]
+        weights = tensor_points([w] * self.dim).prod(axis=1)
+        return tensor_points(axes), weights / np.sqrt(np.pi) ** self.dim
 
     def expectation(self, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER) -> float:
         """E_i[payoff(xi)]; 1D payoffs receive a flat array."""
@@ -240,19 +242,13 @@ def _scenario_grid_expectation(
         return gaussian_convolve(
             f.values, grid, s.sigma * std_scale, scale * s.mean_vector, cut
         )
-    if s.kind == "point":
-        out = f.values
-        for ax in range(grid.dim):
-            offs, w = shift_taps(scale * s.mean_vector[ax], grid.spacing[ax])
-            out = apply_taps(out, offs, w, ax)
-        return out
-    acc = np.zeros(grid.counts)
+    acc = None
     for atom, prob in zip(s.atoms, s.weights):
         out = f.values
         for ax in range(grid.dim):
             offs, w = shift_taps(scale * atom[ax], grid.spacing[ax])
             out = apply_taps(out, offs, w, ax)
-        acc += prob * out
+        acc = prob * out if acc is None else acc + prob * out
     return acc
 
 
@@ -304,55 +300,52 @@ def clt_step(
 
 def _legendre_phi(
     ce: ScenarioConvexExpectation, y_axes: list[np.ndarray], z_points: int
-):
+) -> np.ndarray:
     """Discrete Legendre transform of z -> max_i (z . m_i - alpha_i).
 
-    Returns phi on the tensor grid of y_axes, +inf where the inner sup
-    is not certified (argmax on the z-grid boundary).
+    Returns phi on the tensor grid of y_axes.  Where the argmax lies on
+    the z-grid boundary the inner sup is not certified: phi is +inf
+    there when y is outside the convex hull of the means (the conjugate
+    is +inf there), and a y inside the hull raises, since the z-grid
+    is then too narrow to see its finite sup.
     """
     d = ce.dim
     means = np.array([s.mean_vector for s in ce.scenarios])
     pens = np.array([s.penalty for s in ce.scenarios])
     radius = 4.0 * float(np.max(np.abs(means))) + 4.0
-    per_axis = z_points if d == 1 else int(round(np.sqrt(z_points)))
-    per_axis = max(per_axis, 3)
+    per_axis = max(int(round(z_points ** (1.0 / d))), 3)
     if per_axis % 2 == 0:
         per_axis += 1  # keep z = 0 on the grid so phi never dips below 0 - min alpha
-    z1 = np.linspace(-radius, radius, per_axis)
-    if d == 1:
-        z = z1[:, None]
-    else:
-        zz = np.meshgrid(z1, z1, indexing="ij")
-        z = np.column_stack([a.ravel() for a in zz])
-    psi = np.max(z @ means.T - pens[None, :], axis=1)
-
-    if d == 1:
-        y = y_axes[0][:, None]
-    else:
-        yy = np.meshgrid(*y_axes, indexing="ij")
-        y = np.column_stack([a.ravel() for a in yy])
-    idx = np.arange(len(z))
-    if d == 1:
-        on_edge = (idx == 0) | (idx == per_axis - 1)
-    else:
-        ai, aj = np.unravel_index(idx, (per_axis, per_axis))
-        on_edge = (ai == 0) | (ai == per_axis - 1) | (aj == 0) | (aj == per_axis - 1)
+    z = tensor_points([np.linspace(-radius, radius, per_axis)] * d)
+    zm = z @ means.T
+    psi = np.max(zm - pens[None, :], axis=1)
+    support = np.max(zm, axis=1)  # support function of the hull of the means
+    z_index = np.unravel_index(np.arange(len(z)), (per_axis,) * d)
+    on_edge = reduce(np.logical_or, [(i == 0) | (i == per_axis - 1) for i in z_index])
     inner_cols = ~on_edge
     if not np.any(inner_cols):
         raise DomainError("z-grid has no interior points; increase z_points")
+
+    y = tensor_points(y_axes)
     phi = np.empty(len(y))
-    boundary = np.empty(len(y), dtype=bool)
     for start in range(0, len(y), 512):  # block to keep the objective small
-        block = y[start : start + 512] @ z.T - psi[None, :]
+        rows = slice(start, start + 512)
+        block = y[rows] @ z.T
+        block -= psi[None, :]
         full = np.max(block, axis=1)
         inner = np.max(block[:, inner_cols], axis=1)
-        phi[start : start + 512] = full
         # the edge only matters when it strictly beats every interior z,
         # i.e. the conjugate is still climbing at the grid boundary
-        boundary[start : start + 512] = full > inner + 1e-9 * (1.0 + np.abs(full))
-    phi[boundary] = np.inf
-    shape = tuple(len(ax) for ax in y_axes)
-    return phi.reshape(shape), boundary.reshape(shape)
+        edge = full > inner + 1e-9 * (1.0 + np.abs(full))
+        if np.any(edge):
+            excess = y[rows][edge] @ z.T - support[None, :]
+            if np.any(np.all(excess <= 1e-9 * (1.0 + np.abs(support)), axis=1)):
+                raise DomainError(
+                    "z-grid too narrow: conjugate still increasing at the grid edge"
+                )
+            full[edge] = np.inf
+        phi[rows] = full
+    return phi
 
 
 def maximally_distributed_limit(
@@ -364,44 +357,28 @@ def maximally_distributed_limit(
     """The limit functional as a grid function: x -> sup_y (f(x+y) - phi(y)).
 
     phi is the convex conjugate of z -> E[z . xi], computed on a z-grid
-    of radius 4 max|m_i| + 4 and set to +inf outside the certified
-    domain.  The y search runs over the convex hull of the scenario
-    means (phi is +inf beyond it).
+    of radius 4 max|m_i| + 4 and +inf outside the convex hull of the
+    scenario means.  The y search runs over the bounding box of the
+    means, ``y_points`` points in total, and skips the y where phi is
+    +inf.
     """
     d = ce.dim
     if f.grid.dim != d:
         raise DomainError("expectation and grid dimensions differ")
     means = np.array([s.mean_vector for s in ce.scenarios])
-    per_axis = y_points if d == 1 else int(round(np.sqrt(y_points)))
+    per_axis = int(round(y_points ** (1.0 / d)))
     y_axes = []
     for ax in range(d):
         lo, hi = float(means[:, ax].min()), float(means[:, ax].max())
         y_axes.append(np.linspace(lo, hi, per_axis) if hi > lo else np.array([lo]))
-    phi, boundary = _legendre_phi(ce, y_axes, z_points)
-    # the y search never leaves the hull of the means, where the inner
-    # sup must be attained away from the z-grid edge
-    if np.any(boundary):
-        raise DomainError(
-            "z-grid too narrow: conjugate still increasing at the grid edge"
-        )
+    phi = _legendre_phi(ce, y_axes, z_points)
 
     out = np.full(f.grid.counts, -np.inf)
-    if d == 1:
-        axis = f.grid.axes[0]
-        for yv, pv in zip(y_axes[0], phi):
-            if not np.isfinite(pv):
-                continue
-            shifted = np.interp(axis + yv, axis, f.values)
-            np.maximum(out, shifted - pv, out=out)
-    else:
-        ys = np.meshgrid(*y_axes, indexing="ij")
-        ylist = np.column_stack([a.ravel() for a in ys])
-        pts = f.grid.points
-        for yv, pv in zip(ylist, phi.ravel()):
-            if not np.isfinite(pv):
-                continue
-            shifted = f.grid.interpolate(f.values, pts + yv[None, :])
-            np.maximum(out, shifted.reshape(f.grid.counts) - pv, out=out)
+    for yv, pv in zip(tensor_points(y_axes), phi):
+        if not np.isfinite(pv):
+            continue
+        shifted = f.grid.interpolate(f.values, f.grid.points + yv)
+        np.maximum(out, shifted.reshape(f.grid.counts) - pv, out=out)
     return GridFunction(f.grid, out)
 
 

@@ -10,9 +10,10 @@ constant, which the error analysis relies on.
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "negative_part_norm",
     "lipschitz_estimate",
     "kappa_constant",
+    "tensor_points",
 ]
 
 
@@ -40,6 +42,12 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor grid of ``axes`` as a (size, d) array in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 @dataclass(frozen=True)
@@ -99,10 +107,7 @@ class Grid:
     @cached_property
     def points(self) -> np.ndarray:
         """All grid points as an (size, dim) array in C order."""
-        if self.dim == 1:
-            return _frozen_array(self.axes[0][:, None])
-        xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return _frozen_array(np.column_stack([xx.ravel(), yy.ravel()]))
+        return _frozen_array(tensor_points(self.axes))
 
     def interpolate(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Piecewise-multilinear interpolation with constant extension.
@@ -112,34 +117,27 @@ class Grid:
         """
         values = np.asarray(values)
         x = np.asarray(x, dtype=float)
-        if self.dim == 1:
+        if self.dim == 1:  # np.interp is about twice as fast as the corner sum
             xs = x[..., 0] if x.ndim >= 2 and x.shape[-1] == 1 else x
             return np.interp(xs, self.axes[0], values)
-        if x.shape[-1] != 2:
-            raise DomainError("interpolation points must have shape (..., 2)")
-        out_shape = x.shape[:-1]
-        pts = x.reshape(-1, 2)
-        idx = []
+        if x.shape[-1] != self.dim:
+            raise DomainError(f"interpolation points must have shape (..., {self.dim})")
+        pts = x.reshape(-1, self.dim)
+        base = []
         frac = []
-        for ax in range(2):
+        for ax in range(self.dim):
             t = (pts[:, ax] - self.lower[ax]) / self.spacing[ax]
             t = np.clip(t, 0.0, self.counts[ax] - 1.0)
             i0 = np.minimum(t.astype(int), self.counts[ax] - 2)
-            idx.append(i0)
+            base.append(i0)
             frac.append(t - i0)
-        i, j = idx
-        u, v = frac
-        v00 = values[i, j]
-        v10 = values[i + 1, j]
-        v01 = values[i, j + 1]
-        v11 = values[i + 1, j + 1]
-        out = (
-            v00 * (1 - u) * (1 - v)
-            + v10 * u * (1 - v)
-            + v01 * (1 - u) * v
-            + v11 * u * v
-        )
-        return out.reshape(out_shape)
+        out = np.zeros(len(pts))
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            weight = np.ones(len(pts))
+            for c, u in zip(corner, frac):
+                weight *= u if c else 1.0 - u
+            out += weight * values[tuple(i + c for i, c in zip(base, corner))]
+        return out.reshape(x.shape[:-1])
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of points at least ``margin`` from every face."""
@@ -147,9 +145,7 @@ class Grid:
             (ax >= lo + margin) & (ax <= hi - margin)
             for ax, lo, hi in zip(self.axes, self.lower, self.upper)
         ]
-        if self.dim == 1:
-            return masks[0]
-        return masks[0][:, None] & masks[1][None, :]
+        return reduce(np.logical_and, np.meshgrid(*masks, indexing="ij", sparse=True))
 
 
 @dataclass(frozen=True)
@@ -470,26 +466,15 @@ def kappa_constant(weight: WeightFunction) -> float:
     extents = [hi - lo for lo, hi in zip(grid.lower, grid.upper)]
     if min(extents) < 1.0:
         raise DomainError("grid narrower than the offset radius 1")
-    vals = weight.values
+    vals, counts = weight.values, grid.counts
+    reach = [int(np.floor(1.0 / dx + 1e-12)) for dx in grid.spacing]
     best = 1.0
-    if grid.dim == 1:
-        dx = grid.spacing[0]
-        for j in range(1, int(np.floor(1.0 / dx + 1e-12)) + 1):
-            a, b = vals[j:], vals[:-j]
-            best = max(best, float(np.max(a / b)), float(np.max(b / a)))
-        return best
-    dx, dy = grid.spacing
-    jmax = int(np.floor(1.0 / dx + 1e-12))
-    kmax = int(np.floor(1.0 / dy + 1e-12))
-    for j in range(0, jmax + 1):
-        for k in range(-kmax, kmax + 1):
-            if (j, k) == (0, 0) or (j * dx) ** 2 + (k * dy) ** 2 > 1.0 + 1e-12:
-                continue
-            a = vals[j:, :] if j else vals
-            b = vals[:-j, :] if j else vals
-            if k > 0:
-                a, b = a[:, k:], b[:, :-k]
-            elif k < 0:
-                a, b = a[:, :k], b[:, -k:]
-            best = max(best, float(np.max(a / b)), float(np.max(b / a)))
+    for offset in itertools.product(*(range(-j, j + 1) for j in reach)):
+        y2 = sum((k * dx) ** 2 for k, dx in zip(offset, grid.spacing))
+        if not any(offset) or y2 > 1.0 + 1e-12:
+            continue
+        # kappa(x + y) / kappa(x) over every x with both points on the grid
+        moved = tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(offset, counts))
+        start = tuple(slice(max(-k, 0), n + min(-k, 0)) for k, n in zip(offset, counts))
+        best = max(best, float(np.max(vals[moved] / vals[start])))
     return best

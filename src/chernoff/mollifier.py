@@ -21,9 +21,10 @@ piece.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -115,9 +116,8 @@ def _bump_deriv_l1(n: int) -> float:
 
 
 def _space_multi_indices(d: int, l: int):
-    if d == 1:
-        return [(l,)]
-    return [(a, l - a) for a in range(l + 1)]
+    """Every multi-index alpha in N^d with |alpha| = l."""
+    return [a for a in itertools.product(range(l + 1), repeat=d) if sum(a) == l]
 
 
 @dataclass(frozen=True)
@@ -383,7 +383,8 @@ def derivative_bound_check(
                     block = _divided_difference(
                         block, ax, order, u.grid.spacing[ax]
                     )
-            count = comb(l, alpha[0]) if u.grid.dim == 2 else 1
+            # how many orderings of the l axis derivatives give alpha
+            count = math.factorial(l) // math.prod(math.factorial(j) for j in alpha)
             measured += count * float(np.max(np.abs(block))) ** 2
         measured = float(np.sqrt(measured))
         bound = (

@@ -129,24 +129,10 @@ class NisioFamily:
         return max(abs(m) for _, m in self.controls)
 
 
-def linear_step(
-    sigma: float, mean: float, f: GridFunction, t: float, cut: float = 8.0
-) -> GridFunction:
-    """Single Gaussian propagation E[f(x + sigma W_t + mean t)]."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    if t == 0.0:
-        return f
-    vals = gaussian_convolve(
-        f.values, f.grid, sigma * math.sqrt(t), mean * t, cut=cut
-    )
-    return GridFunction(f.grid, vals)
-
-
 def nisio_step(
     family: NisioFamily, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
-    """Pointwise max of linear_step over the family's controls."""
+    """Pointwise max over the family's controls of E[f(x + sigma W_t + m t)]."""
     if t < 0:
         raise DomainError("time must be non-negative")
     if t == 0.0:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,13 @@ def test_bounds_subcommand(linear_config, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["side"] == "plus"
     assert payload[0]["constant"] > 0
+
+
+@pytest.mark.parametrize("name", ["linear_cos", "gheat_lipschitz", "clt_sublinear"])
+def test_shipped_example_configs_load(name, capsys):
+    config = Path(__file__).resolve().parents[1] / "examples" / f"{name}.cfg"
+    assert main(["bounds", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_kernel_constants_subcommand(capsys):

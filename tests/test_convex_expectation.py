@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -54,6 +55,16 @@ def test_cexp_eval_penalized_enumeration():
         (Scenario.point(1.0), Scenario.point(-1.0, penalty=0.5))
     )
     assert cexp_eval(ce, lambda x: x) == pytest.approx(1.0)
+
+
+def test_gaussian_2d_tensor_rule_moments():
+    s = Scenario.gaussian((0.3, -0.4), 0.7)
+    pts, w = s.support_points()
+    assert pts.shape == (32 * 32, 2)
+    assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
+    second = s.expectation(lambda p: np.sum(p**2, axis=1))
+    assert second == pytest.approx(2 * 0.7**2 + 0.3**2 + 0.4**2, rel=1e-13)
+    np.testing.assert_allclose(w @ pts, [0.3, -0.4], atol=1e-14)
 
 
 def test_cexp_eval_quadrature_doubles_stably():
@@ -253,6 +264,54 @@ def test_limit_rejects_unresolved_z_grid():
     # the hull vertex, so the edge strictly wins and the guard must fire
     with pytest.raises(DomainError, match="z-grid"):
         maximally_distributed_limit(ce, f, z_points=3)
+
+
+def _simplex_weights(k, n):
+    """All weight vectors of k scenarios with entries in {0, 1/n, ..., 1}."""
+    heads = [c for c in itertools.product(range(n + 1), repeat=k - 1) if sum(c) <= n]
+    return np.array([list(c) + [n - sum(c)] for c in heads]) / n
+
+
+@pytest.mark.parametrize(
+    "means, penalties, phi_slope, n",
+    [
+        # a box: the hull is the bounding box the y search covers
+        pytest.param([(-0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (0.5, 0.25)],
+                     [0.0, 0.0, 0.0, 0.0], 0.0, 24, id="box-of-four"),
+        # a segment: every off-diagonal y of the bounding box is outside the hull
+        pytest.param([(-0.5, 0.25), (0.5, -0.25)], [0.0, 0.5],
+                     0.5 / math.hypot(1.0, 0.5), 400, id="diagonal-pair"),
+        # phi is affine on the triangle with gradient (0.3, 0.6)
+        pytest.param([(-0.5, -0.25), (0.5, -0.25), (0.0, 0.5)], [0.0, 0.3, 0.6],
+                     math.hypot(0.3, 0.6), 120, id="triangle"),
+    ],
+)
+def test_limit_2d_matches_simplex_sup(means, penalties, phi_slope, n):
+    g = Grid((-3.0, -3.0), (3.0, 3.0), (61, 61))
+    f = GridFunction.from_callable(
+        g, lambda p: np.exp(-((p[:, 0] - 0.3) ** 2 + (p[:, 1] + 0.2) ** 2))
+    )
+    ce = ScenarioConvexExpectation(
+        tuple(Scenario.point(m, penalty=a) for m, a in zip(means, penalties))
+    )
+    out = maximally_distributed_limit(ce, f)
+    # oracle: sup over mixture weights of f(x + sum l_i m_i) - sum l_i alpha_i
+    lam = _simplex_weights(len(means), n)
+    oracle = np.full(g.size, -np.inf)
+    for shift, cost in zip(lam @ np.array(means), lam @ np.array(penalties)):
+        oracle = np.maximum(oracle, g.interpolate(f.values, g.points + shift) - cost)
+    interior = g.interior_mask(1.0)
+    gap = np.max(np.abs(out.values - oracle.reshape(g.counts))[interior])
+    # resolutions as in acceptance criterion 07, per axis of the 64 x 64
+    # y-grid and 65 x 65 z-grid of radius 4 max|m| + 4, plus the oracle's
+    # own weight step
+    m_max = float(np.max(np.abs(means)))
+    widths = np.ptp(np.array(means), axis=0)
+    y_step = float(np.hypot(*(widths / 63)))
+    z_step = 2.0 * (4.0 * m_max + 4.0) / 64
+    slope = math.sqrt(2.0) * f.lipschitz + phi_slope
+    tol = slope * (y_step + 2.0 * m_max / n) + math.sqrt(2.0) * z_step * m_max
+    assert gap <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -153,10 +153,31 @@ def test_kappa_constant_narrow_grid():
         kappa_constant(WeightFunction.inverse_poly(g, 1.0))
 
 
+def _kappa_brute_force_2d(weight):
+    """max of kappa(x + y) / kappa(x) over grid points x, x + y, |y| <= 1."""
+    vals = weight.values
+    (n0, n1), (dx, dy) = weight.grid.counts, weight.grid.spacing
+    i, j = np.indices(weight.grid.counts)
+    best = 1.0
+    for a in range(-n0 + 1, n0):
+        for b in range(-n1 + 1, n1):
+            if (a * dx) ** 2 + (b * dy) ** 2 > 1.0 + 1e-12:
+                continue
+            ok = (i + a >= 0) & (i + a < n0) & (j + b >= 0) & (j + b < n1)
+            ratio = vals[i[ok] + a, j[ok] + b] / vals[i[ok], j[ok]]
+            best = max(best, float(np.max(ratio)))
+    return best
+
+
 def test_kappa_constant_2d():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (81, 81))
-    c = kappa_constant(WeightFunction.inverse_poly(g, 2.0))
+    weight = WeightFunction.inverse_poly(g, 2.0)
+    c = kappa_constant(weight)
     assert 1.0 < c <= GOLDEN**2 + 1e-12
+    assert c == _kappa_brute_force_2d(weight)
+    # unequal spacings give each axis its own offset range
+    skew = WeightFunction.inverse_poly(Grid((-2.0, -1.5), (2.0, 1.5), (41, 61)), 1.5)
+    assert kappa_constant(skew) == _kappa_brute_force_2d(skew)
 
 
 def test_space_time_function_validation_and_interp():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
+from chernoff.iterate import StepOperator, chernoff_iterate
 from chernoff.mollifier import (
     Epsilon,
     MollifierKernel,
@@ -16,6 +17,7 @@ from chernoff.mollifier import (
     kernel_constant,
     mollify,
 )
+from chernoff.nisio import NisioFamily
 
 # ---------------------------------------------------------------------------
 # oracle helpers. The derivative closed form is validated pointwise by
@@ -236,6 +238,17 @@ def test_derivative_bound_mixed_time_space():
     expected_bound = MollifierKernel(1).b(1, 0) / eps.eps1
     assert rep.bound == pytest.approx(expected_bound, rel=1e-12)
     assert rep.ok
+
+
+def test_derivative_bound_nisio_trajectory_2d():
+    g = Grid((-4.0, -4.0), (4.0, 4.0), (65, 65))
+    f = GridFunction.from_callable(g, lambda p: np.minimum(np.hypot(*p.T), 1.0))
+    op = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0))))
+    _, u = chernoff_iterate(op, f, 1.0, 2.0**-4, record=True)
+    eps = Epsilon.coupled(0.5, 1.0)
+    for k in (0, 1, 2):
+        for l in (1, 2, 3):
+            assert derivative_bound_check(u, eps, k, l, 1.0).ok, (k, l)
 
 
 def test_derivative_bound_rejects_time_only_orders():

@@ -9,9 +9,9 @@ from chernoff.nisio import (
     NisioFamily,
     consistency_residual,
     generator_apply,
-    linear_step,
     nisio_step,
 )
+from chernoff.reference import heat_exact
 
 
 def grid1d(n=2401, half=12.0):
@@ -47,11 +47,11 @@ def test_generator_bounds_constant_coefficients():
 def test_linear_step_martingale_and_moments():
     g = grid1d()
     x = GridFunction.from_callable(g, lambda v: v)
-    out = linear_step(1.0, 0.0, x, 0.5)
+    out = heat_exact(x, 1.0, 0.0, 0.5, cut=8.0)
     interior = g.interior_mask(6.0)
     np.testing.assert_allclose(out.values[interior], x.values[interior], atol=1e-9)
     sq = GridFunction.from_callable(g, lambda v: v * v)
-    out2 = linear_step(1.0, 0.0, sq, 0.5)
+    out2 = heat_exact(sq, 1.0, 0.0, 0.5, cut=8.0)
     np.testing.assert_allclose(
         out2.values[interior], sq.values[interior] + 0.5, atol=1e-8
     )
@@ -60,7 +60,7 @@ def test_linear_step_martingale_and_moments():
 def test_linear_step_cos_eigenfunction():
     g = grid1d()
     f = GridFunction.from_callable(g, np.cos)
-    out = linear_step(1.0, 0.0, f, 1.0)
+    out = heat_exact(f, 1.0, 0.0, 1.0, cut=8.0)
     interior = g.interior_mask(9.0)
     np.testing.assert_allclose(
         out.values[interior], math.exp(-0.5) * f.values[interior], atol=1e-9
@@ -90,7 +90,7 @@ def test_nisio_step_convex_payoff_picks_largest_sigma():
     at_zero = out.values[2000]
     # spacing 0.006: the kink at 0 leaves a ~dx^2 quadrature residue
     assert at_zero == pytest.approx(math.sqrt(2.0 / math.pi), abs=2e-5)
-    single = linear_step(1.0, 0.0, f, 1.0)
+    single = heat_exact(f, 1.0, 0.0, 1.0, cut=8.0)
     interior = g.interior_mask(9.0)
     np.testing.assert_allclose(
         out.values[interior], single.values[interior], atol=1e-9
@@ -103,7 +103,7 @@ def test_nisio_step_dominates_members():
     f = GridFunction(g, np.cumsum(rng.uniform(-0.02, 0.02, 1201)))
     out = nisio_step(GHEAT, f, 0.3)
     for s, m in GHEAT.controls:
-        member = linear_step(s, m, f, 0.3)
+        member = heat_exact(f, s, m, 0.3, cut=8.0)
         assert np.all(out.values >= member.values - 1e-12)
 
 
@@ -186,7 +186,7 @@ def test_chernoff_product_matches_semigroup():
     u = f
     for _ in range(16):
         u = nisio_step(fam, u, 1.0 / 16)
-    direct = linear_step(0.8, 0.3, f, 1.0)
+    direct = heat_exact(f, 0.8, 0.3, 1.0, cut=8.0)
     interior = g.interior_mask(9.0)
     np.testing.assert_allclose(
         u.values[interior], direct.values[interior], atol=1e-8
