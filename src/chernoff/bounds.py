@@ -10,8 +10,10 @@ from a shipped transcription table so audits can diff data, not code.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -223,12 +225,54 @@ def bound_table_digest() -> str:
 
 
 _MATH_ENV = {"exp": math.exp, "sqrt": math.sqrt, "log": math.log}
+_FUNCTIONS = frozenset(("exp", "sqrt", "log", "E"))
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+@lru_cache(maxsize=None)
+def _parse(expression: str) -> ast.expr:
+    try:
+        return ast.parse(expression, mode="eval").body
+    except SyntaxError as exc:
+        raise DomainError(f"bound table expression {expression!r}: {exc.msg}") from exc
 
 
 def _safe_eval(expression: str, env: dict) -> float:
+    """Evaluate a table expression: numbers, names from ``env``, + - * / **,
+    unary minus, and calls to exp, sqrt, log and E."""
     scope = dict(_MATH_ENV)
     scope.update(env)
-    return float(eval(compile(expression, "<bound-table>", "eval"), {"__builtins__": {}}, scope))
+
+    def value(node: ast.expr):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in scope and node.id not in _FUNCTIONS:
+            return scope[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS
+            and node.func.id in scope
+            and all(kw.arg is not None for kw in node.keywords)
+        ):
+            args = [value(a) for a in node.args]
+            kwargs = {kw.arg: value(kw.value) for kw in node.keywords}
+            return scope[node.func.id](*args, **kwargs)
+        raise DomainError(
+            f"bound table expression {expression!r}: {ast.unparse(node)!r} is not allowed"
+        )
+
+    return float(value(_parse(expression)))
 
 
 def evaluate_table_section(section: str, env: dict) -> tuple[tuple[str, float], ...]:

@@ -16,6 +16,7 @@ sup-convolution.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -301,13 +302,20 @@ def clt_step(
 def _legendre_phi(
     ce: ScenarioConvexExpectation, y_axes: list[np.ndarray], z_points: int
 ) -> np.ndarray:
-    """Discrete Legendre transform of z -> max_i (z . m_i - alpha_i).
+    """Discrete Legendre transform of psi(z) = max_i (z . m_i - alpha_i).
 
-    Returns phi on the tensor grid of y_axes.  Where the argmax lies on
-    the z-grid boundary the inner sup is not certified: phi is +inf
-    there when y is outside the convex hull of the means (the conjugate
-    is +inf there), and a y inside the hull raises, since the z-grid
-    is then too narrow to see its finite sup.
+    Returns phi(y) = max_z (z . y - psi(z)) over a z-grid, on the tensor
+    grid of y_axes.  The max is taken over candidate columns only: the
+    z with an axis neighbour where a different scenario attains psi,
+    and the z within one step of the edge ring.  Where one scenario
+    attains psi the objective is linear in z, so its max over those z
+    sits at a vertex of their hull, and a vertex has an axis neighbour
+    outside the set; the same holds for those z minus the edge ring,
+    which gives the interior max.  Where the edge strictly beats the
+    interior the inner sup is not certified: phi is +inf there when y
+    is outside the convex hull of the means (the conjugate is +inf
+    there), and a y inside the hull raises, since the z-grid is then
+    too narrow to see its finite sup.
     """
     d = ce.dim
     means = np.array([s.mean_vector for s in ce.scenarios])
@@ -316,35 +324,43 @@ def _legendre_phi(
     per_axis = max(int(round(z_points ** (1.0 / d))), 3)
     if per_axis % 2 == 0:
         per_axis += 1  # keep z = 0 on the grid so phi never dips below 0 - min alpha
+    shape = (per_axis,) * d
     z = tensor_points([np.linspace(-radius, radius, per_axis)] * d)
     zm = z @ means.T
-    psi = np.max(zm - pens[None, :], axis=1)
+    scores = zm - pens[None, :]
+    psi = np.max(scores, axis=1)
     support = np.max(zm, axis=1)  # support function of the hull of the means
-    z_index = np.unravel_index(np.arange(len(z)), (per_axis,) * d)
+    label = np.argmax(scores, axis=1).reshape(shape)
+    z_index = np.unravel_index(np.arange(len(z)), shape)
     on_edge = reduce(np.logical_or, [(i == 0) | (i == per_axis - 1) for i in z_index])
-    inner_cols = ~on_edge
-    if not np.any(inner_cols):
+    if np.all(on_edge):
         raise DomainError("z-grid has no interior points; increase z_points")
+    near_edge = reduce(np.logical_or, [(i <= 1) | (i >= per_axis - 2) for i in z_index])
+    seam = np.zeros(shape, dtype=bool)
+    for ax in range(d):
+        lab, sm = np.moveaxis(label, ax, 0), np.moveaxis(seam, ax, 0)  # views
+        change = lab[1:] != lab[:-1]
+        sm[1:] |= change
+        sm[:-1] |= change
+    cols = np.flatnonzero(seam.ravel() | near_edge)
+    inner_cols = ~on_edge[cols]
 
     y = tensor_points(y_axes)
-    phi = np.empty(len(y))
-    for start in range(0, len(y), 512):  # block to keep the objective small
-        rows = slice(start, start + 512)
-        block = y[rows] @ z.T
-        block -= psi[None, :]
-        full = np.max(block, axis=1)
-        inner = np.max(block[:, inner_cols], axis=1)
-        # the edge only matters when it strictly beats every interior z,
-        # i.e. the conjugate is still climbing at the grid boundary
-        edge = full > inner + 1e-9 * (1.0 + np.abs(full))
-        if np.any(edge):
-            excess = y[rows][edge] @ z.T - support[None, :]
-            if np.any(np.all(excess <= 1e-9 * (1.0 + np.abs(support)), axis=1)):
-                raise DomainError(
-                    "z-grid too narrow: conjugate still increasing at the grid edge"
-                )
-            full[edge] = np.inf
-        phi[rows] = full
+    block = y @ z[cols].T
+    block -= psi[None, cols]
+    phi = np.max(block, axis=1)
+    inner = np.max(block[:, inner_cols], axis=1)
+    # the edge only matters when it strictly beats every interior z,
+    # i.e. the conjugate is still climbing at the grid boundary
+    edge = np.flatnonzero(phi > inner + 1e-9 * (1.0 + np.abs(phi)))
+    for start in range(0, len(edge), 512):  # block to keep the hull test small
+        rows = edge[start:start + 512]
+        excess = y[rows] @ z.T - support[None, :]
+        if np.any(np.all(excess <= 1e-9 * (1.0 + np.abs(support)), axis=1)):
+            raise DomainError(
+                "z-grid too narrow: conjugate still increasing at the grid edge"
+            )
+    phi[edge] = np.inf
     return phi
 
 
@@ -357,13 +373,17 @@ def maximally_distributed_limit(
     """The limit functional as a grid function: x -> sup_y (f(x+y) - phi(y)).
 
     phi is the convex conjugate of z -> E[z . xi], computed on a z-grid
-    of radius 4 max|m_i| + 4 and +inf outside the convex hull of the
-    scenario means.  The y search runs over the bounding box of the
-    means, ``y_points`` points in total, and skips the y where phi is
-    +inf.
+    of radius 4 max|m_i| + 4 from its candidate columns (see
+    ``_legendre_phi``) and +inf outside the convex hull of the scenario
+    means.  The y search runs over the bounding box of the means,
+    ``y_points`` points in total, and skips the y where phi is +inf.
+    On a uniform grid the multilinear weights of x + y are the same for
+    every x, so each shift is a weighted sum of 2^d slices of one
+    edge-padded copy of f (constant extension past the box).
     """
     d = ce.dim
-    if f.grid.dim != d:
+    grid = f.grid
+    if grid.dim != d:
         raise DomainError("expectation and grid dimensions differ")
     means = np.array([s.mean_vector for s in ce.scenarios])
     per_axis = int(round(y_points ** (1.0 / d)))
@@ -372,14 +392,28 @@ def maximally_distributed_limit(
         lo, hi = float(means[:, ax].min()), float(means[:, ax].max())
         y_axes.append(np.linspace(lo, hi, per_axis) if hi > lo else np.array([lo]))
     phi = _legendre_phi(ce, y_axes, z_points)
+    finite = np.isfinite(phi)
+    y, phi = tensor_points(y_axes)[finite], phi[finite]
 
-    out = np.full(f.grid.counts, -np.inf)
-    for yv, pv in zip(tensor_points(y_axes), phi):
-        if not np.isfinite(pv):
-            continue
-        shifted = f.grid.interpolate(f.values, f.grid.points + yv)
-        np.maximum(out, shifted.reshape(f.grid.counts) - pv, out=out)
-    return GridFunction(f.grid, out)
+    spacing = np.array(grid.spacing)
+    pad = np.ceil(np.max(np.abs(means), axis=0) / spacing).astype(int) + 1
+    padded = np.pad(f.values, [(p, p) for p in pad], mode="edge")
+    t = y / spacing
+    frac = t - np.floor(t)
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    # starts[k, c]: the padded index of corner c of y_k's cell, per axis
+    starts = (np.floor(t).astype(int) + pad)[:, None, :] + corners
+    weights = np.where(corners, frac[:, None, :], 1.0 - frac[:, None, :]).prod(axis=2)
+
+    out = np.full(grid.counts, -np.inf)
+    for start, w, pv in zip(starts.tolist(), weights.tolist(), phi.tolist()):
+        views = [padded[tuple(slice(i, i + n) for i, n in zip(s, grid.counts))] for s in start]
+        shifted = w[0] * views[0]
+        for wk, view in zip(w[1:], views[1:]):
+            shifted += wk * view
+        shifted -= pv
+        np.maximum(out, shifted, out=out)
+    return GridFunction(grid, out)
 
 
 def g_function(ce: ScenarioConvexExpectation, a) -> float:

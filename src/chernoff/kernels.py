@@ -86,24 +86,29 @@ def apply_taps(
         raise DomainError(
             f"apply_taps: weights has {weights.size} entries, offsets has {offsets.size}"
         )
+    values = np.asarray(values, dtype=float)
     n = values.shape[ax]
     lo, hi = int(offsets.min()), int(offsets.max())
     # Dense taps over [lo, hi] only, so a far whole-cell shift stays O(n).
-    taps = np.zeros(hi - lo + 1)
-    np.add.at(taps, offsets - lo, weights)
-    # The edge-clamped window: window[k] = values[clip(lo + k, 0, n - 1)].
-    window = np.take(
-        np.asarray(values, dtype=float), np.clip(np.arange(lo, n + hi), 0, n - 1), axis=ax
-    )
+    taps = np.bincount(offsets - lo, weights=weights, minlength=hi - lo + 1)
+    # The edge-clamped window: window[k] = values[clip(lo + k, 0, n - 1)],
+    # one copy of the inner part [a, b) and a fill of each edge value.
+    size = n + hi - lo
+    a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
+    shape = list(values.shape)
+    shape[ax] = size
+    window = np.empty(shape)
+    lead = (slice(None),) * (ax % values.ndim)
+    window[lead + (slice(a, b),)] = values[lead + (slice(lo + a, lo + b),)]
+    window[lead + (slice(0, a),)] = values[lead + (slice(0, 1),)]
+    window[lead + (slice(b, size),)] = values[lead + (slice(n - 1, n),)]
     if taps.size == 1:
         window *= taps[0]
         return window
     # correlate1d centres the taps at taps.size // 2; outputs from there
     # on read only inside the window, so the mode never applies.
     full = correlate1d(window, taps, axis=ax, mode="nearest")
-    keep = [slice(None)] * window.ndim
-    keep[ax] = slice(taps.size // 2, taps.size // 2 + n)
-    return full[tuple(keep)]
+    return full[lead + (slice(taps.size // 2, taps.size // 2 + n),)]
 
 
 def gaussian_convolve(

@@ -301,3 +301,42 @@ def test_table_is_wellformed():
     assert len(bound_table_digest()) == 64
     with pytest.raises(DomainError):
         evaluate_table_section("nope", {})
+
+
+def test_table_expressions_evaluate_like_python_arithmetic():
+    from chernoff.bounds import _safe_eval
+
+    env = {"r": 0.7, "d": 2, "b01": 1.3, "E": lambda c1=0.0, c2=0.0: 3.0 * c1 + 5.0 * c2}
+    assert _safe_eval("-r + 2*r**2 - d**1.5*r/6", env) == -0.7 + 2 * 0.7**2 - 2**1.5 * 0.7 / 6
+    assert _safe_eval("exp(r)*sqrt(d) + log(b01)", env) == (
+        math.exp(0.7) * math.sqrt(2) + math.log(1.3)
+    )
+    assert _safe_eval("E(r, c2=0.5*d*b01)", env) == 3.0 * 0.7 + 5.0 * (0.5 * 2 * 1.3)
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "exp.__class__",  # attribute access
+        "r.real",
+        "(1, 2)[0]",  # subscript
+        "(lambda: r)()",  # lambda
+        "[x for x in (1, 2)]",  # comprehension
+        "sum(x for x in (1, 2))",
+        "q * r",  # unknown name
+        "__import__('os')",  # call to anything but exp, sqrt, log, E
+        "exp",  # a function name used as a value
+        "E(**{'c1': 1.0})",
+        "r if r else 0",
+        "r % 2",
+        "+r",
+        "True * r",
+        "'r'",
+        "r +",  # not an expression
+    ],
+)
+def test_table_expressions_reject_everything_else(expression):
+    from chernoff.bounds import _safe_eval
+
+    with pytest.raises(DomainError, match="bound table expression"):
+        _safe_eval(expression, {"r": 0.5, "E": lambda c1=0.0: c1})

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from chernoff.core import DomainError, Grid, GridFunction
+from chernoff.core import DomainError, Grid, GridFunction, tensor_points
 from chernoff.convex_expectation import (
     GrowthCertificate,
     Scenario,
     ScenarioConvexExpectation,
+    _legendre_phi,
     cexp_eval,
     clt_step,
     g_function,
@@ -312,6 +313,105 @@ def test_limit_2d_matches_simplex_sup(means, penalties, phi_slope, n):
     slope = math.sqrt(2.0) * f.lipschitz + phi_slope
     tol = slope * (y_step + 2.0 * m_max / n) + math.sqrt(2.0) * z_step * m_max
     assert gap <= tol
+
+
+def _dense_phi(ce, y_axes, z_points):
+    """phi over every column of the z-grid, with the edge flag of the library."""
+    means = np.array([s.mean_vector for s in ce.scenarios])
+    pens = np.array([s.penalty for s in ce.scenarios])
+    radius = 4.0 * float(np.max(np.abs(means))) + 4.0
+    per_axis = max(int(round(z_points ** (1.0 / ce.dim))), 3)
+    per_axis += 1 - per_axis % 2
+    axis = np.linspace(-radius, radius, per_axis)
+    z = tensor_points([axis] * ce.dim)
+    obj = tensor_points(y_axes) @ z.T - np.max(z @ means.T - pens, axis=1)
+    full = np.max(obj, axis=1)
+    inner = np.max(obj[:, np.all((z > axis[0]) & (z < axis[-1]), axis=1)], axis=1)
+    full[full > inner + 1e-9 * (1.0 + np.abs(full))] = np.inf
+    return full
+
+
+def _y_axes(ce, per_axis):
+    means = np.array([s.mean_vector for s in ce.scenarios])
+    return [
+        np.linspace(lo, hi, per_axis) if hi > lo else np.array([lo])
+        for lo, hi in zip(means.min(axis=0), means.max(axis=0))
+    ]
+
+
+def _point_model(means, penalties):
+    return ScenarioConvexExpectation(
+        tuple(Scenario.point(m, penalty=a) for m, a in zip(means, penalties))
+    )
+
+
+def _random_1d_models(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        pens = rng.uniform(0.0, 2.0, k)
+        pens[rng.integers(k)] = 0.0
+        # means at least 0.5 apart keep the conjugate's slopes (at most
+        # 2 / 0.5) inside the z-grid, so no y of the hull is flagged
+        means = rng.permutation(rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.5, 1.5, k)))
+        yield _point_model(means, pens)
+
+
+# the three models of test_limit_2d_matches_simplex_sup
+_MODELS_2D = [
+    _point_model([(-0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (0.5, 0.25)], [0.0] * 4),
+    _point_model([(-0.5, 0.25), (0.5, -0.25)], [0.0, 0.5]),
+    _point_model([(-0.5, -0.25), (0.5, -0.25), (0.0, 0.5)], [0.0, 0.3, 0.6]),
+]
+
+
+def test_phi_on_candidate_columns_matches_the_full_z_grid():
+    cases = [(ce, 257) for ce in _random_1d_models(40, seed=17)]
+    cases += [(ce, 64) for ce in _MODELS_2D]
+    for ce, per_axis in cases:
+        y_axes = _y_axes(ce, per_axis)
+        phi = _legendre_phi(ce, y_axes, 4096)
+        dense = _dense_phi(ce, y_axes, 4096)
+        finite = np.isfinite(dense)
+        np.testing.assert_array_equal(np.isfinite(phi), finite)
+        assert np.all(phi[~finite] == np.inf)
+        gap = np.abs(phi[finite] - dense[finite])
+        assert np.all(gap <= 1e-15 * (1.0 + np.abs(dense[finite])))
+
+
+@pytest.mark.parametrize(
+    "grid, ce, y_points",
+    [
+        pytest.param(grid1d(401, 4.0), next(_random_1d_models(1, seed=3)), 257, id="1d"),
+        # means beyond the box: every shift reads the constant extension
+        pytest.param(
+            grid1d(201, 2.0),
+            _point_model([-3.0, 2.5], [0.0, 0.4]),
+            257,
+            id="1d-past-edge",
+        ),
+        pytest.param(Grid((-3.0, -2.0), (3.0, 2.5), (41, 37)), _MODELS_2D[2], 289,
+                     id="2d-triangle"),
+        pytest.param(Grid((-0.6, -0.5), (0.7, 0.4), (27, 19)), _MODELS_2D[1], 289,
+                     id="2d-past-edge"),
+    ],
+)
+def test_limit_matches_interpolated_shifts(grid, ce, y_points):
+    if grid.dim == 1:
+        f = GridFunction.from_callable(grid, lambda x: np.sin(2.0 * x) + 0.3 * x)
+    else:
+        f = GridFunction.from_callable(
+            grid, lambda p: np.sin(2.0 * p[:, 0]) * np.cos(p[:, 1]) + 0.3 * p[:, 1]
+        )
+    out = maximally_distributed_limit(ce, f, y_points=y_points)
+    y_axes = _y_axes(ce, int(round(y_points ** (1.0 / grid.dim))))
+    phi = _legendre_phi(ce, y_axes, 4096)
+    expected = np.full(grid.size, -np.inf)
+    for y, pv in zip(tensor_points(y_axes), phi):
+        shifted = grid.interpolate(f.values, grid.points + y).reshape(-1)
+        expected = np.maximum(expected, shifted - pv)
+    tol = 1e-14 * max(1.0, f.sup_norm)
+    np.testing.assert_allclose(out.values.reshape(-1), expected, rtol=0, atol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ _N = 301
         pytest.param((_N,), 0, [4, -3, 4, 0, -3], [0.1, 0.2, 0.3, 0.15, 0.25], id="unsorted-duplicate"),
         pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0"),
         pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1"),
+        pytest.param((41, 57), 1, [60, 75, 57, 60], [0.2, 0.1, 0.3, 0.4],
+                     id="2d-axis1-all-beyond-plus"),
+        pytest.param((41, 57), 1, [-56, -90, -70], [0.5, 0.25, 0.25],
+                     id="2d-axis1-all-beyond-minus"),
     ],
 )
 def test_apply_taps_matches_clipped_index_sum(shape, ax, offsets, weights):
@@ -150,6 +154,22 @@ def test_apply_taps_matches_clipped_index_sum(shape, ax, offsets, weights):
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(values)))
     np.testing.assert_array_equal(values, before)
     assert not np.shares_memory(out, values)
+
+
+@pytest.mark.parametrize("ax", [0, 1])
+def test_apply_taps_on_strided_and_float32_input(ax):
+    base = np.random.default_rng(8).normal(size=(90, 130))
+    offsets, weights = [-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]
+    view = base[1::2, ::3]  # not contiguous
+    out = apply_taps(view, np.asarray(offsets), np.asarray(weights), ax)
+    expected = _clipped_sum(view, offsets, weights, ax)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(view)))
+    single = view.astype(np.float32)
+    out = apply_taps(single, np.asarray(offsets), np.asarray(weights), ax)
+    assert out.dtype == np.float64
+    assert not np.shares_memory(out, single)
+    expected = _clipped_sum(single.astype(float), offsets, weights, ax)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(view)))
 
 
 @pytest.mark.parametrize(
