@@ -1,11 +1,11 @@
 """Closed-form convergence exponents and constants.
 
-Two layers live here.  The generic layer assembles the three-part
-constant (initial window + mollified comparison + time-integrated
-residual terms) from RateParameters describing a model's residual
-exponents.  The model layer (nisio_bounds, lln_bounds, clt_bounds)
-fills those parameters in, or evaluates the printed per-model constants
-from a shipped transcription table so audits can diff data, not code.
+One layer: each model bound (nisio_bounds, lln_bounds, clt_bounds)
+fixes its exponent in closed form and evaluates the printed per-model
+constants from the shipped transcription table data/bound_addends.json,
+so audits diff data, not code.  The semigroup growth rate omega and the
+translation cap L the table's nisio sections take are 0 for every model
+built here.
 """
 
 from __future__ import annotations
@@ -21,59 +21,6 @@ from typing import Callable
 
 from .core import DomainError
 from .mollifier import MollifierKernel
-
-
-@dataclass(frozen=True)
-class ThetaRow:
-    """One residual addend: coefficient(r, t, eps1) * h^alpha / eps2^beta."""
-
-    name: str
-    alpha: float
-    beta: float
-    coefficient: Callable[[float, float, float], float]
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta < 0:
-            raise DomainError("need alpha > 0 and beta >= 0 in a residual row")
-
-
-@dataclass(frozen=True)
-class RateParameters:
-    """Everything the generic exponent/constant formulas consume."""
-
-    p: float
-    a1: Callable[[float], float]
-    a2: float
-    rows_minus: tuple[ThetaRow, ...]
-    rows_plus: tuple[ThetaRow, ...]
-    omega: float = 0.0
-    translation: float = 0.0
-    eps0: float = 1.0
-    h0: float = 0.125
-    c_kappa: float = 1.0
-    kernel: MollifierKernel | None = None
-
-    def __post_init__(self):
-        if self.p < 0 or self.a2 < 0 or self.omega < 0 or self.translation < 0:
-            raise DomainError("rate parameters must be non-negative")
-        if not 0 < self.eps0 <= 1:
-            raise DomainError("eps0 must lie in (0, 1]")
-        if self.h0 <= 0:
-            raise DomainError("h0 must be positive")
-        if self.c_kappa < 1:
-            raise DomainError("the weight shift constant is at least 1")
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", MollifierKernel(1))
-
-    def rows(self, side: str) -> tuple[ThetaRow, ...]:
-        if side == "minus":
-            return self.rows_minus
-        if side == "plus":
-            return self.rows_plus
-        raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
-
-    def b(self, k: int, l: int) -> float:
-        return self.kernel.b(k, l)
 
 
 @dataclass(frozen=True)
@@ -129,55 +76,6 @@ class BoundReport:
             "constant": self.total,
             "addends": {name: value for name, value in self.addends},
         }
-
-
-def general_rate_exponent(params: RateParameters, side: str) -> float:
-    """min of the time-regularity exponent and each residual row's."""
-    rows = params.rows(side)
-    if not rows:
-        raise DomainError(f"no residual rows for side {side!r}")
-    gamma = 1.0 / (1.0 + params.p)
-    for row in rows:
-        gamma = min(gamma, row.alpha / (1.0 + row.beta))
-    return gamma
-
-
-def general_rate_constant(
-    params: RateParameters,
-    r: float,
-    t: float,
-    side: str,
-    allow_small_r: bool = False,
-) -> BoundReport:
-    """The three-part constant for the chosen error side."""
-    if r < 1 and not allow_small_r:
-        raise DomainError(
-            "the generic constant needs r >= 1; pass allow_small_r=True when "
-            "the model's growth bound holds for every argument"
-        )
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    gamma = general_rate_exponent(params, side)
-    eps1 = params.h0 ** ((1.0 + params.p) * gamma)
-    om, h0 = params.omega, params.h0
-    b01 = params.b(0, 1)
-    growth = params.a1(r) + params.a2 * b01**params.p * r**params.p
-    addends = [
-        ("initial-window", math.exp(om * (t + h0)) * (2 * r + growth)),
-        (
-            "mollified-comparison",
-            math.exp(om * (t + eps1)) * (1 + math.exp(om * h0)) * (3 * r + growth),
-        ),
-    ]
-    trans_exp = om * (t + eps1) if side == "minus" else om * eps1
-    addends.append(
-        ("translation", math.exp(om * t) * params.translation * r * math.exp(trans_exp) * t)
-    )
-    for row in params.rows(side):
-        addends.append(
-            (row.name, math.exp(om * t) * row.coefficient(r, t, eps1) * t)
-        )
-    return BoundReport.from_addends(gamma, side, r, t, params.eps0, addends)
 
 
 @dataclass(frozen=True)
@@ -310,110 +208,45 @@ def _moment_env(ce) -> Callable:
 # model bounds
 
 
-def nisio_rate_parameters(
-    gb,
-    smooth: bool | None = None,
-    h0: float = 0.125,
-    eps0: float = 1.0,
-    c_kappa: float = 1.0,
-    kernel: MollifierKernel | None = None,
-) -> RateParameters:
-    """Residual rows for a Gaussian control family's upper error side."""
+def nisio_bounds(gb, r: float, t: float, smooth: bool | None = None) -> BoundReport:
+    """Printed constants for a Gaussian family's upper (one-sided) rate.
+
+    smooth selects the squared-generator variant (nisio2) with exponent
+    1/(2+2p); without it the exponent is 1/2 for first-order families
+    (p = 0) and 1/6 once a second-order term is present (p = 1).  The
+    family's own growth bound holds for every radius, so r < 1 is
+    allowed here.
+    """
     if smooth is None:
         smooth = gb.smooth
     if smooth and gb.squared_caps is None:
         raise DomainError("smooth constants requested but no squared generator caps")
-    kernel = kernel or MollifierKernel(1)
-    om = gb.omega
-    v1, v2 = gb.first_order, gb.second_order
-    p = 0.0 if v2 == 0 else 1.0
-    alpha = 1.0 / (1.0 + p)
-    a2 = math.exp(om) * v2
-
-    def a1(r: float) -> float:
-        return math.exp(om) * v1 * r
-
-    b01 = kernel.b(0, 1)
-
-    def c_rt(r: float, t: float) -> float:
-        return math.exp(om * t) * (2 * r + a1(r) + a2 * b01**p * r**p)
-
-    rows: list[ThetaRow] = []
+    p = 0.0 if gb.second_order == 0 else 1.0
     if smooth:
-        for i, vt in enumerate(gb.squared_caps, start=1):
-            if vt == 0:
-                continue
-            bi = kernel.b(0, i - 1)
-
-            def coeff(r, t, eps1, vt=vt, bi=bi):
-                return 0.5 * math.exp(om * (t + eps1)) * r * vt * bi
-
-            rows.append(ThetaRow(f"consistency-order-{i}", 1.0, i - 1.0, coeff))
+        gamma = 1.0 / (2.0 + 2.0 * p)
     else:
-        for i, wi in enumerate(gb.lipschitz_caps, start=1):
-            if wi == 0:
-                continue
-            bi = kernel.b(0, i - 1)
-
-            def coeff(r, t, eps1, wi=wi, bi=bi):
-                return (
-                    (c_rt(r, t) / (1.0 + alpha))
-                    * math.exp(om * (t + eps1))
-                    * wi
-                    * bi
-                )
-
-            rows.append(ThetaRow(f"consistency-order-{i}", alpha, i - 1.0, coeff))
-    for i, vi in enumerate((v1, v2), start=1):
-        if vi == 0:
-            continue
-        bi = kernel.b(1, i)
-
-        def coeff(r, t, eps1, vi=vi, bi=bi):
-            return (2 * c_kappa * c_rt(r, t) + math.exp(om * t) * r) * vi * bi
-
-        rows.append(ThetaRow(f"smoothing-order-{i}", 1.0, p + i, coeff))
-    b20 = kernel.b(2, 0)
-
-    def coeff_fd(r, t, eps1):
-        return (2 * c_kappa * c_rt(r, t) + math.exp(om * t) * r) * 0.5 * b20
-
-    rows.append(ThetaRow("time-difference", 1.0, 1.0 + 2 * p, coeff_fd))
-    row_tuple = tuple(rows)
-    return RateParameters(
-        p=p,
-        a1=a1,
-        a2=a2,
-        rows_minus=row_tuple,
-        rows_plus=row_tuple,
-        omega=om,
-        translation=gb.translation,
-        eps0=eps0,
-        h0=h0,
-        c_kappa=c_kappa,
-        kernel=kernel,
-    )
-
-
-def nisio_bounds(
-    gb,
-    r: float,
-    t: float,
-    smooth: bool | None = None,
-    h0: float = 0.125,
-    eps0: float = 1.0,
-    c_kappa: float = 1.0,
-    kernel: MollifierKernel | None = None,
-) -> BoundReport:
-    """Upper-side bound for a Gaussian family (one-sided approximation).
-
-    The family's own growth bound holds for every radius, so r < 1 is
-    allowed here.
-    """
-    params = nisio_rate_parameters(
-        gb, smooth=smooth, h0=h0, eps0=eps0, c_kappa=c_kappa, kernel=kernel
-    )
-    return general_rate_constant(params, r, t, "plus", allow_small_r=True)
+        gamma = 0.5 if p == 0 else 1.0 / 6.0
+    h0 = 0.125  # the largest step the constants cover
+    env = {
+        "r": float(r),
+        "t": float(t),
+        "v1": gb.first_order,
+        "v2": gb.second_order,
+        "p": p,
+        "alpha": 1.0 / (1.0 + p),
+        "h0": h0,
+        "eps1": h0 ** ((1.0 + p) * gamma),
+        "c_kappa": 1.0,
+        "omega": 0.0,
+        "L": 0.0,
+    }
+    for i, w in enumerate(gb.lipschitz_caps, start=1):
+        env[f"w{i}"] = w
+    for i, vt in enumerate(gb.squared_caps or (), start=1):
+        env[f"vt{i}"] = vt
+    env.update(_kernel_env(MollifierKernel(1)))
+    addends = evaluate_table_section("nisio2_plus" if smooth else "nisio_plus", env)
+    return BoundReport.from_addends(gamma, "plus", r, t, 1.0, addends)
 
 
 def lln_bounds(ce, r: float, t: float, side: str) -> BoundReport:

@@ -340,6 +340,8 @@ def load_config(path) -> Experiment:
             r.flag("experiment", "h_fine", "must be at least 8x finer than min(h)")
     if symmetric and op_type != "clt":
         r.flag("rate", "symmetric", "only meaningful for clt operators")
+    if smooth is not None and op_type in ("lln", "clt"):
+        r.flag("operator", "smooth", "only meaningful for nisio operators")
 
     if problems:
         raise ConfigError(problems)

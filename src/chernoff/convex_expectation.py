@@ -316,11 +316,22 @@ def _legendre_phi(
     is outside the convex hull of the means (the conjugate is +inf
     there), and a y inside the hull raises, since the z-grid is then
     too narrow to see its finite sup.
+
+    The z-grid's radius is the larger of 4 max|m_i| + 4 and 2 s + 1,
+    where s is the largest |alpha_i - alpha_j| / |m_i - m_j| over pairs
+    of distinct means.  In 1D every kink of psi sits at such a ratio, so
+    the finite sup is always inside the grid; in 2D a kink on a thin
+    facet of the hull can sit further out, and such models can still
+    raise.
     """
     d = ce.dim
     means = np.array([s.mean_vector for s in ce.scenarios])
     pens = np.array([s.penalty for s in ce.scenarios])
-    radius = 4.0 * float(np.max(np.abs(means))) + 4.0
+    gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+    rises = np.abs(pens[:, None] - pens[None, :])
+    distinct = gaps > 0
+    slope = float(np.max(rises[distinct] / gaps[distinct], initial=0.0))
+    radius = max(4.0 * float(np.max(np.abs(means))) + 4.0, 2.0 * slope + 1.0)
     per_axis = max(int(round(z_points ** (1.0 / d))), 3)
     if per_axis % 2 == 0:
         per_axis += 1  # keep z = 0 on the grid so phi never dips below 0 - min alpha
@@ -373,10 +384,10 @@ def maximally_distributed_limit(
     """The limit functional as a grid function: x -> sup_y (f(x+y) - phi(y)).
 
     phi is the convex conjugate of z -> E[z . xi], computed on a z-grid
-    of radius 4 max|m_i| + 4 from its candidate columns (see
-    ``_legendre_phi``) and +inf outside the convex hull of the scenario
-    means.  The y search runs over the bounding box of the means,
-    ``y_points`` points in total, and skips the y where phi is +inf.
+    from its candidate columns (see ``_legendre_phi``) and +inf outside
+    the convex hull of the scenario means.  The y search runs over the
+    bounding box of the means, ``y_points`` points in total, and skips
+    the y where phi is +inf.
     On a uniform grid the multilinear weights of x + y are the same for
     every x, so each shift is a weighted sum of 2^d slices of one
     edge-padded copy of f (constant extension past the box).

@@ -9,12 +9,9 @@ constant, which the error analysis relies on.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import struct
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,9 +186,6 @@ class GridFunction:
     def sample(self, x: np.ndarray) -> np.ndarray:
         return self.grid.interpolate(self.values, x)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if other.grid != self.grid:
             raise DomainError("grid functions live on different grids")
@@ -223,71 +217,6 @@ class GridFunction:
             self._check_same_grid(other)
             return GridFunction(self.grid, np.maximum(self.values, other.values))
         return GridFunction(self.grid, np.maximum(self.values, float(other)))
-
-    # -- serialization ---------------------------------------------------
-
-    _BINARY_MAGIC = b"CGF1"
-
-    def to_csv(self, path) -> None:
-        """Write points and values as CSV (columns x1[, x2], value)."""
-        pts = self.grid.points
-        flat = self.values.ravel()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(self.grid.dim)] + ["value"])
-            for row, v in zip(pts, flat):
-                writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            d = len(header) - 1
-            if d not in (1, 2) or header[-1] != "value":
-                raise DomainError(f"unrecognized CSV header {header!r}")
-            rows = np.array([[float(c) for c in row] for row in reader])
-        axes = [np.unique(rows[:, i]) for i in range(d)]
-        grid = Grid(
-            tuple(ax[0] for ax in axes),
-            tuple(ax[-1] for ax in axes),
-            tuple(len(ax) for ax in axes),
-        )
-        # place values by index rather than trusting row order
-        vals = np.empty(grid.counts)
-        idx = tuple(
-            np.rint((rows[:, i] - grid.lower[i]) / grid.spacing[i]).astype(int)
-            for i in range(d)
-        )
-        vals[idx] = rows[:, -1]
-        return cls(grid, vals)
-
-    def to_binary(self, path) -> None:
-        """Compact format: magic, dim, per-axis (count, lo, hi), float64 payload."""
-        with open(path, "wb") as fh:
-            fh.write(self._BINARY_MAGIC)
-            fh.write(struct.pack("<B", self.grid.dim))
-            for n, lo, hi in zip(self.grid.counts, self.grid.lower, self.grid.upper):
-                fh.write(struct.pack("<qdd", n, lo, hi))
-            fh.write(self.values.astype("<f8").tobytes(order="C"))
-
-    @classmethod
-    def from_binary(cls, path) -> "GridFunction":
-        raw = Path(path).read_bytes()
-        if raw[:4] != cls._BINARY_MAGIC:
-            raise DomainError("not a grid-function binary file")
-        (d,) = struct.unpack_from("<B", raw, 4)
-        off = 5
-        counts, lower, upper = [], [], []
-        for _ in range(d):
-            n, lo, hi = struct.unpack_from("<qdd", raw, off)
-            off += 24
-            counts.append(n)
-            lower.append(lo)
-            upper.append(hi)
-        grid = Grid(tuple(lower), tuple(upper), tuple(counts))
-        vals = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.counts)
-        return cls(grid, vals)
 
 
 @dataclass(frozen=True)

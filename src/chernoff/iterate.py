@@ -8,10 +8,8 @@ input unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -73,9 +71,6 @@ class StepOperator:
 
     name: str
     step: Callable[[GridFunction, float], GridFunction]
-    model: object = None
-    omega: float = 0.0
-    translation: float = 0.0
     sigma_scale: float = 0.0
     drift_scale: float = 0.0
     admitted: bool = False
@@ -90,7 +85,6 @@ class StepOperator:
         return cls(
             name="nisio",
             step=lambda f, h: nisio_step(family, f, h, cut=cut),
-            model=family,
             sigma_scale=family.sigma_max,
             drift_scale=family.drift_max,
         )
@@ -102,7 +96,6 @@ class StepOperator:
         return cls(
             name="lln",
             step=lambda f, h: lln_step(ce, f, h, cut=cut),
-            model=ce,
             drift_scale=_scenario_reach(ce),
         )
 
@@ -113,7 +106,6 @@ class StepOperator:
         return cls(
             name="clt",
             step=lambda f, h: clt_step(ce, f, h, cut=cut),
-            model=ce,
             sigma_scale=_scenario_reach(ce),
         )
 
@@ -156,44 +148,6 @@ def chernoff_iterate(
     return u
 
 
-def write_trajectory(
-    traj: SpaceTimeFunction,
-    h: float,
-    directory,
-    timings: list[float] | None = None,
-) -> Path:
-    """Dump every frame in the binary grid format plus an index JSON."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i in range(len(traj.times)):
-        name = f"frame_{i:05d}.cgf"
-        traj.slice(i).to_binary(directory / name)
-        names.append(name)
-    index = {
-        "h": h,
-        "k": len(traj.times) - 1,
-        "times": [float(s) for s in traj.times],
-        "frames": names,
-        "timings": timings,
-    }
-    path = directory / "index.json"
-    path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def read_trajectory(directory) -> tuple[SpaceTimeFunction, float]:
-    directory = Path(directory)
-    index = json.loads((directory / "index.json").read_text())
-    frames = [
-        GridFunction.from_binary(directory / name) for name in index["frames"]
-    ]
-    return (
-        SpaceTimeFunction.from_functions(index["times"], frames),
-        float(index["h"]),
-    )
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Outcome of the discrete comparison inequality on a lattice.
@@ -220,7 +174,6 @@ def discrete_comparison_check(
     h: float,
     T: float,
     weight: WeightFunction | None = None,
-    omega: float = 0.0,
     tol: float = 1e-9,
 ) -> ComparisonReport:
     """Check the one-step comparison estimate on the h-lattice.
@@ -229,8 +182,8 @@ def discrete_comparison_check(
     (u(t) - I(h)u(t-h))/h <= f_bound(t) and the reverse for v, g_bound
     on {h, ..., Kh}.  Verifies, for every lattice t <= T,
 
-        sup (u(t)-v(t))^+ kappa <= e^{omega t} (initial gap
-            + t * sup_s sup ((f_bound - g_bound)(s))^+ kappa).
+        sup (u(t)-v(t))^+ kappa <= initial gap
+            + t * sup_s sup ((f_bound - g_bound)(s))^+ kappa.
     """
     if h <= 0:
         raise DomainError("step size must be positive")
@@ -269,7 +222,7 @@ def discrete_comparison_check(
     worst = 0.0
     for s in times:
         lhs = positive_part_norm(u.at_time(s) - v.at_time(s), weight)
-        rhs = math.exp(omega * s) * (initial + s * gap_driver)
+        rhs = initial + s * gap_driver
         if lhs - rhs > max_slack:
             max_slack = lhs - rhs
             worst = s

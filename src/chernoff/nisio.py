@@ -38,12 +38,9 @@ class GeneratorBounds:
     second_order: float
     lipschitz_caps: tuple[float, float, float]
     squared_caps: tuple[float, float, float, float] | None = None
-    omega: float = 0.0
-    translation: float = 0.0
 
     def __post_init__(self):
-        vals = [self.first_order, self.second_order, *self.lipschitz_caps,
-                self.omega, self.translation]
+        vals = [self.first_order, self.second_order, *self.lipschitz_caps]
         if self.squared_caps is not None:
             if len(self.squared_caps) != 4:
                 raise DomainError("squared_caps must list four coefficients")
@@ -87,8 +84,6 @@ class GeneratorBounds:
             second_order=v2,
             lipschitz_caps=caps,
             squared_caps=squared,
-            omega=0.0,
-            translation=0.0,
         )
 
 
@@ -197,7 +192,7 @@ def consistency_residual(
 ) -> ConsistencyReport:
     """Compare the one-step rate (I(h)f - f)/h with its generator cap.
 
-    The cap is e^omega (v1 sup|f'| + v2 sup|f''|) with the derivative
+    The cap is v1 sup|f'| + v2 sup|f''| with the derivative
     sups taken by finite differences on the interior.
     """
     if h <= 0:
@@ -227,5 +222,5 @@ def consistency_residual(
         d2 = np.abs((up - 2 * f.values + down) / (dx * dx))
         sup1 = max(sup1, float(np.max(d1[inner])))
         sup2 = max(sup2, float(np.max(d2[inner])))
-    cap = math.exp(gb.omega) * (gb.first_order * sup1 + gb.second_order * sup2)
+    cap = gb.first_order * sup1 + gb.second_order * sup2
     return ConsistencyReport(measured, cap, measured <= cap * (1 + tol))

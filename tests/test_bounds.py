@@ -4,18 +4,13 @@ import pytest
 
 from chernoff.bounds import (
     BoundReport,
-    RateParameters,
-    ThetaRow,
     bound_table_digest,
     clt_bounds,
     evaluate_table_section,
-    general_rate_constant,
-    general_rate_exponent,
     holder_parameters,
     lln_bounds,
     load_bound_table,
     nisio_bounds,
-    nisio_rate_parameters,
 )
 from chernoff.convex_expectation import (
     Scenario,
@@ -24,46 +19,50 @@ from chernoff.convex_expectation import (
 )
 from chernoff.core import DomainError
 from chernoff.mollifier import MollifierKernel
-from chernoff.nisio import GeneratorBounds, NisioFamily
+from chernoff.nisio import GeneratorBounds
 
 
-def null_row(alpha, beta):
-    return ThetaRow("null", alpha, beta, lambda r, t, e: 0.0)
-
-
-def make_params(p, rows, **kw):
-    rows = tuple(rows)
-    return RateParameters(
-        p=p, a1=lambda r: 0.0, a2=0.0, rows_minus=rows, rows_plus=rows, **kw
-    )
+def constant_family(*controls, smooth=True):
+    return GeneratorBounds.for_constant_coefficients(controls, smooth=smooth)
 
 
 def test_exponent_examples():
-    assert general_rate_exponent(make_params(0, [null_row(1, 1)]), "minus") == 0.5
-    assert general_rate_exponent(make_params(1, [null_row(0.5, 2)]), "minus") == pytest.approx(1 / 6)
-    assert general_rate_exponent(make_params(1, [null_row(1, 3)]), "plus") == 0.25
-    with pytest.raises(DomainError):
-        general_rate_exponent(make_params(0, []), "minus")
+    # nisio: 1/2 at p = 0, 1/6 at p = 1 without smooth caps, 1/(2+2p) with
+    first_order = constant_family((0.0, -1.0), (0.0, 1.0))
+    assert nisio_bounds(first_order, 1.0, 1.0, smooth=False).gamma == 0.5
+    assert nisio_bounds(first_order, 1.0, 1.0, smooth=True).gamma == 0.5
+    second_order = constant_family((1.0, 0.5))
+    assert nisio_bounds(second_order, 1.0, 1.0, smooth=False).gamma == 1 / 6
+    assert nisio_bounds(second_order, 1.0, 1.0, smooth=True).gamma == 0.25
+    # lln: 1/2; clt: 1/(4+2p), and 1/(2+2p) for the symmetric variant
+    assert lln_bounds(two_point_ce(), 1.0, 1.0, "minus").gamma == 0.5
+    ce = sublinear_ce()
+    cert = growth_certificate(ce)
+    assert clt_bounds(ce, cert, 1.0, 1.0, "plus").gamma == 1 / (4 + 2 * cert.p)
+    assert clt_bounds(ce, cert, 1.0, 1.0, "plus", symmetric=True).gamma == 1 / (
+        2 + 2 * cert.p
+    )
 
 
 def test_constant_skeleton_is_eight():
-    params = make_params(0, [null_row(1, 1)])
-    rep = general_rate_constant(params, 1.0, 1.0, "minus")
-    assert rep.total == pytest.approx(8.0)
-    names = [n for n, _ in rep.addends]
-    assert names[0] == "initial-window" and names[1] == "mollified-comparison"
-    assert rep.gamma == 0.5
-    # degenerate: no growth, no residuals -> constant independent of t
-    rep2 = general_rate_constant(params, 1.0, 7.0, "minus")
-    assert rep2.total == pytest.approx(8.0)
+    # a zero generator: at t = 0 only the initial window (2r) and the
+    # mollified comparison (2 * 3r) remain
+    zero = constant_family((0.0, 0.0))
+    for r in (0.5, 1.0, 3.0):
+        rep = nisio_bounds(zero, r, 0.0)
+        assert rep.total == pytest.approx(8.0 * r, rel=1e-15)
+        names = [n for n, _ in rep.addends]
+        assert names[:2] == ["initial-window", "mollified-comparison"]
+        assert rep.gamma == 0.5
+    # the lln skeleton addend is the same 8r
+    assert dict(lln_bounds(two_point_ce(), 2.0, 1.0, "plus").addends)["skeleton"] == 16.0
 
 
 def test_constant_requires_unit_radius():
-    params = make_params(0, [null_row(1, 1)])
-    with pytest.raises(DomainError):
-        general_rate_constant(params, 0.5, 1.0, "minus")
-    rep = general_rate_constant(params, 0.5, 1.0, "minus", allow_small_r=True)
-    assert rep.total == pytest.approx(4.0)
+    with pytest.raises(DomainError, match="r >= 1"):
+        holder_parameters(0.5, 1.0, 0.0, lambda r: 0.0, 0.0, 0.0)
+    hp = holder_parameters(0.5, 1.0, 0.0, lambda r: 0.0, 0.0, 0.0, allow_small_r=True)
+    assert hp.constant == 1.0
 
 
 def test_constant_monotone_in_r_and_t():
@@ -116,70 +115,57 @@ def test_nisio_small_radius_allowed():
     assert rep.total > 0
 
 
-def _nisio_table_env(gb, r, t, gamma, p, h0=0.125):
+def test_nisio_bounds_hand_recomputation_smooth():
+    gb = GHEAT_GB  # v1 = 0, v2 = 1/2, squared caps (0, 0, 0, 1/4)
     kern = MollifierKernel(1)
-    env = {
-        "r": r,
-        "t": t,
-        "omega": gb.omega,
-        "L": gb.translation,
-        "v1": gb.first_order,
-        "v2": gb.second_order,
-        "w1": gb.lipschitz_caps[0],
-        "w2": gb.lipschitz_caps[1],
-        "w3": gb.lipschitz_caps[2],
-        "p": p,
-        "alpha": 1.0 / (1.0 + p),
-        "h0": h0,
-        "eps1": h0 ** ((1.0 + p) * gamma),
-        "c_kappa": 1.0,
+    b01, b03, b12, b20 = (kern.b(*kl) for kl in ((0, 1), (0, 3), (1, 2), (2, 0)))
+    r, t = 1.5, 0.75
+    growth = 0.5 * b01 * r  # a2 b01^p r^p with p = 1
+    c_rt = 2 * r + growth
+    expected = {
+        "initial-window": 2 * r + growth,
+        "mollified-comparison": 2 * (3 * r + growth),
+        "translation": 0.0,
+        "consistency": 0.5 * r * (0.25 * b03) * t,
+        "smoothing": (2 * c_rt + r) * (0.5 * b12 + 0.5 * b20) * t,  # v1 = 0: no b11
     }
-    if gb.squared_caps is not None:
-        for i, vt in enumerate(gb.squared_caps, start=1):
-            env[f"vt{i}"] = vt
-    for (k, l), v in kern.constants.items():
-        env[f"b{k}{l}"] = v
-    return env
+    rep = nisio_bounds(gb, r, t, smooth=True)
+    assert rep.gamma == 0.25 and rep.side == "plus" and rep.eps0 == 1.0
+    assert [n for n, _ in rep.addends] == list(expected)
+    for name, value in rep.addends:
+        assert value == pytest.approx(expected[name], rel=1e-12, abs=0)
+    assert rep.total == pytest.approx(sum(expected.values()), rel=1e-12)
 
 
-def test_nisio_assembly_matches_table_smooth():
-    r, t, h0 = 1.0, 1.0, 0.125
-    rep = nisio_bounds(GHEAT_GB, r, t, smooth=True, h0=h0)
-    env = _nisio_table_env(GHEAT_GB, r, t, rep.gamma, 1.0, h0)
-    table = dict(evaluate_table_section("nisio2_plus", env))
-    got = dict(rep.addends)
-    assert got["initial-window"] == pytest.approx(table["initial-window"], rel=1e-12)
-    assert got["mollified-comparison"] == pytest.approx(
-        table["mollified-comparison"], rel=1e-12
+@pytest.mark.parametrize(
+    "controls, p",
+    [(((0.5, 0.25), (1.0, 0.0)), 1.0), (((0.0, -1.0), (0.0, 1.0)), 0.0)],
+    ids=["second-order", "first-order"],
+)
+def test_nisio_bounds_hand_recomputation_nonsmooth(controls, p):
+    gb = constant_family(*controls, smooth=False)
+    kern = MollifierKernel(1)
+    b00, b01, b02, b11, b12, b20 = (
+        kern.b(*kl) for kl in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0))
     )
-    assert got["translation"] == pytest.approx(table["translation"], abs=1e-15)
-    consistency = sum(v for n, v in got.items() if n.startswith("consistency-order"))
-    assert consistency == pytest.approx(table["consistency"], rel=1e-12)
-    smoothing = sum(
-        v
-        for n, v in got.items()
-        if n.startswith("smoothing-order") or n == "time-difference"
-    )
-    assert smoothing == pytest.approx(table["smoothing"], rel=1e-12)
-    assert rep.total == pytest.approx(sum(table.values()), rel=1e-12)
-
-
-def test_nisio_assembly_matches_table_nonsmooth():
-    gb = GeneratorBounds.for_constant_coefficients(((0.5, 0.25), (1.0, 0.0)))
-    r, t, h0 = 2.0, 0.5, 0.0625
-    rep = nisio_bounds(gb, r, t, smooth=False, h0=h0)
-    env = _nisio_table_env(gb, r, t, rep.gamma, 1.0, h0)
-    table = dict(evaluate_table_section("nisio_plus", env))
-    got = dict(rep.addends)
-    consistency = sum(v for n, v in got.items() if n.startswith("consistency-order"))
-    smoothing = sum(
-        v
-        for n, v in got.items()
-        if n.startswith("smoothing-order") or n == "time-difference"
-    )
-    assert consistency == pytest.approx(table["consistency"], rel=1e-12)
-    assert smoothing == pytest.approx(table["smoothing"], rel=1e-12)
-    assert rep.total == pytest.approx(sum(table.values()), rel=1e-12)
+    v1, v2 = gb.first_order, gb.second_order
+    w1, w2, w3 = gb.lipschitz_caps
+    r, t = 2.0, 0.5
+    growth = v1 * r + v2 * b01**p * r**p
+    c_rt = 2 * r + growth
+    expected = {
+        "initial-window": 2 * r + growth,
+        "mollified-comparison": 2 * (3 * r + growth),
+        "translation": 0.0,
+        "consistency": c_rt / (1 + 1 / (1 + p)) * (w1 * b00 + w2 * b01 + w3 * b02) * t,
+        "smoothing": (2 * c_rt + r) * (v1 * b11 + v2 * b12 + 0.5 * b20) * t,
+    }
+    rep = nisio_bounds(gb, r, t)
+    assert rep.gamma == (0.5 if p == 0 else 1 / 6)
+    assert [n for n, _ in rep.addends] == list(expected)
+    for name, value in rep.addends:
+        assert value == pytest.approx(expected[name], rel=1e-12, abs=0)
+    assert rep.total == pytest.approx(sum(expected.values()), rel=1e-12)
 
 
 def two_point_ce():
@@ -273,15 +259,16 @@ def test_clt_bounds_require_zero_mean():
 
 
 def test_scale_invariance_of_exponents():
-    # doubling every residual coefficient moves constants, never gamma
-    rows = [ThetaRow("a", 0.5, 2.0, lambda r, t, e: 3.0)]
-    doubled = [ThetaRow("a", 0.5, 2.0, lambda r, t, e: 6.0)]
-    p1 = make_params(1, rows)
-    p2 = make_params(1, doubled)
-    assert general_rate_exponent(p1, "minus") == general_rate_exponent(p2, "minus")
-    c1 = general_rate_constant(p1, 1.0, 1.0, "minus").total
-    c2 = general_rate_constant(p2, 1.0, 1.0, "minus").total
-    assert c2 > c1
+    # scaling the coefficients moves constants, never gamma
+    for smooth in (True, False):
+        for base, scaled in (
+            (constant_family((0.0, 1.0)), constant_family((0.0, 2.0))),
+            (constant_family((1.0, 0.5)), constant_family((2.0, 0.5))),
+        ):
+            a = nisio_bounds(base, 1.0, 1.0, smooth=smooth)
+            b = nisio_bounds(scaled, 1.0, 1.0, smooth=smooth)
+            assert a.gamma == b.gamma
+            assert b.total > a.total
 
 
 def test_table_is_wellformed():

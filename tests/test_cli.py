@@ -134,6 +134,31 @@ def test_shipped_example_configs_load(name, capsys):
     assert json.loads(capsys.readouterr().out)
 
 
+# gamma and constant of every bound the shipped configs print; the
+# nisio totals are the sum of the table's nisio2_plus addends
+SHIPPED_BOUNDS = {
+    "gheat_lipschitz": [(0.25, 195.6468573437692)],
+    "linear_cos": [(0.25, 195.64685734372102)],
+    "clt_sublinear": [
+        (1 / 6, 116.42817512070167),
+        (1 / 6, 190.83758235278833),
+        (0.25, 124.55172547115978),
+        (0.25, 198.96113270324645),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_BOUNDS))
+def test_shipped_config_bounds_are_pinned(name, capsys):
+    config = Path(__file__).resolve().parents[1] / "examples" / f"{name}.cfg"
+    assert main(["bounds", str(config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = [(b["gamma"], b["constant"]) for b in payload]
+    assert [g for g, _ in got] == [g for g, _ in SHIPPED_BOUNDS[name]]
+    for (_, total), (_, want) in zip(got, SHIPPED_BOUNDS[name]):
+        assert total == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_kernel_constants_subcommand(capsys):
     rc = main(["kernel-constants"])
     assert rc == 0

@@ -161,6 +161,25 @@ symmetric = true
         load_config(write(tmp_path, plain, "p.cfg"))
 
 
+@pytest.mark.parametrize("op_type", ["lln", "clt"])
+def test_smooth_rejected_outside_nisio(tmp_path, op_type):
+    (tmp_path / "pair.json").write_text(
+        json.dumps([{"type": "gaussian", "mean": 0.0, "sigma": 1.0}])
+    )
+    cfg = NISIO_CFG.replace(
+        "type = nisio\ncontrols = 0.5 0, 1 0",
+        f"type = {op_type}\nscenarios = pair.json\nsmooth = false",
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, cfg))
+    assert err.value.problems == ("[operator] smooth: only meaningful for nisio operators",)
+    smooth_nisio = NISIO_CFG.replace(
+        "controls = 0.5 0, 1 0", "controls = 0.5 0, 1 0\nsmooth = false"
+    )
+    (report,) = load_config(write(tmp_path, smooth_nisio, "n.cfg")).build_bounds()
+    assert report.gamma == pytest.approx(1 / 6)
+
+
 def test_weight_and_exact_reference(tmp_path):
     cfg = NISIO_CFG.replace(
         "controls = 0.5 0, 1 0", "controls = 1 0"

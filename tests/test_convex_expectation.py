@@ -319,7 +319,12 @@ def _dense_phi(ce, y_axes, z_points):
     """phi over every column of the z-grid, with the edge flag of the library."""
     means = np.array([s.mean_vector for s in ce.scenarios])
     pens = np.array([s.penalty for s in ce.scenarios])
-    radius = 4.0 * float(np.max(np.abs(means))) + 4.0
+    slopes = [
+        abs(a - b) / np.linalg.norm(m - n)
+        for (m, a), (n, b) in itertools.combinations(zip(means, pens), 2)
+        if np.any(m != n)
+    ]
+    radius = max(4.0 * float(np.max(np.abs(means))) + 4.0, 2.0 * max(slopes, default=0.0) + 1.0)
     per_axis = max(int(round(z_points ** (1.0 / ce.dim))), 3)
     per_axis += 1 - per_axis % 2
     axis = np.linspace(-radius, radius, per_axis)
@@ -412,6 +417,23 @@ def test_limit_matches_interpolated_shifts(grid, ce, y_points):
         expected = np.maximum(expected, shifted - pv)
     tol = 1e-14 * max(1.0, f.sup_norm)
     np.testing.assert_allclose(out.values.reshape(-1), expected, rtol=0, atol=tol)
+
+
+def test_limit_close_means_with_a_steep_penalty():
+    # means 0 and 0.1 with penalties 0 and 2: phi(y) = 20 y on [0, 0.1],
+    # a slope past a z-grid sized by the means alone (radius 4.4)
+    g = grid1d(801, 4.0)
+    f = GridFunction.from_callable(g, lambda x: 25.0 * np.minimum(np.abs(x), 1.0))
+    out = maximally_distributed_limit(_point_model([0.0, 0.1], [0.0, 2.0]), f)
+    x = g.axes[0]
+    ys = np.linspace(0.0, 0.1, 2001)
+    oracle = np.max(np.interp(x[:, None] + ys[None, :], x, f.values) - 20.0 * ys, axis=1)
+    # z step (radius 2 * 20 + 1) times max y, plus (Lip f + slope of phi)
+    # times the library's and the oracle's y steps
+    tol = 2.0 * 41.0 / 4096 * 0.1 + (25.0 + 20.0) * (0.1 / 4095 + 0.1 / 2000)
+    assert np.max(np.abs(out.values - oracle)) <= tol
+    # slope 25 beats 20, so the sup leaves y = 0: f(x + 0.1) - 2 = f(x) + 0.5
+    assert np.max(out.values - f.values) == pytest.approx(0.5, abs=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -194,39 +194,3 @@ def test_space_time_function_validation_and_interp():
     with pytest.raises(DomainError):
         SpaceTimeFunction.from_functions([0.0, 0.0], [f0, f1])
 
-
-def test_csv_roundtrip(tmp_path):
-    g = grid1d(-1.0, 3.0, 9)
-    f = GridFunction.from_callable(g, lambda x: np.cos(x) + x)
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    back = GridFunction.from_csv(path)
-    assert back.grid == f.grid
-    np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_csv_roundtrip_2d(tmp_path):
-    g = Grid((0.0, -1.0), (1.0, 1.0), (5, 7))
-    f = GridFunction.from_callable(g, lambda p: np.sin(p[:, 0]) * p[:, 1])
-    path = tmp_path / "f2.csv"
-    f.to_csv(path)
-    back = GridFunction.from_csv(path)
-    assert back.grid == f.grid
-    np.testing.assert_allclose(back.values, f.values, atol=1e-15)
-
-
-def test_binary_roundtrip(tmp_path):
-    g = grid1d(-1.0, 3.0, 9)
-    f = GridFunction.from_callable(g, lambda x: np.exp(-(x**2)))
-    path = tmp_path / "f.bin"
-    f.to_binary(path)
-    back = GridFunction.from_binary(path)
-    assert back.grid == f.grid
-    np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"nope" + b"\x00" * 64)
-    with pytest.raises(DomainError):
-        GridFunction.from_binary(path)

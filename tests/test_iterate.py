@@ -10,8 +10,6 @@ from chernoff.iterate import (
     chernoff_iterate,
     discrete_comparison_check,
     partition,
-    read_trajectory,
-    write_trajectory,
 )
 from chernoff.nisio import NisioFamily
 from chernoff.reference import heat_exact
@@ -104,17 +102,6 @@ def test_failing_step_reports_index():
     op = StepOperator(name="bad", step=bad_step)
     with pytest.raises(IterationError, match=r"step 3 of 8.*boom"):
         chernoff_iterate(op, f, 1.0, 0.125)
-
-
-def test_trajectory_roundtrip(tmp_path):
-    g = grid1d(101)
-    f = GridFunction.from_callable(g, np.cos)
-    _, traj = chernoff_iterate(gheat_op(), f, 0.5, 0.25, record=True)
-    write_trajectory(traj, 0.25, tmp_path / "run")
-    back, h = read_trajectory(tmp_path / "run")
-    assert h == 0.25
-    np.testing.assert_array_equal(back.values, traj.values)
-    np.testing.assert_array_equal(back.times, traj.times)
 
 
 # ---------------------------------------------------------------------------

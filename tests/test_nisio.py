@@ -38,7 +38,6 @@ def test_generator_bounds_constant_coefficients():
     assert gb.lipschitz_caps == (0.0, 2.0, 0.5)
     # (1/2 s^2 D^2 + m D)^2 = 1/4 s^4 D^4 + s^2 m D^3 + m^2 D^2
     assert gb.squared_caps == (0.0, 4.0, 2.0, 0.25)
-    assert gb.omega == 0.0 and gb.translation == 0.0
     assert gb.smooth
     plain = GeneratorBounds.for_constant_coefficients(((1.0, 0.0),), smooth=False)
     assert not plain.smooth
