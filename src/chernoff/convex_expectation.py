@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, GridFunction, tensor_points
+from .core import DomainError, Grid, GridFunction, tensor_points
 from .kernels import apply_taps, gaussian_convolve, shift_taps
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "cexp_eval",
     "lln_step",
     "clt_step",
+    "lln_plan",
+    "clt_plan",
     "maximally_distributed_limit",
     "g_function",
     "growth_certificate",
@@ -234,65 +236,102 @@ def cexp_eval(
 # one-step operators on grid functions
 
 
-def _scenario_grid_expectation(
-    s: Scenario, f: GridFunction, scale: float, std_scale: float, cut: float
-) -> np.ndarray:
-    """E_i[f(x + displacement)] with displacement scale applied to the scenario."""
-    grid = f.grid
+def _scenario_plan(s: Scenario, grid: Grid, scale: float, std_scale: float, cut: float):
+    """E_i[u(x + displacement)] as ``expect(u, out)``, with the scenario's
+    displacement scaled and its taps built once."""
     if s.kind == "gaussian":
-        return gaussian_convolve(
-            f.values, grid, s.sigma * std_scale, scale * s.mean_vector, cut
-        )
-    acc = None
-    for atom, prob in zip(s.atoms, s.weights):
-        out = f.values
-        for ax in range(grid.dim):
-            offs, w = shift_taps(scale * atom[ax], grid.spacing[ax])
-            out = apply_taps(out, offs, w, ax)
-        acc = prob * out if acc is None else acc + prob * out
-    return acc
+        std, shift = s.sigma * std_scale, scale * s.mean_vector
+
+        def expect(u, out):
+            return gaussian_convolve(u, grid, std, shift, cut, out=out)
+
+        return expect
+    atoms = [
+        (prob, [shift_taps(scale * x, dx) for x, dx in zip(atom, grid.spacing)])
+        for atom, prob in zip(s.atoms, s.weights)
+    ]
+    term = np.empty(grid.counts) if len(atoms) > 1 else None
+    last = grid.dim - 1
+
+    def expect(u, out):
+        for i, (prob, taps) in enumerate(atoms):
+            dest = term if i else out
+            res = u
+            for ax, (offs, w) in enumerate(taps):
+                res = apply_taps(res, offs, w, ax, out=dest if ax == last else None)
+            if prob != 1.0:  # x * 1.0 is x exactly
+                res *= prob
+            if i:
+                out += res
+        return out
+
+    return expect
 
 
-def _penalized_max_step(
+def _penalized_max_plan(
     ce: ScenarioConvexExpectation,
-    f: GridFunction,
+    grid: Grid,
     t: float,
     scale: float,
     std_scale: float,
     cut: float,
-) -> GridFunction:
-    best = None
-    for s in ce.scenarios:  # fixed order for deterministic tie-breaking
-        vals = _scenario_grid_expectation(s, f, scale, std_scale, cut) - t * s.penalty
-        best = vals if best is None else np.maximum(best, vals)
-    return GridFunction(f.grid, best)
+):
+    """Pointwise max_i (E_i[u(x + scaled displacement)] - t alpha_i) as a
+    plan ``step(u, out)``; scenarios in a fixed order for deterministic
+    tie-breaking."""
+    if t < 0:
+        raise DomainError("step size must be nonnegative")
+    if ce.dim != grid.dim:
+        raise DomainError("expectation and grid dimensions differ")
+    parts = [
+        (_scenario_plan(s, grid, scale, std_scale, cut), t * s.penalty) for s in ce.scenarios
+    ]
+    scratch = np.empty(grid.counts) if len(parts) > 1 else None
+
+    def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for i, (expect, penalty) in enumerate(parts):
+            vals = expect(u, scratch if i else out)
+            if penalty:  # x - 0.0 is x exactly
+                vals -= penalty
+            if i:
+                np.maximum(out, vals, out=out)
+        return out
+
+    return step
+
+
+def lln_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
+    """``lln_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
+    return _penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut)
+
+
+def clt_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
+    """``clt_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
+    rt = float(np.sqrt(max(t, 0.0)))
+    return _penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut)
+
+
+def _step_once(plan, ce, f: GridFunction, t: float, cut: float) -> GridFunction:
+    if t < 0:
+        raise DomainError("step size must be nonnegative")
+    if t == 0:
+        return f
+    step = plan(ce, f.grid, t, cut)
+    return GridFunction(f.grid, step(f.values, np.empty(f.grid.counts)))
 
 
 def lln_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Large-numbers step: pointwise max_i (E_i[f(x + t xi)] - t alpha_i)."""
-    if t < 0:
-        raise DomainError("step size must be nonnegative")
-    if t == 0:
-        return f
-    if ce.dim != f.grid.dim:
-        raise DomainError("expectation and grid dimensions differ")
-    return _penalized_max_step(ce, f, t, scale=t, std_scale=t, cut=cut)
+    return _step_once(lln_plan, ce, f, t, cut)
 
 
 def clt_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Central-limit step: as lln_step with sqrt(t) spatial scaling."""
-    if t < 0:
-        raise DomainError("step size must be nonnegative")
-    if t == 0:
-        return f
-    if ce.dim != f.grid.dim:
-        raise DomainError("expectation and grid dimensions differ")
-    rt = float(np.sqrt(t))
-    return _penalized_max_step(ce, f, t, scale=rt, std_scale=rt, cut=cut)
+    return _step_once(clt_plan, ce, f, t, cut)
 
 
 # ---------------------------------------------------------------------------

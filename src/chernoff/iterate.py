@@ -4,6 +4,18 @@ The iteration applies a fixed step operator k times, where k is the
 largest whole number of steps fitting into the target time; no
 fractional final step is taken, so times below one step return the
 input unchanged.
+
+Every step of one run has the same h, so the run asks the operator
+once for a plan: ``op.plan(grid, h)`` returns ``step(u, out)``, which
+maps the value array ``u`` to the next iterate, writes it into the
+preallocated ``out`` and returns it.  The families build their taps,
+penalties and scratch buffers into the plan; an operator given only a
+``step`` function gets an adapter that wraps each array in a
+``GridFunction``.  ``chernoff_iterate`` is the one loop: it runs the
+plan on two ping-pong buffers, checks after every step that the
+values are finite (so the failing step is named even when a later
+step would move a non-finite value off the grid), and wraps one
+``GridFunction`` at the end.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ import numpy as np
 
 from .core import (
     DomainError,
+    Grid,
     GridFunction,
     SpaceTimeFunction,
     WeightFunction,
@@ -67,6 +80,8 @@ class StepOperator:
     seen the operator (the rates module refuses unadmitted operators).
     sigma_scale and drift_scale describe the spatial reach of one step
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
+    planner(grid, h), when given, builds the same step as a plan on
+    value arrays (see ``plan``); the families' constructors set it.
     """
 
     name: str
@@ -74,39 +89,55 @@ class StepOperator:
     sigma_scale: float = 0.0
     drift_scale: float = 0.0
     admitted: bool = False
+    planner: Callable[[Grid, float], Callable] | None = None
 
     def admit(self) -> "StepOperator":
         return replace(self, admitted=True)
 
+    def plan(self, grid: Grid, h: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``step(u, out)``: one step of size h on the value array u.
+
+        The result is written into ``out`` and returned, except by the
+        adapter for an operator without a planner, which returns the
+        values of ``self.step(GridFunction(grid, u), h)``.
+        """
+        if self.planner is not None:
+            return self.planner(grid, h)
+        step = self.step
+        return lambda u, out: step(GridFunction(grid, u), h).values
+
     @classmethod
     def from_nisio(cls, family, cut: float = 8.0) -> "StepOperator":
-        from .nisio import nisio_step
+        from .nisio import nisio_plan, nisio_step
 
         return cls(
             name="nisio",
             step=lambda f, h: nisio_step(family, f, h, cut=cut),
             sigma_scale=family.sigma_max,
             drift_scale=family.drift_max,
+            planner=lambda grid, h: nisio_plan(family, grid, h, cut=cut),
         )
 
     @classmethod
     def from_lln(cls, ce, cut: float = 8.0) -> "StepOperator":
-        from .convex_expectation import lln_step
+        from .convex_expectation import lln_plan, lln_step
 
         return cls(
             name="lln",
             step=lambda f, h: lln_step(ce, f, h, cut=cut),
             drift_scale=_scenario_reach(ce),
+            planner=lambda grid, h: lln_plan(ce, grid, h, cut=cut),
         )
 
     @classmethod
     def from_clt(cls, ce, cut: float = 8.0) -> "StepOperator":
-        from .convex_expectation import clt_step
+        from .convex_expectation import clt_plan, clt_step
 
         return cls(
             name="clt",
             step=lambda f, h: clt_step(ce, f, h, cut=cut),
             sigma_scale=_scenario_reach(ce),
+            planner=lambda grid, h: clt_plan(ce, grid, h, cut=cut),
         )
 
     def reach(self, t: float) -> float:
@@ -130,22 +161,32 @@ def chernoff_iterate(
     h: float,
     record: bool = False,
 ):
-    """Apply op k = floor(t/h) times; optionally keep every iterate."""
+    """Apply op k = floor(t/h) times through one plan, checking after
+    every step that the values are finite; optionally keep (a copy of)
+    every iterate."""
     part = partition(t, h)
-    u = f
     frames = [f]
-    for j in range(part.k):
-        try:
-            u = op.step(u, part.h)
-        except Exception as exc:  # noqa: BLE001 - context added, then re-raised
-            raise IterationError(
-                f"step {j + 1} of {part.k} (h={part.h:g}) failed: {exc}"
-            ) from exc
-        if record:
-            frames.append(u)
+    if part.k == 0:
+        return (f, SpaceTimeFunction.from_functions(part.times, frames)) if record else f
+    grid = f.grid
+    u = f.values
+    buffers = (np.empty(grid.counts), np.empty(grid.counts))
+    j = 0
+    try:
+        step = op.plan(grid, part.h)
+        for j in range(part.k):
+            u = step(u, buffers[j % 2])
+            if not np.isfinite(u).all():
+                raise DomainError("grid function values must be finite")
+            if record:
+                frames.append(GridFunction(grid, u))
+    except Exception as exc:  # noqa: BLE001 - context added, then re-raised
+        raise IterationError(
+            f"step {j + 1} of {part.k} (h={part.h:g}) failed: {exc}"
+        ) from exc
     if record:
-        return u, SpaceTimeFunction.from_functions(part.times, frames)
-    return u
+        return frames[-1], SpaceTimeFunction.from_functions(part.times, frames)
+    return GridFunction(grid, u)
 
 
 @dataclass(frozen=True)

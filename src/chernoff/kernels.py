@@ -11,9 +11,21 @@ constants, monotonicity, convexity (in 1D), the sup norm, and
 Lipschitz bounds exactly; the only error relative to the continuum
 operator is Gaussian sampling aliasing, which decays like
 exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
+
+``apply_taps`` and ``gaussian_convolve`` take ``out=`` so that an
+iteration can write every step into preallocated buffers.  When the
+taps cover offset 0, ``apply_taps`` is one ``scipy.ndimage.correlate1d``
+call on the values themselves, with ``mode="nearest"`` as the edge
+clamp and ``origin`` placing the taps; scipy admits no other origin,
+so a tap list wholly on one side of 0 (a whole-cell shift, or drift
+beyond ``cut`` standard deviations) reads an edge-clamped copy of the
+values instead.  Gaussian taps are cached per (std, shift, dx, cut),
+so a fixed step builds them once however often it runs.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -43,23 +55,28 @@ def shift_taps(shift: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([j0, j0 + 1]), np.array([1.0 - frac, frac])
 
 
+@lru_cache(maxsize=64)
 def gaussian_taps(
     std: float, shift: float, dx: float, cut: float = 8.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized sampled-Gaussian taps with mean ``shift``, truncated
-    at ``cut`` standard deviations."""
+    at ``cut`` standard deviations.  Cached; the arrays are read-only."""
     if std < 0:
         raise DomainError("standard deviation must be nonnegative")
     if not dx > 0:
         raise DomainError("grid spacing must be positive")
     if std < 1e-14 * max(1.0, abs(shift)) or std == 0.0:
-        return shift_taps(shift, dx)
-    lo = int(np.floor((shift - cut * std) / dx))
-    hi = int(np.ceil((shift + cut * std) / dx))
-    offsets = np.arange(lo, hi + 1)
-    z = (offsets * dx - shift) / std
-    weights = np.exp(-0.5 * z * z)
-    return offsets, weights / weights.sum()
+        offsets, weights = shift_taps(shift, dx)
+    else:
+        lo = int(np.floor((shift - cut * std) / dx))
+        hi = int(np.ceil((shift + cut * std) / dx))
+        offsets = np.arange(lo, hi + 1)
+        z = (offsets * dx - shift) / std
+        weights = np.exp(-0.5 * z * z)
+        weights /= weights.sum()
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
 
 
 def aliasing_bound(std: float, dx: float) -> float:
@@ -71,12 +88,18 @@ def aliasing_bound(std: float, dx: float) -> float:
 
 
 def apply_taps(
-    values: np.ndarray, offsets: np.ndarray, weights: np.ndarray, ax: int = 0
+    values: np.ndarray,
+    offsets: np.ndarray,
+    weights: np.ndarray,
+    ax: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convolve along one axis with constant extension at the edges:
     ``out[i] = sum_j weights[j] * values[clip(i + offsets[j], 0, n - 1)]``.
 
-    Offsets may be unsorted or repeated.  The result is a new array.
+    Offsets may be unsorted or repeated.  The result goes into ``out``
+    (a float64 array of the values' shape that does not overlap them)
+    and is returned; without ``out`` it is a new array.
     """
     offsets = np.asarray(offsets)
     weights = np.asarray(weights, dtype=float)
@@ -87,28 +110,50 @@ def apply_taps(
             f"apply_taps: weights has {weights.size} entries, offsets has {offsets.size}"
         )
     values = np.asarray(values, dtype=float)
-    n = values.shape[ax]
-    lo, hi = int(offsets.min()), int(offsets.max())
-    # Dense taps over [lo, hi] only, so a far whole-cell shift stays O(n).
-    taps = np.bincount(offsets - lo, weights=weights, minlength=hi - lo + 1)
-    # The edge-clamped window: window[k] = values[clip(lo + k, 0, n - 1)],
-    # one copy of the inner part [a, b) and a fill of each edge value.
-    size = n + hi - lo
-    a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
-    shape = list(values.shape)
-    shape[ax] = size
-    window = np.empty(shape)
-    lead = (slice(None),) * (ax % values.ndim)
-    window[lead + (slice(a, b),)] = values[lead + (slice(lo + a, lo + b),)]
-    window[lead + (slice(0, a),)] = values[lead + (slice(0, 1),)]
-    window[lead + (slice(b, size),)] = values[lead + (slice(n - 1, n),)]
+    if out is None:
+        out = np.empty(values.shape)
+    elif out.shape != values.shape or out.dtype != float:
+        raise DomainError(f"apply_taps: out must be float64 of shape {values.shape}")
+    if offsets.size == 1:
+        lo = hi = int(offsets[0])
+        taps = weights
+    else:
+        lo, hi = int(offsets.min()), int(offsets.max())
+        # Dense taps over [lo, hi] only, so a far whole-cell shift stays O(n).
+        taps = np.bincount(offsets - lo, weights=weights, minlength=hi - lo + 1)
+    if taps.size > 1 and lo <= 0 <= hi:
+        # taps[k] reads values[i + lo + k]; the clamp is scipy's "nearest".
+        return correlate1d(
+            values, taps, axis=ax, output=out, mode="nearest", origin=-(lo + taps.size // 2)
+        )
     if taps.size == 1:
-        window *= taps[0]
-        return window
+        return _clamped_window(values, lo, ax, out, taps[0])
+    shape = list(values.shape)
+    shape[ax] += hi - lo
+    window = _clamped_window(values, lo, ax, np.empty(shape))
     # correlate1d centres the taps at taps.size // 2; outputs from there
     # on read only inside the window, so the mode never applies.
     full = correlate1d(window, taps, axis=ax, mode="nearest")
-    return full[lead + (slice(taps.size // 2, taps.size // 2 + n),)]
+    lead = (slice(None),) * (ax % values.ndim)
+    out[...] = full[lead + (slice(taps.size // 2, taps.size // 2 + values.shape[ax]),)]
+    return out
+
+
+def _clamped_window(
+    values: np.ndarray, lo: int, ax: int, window: np.ndarray, scale: float = 1.0
+) -> np.ndarray:
+    """Fill ``window[k] = scale * values[clip(lo + k, 0, n - 1)]`` along
+    ``ax``: one product over the inner part [a, b) and a fill of each
+    edge value."""
+    n, size = values.shape[ax], window.shape[ax]
+    a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
+    lead = (slice(None),) * (ax % values.ndim)
+    np.multiply(values[lead + (slice(lo + a, lo + b),)], scale, out=window[lead + (slice(a, b),)])
+    if a:
+        window[lead + (slice(0, a),)] = values[lead + (slice(0, 1),)] * scale
+    if b < size:
+        window[lead + (slice(b, size),)] = values[lead + (slice(n - 1, n),)] * scale
+    return window
 
 
 def gaussian_convolve(
@@ -117,11 +162,13 @@ def gaussian_convolve(
     std: float,
     shift,
     cut: float = 8.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """E[f(x + std Z + shift)] on the grid, axis by axis (isotropic Z)."""
+    """E[f(x + std Z + shift)] on the grid, axis by axis (isotropic Z);
+    the last axis writes into ``out`` when it is given."""
     shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (grid.dim,))
-    out = np.asarray(values, dtype=float)
+    res = np.asarray(values, dtype=float)
     for ax in range(grid.dim):
         offsets, weights = gaussian_taps(std, float(shift_vec[ax]), grid.spacing[ax], cut)
-        out = apply_taps(out, offsets, weights, ax)
-    return out
+        res = apply_taps(res, offsets, weights, ax, out=out if ax == grid.dim - 1 else None)
+    return res

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
-from .core import DomainError, GridFunction, SpaceTimeFunction
+from .core import DomainError, SpaceTimeFunction
 from .kernels import apply_taps
 
 __all__ = [

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, GridFunction, weighted_norm
+from .core import DomainError, Grid, GridFunction, weighted_norm
 from .kernels import gaussian_convolve
 
 
@@ -124,6 +124,31 @@ class NisioFamily:
         return max(abs(m) for _, m in self.controls)
 
 
+def nisio_plan(family: NisioFamily, grid: Grid, t: float, cut: float = 8.0):
+    """The step ``nisio_step(family, ., t)`` on value arrays, as a plan
+    ``step(u, out)`` that writes into ``out`` and returns it.
+
+    The controls' Gaussian factors (std, shift) are fixed here and their
+    taps come from the kernel cache, so repeated steps build nothing;
+    the scratch buffer for the second and later controls is the plan's
+    own, so one plan must not run in two threads at once.
+    """
+    if t < 0:
+        raise DomainError("time must be non-negative")
+    factors = [(sigma * math.sqrt(t), mean * t) for sigma, mean in family.controls]
+    scratch = np.empty(grid.counts) if len(factors) > 1 else None
+
+    def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        std, shift = factors[0]
+        gaussian_convolve(u, grid, std, shift, cut=cut, out=out)
+        for std, shift in factors[1:]:
+            gaussian_convolve(u, grid, std, shift, cut=cut, out=scratch)
+            np.maximum(out, scratch, out=out)
+        return out
+
+    return step
+
+
 def nisio_step(
     family: NisioFamily, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
@@ -132,13 +157,8 @@ def nisio_step(
         raise DomainError("time must be non-negative")
     if t == 0.0:
         return f
-    best = None
-    for sigma, mean in family.controls:
-        vals = gaussian_convolve(
-            f.values, f.grid, sigma * math.sqrt(t), mean * t, cut=cut
-        )
-        best = vals if best is None else np.maximum(best, vals)
-    return GridFunction(f.grid, best)
+    step = nisio_plan(family, f.grid, t, cut)
+    return GridFunction(f.grid, step(f.values, np.empty(f.grid.counts)))
 
 
 def generator_apply(family: NisioFamily, f: GridFunction):

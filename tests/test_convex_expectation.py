@@ -7,7 +7,6 @@ import pytest
 
 from chernoff.core import DomainError, Grid, GridFunction, tensor_points
 from chernoff.convex_expectation import (
-    GrowthCertificate,
     Scenario,
     ScenarioConvexExpectation,
     _legendre_phi,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
 from chernoff.iterate import (
-    ComparisonReport,
     IterationError,
     Partition,
     StepOperator,
@@ -11,6 +11,7 @@ from chernoff.iterate import (
     discrete_comparison_check,
     partition,
 )
+from chernoff.kernels import apply_taps
 from chernoff.nisio import NisioFamily
 from chernoff.reference import heat_exact
 
@@ -102,6 +103,121 @@ def test_failing_step_reports_index():
     op = StepOperator(name="bad", step=bad_step)
     with pytest.raises(IterationError, match=r"step 3 of 8.*boom"):
         chernoff_iterate(op, f, 1.0, 0.125)
+
+
+# ---------------------------------------------------------------------------
+# step plans
+
+
+def _ce(*scenarios):
+    return ScenarioConvexExpectation(scenarios)
+
+
+_G1 = Grid((-12.0,), (12.0,), (241,))  # spacing 0.1
+_G2 = Grid((-3.0, -2.0), (3.0, 2.0), (61, 41))  # spacing 0.1 on both axes
+
+_PLAN_CASES = {
+    "nisio-two-controls": (StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0)))), _G1),
+    "nisio-drift": (
+        StepOperator.from_nisio(NisioFamily(((0.3, 0.7), (0.8, -0.4), (0.0, 1.3)))),
+        _G1,
+    ),
+    "lln-whole-cell": (
+        StepOperator.from_lln(_ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0))),
+        _G1,
+    ),
+    "lln-fractional": (
+        StepOperator.from_lln(
+            _ce(Scenario.point(-0.137), Scenario.point(0.61, 0.4), Scenario.point(3.3, 2.0))
+        ),
+        _G1,
+    ),
+    "lln-multi-atom": (
+        StepOperator.from_lln(
+            _ce(
+                Scenario.discrete([-0.5, 0.2, 1.1], [0.2, 0.5, 0.3]), Scenario.point(0.0, 0.1)
+            )
+        ),
+        _G1,
+    ),
+    "lln-2d": (
+        StepOperator.from_lln(
+            _ce(
+                Scenario.point((0.4, -0.2)),
+                Scenario.discrete([(0.1, 0.33), (-0.5, 0.05)], [0.4, 0.6], 0.3),
+            )
+        ),
+        _G2,
+    ),
+    "clt-gaussian": (
+        StepOperator.from_clt(
+            _ce(Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0))
+        ),
+        _G1,
+    ),
+    "clt-gaussian-2d": (
+        StepOperator.from_clt(
+            _ce(Scenario.gaussian((0.0, 0.0), 0.3), Scenario.gaussian((0.0, 0.0), 0.6))
+        ),
+        _G2,
+    ),
+}
+
+
+@pytest.mark.parametrize("h", [0.125, 0.3])
+@pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+def test_plan_iteration_matches_repeated_steps(case, h):
+    op, g = _PLAN_CASES[case]
+    if g.dim == 1:
+        f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    else:
+        f = GridFunction.from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]) + np.abs(p[:, 1]), 1.0))
+    k = partition(1.0, h).k
+    frames = [f]
+    for _ in range(k):
+        frames.append(op.step(frames[-1], h))
+    out = chernoff_iterate(op, f, 1.0, h)
+    recorded, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    # tolerance 0: the plan is the step, only run on reused buffers
+    np.testing.assert_array_equal(out.values, frames[-1].values)
+    np.testing.assert_array_equal(recorded.values, frames[-1].values)
+    np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+
+
+def _leaky_operator(bad_call: int, cell: int):
+    """Shift left by one cell per step; the plan's call ``bad_call``
+    writes inf at ``cell``."""
+    calls = {"n": 0}
+
+    def planner(grid, h):
+        def step(u, out):
+            calls["n"] += 1
+            apply_taps(u, [1], [1.0], out=out)
+            if calls["n"] == bad_call:
+                out[cell] = np.inf
+            return out
+
+        return step
+
+    return StepOperator(name="leaky", step=lambda f, h: f, planner=planner)
+
+
+@pytest.mark.parametrize("cell", [0, 50])
+def test_non_finite_plan_step_reports_index(cell):
+    # at cell 0 the next shift moves the inf off the grid, so only a
+    # check after every step can name the step that produced it
+    f = GridFunction.from_callable(grid1d(101), np.cos)
+    with pytest.raises(IterationError, match=r"step 3 of 8 .*finite"):
+        chernoff_iterate(_leaky_operator(3, cell), f, 1.0, 0.125)
+
+
+def test_plan_adapter_for_a_bare_step():
+    g = grid1d(101)
+    f = GridFunction.from_callable(g, np.cos)
+    op = StepOperator(name="scaled", step=lambda u, h: u * 0.5)
+    out, traj = chernoff_iterate(op, f, 1.0, 0.25, record=True)
+    np.testing.assert_array_equal(out.values, f.values * 0.0625)
+    np.testing.assert_array_equal(traj.slice(2).values, f.values * 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,65 @@ def test_apply_taps_on_strided_and_float32_input(ax):
 def test_apply_taps_rejects_bad_tap_lists(offsets, weights, name):
     with pytest.raises(DomainError, match=name):
         apply_taps(np.zeros(5), np.asarray(offsets, dtype=int), np.asarray(weights), 0)
+
+
+@pytest.mark.parametrize(
+    "shape, ax, offsets, weights",
+    [
+        pytest.param((_N,), 0, *gaussian_taps(0.35, 0.08, 0.01), id="origin-in-range"),
+        pytest.param((_N,), 0, *gaussian_taps(0.02, 0.5, 0.01), id="drift-above-cut-std"),
+        pytest.param((_N,), 0, *gaussian_taps(0.02, -0.5, 0.01), id="drift-below-cut-std"),
+        pytest.param((_N,), 0, [_N], [1.0], id="shift-plus-n"),
+        pytest.param((_N,), 0, [-_N], [0.75], id="shift-minus-n"),
+        pytest.param((_N,), 0, [_N + 12, _N + 13], [0.3, 0.7], id="two-tap-past-plus-n"),
+        pytest.param((_N,), 0, [-3 * _N], [1.0], id="shift-far-minus"),
+        pytest.param((_N,), 0, [0], [0.5], id="zero-shift"),
+        pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0-in-range"),
+        pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1-in-range"),
+        pytest.param((41, 57), 0, [3, 5], [0.5, 0.5], id="2d-axis0-one-sided"),
+        pytest.param((41, 57), 1, [-60], [1.0], id="2d-axis1-past-minus-n"),
+    ],
+)
+def test_apply_taps_into_out(shape, ax, offsets, weights):
+    values = np.random.default_rng(6).normal(size=shape) * 7.0
+    before = values.copy()
+    out = np.full(shape, np.nan)
+    res = apply_taps(values, np.asarray(offsets), np.asarray(weights), ax, out=out)
+    assert res is out
+    np.testing.assert_allclose(
+        out, _clipped_sum(values, offsets, weights, ax), rtol=0, atol=1e-13 * np.max(np.abs(values))
+    )
+    np.testing.assert_array_equal(out, apply_taps(values, np.asarray(offsets), np.asarray(weights), ax))
+    np.testing.assert_array_equal(values, before)
+
+
+@pytest.mark.parametrize("ax", [0, 1])
+@pytest.mark.parametrize(
+    "offsets, weights", [([-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]), ([4, 9], [0.6, 0.4]), ([-7], [1.0])]
+)
+def test_apply_taps_into_out_from_strided_input(ax, offsets, weights):
+    base = np.random.default_rng(9).normal(size=(90, 130))
+    view = base[1::2, ::3]
+    before = view.copy()
+    out = np.empty(view.shape)
+    res = apply_taps(view, np.asarray(offsets), np.asarray(weights), ax, out=out)
+    assert res is out
+    np.testing.assert_allclose(
+        out, _clipped_sum(view, offsets, weights, ax), rtol=0, atol=1e-13 * np.max(np.abs(view))
+    )
+    np.testing.assert_array_equal(view, before)
+
+
+@pytest.mark.parametrize("out", [np.empty(6), np.empty(5, dtype=np.float32)])
+def test_apply_taps_rejects_a_mismatched_out(out):
+    with pytest.raises(DomainError, match="out"):
+        apply_taps(np.zeros(5), np.array([0, 1]), np.array([0.5, 0.5]), 0, out=out)
+
+
+def test_gaussian_convolve_into_out():
+    g = Grid((-8.0, -8.0), (8.0, 8.0), (65, 81))
+    f = GridFunction.from_callable(g, lambda p: np.cos(p[:, 0]) * np.sin(0.5 * p[:, 1]))
+    out = np.empty(g.counts)
+    res = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), out=out)
+    assert res is out
+    np.testing.assert_array_equal(out, gaussian_convolve(f.values, g, 0.4, (0.1, -0.3)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
-from chernoff.core import DomainError, Grid, GridFunction
+from chernoff.core import DomainError, Grid
 from chernoff.iterate import StepOperator
 from chernoff.nisio import NisioFamily
 from chernoff.properties import (
