@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction, tensor_points
-from .kernels import apply_taps, gaussian_convolve, shift_taps
+from .kernels import apply_taps, gaussian_axis_taps, gaussian_convolve, shift_taps
 
 __all__ = [
     "Scenario",
@@ -241,9 +241,10 @@ def _scenario_plan(s: Scenario, grid: Grid, scale: float, std_scale: float, cut:
     displacement scaled and its taps built once."""
     if s.kind == "gaussian":
         std, shift = s.sigma * std_scale, scale * s.mean_vector
+        taps = gaussian_axis_taps(grid, std, shift, cut)
 
         def expect(u, out):
-            return gaussian_convolve(u, grid, std, shift, cut, out=out)
+            return gaussian_convolve(u, grid, std, shift, cut, out=out, taps=taps)
 
         return expect
     atoms = [

@@ -82,6 +82,8 @@ class StepOperator:
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
     planner(grid, h), when given, builds the same step as a plan on
     value arrays (see ``plan``); the families' constructors set it.
+    shifts_only marks a family whose steps have no Gaussian factor, so
+    each step only sums a few shifted copies of the values.
     """
 
     name: str
@@ -90,6 +92,7 @@ class StepOperator:
     drift_scale: float = 0.0
     admitted: bool = False
     planner: Callable[[Grid, float], Callable] | None = None
+    shifts_only: bool = False
 
     def admit(self) -> "StepOperator":
         return replace(self, admitted=True)
@@ -116,6 +119,7 @@ class StepOperator:
             sigma_scale=family.sigma_max,
             drift_scale=family.drift_max,
             planner=lambda grid, h: nisio_plan(family, grid, h, cut=cut),
+            shifts_only=family.sigma_max == 0,
         )
 
     @classmethod
@@ -127,6 +131,7 @@ class StepOperator:
             step=lambda f, h: lln_step(ce, f, h, cut=cut),
             drift_scale=_scenario_reach(ce),
             planner=lambda grid, h: lln_plan(ce, grid, h, cut=cut),
+            shifts_only=all(s.sigma == 0 for s in ce.scenarios),
         )
 
     @classmethod
@@ -138,6 +143,7 @@ class StepOperator:
             step=lambda f, h: clt_step(ce, f, h, cut=cut),
             sigma_scale=_scenario_reach(ce),
             planner=lambda grid, h: clt_plan(ce, grid, h, cut=cut),
+            shifts_only=all(s.sigma == 0 for s in ce.scenarios),
         )
 
     def reach(self, t: float) -> float:

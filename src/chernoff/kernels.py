@@ -19,13 +19,13 @@ call on the values themselves, with ``mode="nearest"`` as the edge
 clamp and ``origin`` placing the taps; scipy admits no other origin,
 so a tap list wholly on one side of 0 (a whole-cell shift, or drift
 beyond ``cut`` standard deviations) reads an edge-clamped copy of the
-values instead.  Gaussian taps are cached per (std, shift, dx, cut),
-so a fixed step builds them once however often it runs.
+values instead, except for one or two taps (a shift, or a fractional
+shift past one cell), which are scaled slices written into ``out``.
+A fixed step builds its Gaussian taps once with ``gaussian_axis_taps``
+and hands them to ``gaussian_convolve`` at every step.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -34,6 +34,7 @@ from .core import DomainError, Grid
 
 __all__ = [
     "gaussian_taps",
+    "gaussian_axis_taps",
     "shift_taps",
     "apply_taps",
     "gaussian_convolve",
@@ -55,12 +56,11 @@ def shift_taps(shift: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([j0, j0 + 1]), np.array([1.0 - frac, frac])
 
 
-@lru_cache(maxsize=64)
 def gaussian_taps(
     std: float, shift: float, dx: float, cut: float = 8.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized sampled-Gaussian taps with mean ``shift``, truncated
-    at ``cut`` standard deviations.  Cached; the arrays are read-only."""
+    at ``cut`` standard deviations."""
     if std < 0:
         raise DomainError("standard deviation must be nonnegative")
     if not dx > 0:
@@ -74,8 +74,6 @@ def gaussian_taps(
         z = (offsets * dx - shift) / std
         weights = np.exp(-0.5 * z * z)
         weights /= weights.sum()
-    offsets.flags.writeable = False
-    weights.flags.writeable = False
     return offsets, weights
 
 
@@ -126,8 +124,13 @@ def apply_taps(
         return correlate1d(
             values, taps, axis=ax, output=out, mode="nearest", origin=-(lo + taps.size // 2)
         )
-    if taps.size == 1:
-        return _clamped_window(values, lo, ax, out, taps[0])
+    if taps.size <= 2:
+        # out = w0 * values[clip(i + lo)] (+ w1 * values[clip(i + lo + 1)]),
+        # the products and the one sum correlate1d would form.
+        _clamped_window(values, lo, ax, out, taps[0])
+        if taps.size == 2:
+            _clamped_window(values, lo + 1, ax, out, taps[1], add=True)
+        return out
     shape = list(values.shape)
     shape[ax] += hi - lo
     window = _clamped_window(values, lo, ax, np.empty(shape))
@@ -140,20 +143,40 @@ def apply_taps(
 
 
 def _clamped_window(
-    values: np.ndarray, lo: int, ax: int, window: np.ndarray, scale: float = 1.0
+    values: np.ndarray,
+    lo: int,
+    ax: int,
+    window: np.ndarray,
+    scale: float = 1.0,
+    add: bool = False,
 ) -> np.ndarray:
     """Fill ``window[k] = scale * values[clip(lo + k, 0, n - 1)]`` along
-    ``ax``: one product over the inner part [a, b) and a fill of each
-    edge value."""
+    ``ax`` (with ``add``, add it to ``window[k]``): one product over the
+    inner part [a, b) and one for each edge value."""
     n, size = values.shape[ax], window.shape[ax]
     a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
     lead = (slice(None),) * (ax % values.ndim)
-    np.multiply(values[lead + (slice(lo + a, lo + b),)], scale, out=window[lead + (slice(a, b),)])
-    if a:
-        window[lead + (slice(0, a),)] = values[lead + (slice(0, 1),)] * scale
-    if b < size:
-        window[lead + (slice(b, size),)] = values[lead + (slice(n - 1, n),)] * scale
+    for part, src in (
+        (slice(a, b), slice(lo + a, lo + b)),
+        (slice(0, a), slice(0, 1)),
+        (slice(b, size), slice(n - 1, n)),
+    ):
+        dst = window[lead + (part,)]
+        if add:
+            dst += values[lead + (src,)] * scale
+        else:
+            np.multiply(values[lead + (src,)], scale, out=dst)
     return window
+
+
+def gaussian_axis_taps(
+    grid: Grid, std: float, shift, cut: float = 8.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``gaussian_taps`` of std Z + shift (isotropic Z) on each axis."""
+    shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (grid.dim,))
+    return [
+        gaussian_taps(std, float(shift_vec[ax]), grid.spacing[ax], cut) for ax in range(grid.dim)
+    ]
 
 
 def gaussian_convolve(
@@ -163,12 +186,15 @@ def gaussian_convolve(
     shift,
     cut: float = 8.0,
     out: np.ndarray | None = None,
+    taps: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """E[f(x + std Z + shift)] on the grid, axis by axis (isotropic Z);
-    the last axis writes into ``out`` when it is given."""
-    shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (grid.dim,))
+    the last axis writes into ``out`` when it is given.  ``taps``, when
+    given, is ``gaussian_axis_taps(grid, std, shift, cut)`` built once
+    by a caller that convolves with the same factor again and again."""
+    if taps is None:
+        taps = gaussian_axis_taps(grid, std, shift, cut)
     res = np.asarray(values, dtype=float)
-    for ax in range(grid.dim):
-        offsets, weights = gaussian_taps(std, float(shift_vec[ax]), grid.spacing[ax], cut)
+    for ax, (offsets, weights) in enumerate(taps):
         res = apply_taps(res, offsets, weights, ax, out=out if ax == grid.dim - 1 else None)
     return res

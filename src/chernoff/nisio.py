@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction, weighted_norm
-from .kernels import gaussian_convolve
+from .kernels import gaussian_axis_taps, gaussian_convolve
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,24 @@ def nisio_plan(family: NisioFamily, grid: Grid, t: float, cut: float = 8.0):
     """The step ``nisio_step(family, ., t)`` on value arrays, as a plan
     ``step(u, out)`` that writes into ``out`` and returns it.
 
-    The controls' Gaussian factors (std, shift) are fixed here and their
-    taps come from the kernel cache, so repeated steps build nothing;
-    the scratch buffer for the second and later controls is the plan's
-    own, so one plan must not run in two threads at once.
+    The controls' Gaussian factors (std, shift) and their taps are built
+    here, so repeated steps build nothing; the scratch buffer for the
+    second and later controls is the plan's own, so one plan must not
+    run in two threads at once.
     """
     if t < 0:
         raise DomainError("time must be non-negative")
-    factors = [(sigma * math.sqrt(t), mean * t) for sigma, mean in family.controls]
+    factors = []
+    for sigma, mean in family.controls:
+        std, shift = sigma * math.sqrt(t), mean * t
+        factors.append((std, shift, gaussian_axis_taps(grid, std, shift, cut)))
     scratch = np.empty(grid.counts) if len(factors) > 1 else None
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        std, shift = factors[0]
-        gaussian_convolve(u, grid, std, shift, cut=cut, out=out)
-        for std, shift in factors[1:]:
-            gaussian_convolve(u, grid, std, shift, cut=cut, out=scratch)
+        std, shift, taps = factors[0]
+        gaussian_convolve(u, grid, std, shift, cut=cut, out=out, taps=taps)
+        for std, shift, taps in factors[1:]:
+            gaussian_convolve(u, grid, std, shift, cut=cut, out=scratch, taps=taps)
             np.maximum(out, scratch, out=out)
         return out
 

@@ -247,6 +247,7 @@ def negated_operator(op: StepOperator) -> StepOperator:
         name=f"negated-{op.name}",
         step=lambda f, h: inner(-f, h),
         admitted=False,
+        planner=None,  # the family's plan would iterate the unwrapped step
     )
 
 

@@ -206,11 +206,11 @@ def measure_errors(
             wall_time=time.perf_counter() - start,
         )
 
-    # A step without diffusion (sigma_scale 0) moves values by a few taps,
-    # so its array calls are too short to overlap: two threads only take
-    # turns on the interpreter lock, at 0.62x the serial speed on a
-    # 4095-point two-point lln family.  Such operators default to one.
-    n = worker_count(len(hs), workers, default=None if op.sigma_scale > 0 else 1)
+    # A step that only shifts (no Gaussian factor) sums a few taps, so its
+    # array calls are too short to overlap: two threads only take turns on
+    # the interpreter lock, at 0.64x the serial speed on a 4095-point
+    # two-point lln family.  Such operators default to one thread.
+    n = worker_count(len(hs), workers, default=1 if op.shifts_only else None)
     if n == 1:
         points = [one(h) for h in hs]
     else:

@@ -11,7 +11,7 @@ from chernoff.iterate import (
     discrete_comparison_check,
     partition,
 )
-from chernoff.kernels import apply_taps
+from chernoff.kernels import apply_taps, gaussian_taps
 from chernoff.nisio import NisioFamily
 from chernoff.reference import heat_exact
 
@@ -182,6 +182,72 @@ def test_plan_iteration_matches_repeated_steps(case, h):
     np.testing.assert_array_equal(out.values, frames[-1].values)
     np.testing.assert_array_equal(recorded.values, frames[-1].values)
     np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+
+
+def _clipped_shift(values, ax, j, weight):
+    n = values.shape[ax]
+    return weight * np.take(values, np.clip(np.arange(n) + j, 0, n - 1), axis=ax)
+
+
+def _reference_step(fam, g, u, h):
+    """One step from the definitions, without plans or apply_taps: the
+    penalized max over scenarios of E[u(x + h xi)] (linear between
+    cells), or the max over controls of the sampled-Gaussian sum."""
+    if isinstance(fam, NisioFamily):
+        parts = []
+        for sigma, m in fam.controls:
+            offs, w = gaussian_taps(sigma * np.sqrt(h), m * h, g.spacing[0])
+            parts.append(sum(_clipped_shift(u, 0, j, wj) for j, wj in zip(offs, w)))
+        return np.max(parts, axis=0)
+    parts = []
+    for s in fam.scenarios:
+        e = np.zeros(u.shape)
+        for atom, prob in zip(s.atoms, s.weights):
+            v = u
+            for ax, (a, dx) in enumerate(zip(atom, g.spacing)):
+                j = h * a / dx
+                j0 = int(np.floor(j))
+                v = _clipped_shift(v, ax, j0, 1 - (j - j0)) + _clipped_shift(v, ax, j0 + 1, j - j0)
+            e += prob * v
+        parts.append(e - h * s.penalty)
+    return np.max(parts, axis=0)
+
+
+_REFERENCE_CASES = {
+    "nisio-two-controls": NisioFamily(((0.5, 0.0), (1.0, 0.0))),
+    "nisio-drift": NisioFamily(((0.3, 0.7), (0.8, -0.4), (0.0, 1.3))),
+    "lln-whole-cell": _ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0)),
+    "lln-fractional": _ce(
+        Scenario.point(-0.137), Scenario.point(0.61, 0.4), Scenario.point(3.3, 2.0)
+    ),
+    "lln-multi-atom": _ce(
+        Scenario.discrete([-0.5, 0.2, 1.1], [0.2, 0.5, 0.3]), Scenario.point(0.0, 0.1)
+    ),
+    "lln-2d": _ce(
+        Scenario.point((0.4, -0.2)),
+        Scenario.discrete([(0.1, 0.33), (-0.5, 0.05)], [0.4, 0.6], 0.3),
+    ),
+}
+
+
+@pytest.mark.parametrize("h", [0.125, 0.3])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_plan_iteration_matches_a_reference_from_the_definitions(case, h):
+    # independent of the plans, so a plan that computes the wrong step
+    # fails here even though it agrees with op.step
+    fam = _REFERENCE_CASES[case]
+    if isinstance(fam, NisioFamily):
+        op, g = StepOperator.from_nisio(fam), _G1
+    else:
+        op, g = StepOperator.from_lln(fam), (_G2 if fam.dim == 2 else _G1)
+    if g.dim == 1:
+        f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    else:
+        f = GridFunction.from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]) + np.abs(p[:, 1]), 1.0))
+    u = f.values
+    for _ in range(partition(1.0, h).k):
+        u = _reference_step(fam, g, u, h)
+    np.testing.assert_allclose(chernoff_iterate(op, f, 1.0, h).values, u, rtol=0, atol=1e-12)
 
 
 def _leaky_operator(bad_call: int, cell: int):

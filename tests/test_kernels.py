@@ -5,6 +5,7 @@ from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
     aliasing_bound,
     apply_taps,
+    gaussian_axis_taps,
     gaussian_convolve,
     gaussian_taps,
     shift_taps,
@@ -190,12 +191,16 @@ def test_apply_taps_rejects_bad_tap_lists(offsets, weights, name):
         pytest.param((_N,), 0, [_N], [1.0], id="shift-plus-n"),
         pytest.param((_N,), 0, [-_N], [0.75], id="shift-minus-n"),
         pytest.param((_N,), 0, [_N + 12, _N + 13], [0.3, 0.7], id="two-tap-past-plus-n"),
+        pytest.param((_N,), 0, [4, 5], [0.3, 0.7], id="fraction-past-one-cell"),
+        pytest.param((_N,), 0, [-9, -8], [0.6, 0.4], id="fraction-past-minus-one-cell"),
+        pytest.param((_N,), 0, [_N - 1, _N], [0.2, 0.8], id="two-tap-straddling-the-edge"),
         pytest.param((_N,), 0, [-3 * _N], [1.0], id="shift-far-minus"),
         pytest.param((_N,), 0, [0], [0.5], id="zero-shift"),
         pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0-in-range"),
         pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1-in-range"),
         pytest.param((41, 57), 0, [3, 5], [0.5, 0.5], id="2d-axis0-one-sided"),
         pytest.param((41, 57), 1, [-60], [1.0], id="2d-axis1-past-minus-n"),
+        pytest.param((41, 57), 1, [6, 7], [0.45, 0.55], id="2d-axis1-fraction-past-one-cell"),
     ],
 )
 def test_apply_taps_into_out(shape, ax, offsets, weights):
@@ -213,7 +218,7 @@ def test_apply_taps_into_out(shape, ax, offsets, weights):
 
 @pytest.mark.parametrize("ax", [0, 1])
 @pytest.mark.parametrize(
-    "offsets, weights", [([-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]), ([4, 9], [0.6, 0.4]), ([-7], [1.0])]
+    "offsets, weights", [([-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]), ([4, 9], [0.6, 0.4]), ([-7], [1.0]), ([3, 4], [0.25, 0.75])]
 )
 def test_apply_taps_into_out_from_strided_input(ax, offsets, weights):
     base = np.random.default_rng(9).normal(size=(90, 130))
@@ -241,3 +246,6 @@ def test_gaussian_convolve_into_out():
     res = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), out=out)
     assert res is out
     np.testing.assert_array_equal(out, gaussian_convolve(f.values, g, 0.4, (0.1, -0.3)))
+    taps = gaussian_axis_taps(g, 0.4, (0.1, -0.3))
+    prebuilt = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), taps=taps)
+    np.testing.assert_array_equal(prebuilt, out)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import DomainError, Grid
-from chernoff.iterate import StepOperator
+from chernoff.iterate import StepOperator, chernoff_iterate
 from chernoff.nisio import NisioFamily
 from chernoff.properties import (
     admit_operator,
@@ -92,6 +92,13 @@ def test_negated_operator_fails_monotonicity():
     assert not report.passed
     assert report.result("monotone").violations > 0
     assert "monotone" in report.failing()
+
+
+def test_negated_operator_iterates_the_negated_step():
+    bad = negated_operator(GHEAT_OP)
+    f = random_lipschitz_function(grid1d(), np.random.default_rng(4))
+    twice = bad.step(bad.step(f, 0.25), 0.25)
+    np.testing.assert_array_equal(chernoff_iterate(bad, f, 0.5, 0.25).values, twice.values)
 
 
 def test_admission_gate():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chernoff.bounds import BoundReport, nisio_bounds
+from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import (
     DomainError,
     Grid,
@@ -190,6 +191,42 @@ def test_measure_errors_parallel_matches_serial():
     parallel = measure_errors(op, f, 0.25, hs, ref, workers=3)
     for a, b in zip(serial, parallel):
         assert (a.h, a.e_plus, a.e_minus) == (b.h, b.e_plus, b.e_minus)
+
+
+def test_shift_only_operators_default_to_one_thread(monkeypatch):
+    import chernoff.rates as rates_mod
+
+    pools = []
+
+    class RecordingPool(rates_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(rates_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rates_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
+    grid = grid1d(257, 12.0)
+    f = GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), 1.0))
+    ref = OracleResult(values=f, uncertainty=0.0, h_fine=None)
+    points = ScenarioConvexExpectation((Scenario.point(-0.5), Scenario.point(0.5, 1.0)))
+    gauss = ScenarioConvexExpectation((Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0)))
+    discrete = ScenarioConvexExpectation((Scenario.discrete([-1.0, 1.0], [0.5, 0.5]),))
+    cases = [
+        (StepOperator.from_lln(points), True),
+        (StepOperator.from_clt(discrete), True),
+        (StepOperator.from_nisio(NisioFamily(((0.0, 0.7), (0.0, -0.3)))), True),
+        (StepOperator.from_lln(gauss), False),
+        (StepOperator.from_clt(gauss), False),
+        (StepOperator.from_nisio(NisioFamily(((0.0, 0.7), (0.5, 0.0)))), False),
+    ]
+    for op, shifts_only in cases:
+        assert op.shifts_only is shifts_only
+        pools.clear()
+        measure_errors(op.admit(), f, 0.25, [2.0**-3, 2.0**-4], ref, margin=1.0)
+        assert pools == ([] if shifts_only else [2])
+        measure_errors(op.admit(), f, 0.25, [2.0**-3, 2.0**-4], ref, margin=1.0, workers=2)
+        assert pools[-1] == 2
 
 
 def transport_trajectory(speed=0.7, r=1.0, h=0.125, steps=8):
