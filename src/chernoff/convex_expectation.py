@@ -10,8 +10,8 @@ with each E_i an isotropic Gaussian or a finite discrete distribution
 closed under everything the iteration needs and makes E computable:
 scalar functionals by Gauss-Hermite quadrature or direct enumeration,
 grid steps by exact discrete convolutions, and the maximally
-distributed limit by a discrete Legendre transform plus
-sup-convolution.
+distributed limit by a sup-convolution with the lower convex hull of
+the penalised means.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .core import DomainError, Grid, GridFunction, tensor_points
 from .kernels import apply_taps, gaussian_axis_taps, gaussian_convolve, shift_taps
@@ -339,130 +340,124 @@ def clt_step(
 # limits and certificates
 
 
-def _legendre_phi(
-    ce: ScenarioConvexExpectation, y_axes: list[np.ndarray], z_points: int
-) -> np.ndarray:
-    """Discrete Legendre transform of psi(z) = max_i (z . m_i - alpha_i).
+def _lower_hull(ce: ScenarioConvexExpectation):
+    """phi, the conjugate of psi(z) = max_i (z . m_i - alpha_i): the lower
+    convex hull of the points (m_i, alpha_i), +inf off the hull of the
+    means (Rockafellar, Convex Analysis, section 16).
 
-    Returns phi(y) = max_z (z . y - psi(z)) over a z-grid, on the tensor
-    grid of y_axes.  The max is taken over candidate columns only: the
-    z with an axis neighbour where a different scenario attains psi,
-    and the z within one step of the edge ring.  Where one scenario
-    attains psi the objective is linear in z, so its max over those z
-    sits at a vertex of their hull, and a vertex has an axis neighbour
-    outside the set; the same holds for those z minus the edge ring,
-    which gives the interior max.  Where the edge strictly beats the
-    interior the inner sup is not certified: phi is +inf there when y
-    is outside the convex hull of the means (the conjugate is +inf
-    there), and a y inside the hull raises, since the z-grid is then
-    too narrow to see its finite sup.
-
-    The z-grid's radius is the larger of 4 max|m_i| + 4 and 2 s + 1,
-    where s is the largest |alpha_i - alpha_j| / |m_i - m_j| over pairs
-    of distinct means.  In 1D every kink of psi sits at such a ratio, so
-    the finite sup is always inside the grid; in 2D a kink on a thin
-    facet of the hull can sit further out, and such models can still
-    raise.
+    One ``ConvexHull`` of those points and of their copies at height
+    max alpha + 1, in coordinates of the means' affine hull, has lower
+    facets (the affine pieces of phi), vertical walls (the hull of the
+    means) and a flat top.  Returns ``phi`` on (n, d) arrays of y, the
+    means at lower-hull vertices, and the lower-hull edges as (2, d)
+    pairs of means.
     """
-    d = ce.dim
     means = np.array([s.mean_vector for s in ce.scenarios])
     pens = np.array([s.penalty for s in ce.scenarios])
-    gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    rises = np.abs(pens[:, None] - pens[None, :])
-    distinct = gaps > 0
-    slope = float(np.max(rises[distinct] / gaps[distinct], initial=0.0))
-    radius = max(4.0 * float(np.max(np.abs(means))) + 4.0, 2.0 * slope + 1.0)
-    per_axis = max(int(round(z_points ** (1.0 / d))), 3)
-    if per_axis % 2 == 0:
-        per_axis += 1  # keep z = 0 on the grid so phi never dips below 0 - min alpha
-    shape = (per_axis,) * d
-    z = tensor_points([np.linspace(-radius, radius, per_axis)] * d)
-    zm = z @ means.T
-    scores = zm - pens[None, :]
-    psi = np.max(scores, axis=1)
-    support = np.max(zm, axis=1)  # support function of the hull of the means
-    label = np.argmax(scores, axis=1).reshape(shape)
-    z_index = np.unravel_index(np.arange(len(z)), shape)
-    on_edge = reduce(np.logical_or, [(i == 0) | (i == per_axis - 1) for i in z_index])
-    if np.all(on_edge):
-        raise DomainError("z-grid has no interior points; increase z_points")
-    near_edge = reduce(np.logical_or, [(i <= 1) | (i >= per_axis - 2) for i in z_index])
-    seam = np.zeros(shape, dtype=bool)
-    for ax in range(d):
-        lab, sm = np.moveaxis(label, ax, 0), np.moveaxis(seam, ax, 0)  # views
-        change = lab[1:] != lab[:-1]
-        sm[1:] |= change
-        sm[:-1] |= change
-    cols = np.flatnonzero(seam.ravel() | near_edge)
-    inner_cols = ~on_edge[cols]
+    origin = means[0]
+    _, sing, rows = np.linalg.svd(means - origin)
+    rank = int(np.sum(sing > 1e-10 * sing[0]))
+    basis = rows[:rank]
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(means))))
+    # the hull of the means lies within the dropped singular values of the basis
+    flat = tol + float(np.max(sing[rank:], initial=0.0))
+    if rank == 0:  # one distinct mean, where phi is min alpha = 0
+        slopes, levels = np.zeros((1, 0)), pens.min(keepdims=True)
+        walls, bounds = np.zeros((0, 0)), np.zeros(0)
+        vertices, edges = means[:1], np.zeros((0, 2, ce.dim))
+    else:
+        coords = (means - origin) @ basis.T
+        top = np.full(len(pens), pens.max() + 1.0)
+        hull = ConvexHull(np.vstack([np.column_stack([coords, pens]),
+                                     np.column_stack([coords, top])]))
+        normals, lift, offsets = np.hsplit(hull.equations, [rank, rank + 1])
+        lift = lift[:, 0]
+        lower, wall = lift < -1e-12, np.abs(lift) <= 1e-12
+        # on a lower facet normals . p + lift * phi + offsets = 0
+        slopes = -normals[lower] / lift[lower, None]
+        levels = -offsets[lower, 0] / lift[lower]
+        walls, bounds = normals[wall], offsets[wall, 0]
+        facets = hull.simplices[lower]  # the lifted copies lie on no lower facet
+        vertices = means[np.unique(facets)]
+        ends = facets[:, list(itertools.combinations(range(rank + 1), 2))]
+        edges = means[np.unique(np.sort(ends, axis=2).reshape(-1, 2), axis=0)]
 
-    y = tensor_points(y_axes)
-    block = y @ z[cols].T
-    block -= psi[None, cols]
-    phi = np.max(block, axis=1)
-    inner = np.max(block[:, inner_cols], axis=1)
-    # the edge only matters when it strictly beats every interior z,
-    # i.e. the conjugate is still climbing at the grid boundary
-    edge = np.flatnonzero(phi > inner + 1e-9 * (1.0 + np.abs(phi)))
-    for start in range(0, len(edge), 512):  # block to keep the hull test small
-        rows = edge[start:start + 512]
-        excess = y[rows] @ z.T - support[None, :]
-        if np.any(np.all(excess <= 1e-9 * (1.0 + np.abs(support)), axis=1)):
-            raise DomainError(
-                "z-grid too narrow: conjugate still increasing at the grid edge"
-            )
-    phi[edge] = np.inf
-    return phi
+    def phi(y: np.ndarray) -> np.ndarray:
+        rel = y - origin
+        local = rel @ basis.T
+        vals = np.max(local @ slopes.T + levels, axis=1)
+        off = np.linalg.norm(rel - local @ basis, axis=1) > flat
+        off |= np.any(local @ walls.T + bounds > tol, axis=1)
+        vals[off] = np.inf
+        return vals
+
+    return phi, vertices, edges
 
 
-def maximally_distributed_limit(
-    ce: ScenarioConvexExpectation,
-    f: GridFunction,
-    z_points: int = 4096,
-    y_points: int = 4096,
-) -> GridFunction:
+def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) -> GridFunction:
     """The limit functional as a grid function: x -> sup_y (f(x+y) - phi(y)).
 
-    phi is the convex conjugate of z -> E[z . xi], computed on a z-grid
-    from its candidate columns (see ``_legendre_phi``) and +inf outside
-    the convex hull of the scenario means.  The y search runs over the
-    bounding box of the means, ``y_points`` points in total, and skips
-    the y where phi is +inf.
-    On a uniform grid the multilinear weights of x + y are the same for
-    every x, so each shift is a weighted sum of 2^d slices of one
-    edge-padded copy of f (constant extension past the box).
-    """
-    d = ce.dim
-    grid = f.grid
-    if grid.dim != d:
-        raise DomainError("expectation and grid dimensions differ")
-    means = np.array([s.mean_vector for s in ce.scenarios])
-    per_axis = int(round(y_points ** (1.0 / d)))
-    y_axes = []
-    for ax in range(d):
-        lo, hi = float(means[:, ax].min()), float(means[:, ax].max())
-        y_axes.append(np.linspace(lo, hi, per_axis) if hi > lo else np.array([lo]))
-    phi = _legendre_phi(ce, y_axes, z_points)
-    finite = np.isfinite(phi)
-    y, phi = tensor_points(y_axes)[finite], phi[finite]
+    phi is the conjugate of z -> E[z . xi], the lower convex hull of the
+    points (m_i, alpha_i) and +inf off the hull of the means (see
+    ``_lower_hull``); f(x + y) is the multilinear interpolant of f,
+    constant past the box.  The sup runs over finitely many y: the
+    lower-hull vertices, the whole-cell shifts y in dx Z^d inside the
+    hull, and the points where a lower-hull edge crosses a grid line
+    y_j in dx_j Z.  On a uniform grid the multilinear weights of x + y
+    are the same for every x, so each y is a weighted sum of the 2^d
+    corner slices of one edge-padded copy of f, and a whole-cell shift
+    is one slice.
 
+    In 1D f(x + y) - phi(y) is piecewise linear in y with its breaks
+    at those y, so the result is exact.  In 2D the grid lines and the
+    lower-hull edges cut the hull into pieces on which f(x + y) is
+    bilinear and phi affine; such a function has no strict interior
+    max and is linear along grid lines, so the only miss is its bulge
+    along an edge that is not parallel to an axis.  Within one cell,
+    with mixed difference D = f[i+1, j+1] - f[i+1, j] - f[i, j+1] + f[i, j],
+    that bulge over the chord is at most |D| / 4, so the result lies
+    below the exact sup by at most max |D| / 4 over the cells
+    (at most |d1 d2 f|_inf dx_1 dx_2 / 4 for smooth f) and never above it.
+    """
+    grid = f.grid
+    if grid.dim != ce.dim:
+        raise DomainError("expectation and grid dimensions differ")
+    phi, vertices, edges = _lower_hull(ce)
     spacing = np.array(grid.spacing)
-    pad = np.ceil(np.max(np.abs(means), axis=0) / spacing).astype(int) + 1
+    # every candidate in cell units t = y / dx
+    low = np.floor(vertices.min(axis=0) / spacing)
+    high = np.ceil(vertices.max(axis=0) / spacing)
+    cells = tensor_points([np.arange(a, b + 1) for a, b in zip(low, high)])
+    candidates = [vertices / spacing, cells]
+    for start, end in edges / spacing:
+        for ax in np.flatnonzero(start != end):
+            lines = np.arange(np.ceil(min(start[ax], end[ax])),
+                              np.floor(max(start[ax], end[ax])) + 1)
+            cuts = start + np.outer((lines - start[ax]) / (end[ax] - start[ax]), end - start)
+            cuts[:, ax] = lines
+            candidates.append(cuts)
+    t = np.unique(np.vstack(candidates), axis=0)
+    cost = phi(t * spacing)
+    t, cost = t[np.isfinite(cost)], cost[np.isfinite(cost)]
+
+    cell = np.floor(t)
+    pad = np.max(np.abs(cell), axis=0).astype(int) + 1
     padded = np.pad(f.values, [(p, p) for p in pad], mode="edge")
-    t = y / spacing
-    frac = t - np.floor(t)
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    # starts[k, c]: the padded index of corner c of y_k's cell, per axis
-    starts = (np.floor(t).astype(int) + pad)[:, None, :] + corners
+    frac = t - cell
+    corners = np.array(list(itertools.product((0, 1), repeat=grid.dim)))
+    # starts[k, c]: the padded index of corner c of t_k's cell, per axis
+    starts = (cell.astype(int) + pad)[:, None, :] + corners
     weights = np.where(corners, frac[:, None, :], 1.0 - frac[:, None, :]).prod(axis=2)
 
     out = np.full(grid.counts, -np.inf)
-    for start, w, pv in zip(starts.tolist(), weights.tolist(), phi.tolist()):
-        views = [padded[tuple(slice(i, i + n) for i, n in zip(s, grid.counts))] for s in start]
-        shifted = w[0] * views[0]
-        for wk, view in zip(w[1:], views[1:]):
+    shifted = np.empty(grid.counts)
+    for start, w, c in zip(starts.tolist(), weights.tolist(), cost.tolist()):
+        reads = [(wk, padded[tuple(slice(i, i + n) for i, n in zip(s, grid.counts))])
+                 for wk, s in zip(w, start) if wk]
+        np.multiply(reads[0][1], reads[0][0], out=shifted)
+        for wk, view in reads[1:]:
             shifted += wk * view
-        shifted -= pv
+        shifted -= c
         np.maximum(out, shifted, out=out)
     return GridFunction(grid, out)
 

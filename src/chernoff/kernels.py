@@ -60,20 +60,23 @@ def gaussian_taps(
     std: float, shift: float, dx: float, cut: float = 8.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized sampled-Gaussian taps with mean ``shift``, truncated
-    at ``cut`` standard deviations."""
+    at ``cut`` standard deviations; the shift's taps when the std is so
+    small against ``dx`` that no sampled weight is left."""
     if std < 0:
         raise DomainError("standard deviation must be nonnegative")
     if not dx > 0:
         raise DomainError("grid spacing must be positive")
     if std < 1e-14 * max(1.0, abs(shift)) or std == 0.0:
-        offsets, weights = shift_taps(shift, dx)
-    else:
-        lo = int(np.floor((shift - cut * std) / dx))
-        hi = int(np.ceil((shift + cut * std) / dx))
-        offsets = np.arange(lo, hi + 1)
-        z = (offsets * dx - shift) / std
-        weights = np.exp(-0.5 * z * z)
-        weights /= weights.sum()
+        return shift_taps(shift, dx)
+    lo = int(np.floor((shift - cut * std) / dx))
+    hi = int(np.ceil((shift + cut * std) / dx))
+    offsets = np.arange(lo, hi + 1)
+    z = (offsets * dx - shift) / std
+    weights = np.exp(-0.5 * z * z)
+    total = weights.sum()
+    if total == 0.0:  # std far below dx: every sampled weight underflows
+        return shift_taps(shift, dx)
+    weights /= total
     return offsets, weights
 
 

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from chernoff.core import DomainError, Grid, GridFunction, tensor_points
+from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
-    _legendre_phi,
+    _lower_hull,
     cexp_eval,
     clt_step,
     g_function,
@@ -254,18 +255,6 @@ def test_limit_penalized_pair_envelope():
     np.testing.assert_allclose(out.values[interior], oracle[interior], atol=5e-4)
 
 
-def test_limit_rejects_unresolved_z_grid():
-    g = grid1d(101, 8.0)
-    f = GridFunction.from_callable(g, np.cos)
-    ce = ScenarioConvexExpectation(
-        (Scenario.point(0.0), Scenario.point(1.0, penalty=1.0))
-    )
-    # a 3-point z-grid cannot see the finite argmax of the conjugate near
-    # the hull vertex, so the edge strictly wins and the guard must fire
-    with pytest.raises(DomainError, match="z-grid"):
-        maximally_distributed_limit(ce, f, z_points=3)
-
-
 def _simplex_weights(k, n):
     """All weight vectors of k scenarios with entries in {0, 1/n, ..., 1}."""
     heads = [c for c in itertools.product(range(n + 1), repeat=k - 1) if sum(c) <= n]
@@ -275,7 +264,7 @@ def _simplex_weights(k, n):
 @pytest.mark.parametrize(
     "means, penalties, phi_slope, n",
     [
-        # a box: the hull is the bounding box the y search covers
+        # a box: the hull is the means' bounding box
         pytest.param([(-0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (0.5, 0.25)],
                      [0.0, 0.0, 0.0, 0.0], 0.0, 24, id="box-of-four"),
         # a segment: every off-diagonal y of the bounding box is outside the hull
@@ -297,50 +286,19 @@ def test_limit_2d_matches_simplex_sup(means, penalties, phi_slope, n):
     out = maximally_distributed_limit(ce, f)
     # oracle: sup over mixture weights of f(x + sum l_i m_i) - sum l_i alpha_i
     lam = _simplex_weights(len(means), n)
-    oracle = np.full(g.size, -np.inf)
-    for shift, cost in zip(lam @ np.array(means), lam @ np.array(penalties)):
-        oracle = np.maximum(oracle, g.interpolate(f.values, g.points + shift) - cost)
+    oracle = _sup_over(g, f, lam @ np.array(means), lam @ np.array(penalties))
     interior = g.interior_mask(1.0)
     gap = np.max(np.abs(out.values - oracle.reshape(g.counts))[interior])
-    # resolutions as in acceptance criterion 07, per axis of the 64 x 64
-    # y-grid and 65 x 65 z-grid of radius 4 max|m| + 4, plus the oracle's
-    # own weight step
+    # the oracle's own weight step plus the library's 2D bulge bound
     m_max = float(np.max(np.abs(means)))
-    widths = np.ptp(np.array(means), axis=0)
-    y_step = float(np.hypot(*(widths / 63)))
-    z_step = 2.0 * (4.0 * m_max + 4.0) / 64
     slope = math.sqrt(2.0) * f.lipschitz + phi_slope
-    tol = slope * (y_step + 2.0 * m_max / n) + math.sqrt(2.0) * z_step * m_max
-    assert gap <= tol
+    assert gap <= slope * 2.0 * m_max / n + _bulge(f)
 
 
-def _dense_phi(ce, y_axes, z_points):
-    """phi over every column of the z-grid, with the edge flag of the library."""
-    means = np.array([s.mean_vector for s in ce.scenarios])
-    pens = np.array([s.penalty for s in ce.scenarios])
-    slopes = [
-        abs(a - b) / np.linalg.norm(m - n)
-        for (m, a), (n, b) in itertools.combinations(zip(means, pens), 2)
-        if np.any(m != n)
-    ]
-    radius = max(4.0 * float(np.max(np.abs(means))) + 4.0, 2.0 * max(slopes, default=0.0) + 1.0)
-    per_axis = max(int(round(z_points ** (1.0 / ce.dim))), 3)
-    per_axis += 1 - per_axis % 2
-    axis = np.linspace(-radius, radius, per_axis)
-    z = tensor_points([axis] * ce.dim)
-    obj = tensor_points(y_axes) @ z.T - np.max(z @ means.T - pens, axis=1)
-    full = np.max(obj, axis=1)
-    inner = np.max(obj[:, np.all((z > axis[0]) & (z < axis[-1]), axis=1)], axis=1)
-    full[full > inner + 1e-9 * (1.0 + np.abs(full))] = np.inf
-    return full
-
-
-def _y_axes(ce, per_axis):
-    means = np.array([s.mean_vector for s in ce.scenarios])
-    return [
-        np.linspace(lo, hi, per_axis) if hi > lo else np.array([lo])
-        for lo, hi in zip(means.min(axis=0), means.max(axis=0))
-    ]
+def _bulge(f):
+    """max |mixed difference| / 4 over the cells: the bilinear interpolant's
+    largest excess over a chord inside one cell."""
+    return float(np.max(np.abs(np.diff(np.diff(f.values, axis=0), axis=1)))) / 4.0
 
 
 def _point_model(means, penalties):
@@ -355,9 +313,17 @@ def _random_1d_models(count, seed):
         k = int(rng.integers(1, 6))
         pens = rng.uniform(0.0, 2.0, k)
         pens[rng.integers(k)] = 0.0
-        # means at least 0.5 apart keep the conjugate's slopes (at most
-        # 2 / 0.5) inside the z-grid, so no y of the hull is flagged
-        means = rng.permutation(rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.5, 1.5, k)))
+        yield _point_model(rng.uniform(-3.0, 3.0, k), pens)
+
+
+def _random_2d_models(count, seed):
+    """2-4 means in [-0.8, 0.8]^2 with penalties in [0, 2], the first 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        means = rng.uniform(-0.8, 0.8, (k, 2))
+        pens = rng.uniform(0.0, 2.0, k)
+        pens[0] = 0.0
         yield _point_model(means, pens)
 
 
@@ -369,67 +335,119 @@ _MODELS_2D = [
 ]
 
 
-def test_phi_on_candidate_columns_matches_the_full_z_grid():
-    cases = [(ce, 257) for ce in _random_1d_models(40, seed=17)]
-    cases += [(ce, 64) for ce in _MODELS_2D]
-    for ce, per_axis in cases:
-        y_axes = _y_axes(ce, per_axis)
-        phi = _legendre_phi(ce, y_axes, 4096)
-        dense = _dense_phi(ce, y_axes, 4096)
-        finite = np.isfinite(dense)
-        np.testing.assert_array_equal(np.isfinite(phi), finite)
-        assert np.all(phi[~finite] == np.inf)
-        gap = np.abs(phi[finite] - dense[finite])
-        assert np.all(gap <= 1e-15 * (1.0 + np.abs(dense[finite])))
+def _means_and_penalties(ce):
+    return (np.array([s.mean_vector for s in ce.scenarios]),
+            np.array([s.penalty for s in ce.scenarios]))
+
+
+def _linprog_phi(ce, y):
+    """min sum l_i alpha_i over weights l >= 0 with sum l_i = 1, sum l_i m_i = y."""
+    means, pens = _means_and_penalties(ce)
+    res = linprog(pens, A_eq=np.vstack([means.T, np.ones(len(pens))]),
+                  b_eq=np.append(y, 1.0), bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_phi_matches_linprog_on_the_hull():
+    models = list(_random_1d_models(40, seed=17))
+    models += [
+        _point_model([0.0, 0.1], [0.0, 2.0]),
+        _point_model([0.4], [0.0]),
+        _point_model([0.4, 0.4, 0.4], [1.0, 0.0, 0.5]),
+        _point_model([-0.5, 0.3, 0.3, 0.8], [0.0, 1.2, 0.4, 0.9]),
+        _point_model([(0.2, -0.1)] * 2, [0.7, 0.0]),
+        _point_model([(-0.5, 0.25), (0.1, -0.05), (0.5, -0.25), (0.1, -0.05)],
+                     [0.0, 0.6, 0.5, 0.2]),
+        *_MODELS_2D,
+        *_random_2d_models(12, seed=5),  # thin facets put kinks of psi far out in z
+    ]
+    rng = np.random.default_rng(11)
+    grids = {1: grid1d(81, 4.0), 2: Grid((-2.0, -2.0), (2.0, 2.0), (21, 21))}
+    for ce in models:
+        means, _ = _means_and_penalties(ce)
+        phi, _, _ = _lower_hull(ce)
+        ys = np.vstack([means, rng.dirichlet(np.ones(len(means)), 10) @ means])
+        expected = [_linprog_phi(ce, y) for y in ys]
+        np.testing.assert_allclose(phi(ys), expected, rtol=0, atol=1e-12)
+        beyond = means[np.argmax(means[:, 0])] + np.eye(ce.dim)[0] * 0.1
+        assert phi(beyond[None, :])[0] == np.inf
+        g = grids[ce.dim]
+        f = GridFunction(g, np.cos(g.points.sum(axis=1)).reshape(g.counts))
+        assert np.all(np.isfinite(maximally_distributed_limit(ce, f).values))
+
+
+def _phi_1d(means, pens, ys):
+    """The lower convex envelope in 1D: the least chord over the pairs of
+    means that bracket y, +inf where none does."""
+    best = np.full(len(ys), np.inf)
+    for (a, pa), (b, pb) in itertools.product(zip(means, pens), repeat=2):
+        inside = (a <= ys) & (ys <= b)
+        chord = pa + (pb - pa) * (ys - a) / (b - a) if b > a else np.full(len(ys), pa)
+        best[inside] = np.minimum(best[inside], chord[inside])
+    return best
+
+
+def _sup_over(grid, f, ys, costs):
+    values = np.full(grid.size, -np.inf)
+    for y, cost in zip(ys, costs):
+        shifted = grid.interpolate(f.values, grid.points + y).reshape(-1)
+        values = np.maximum(values, shifted - cost)
+    return values
 
 
 @pytest.mark.parametrize(
-    "grid, ce, y_points",
+    "grid, ce",
     [
-        pytest.param(grid1d(401, 4.0), next(_random_1d_models(1, seed=3)), 257, id="1d"),
+        pytest.param(grid1d(401, 4.0), next(_random_1d_models(1, seed=3)), id="1d"),
         # means beyond the box: every shift reads the constant extension
-        pytest.param(
-            grid1d(201, 2.0),
-            _point_model([-3.0, 2.5], [0.0, 0.4]),
-            257,
-            id="1d-past-edge",
-        ),
-        pytest.param(Grid((-3.0, -2.0), (3.0, 2.5), (41, 37)), _MODELS_2D[2], 289,
-                     id="2d-triangle"),
-        pytest.param(Grid((-0.6, -0.5), (0.7, 0.4), (27, 19)), _MODELS_2D[1], 289,
-                     id="2d-past-edge"),
+        pytest.param(grid1d(201, 2.0), _point_model([-3.0, 2.5], [0.0, 0.4]), id="1d-past-edge"),
+        pytest.param(Grid((-3.0, -2.0), (3.0, 2.5), (41, 37)), _MODELS_2D[2], id="2d-triangle"),
+        pytest.param(Grid((-0.6, -0.5), (0.7, 0.4), (27, 19)), _MODELS_2D[1], id="2d-past-edge"),
     ],
 )
-def test_limit_matches_interpolated_shifts(grid, ce, y_points):
+def test_limit_matches_interpolated_shifts(grid, ce):
     if grid.dim == 1:
         f = GridFunction.from_callable(grid, lambda x: np.sin(2.0 * x) + 0.3 * x)
     else:
         f = GridFunction.from_callable(
             grid, lambda p: np.sin(2.0 * p[:, 0]) * np.cos(p[:, 1]) + 0.3 * p[:, 1]
         )
-    out = maximally_distributed_limit(ce, f, y_points=y_points)
-    y_axes = _y_axes(ce, int(round(y_points ** (1.0 / grid.dim))))
-    phi = _legendre_phi(ce, y_axes, 4096)
-    expected = np.full(grid.size, -np.inf)
-    for y, pv in zip(tensor_points(y_axes), phi):
-        shifted = grid.interpolate(f.values, grid.points + y).reshape(-1)
-        expected = np.maximum(expected, shifted - pv)
+    out = maximally_distributed_limit(ce, f).values.reshape(-1)
     tol = 1e-14 * max(1.0, f.sup_norm)
-    np.testing.assert_allclose(out.values.reshape(-1), expected, rtol=0, atol=tol)
+    means, pens = _means_and_penalties(ce)
+    if grid.dim == 1:
+        m, dx = means[:, 0], grid.spacing[0]
+        # the breakpoints in y: whole-cell shifts in the hull and the means
+        cells = np.arange(np.ceil(m.min() / dx), np.floor(m.max() / dx) + 1) * dx
+        ys = np.concatenate([cells, m])
+        x = grid.axes[0]
+        costs = _phi_1d(m, pens, ys)
+        exact = np.max(
+            [np.interp(x + y, x, f.values) - c for y, c in zip(ys, costs) if np.isfinite(c)],
+            axis=0,
+        )
+        np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
+        dense = np.linspace(m.min(), m.max(), 2001)[:, None]
+        bulge, dense_costs = 0.0, _phi_1d(m, pens, dense[:, 0])
+    else:
+        # affinely independent means: each y has one weight vector, so its
+        # cost is phi(y)
+        lam = _simplex_weights(len(means), 60)
+        dense, dense_costs, bulge = lam @ means, lam @ pens, _bulge(f)
+    assert np.all(out >= _sup_over(grid, f, dense, dense_costs) - bulge - tol)
 
 
 def test_limit_close_means_with_a_steep_penalty():
-    # means 0 and 0.1 with penalties 0 and 2: phi(y) = 20 y on [0, 0.1],
-    # a slope past a z-grid sized by the means alone (radius 4.4)
+    # means 0 and 0.1 with penalties 0 and 2: phi(y) = 20 y on [0, 0.1]
     g = grid1d(801, 4.0)
     f = GridFunction.from_callable(g, lambda x: 25.0 * np.minimum(np.abs(x), 1.0))
     out = maximally_distributed_limit(_point_model([0.0, 0.1], [0.0, 2.0]), f)
     x = g.axes[0]
     ys = np.linspace(0.0, 0.1, 2001)
     oracle = np.max(np.interp(x[:, None] + ys[None, :], x, f.values) - 20.0 * ys, axis=1)
-    # z step (radius 2 * 20 + 1) times max y, plus (Lip f + slope of phi)
-    # times the library's and the oracle's y steps
-    tol = 2.0 * 41.0 / 4096 * 0.1 + (25.0 + 20.0) * (0.1 / 4095 + 0.1 / 2000)
+    # (Lip f + slope of phi) times the oracle's own y step
+    tol = (25.0 + 20.0) * 0.1 / 2000
     assert np.max(np.abs(out.values - oracle)) <= tol
     # slope 25 beats 20, so the sup leaves y = 0: f(x + 0.1) - 2 = f(x) + 0.5
     assert np.max(out.values - f.values) == pytest.approx(0.5, abs=tol)

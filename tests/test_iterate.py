@@ -20,6 +20,19 @@ def grid1d(n=1201, half=12.0):
     return Grid((-half,), (half,), (n,))
 
 
+
+def test_nisio_step_with_a_tiny_std_stays_finite():
+    # std 1e-3 * sqrt(0.01) = 1e-4 against dx = 0.01: the Gaussian taps
+    # underflow, and the step is the drift's two-tap shift instead
+    g = Grid((-1.0,), (1.0,), (201,))
+    f = GridFunction.from_callable(g, np.cos)
+    op = StepOperator.from_nisio(NisioFamily(((1e-3, 0.5),)))
+    out = chernoff_iterate(op, f, 0.1, 0.01)
+    x = g.axes[0]
+    # ten half-cell interpolations smooth cos by at most 10 dx^2 / 8
+    expected = np.cos(x[x < 0.9] + 0.05)
+    np.testing.assert_allclose(out.values[x < 0.9], expected, atol=10 * 0.01**2 / 8 + 1e-12)
+
 def gheat_op():
     return StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0))))
 

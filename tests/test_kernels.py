@@ -41,6 +41,14 @@ def test_gaussian_taps_degenerate_std_is_shift():
     np.testing.assert_array_equal(w, [1.0])
 
 
+def test_gaussian_taps_fall_back_to_the_shift_when_every_weight_underflows():
+    # std / dx = 1e-2: every sampled weight is exp(-x) with x > 745
+    offs, w = gaussian_taps(1e-4, 0.00512, 0.01)
+    expected = shift_taps(0.00512, 0.01)
+    np.testing.assert_array_equal(offs, expected[0])
+    np.testing.assert_array_equal(w, expected[1])
+
+
 def test_aliasing_bound_is_tiny_at_unit_bandwidth():
     assert aliasing_bound(0.01, 0.01) == pytest.approx(2 * np.exp(-2 * np.pi**2))
     assert aliasing_bound(0.0, 0.01) == 0.0
