@@ -205,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("rates", help="fit a rate to an existing error-curve CSV")
     fit.add_argument("csv")
-    fit.add_argument("--uncertainty", type=float, default=0.0)
+    fit.add_argument(
+        "--uncertainty",
+        type=float,
+        default=None,
+        help="oracle uncertainty for every point (default: the CSV's column)",
+    )
     fit.add_argument("--target-gamma", type=float, default=None)
     fit.add_argument("--slope-tolerance", type=float, default=0.05)
     fit.add_argument("--out", help="also write rate_report.json here")

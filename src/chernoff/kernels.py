@@ -8,9 +8,11 @@ applies such a vector; the step families, ``gaussian_convolve`` and
 the mollifier all call it by that name.  The taps act on the grid
 with constant extension at the box edges, so each step preserves
 constants, monotonicity, convexity (in 1D), the sup norm, and
-Lipschitz bounds exactly; the only error relative to the continuum
-operator is Gaussian sampling aliasing, which decays like
-exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
+Lipschitz bounds: exactly on the direct branches below, and up to
+roundoff (about 1e-15 * sup|u|) on the FFT branch.  The only error
+relative to the continuum operator is Gaussian sampling aliasing,
+which decays like exp(-2 pi^2 (std/dx)^2) and is negligible for
+std >= dx.
 
 ``apply_taps`` and ``gaussian_convolve`` take ``out=`` so that an
 iteration can write every step into preallocated buffers.  When the
@@ -21,13 +23,28 @@ so a tap list wholly on one side of 0 (a whole-cell shift, or drift
 beyond ``cut`` standard deviations) reads an edge-clamped copy of the
 values instead, except for one or two taps (a shift, or a fractional
 shift past one cell), which are scaled slices written into ``out``.
+
+Wide lists take an FFT branch instead: the edge-clamped window of
+length n + hi - lo is correlated with the taps through
+``scipy.fft.rfft``/``irfft`` at ``next_fast_len``, long enough that no
+output wraps.  ``correlate1d`` costs about m products per point for m
+taps, the FFT a fixed overhead plus L log2 L per row of length L, and
+the branch is taken where a cost model fitted to timings of both says
+the FFT is cheaper.  For centred taps on 1D grids that is from about
+290 taps at n = 513, 160 at 1025, 76 at 4095 and 65 at 8191; on a
+129 x 129 grid from about 46.  A non-finite value spreads along the
+whole axis on the FFT branch rather than over the taps' reach.
+
 A fixed step builds its Gaussian taps once with ``gaussian_axis_taps``
 and hands them to ``gaussian_convolve`` at every step.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.ndimage import correlate1d
 
 from .core import DomainError, Grid
@@ -38,10 +55,20 @@ __all__ = [
     "shift_taps",
     "apply_taps",
     "gaussian_convolve",
-    "aliasing_bound",
 ]
 
 _EXACT_SHIFT_TOL = 1e-9
+# Cost model of correlating m taps with rows of n points, in seconds:
+# correlate1d ~ _DIRECT_S * rows * n * m against the FFT's _FFT_FIXED_S +
+# _FFT_S * rows * L log2 L, L = next_fast_len(n + m - 1); _FFT_FIXED_S is
+# its fixed cost less correlate1d's.  Fitted to timings of both branches
+# at n = 513, 1025, 4095, 8191 and on 129 x 129 (2 cores, numpy 2.4.6,
+# scipy 1.17.1) with mirror-symmetric taps, for which correlate1d forms
+# half the products; drifted lists cost it twice as much, so the model
+# keeps them on correlate1d up to about twice their true crossover.
+_DIRECT_S = 0.22e-9
+_FFT_FIXED_S = 26e-6
+_FFT_S = 0.8e-9
 
 
 def shift_taps(shift: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,14 +107,6 @@ def gaussian_taps(
     return offsets, weights
 
 
-def aliasing_bound(std: float, dx: float) -> float:
-    """Leading Poisson-summation error of the sampled Gaussian."""
-    if std <= 0:
-        return 0.0
-    b = std / dx
-    return float(2.0 * np.exp(-2.0 * np.pi**2 * b * b))
-
-
 def apply_taps(
     values: np.ndarray,
     offsets: np.ndarray,
@@ -100,7 +119,11 @@ def apply_taps(
 
     Offsets may be unsorted or repeated.  The result goes into ``out``
     (a float64 array of the values' shape that does not overlap them)
-    and is returned; without ``out`` it is a new array.
+    and is returned; without ``out`` it is a new array.  More than two
+    taps go through an FFT of the edge-clamped window when the cost
+    model of ``_fft_is_cheaper`` prices it below ``correlate1d``; that
+    branch agrees with the sum to roundoff (about 1e-15 * sup|values|)
+    and spreads a non-finite value along the whole axis.
     """
     offsets = np.asarray(offsets)
     weights = np.asarray(weights, dtype=float)
@@ -122,7 +145,9 @@ def apply_taps(
         lo, hi = int(offsets.min()), int(offsets.max())
         # Dense taps over [lo, hi] only, so a far whole-cell shift stays O(n).
         taps = np.bincount(offsets - lo, weights=weights, minlength=hi - lo + 1)
-    if taps.size > 1 and lo <= 0 <= hi:
+    ax %= values.ndim
+    fft = taps.size > 2 and _fft_is_cheaper(values.shape, ax, taps.size)
+    if not fft and taps.size > 1 and lo <= 0 <= hi:
         # taps[k] reads values[i + lo + k]; the clamp is scipy's "nearest".
         return correlate1d(
             values, taps, axis=ax, output=out, mode="nearest", origin=-(lo + taps.size // 2)
@@ -137,12 +162,29 @@ def apply_taps(
     shape = list(values.shape)
     shape[ax] += hi - lo
     window = _clamped_window(values, lo, ax, np.empty(shape))
-    # correlate1d centres the taps at taps.size // 2; outputs from there
-    # on read only inside the window, so the mode never applies.
-    full = correlate1d(window, taps, axis=ax, mode="nearest")
-    lead = (slice(None),) * (ax % values.ndim)
-    out[...] = full[lead + (slice(taps.size // 2, taps.size // 2 + values.shape[ax]),)]
+    if fft:
+        # Circular correlation at length >= n + hi - lo: output i reads
+        # window[i .. i + hi - lo], so none of the first n wraps.
+        length = next_fast_len(shape[ax], real=True)
+        spectrum = rfft(window, length, axis=ax)
+        spectrum *= np.conj(rfft(taps, length)).reshape((-1,) + (1,) * (values.ndim - 1 - ax))
+        full, start = irfft(spectrum, length, axis=ax), 0
+    else:
+        # correlate1d centres the taps at taps.size // 2; outputs from there
+        # on read only inside the window, so the mode never applies.
+        full, start = correlate1d(window, taps, axis=ax, mode="nearest"), taps.size // 2
+    out[...] = full[(slice(None),) * ax + (slice(start, start + values.shape[ax]),)]
     return out
+
+
+def _fft_is_cheaper(shape: tuple[int, ...], ax: int, n_taps: int) -> bool:
+    """Whether the cost model prices an FFT correlation of ``n_taps`` taps
+    along ``ax`` below ``correlate1d``."""
+    n = shape[ax]
+    rows = math.prod(shape) // max(n, 1)
+    length = next_fast_len(n + n_taps - 1, real=True)
+    direct = _DIRECT_S * rows * n * n_taps
+    return direct > _FFT_FIXED_S + _FFT_S * rows * length * math.log2(length)
 
 
 def _clamped_window(

@@ -34,7 +34,7 @@ class InconclusiveError(RuntimeError):
     """The data cannot support a rate estimate."""
 
 
-_CSV_HEADER = "h,e_plus,e_minus,bound_value,pass"
+_CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,29 @@ class ErrorCurve:
                 else:
                     ok = "skipped"
                 tail = f"{value!r},{ok}"
-            lines.append(f"{pt.h!r},{pt.e_plus!r},{pt.e_minus!r},{tail}")
+            lines.append(
+                f"{pt.h!r},{pt.e_plus!r},{pt.e_minus!r},{pt.oracle_uncertainty!r},{tail}"
+            )
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, uncertainty: float = 0.0) -> "ErrorCurve":
+    def from_csv(cls, text: str, uncertainty: float | None = None) -> "ErrorCurve":
+        """Read ``to_csv`` output; ``uncertainty``, when given, replaces
+        every point's ``oracle_uncertainty``."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
             raise DomainError(f"expected header {_CSV_HEADER!r}")
         points = []
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) != 5:
+            if len(cells) != 6:
                 raise DomainError(f"malformed error-curve row {ln!r}")
             points.append(
                 ErrorPoint(
                     h=float(cells[0]),
                     e_plus=float(cells[1]),
                     e_minus=float(cells[2]),
-                    oracle_uncertainty=uncertainty,
+                    oracle_uncertainty=float(cells[3]) if uncertainty is None else uncertainty,
                 )
             )
         return cls(points=tuple(points))
@@ -135,7 +139,7 @@ def write_error_curve(path, curve: ErrorCurve, bound: BoundReport | None = None)
         fh.write(curve.to_csv(bound))
 
 
-def read_error_curve(path, uncertainty: float = 0.0) -> ErrorCurve:
+def read_error_curve(path, uncertainty: float | None = None) -> ErrorCurve:
     with open(path) as fh:
         return ErrorCurve.from_csv(fh.read(), uncertainty=uncertainty)
 

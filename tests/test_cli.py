@@ -58,7 +58,7 @@ def test_run_writes_artifacts_and_passes(linear_config, tmp_path, capsys):
     ]
 
     csv_text = (out / "error_curve.csv").read_text()
-    assert csv_text.splitlines()[0] == "h,e_plus,e_minus,bound_value,pass"
+    assert csv_text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
     assert len(csv_text.splitlines()) == 4
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -171,10 +171,10 @@ def test_kernel_constants_subcommand(capsys):
 
 def test_rates_fit_only(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,,")
+        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,0.0,,")
     csv.write_text("\n".join(rows) + "\n")
 
     rc = main(["rates", str(csv)])
@@ -186,11 +186,53 @@ def test_rates_fit_only(tmp_path, capsys):
     capsys.readouterr()
 
 
+ORACLE_CFG = """
+[grid]
+low = -8
+high = 8
+points = 1025
+
+[operator]
+type = nisio
+controls = 0.5 0, 1 0
+
+[payoff]
+kind = capped_abs
+cap = 1
+
+[experiment]
+t = 0.25
+h = 2^-2..2^-6
+reference = oracle
+h_fine = 2^-9
+seed = 2
+
+[tolerances]
+pairs = 8
+"""
+
+
+def test_rates_refits_a_run_to_the_same_fit(tmp_path, capsys):
+    config = tmp_path / "oracle.cfg"
+    config.write_text(ORACLE_CFG)
+    out = tmp_path / "artifacts"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    run_fit = json.loads((out / "rate_report.json").read_text())["fit"]
+    capsys.readouterr()
+    # the oracle's floor drops the finest points, so a zero uncertainty
+    # would fit a different set
+    assert main(["rates", str(out / "error_curve.csv")]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    assert (fit["gamma_hat"], fit["n_fit"]) == (run_fit["gamma_hat"], run_fit["n_fit"])
+    assert main(["rates", str(out / "error_curve.csv"), "--uncertainty", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["fit"]["n_fit"] > run_fit["n_fit"]
+
+
 def test_rates_inconclusive_exit_2(tmp_path, capsys):
     csv = tmp_path / "floor.csv"
-    rows = ["h,e_plus,e_minus,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
     for n in range(3, 9):
-        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,,")
+        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,0.0,,")
     csv.write_text("\n".join(rows) + "\n")
     rc = main(["rates", str(csv)])
     assert rc == 2
@@ -200,10 +242,10 @@ def test_rates_inconclusive_exit_2(tmp_path, capsys):
 
 def test_rates_out_writes_report(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{2.0 * h!r},0.0,,")
+        rows.append(f"{h!r},{2.0 * h!r},0.0,0.0,,")
     csv.write_text("\n".join(rows) + "\n")
     out = tmp_path / "report"
     rc = main(["rates", str(csv), "--out", str(out)])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
-    aliasing_bound,
+    _fft_is_cheaper,
     apply_taps,
     gaussian_axis_taps,
     gaussian_convolve,
@@ -47,11 +49,6 @@ def test_gaussian_taps_fall_back_to_the_shift_when_every_weight_underflows():
     expected = shift_taps(0.00512, 0.01)
     np.testing.assert_array_equal(offs, expected[0])
     np.testing.assert_array_equal(w, expected[1])
-
-
-def test_aliasing_bound_is_tiny_at_unit_bandwidth():
-    assert aliasing_bound(0.01, 0.01) == pytest.approx(2 * np.exp(-2 * np.pi**2))
-    assert aliasing_bound(0.0, 0.01) == 0.0
 
 
 def test_convolution_matches_heat_action_on_cosine():
@@ -257,3 +254,106 @@ def test_gaussian_convolve_into_out():
     taps = gaussian_axis_taps(g, 0.4, (0.1, -0.3))
     prebuilt = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), taps=taps)
     np.testing.assert_array_equal(prebuilt, out)
+
+
+# ---------------------------------------------------------------------------
+# the FFT branch of apply_taps
+
+
+def _centred_gaussian(half):
+    """2 * half + 1 mirror-symmetric Gaussian taps reaching 8 stds."""
+    offsets = np.arange(-half, half + 1)
+    weights = np.exp(-0.5 * (offsets / (half / 8.0)) ** 2)
+    return offsets, weights / weights.sum()
+
+
+def _one_sided(start, count, seed=0):
+    offsets = start + np.arange(count)
+    weights = np.random.default_rng(seed).uniform(size=count)
+    return offsets, weights / weights.sum()
+
+
+def _shuffled_with_duplicates():
+    offsets, weights = _centred_gaussian(150)
+    offsets = np.concatenate([offsets + 40, offsets[::7] + 40])
+    weights = np.concatenate([weights, weights[::7]]) / (1.0 + weights[::7].sum())
+    order = np.random.default_rng(4).permutation(offsets.size)
+    return offsets[order], weights[order]
+
+
+_W = 4095
+
+
+@pytest.mark.parametrize(
+    "shape, ax, taps",
+    [
+        pytest.param((_W,), 0, _centred_gaussian(61), id="centred-123"),
+        pytest.param((_W,), 0, _centred_gaussian(483), id="centred-967"),
+        pytest.param((_W,), 0, _centred_gaussian(1365), id="centred-2731"),
+        pytest.param((_W,), 0, _one_sided(300, 250), id="drift-beyond-cut"),
+        pytest.param((_W,), 0, _one_sided(-700, 400, 1), id="drift-below-cut"),
+        pytest.param((_W,), 0, _one_sided(_W + 10, 300, 2), id="past-plus-n"),
+        pytest.param((_W,), 0, _one_sided(-_W - 500, 400, 3), id="past-minus-n"),
+        pytest.param((_W,), 0, _one_sided(_W - 150, 300, 5), id="straddling-plus-n"),
+        pytest.param((_W,), 0, _shuffled_with_duplicates(), id="unsorted-duplicate"),
+        pytest.param((129, 129), 0, _centred_gaussian(50), id="2d-axis0"),
+        pytest.param((129, 129), 1, _centred_gaussian(50), id="2d-axis1"),
+        pytest.param((129, 129), 0, _one_sided(20, 120, 6), id="2d-axis0-one-sided"),
+        pytest.param((60, 700), 1, _one_sided(-760, 300, 7), id="2d-axis1-past-minus-n"),
+    ],
+)
+def test_fft_branch_matches_clipped_index_sum(shape, ax, taps):
+    offsets, weights = taps
+    assert _fft_is_cheaper(shape, ax, offsets.max() - offsets.min() + 1)
+    values = np.random.default_rng(12).normal(size=shape).cumsum(axis=ax) + 3.0
+    before = values.copy()
+    out = np.full(shape, np.nan)
+    res = apply_taps(values, offsets, weights, ax, out=out)
+    assert res is out
+    tol = 1e-13 * max(1.0, np.max(np.abs(values)))
+    np.testing.assert_allclose(out, _clipped_sum(values, offsets, weights, ax), rtol=0, atol=tol)
+    np.testing.assert_array_equal(values, before)
+
+
+@pytest.mark.parametrize("ax", [0, 1])
+def test_fft_branch_on_strided_and_float32_input(ax):
+    base = np.random.default_rng(13).normal(size=(258, 390)).cumsum(axis=ax)
+    view = base[::2, ::3]  # 129 x 130, not contiguous
+    offsets, weights = _one_sided(-60, 101, 8)
+    assert _fft_is_cheaper(view.shape, ax, offsets.size)
+    tol = 1e-13 * max(1.0, np.max(np.abs(view)))
+    before = view.copy()
+    out = apply_taps(view, offsets, weights, ax)
+    np.testing.assert_allclose(out, _clipped_sum(view, offsets, weights, ax), rtol=0, atol=tol)
+    np.testing.assert_array_equal(view, before)
+    single = view.astype(np.float32)
+    out = apply_taps(single, offsets, weights, ax)
+    assert out.dtype == np.float64
+    expected = _clipped_sum(single.astype(float), offsets, weights, ax)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fft_branch_keeps_constants_and_the_range(seed):
+    rng = np.random.default_rng(seed)
+    n, count = int(rng.integers(2000, 8192)), int(rng.integers(150, 3000))
+    offsets, weights = _one_sided(int(rng.integers(-n - count, n)), count, seed)
+    weights = weights**3 / np.sum(weights**3)
+    assert _fft_is_cheaper((n,), 0, count)
+    c = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+    np.testing.assert_allclose(apply_taps(np.full(n, c), offsets, weights), c, rtol=1e-14, atol=0)
+    u = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
+    out = apply_taps(u, offsets, weights)
+    slack = 1e-14 * np.max(np.abs(u))
+    assert np.all(out >= u.min() - slack) and np.all(out <= u.max() + slack)
+
+
+def test_the_fft_branch_is_taken_past_the_measured_crossover():
+    # the 513-point structural-suite calls stay on correlate1d
+    assert not _fft_is_cheaper((513,), 0, 87)
+    assert not _fft_is_cheaper((513,), 0, 173)
+    for count in (123, 301, 967, 1931, 2731):
+        assert _fft_is_cheaper((4095,), 0, count)
+    for count in (1, 2, 3, 25):
+        assert not _fft_is_cheaper((4095,), 0, count)

@@ -55,7 +55,7 @@ def test_curve_validation():
 def test_csv_roundtrip_and_columns():
     curve = synthetic_curve(lambda h: 2.0 * h)
     text = curve.to_csv()
-    assert text.splitlines()[0] == "h,e_plus,e_minus,bound_value,pass"
+    assert text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
     back = ErrorCurve.from_csv(text)
     assert [pt.h for pt in back] == [pt.h for pt in curve]
     assert [pt.e_plus for pt in back] == [pt.e_plus for pt in curve]
@@ -67,6 +67,16 @@ def test_csv_roundtrip_and_columns():
     assert rows[2].endswith(",true")
     with pytest.raises(DomainError, match="header"):
         ErrorCurve.from_csv("a,b\n1,2\n")
+    with pytest.raises(DomainError, match="expected header"):
+        ErrorCurve.from_csv("h,e_plus,e_minus,bound_value,pass\n0.5,0.1,0.0,,\n")
+
+
+def test_csv_keeps_the_oracle_uncertainty():
+    curve = synthetic_curve(lambda h: 2.0 * h, uncertainty=3.5e-4)
+    back = ErrorCurve.from_csv(curve.to_csv())
+    assert [pt.oracle_uncertainty for pt in back] == [3.5e-4] * len(curve)
+    override = ErrorCurve.from_csv(curve.to_csv(), uncertainty=0.0)
+    assert [pt.oracle_uncertainty for pt in override] == [0.0] * len(curve)
 
 
 def test_worker_count(monkeypatch):
