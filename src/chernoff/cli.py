@@ -1,7 +1,8 @@
 """Config-driven experiment runner.
 
 Subcommands: run, check-invariants, bounds, kernel-constants, rates.
-Exit codes: 0 pass, 1 verdict fail, 2 inconclusive, 3 config error.
+Exit codes: 0 pass, 1 verdict fail, 2 inconclusive, 3 config, input or
+step error (a step whose values stop being finite).
 Artifacts are plain CSV/JSON and byte-reproducible for a fixed config
 and seed; nothing time-dependent is written.
 """
@@ -18,6 +19,7 @@ from . import __version__
 from .config import ConfigError, load_config
 from .bounds import bound_table_digest
 from .core import DomainError
+from .iterate import IterationError
 from .mollifier import MollifierKernel
 from .properties import admit_operator, appendix_suite, structural_suite
 from .rates import (
@@ -101,7 +103,7 @@ def cmd_run(args) -> int:
         {
             "config_sha256": hashlib.sha256(exp.raw_text.encode()).hexdigest(),
             "bound_table_sha256": bound_table_digest(),
-            "kernel_table_sha256": kernel_table_digest(exp.grid.dim),
+            "kernel_table_sha256": kernel_table_digest(),
             "version": __version__,
             "seed": exp.seed,
         },
@@ -229,7 +231,7 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (DomainError, OSError) as exc:
+    except (DomainError, IterationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

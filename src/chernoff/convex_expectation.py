@@ -1,12 +1,12 @@
 """Finite scenario-based convex expectations and their one-step operators.
 
-A convex expectation is represented as a finite max of linear
-expectations minus penalties,
+A convex expectation on the real line is represented as a finite max of
+linear expectations minus penalties,
 
     E[X] = max_i ( E_i[X] - alpha_i ),     min_i alpha_i = 0,
 
-with each E_i an isotropic Gaussian or a finite discrete distribution
-(a point mass is a one-atom discrete distribution).  This class is
+with each E_i a Gaussian or a finite discrete distribution (a point
+mass is a one-atom discrete distribution).  This class is
 closed under everything the iteration needs and makes E computable:
 scalar functionals by Gauss-Hermite quadrature or direct enumeration,
 grid steps by exact discrete convolutions, and the maximally
@@ -16,17 +16,15 @@ the penalised means.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
-from .core import DomainError, Grid, GridFunction, tensor_points
-from .kernels import apply_taps, gaussian_axis_taps, gaussian_convolve, shift_taps
+from .core import DomainError, Grid, GridFunction
+from .kernels import apply_taps, gaussian_convolve, gaussian_taps, shift_taps
 
 __all__ = [
     "Scenario",
@@ -60,14 +58,15 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 class Scenario:
     """One linear expectation with a penalty.
 
-    ``kind`` is "gaussian" (isotropic, std ``sigma``, located at
-    ``mean``) or "discrete" (atoms with their own probabilities).
+    ``kind`` is "gaussian" (std ``sigma``, located at ``mean``) or
+    "discrete" (``atoms`` with probabilities ``weights``; ``mean`` is
+    then derived from them).
     """
 
     kind: str
-    mean: tuple[float, ...] = (0.0,)
+    mean: float = 0.0
     sigma: float = 0.0
-    atoms: tuple[tuple[float, ...], ...] = ()
+    atoms: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
     penalty: float = 0.0
 
@@ -76,104 +75,87 @@ class Scenario:
             raise DomainError(f"unknown scenario kind {self.kind!r}")
         if not (np.isfinite(self.penalty) and self.penalty >= 0):
             raise DomainError("scenario penalty must be finite and >= 0")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise DomainError("gaussian scenario needs sigma >= 0")
-        if self.kind == "discrete":
-            if not self.atoms:
-                raise DomainError("discrete scenario needs at least one atom")
-            w = np.asarray(self.weights, dtype=float)
-            if len(w) != len(self.atoms) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise DomainError("atom probabilities must be >= 0 and sum to 1")
-            dims = {len(a) for a in self.atoms}
-            if len(dims) != 1:
-                raise DomainError("atoms must share one dimension")
+        if self.kind == "gaussian":
+            if self.sigma < 0:
+                raise DomainError("gaussian scenario needs sigma >= 0")
+            object.__setattr__(self, "mean", _location(self.mean, "mean"))
+            return
+        if not self.atoms:
+            raise DomainError("discrete scenario needs at least one atom")
+        atoms = tuple(_location(a, "atoms") for a in self.atoms)
+        w = np.asarray(self.weights, dtype=float)
+        if len(w) != len(atoms) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            raise DomainError("atom probabilities must be >= 0 and sum to 1")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "mean", float(w @ np.asarray(atoms)))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def point(cls, mean, penalty: float = 0.0) -> "Scenario":
         """A point mass: the one-atom discrete scenario."""
-        return cls.discrete([mean], [1.0], penalty)
+        return cls.discrete([_location(mean, "mean")], [1.0], penalty)
 
     @classmethod
     def gaussian(cls, mean, sigma: float, penalty: float = 0.0) -> "Scenario":
-        return cls("gaussian", _as_vector(mean), sigma=float(sigma), penalty=float(penalty))
+        return cls("gaussian", mean, sigma=float(sigma), penalty=float(penalty))
 
     @classmethod
     def discrete(cls, atoms, weights, penalty: float = 0.0) -> "Scenario":
         return cls(
             "discrete",
-            mean=_as_vector(atoms[0]),  # placeholder; mean_vector is derived
-            atoms=tuple(_as_vector(a) for a in atoms),
+            atoms=tuple(atoms),
             weights=tuple(float(w) for w in weights),
             penalty=float(penalty),
         )
 
-    # -- geometry ----------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "discrete":
-            return len(self.atoms[0])
-        return len(self.mean)
-
-    @cached_property
-    def mean_vector(self) -> np.ndarray:
-        if self.kind == "discrete":
-            w = np.asarray(self.weights)
-            return w @ np.asarray(self.atoms, dtype=float)
-        return np.asarray(self.mean, dtype=float)
-
-    @cached_property
-    def covariance(self) -> np.ndarray:
-        if self.kind == "gaussian":
-            return self.sigma**2 * np.eye(self.dim)
-        pts = np.asarray(self.atoms, dtype=float) - self.mean_vector
-        return (np.asarray(self.weights)[:, None] * pts).T @ pts
-
     # -- integration -------------------------------------------------------
+
+    @cached_property
+    def variance(self) -> float:
+        if self.kind == "gaussian":
+            return self.sigma**2
+        pts = np.asarray(self.atoms) - self.mean
+        return float((np.asarray(self.weights) * pts) @ pts)
 
     def support_points(self, gh_order: int = DEFAULT_GH_ORDER):
         """Quadrature points and weights for E_i: the atoms themselves, or
-        the tensor Gauss-Hermite rule of order ``gh_order`` on each axis."""
+        the Gauss-Hermite rule of order ``gh_order``."""
         if self.kind == "discrete":
-            return np.asarray(self.atoms, dtype=float), np.asarray(self.weights)
+            return np.asarray(self.atoms), np.asarray(self.weights)
         nodes, w = _hermite_rule(gh_order)
-        axes = [m + self.sigma * np.sqrt(2.0) * nodes for m in self.mean_vector]
-        weights = tensor_points([w] * self.dim).prod(axis=1)
-        return tensor_points(axes), weights / np.sqrt(np.pi) ** self.dim
+        return self.mean + self.sigma * np.sqrt(2.0) * nodes, w / np.sqrt(np.pi)
 
     def expectation(self, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER) -> float:
-        """E_i[payoff(xi)]; 1D payoffs receive a flat array."""
+        """E_i[payoff(xi)]; the payoff receives a flat array."""
         pts, w = self.support_points(gh_order)
-        arg = pts[:, 0] if self.dim == 1 else pts
-        vals = np.asarray(payoff(arg), dtype=float)
-        out = float(np.dot(w, vals))
+        out = float(np.dot(w, np.asarray(payoff(pts), dtype=float)))
         if not np.isfinite(out):
             raise DomainError("scenario expectation is not finite")
         return out
 
-    def abs_moment(self, order: int, gh_order: int = DEFAULT_GH_ORDER) -> float:
+    def raw_moment(self, order: int, gh_order: int = DEFAULT_GH_ORDER) -> float:
         pts, w = self.support_points(gh_order)
-        return float(np.dot(w, np.linalg.norm(pts, axis=1) ** order))
-
-    def raw_moment_1d(self, order: int, gh_order: int = DEFAULT_GH_ORDER) -> float:
-        if self.dim != 1:
-            raise DomainError("raw moments are implemented for d = 1 only")
-        pts, w = self.support_points(gh_order)
-        return float(np.dot(w, pts[:, 0] ** order))
+        return float(np.dot(w, pts**order))
 
 
-def _as_vector(x) -> tuple[float, ...]:
+def _location(x, field: str) -> float:
+    """A scenario location: a number, or a one-entry list as the line's
+    coordinate vector."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or len(arr) not in (1, 2):
-        raise DomainError("scenario locations must be scalars or 1-2 dim vectors")
-    return tuple(float(v) for v in arr)
+    if arr.shape != (1,):
+        raise DomainError(
+            f"scenario {field} must be a number or a one-entry list "
+            f"(scenarios live on the line), got shape {arr.shape}"
+        )
+    if not np.isfinite(arr[0]):
+        raise DomainError(f"scenario {field} must be finite")
+    return float(arr[0])
 
 
 @dataclass(frozen=True)
 class ScenarioConvexExpectation:
-    """max-of-linear-minus-penalty convex expectation on R^d, d <= 2."""
+    """max-of-linear-minus-penalty convex expectation on the real line."""
 
     scenarios: tuple[Scenario, ...]
 
@@ -181,15 +163,8 @@ class ScenarioConvexExpectation:
         if not self.scenarios:
             raise DomainError("need at least one scenario")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        dims = {s.dim for s in self.scenarios}
-        if len(dims) != 1:
-            raise DomainError("scenarios must share one dimension")
         if min(s.penalty for s in self.scenarios) > 1e-12:
             raise DomainError("the smallest penalty must be 0 (so that E[0] = 0)")
-
-    @property
-    def dim(self) -> int:
-        return self.scenarios[0].dim
 
     @property
     def is_sublinear(self) -> bool:
@@ -197,13 +172,11 @@ class ScenarioConvexExpectation:
 
     @property
     def zero_mean(self) -> bool:
-        return all(np.max(np.abs(s.mean_vector)) < 1e-12 for s in self.scenarios)
+        return all(abs(s.mean) < 1e-12 for s in self.scenarios)
 
     @property
     def third_moments_zero(self) -> bool:
-        if self.dim != 1:
-            return False
-        return all(abs(s.raw_moment_1d(3)) < 1e-9 for s in self.scenarios)
+        return all(abs(s.raw_moment(3)) < 1e-9 for s in self.scenarios)
 
     def evaluate(self, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER) -> float:
         return max(
@@ -216,8 +189,7 @@ class ScenarioConvexExpectation:
         """E[ sum_k c_k |xi|^k ] evaluated as one payoff (E is not linear)."""
 
         def payoff(xi):
-            xi = np.asarray(xi, dtype=float)
-            mag = np.abs(xi) if xi.ndim == 1 else np.linalg.norm(xi, axis=-1)
+            mag = np.abs(xi)
             out = np.zeros_like(mag)
             for k, c in coefficients.items():
                 out += c * mag**k
@@ -240,27 +212,21 @@ def cexp_eval(
 def _scenario_plan(s: Scenario, grid: Grid, scale: float, std_scale: float, cut: float):
     """E_i[u(x + displacement)] as ``expect(u, out)``, with the scenario's
     displacement scaled and its taps built once."""
+    dx = grid.spacing[0]
     if s.kind == "gaussian":
-        std, shift = s.sigma * std_scale, scale * s.mean_vector
-        taps = gaussian_axis_taps(grid, std, shift, cut)
+        std, shift = s.sigma * std_scale, scale * s.mean
+        taps = gaussian_taps(std, shift, dx, cut)
 
         def expect(u, out):
             return gaussian_convolve(u, grid, std, shift, cut, out=out, taps=taps)
 
         return expect
-    atoms = [
-        (prob, [shift_taps(scale * x, dx) for x, dx in zip(atom, grid.spacing)])
-        for atom, prob in zip(s.atoms, s.weights)
-    ]
+    atoms = [(prob, shift_taps(scale * x, dx)) for x, prob in zip(s.atoms, s.weights)]
     term = np.empty(grid.counts) if len(atoms) > 1 else None
-    last = grid.dim - 1
 
     def expect(u, out):
-        for i, (prob, taps) in enumerate(atoms):
-            dest = term if i else out
-            res = u
-            for ax, (offs, w) in enumerate(taps):
-                res = apply_taps(res, offs, w, ax, out=dest if ax == last else None)
+        for i, (prob, (offsets, weights)) in enumerate(atoms):
+            res = apply_taps(u, offsets, weights, out=term if i else out)
             if prob != 1.0:  # x * 1.0 is x exactly
                 res *= prob
             if i:
@@ -283,8 +249,6 @@ def _penalized_max_plan(
     tie-breaking."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
-    if ce.dim != grid.dim:
-        raise DomainError("expectation and grid dimensions differ")
     parts = [
         (_scenario_plan(s, grid, scale, std_scale, cut), t * s.penalty) for s in ce.scenarios
     ]
@@ -341,139 +305,82 @@ def clt_step(
 
 
 def _lower_hull(ce: ScenarioConvexExpectation):
-    """phi, the conjugate of psi(z) = max_i (z . m_i - alpha_i): the lower
-    convex hull of the points (m_i, alpha_i), +inf off the hull of the
-    means (Rockafellar, Convex Analysis, section 16).
+    """phi, the conjugate of psi(z) = max_i (z m_i - alpha_i): the lower
+    convex hull of the points (m_i, alpha_i), +inf off [min m, max m]
+    (Rockafellar, Convex Analysis, section 16).
 
-    One ``ConvexHull`` of those points and of their copies at height
-    max alpha + 1, in coordinates of the means' affine hull, has lower
-    facets (the affine pieces of phi), vertical walls (the hull of the
-    means) and a flat top.  Returns ``phi`` on (n, d) arrays of y, the
-    means at lower-hull vertices, and the lower-hull edges as (2, d)
-    pairs of means.
+    One monotone-chain pass over the points sorted by mean, the least
+    penalty of each mean first, keeps the hull's vertices; phi is linear
+    between them.  Returns ``phi`` on arrays of y, finite up to a
+    rounding tolerance past the ends, and the vertices' means.
     """
-    means = np.array([s.mean_vector for s in ce.scenarios])
+    means = np.array([s.mean for s in ce.scenarios])
     pens = np.array([s.penalty for s in ce.scenarios])
-    origin = means[0]
-    _, sing, rows = np.linalg.svd(means - origin)
-    rank = int(np.sum(sing > 1e-10 * sing[0]))
-    basis = rows[:rank]
+    order = np.lexsort((pens, means))
+    first = np.r_[True, np.diff(means[order]) > 0]
+    hull: list[tuple[float, float]] = []
+    for m, a in zip(means[order][first].tolist(), pens[order][first].tolist()):
+        # drop the last vertex while it lies on or above the chord to (m, a)
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (a - hull[-2][1])
+            <= (hull[-1][1] - hull[-2][1]) * (m - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((m, a))
+    vertices, levels = np.array(hull).T
     tol = 1e-12 * (1.0 + float(np.max(np.abs(means))))
-    # the hull of the means lies within the dropped singular values of the basis
-    flat = tol + float(np.max(sing[rank:], initial=0.0))
-    if rank == 0:  # one distinct mean, where phi is min alpha = 0
-        slopes, levels = np.zeros((1, 0)), pens.min(keepdims=True)
-        walls, bounds = np.zeros((0, 0)), np.zeros(0)
-        vertices, edges = means[:1], np.zeros((0, 2, ce.dim))
-    else:
-        coords = (means - origin) @ basis.T
-        top = np.full(len(pens), pens.max() + 1.0)
-        hull = ConvexHull(np.vstack([np.column_stack([coords, pens]),
-                                     np.column_stack([coords, top])]))
-        normals, lift, offsets = np.hsplit(hull.equations, [rank, rank + 1])
-        lift = lift[:, 0]
-        lower, wall = lift < -1e-12, np.abs(lift) <= 1e-12
-        # on a lower facet normals . p + lift * phi + offsets = 0
-        slopes = -normals[lower] / lift[lower, None]
-        levels = -offsets[lower, 0] / lift[lower]
-        walls, bounds = normals[wall], offsets[wall, 0]
-        facets = hull.simplices[lower]  # the lifted copies lie on no lower facet
-        vertices = means[np.unique(facets)]
-        ends = facets[:, list(itertools.combinations(range(rank + 1), 2))]
-        edges = means[np.unique(np.sort(ends, axis=2).reshape(-1, 2), axis=0)]
 
     def phi(y: np.ndarray) -> np.ndarray:
-        rel = y - origin
-        local = rel @ basis.T
-        vals = np.max(local @ slopes.T + levels, axis=1)
-        off = np.linalg.norm(rel - local @ basis, axis=1) > flat
-        off |= np.any(local @ walls.T + bounds > tol, axis=1)
-        vals[off] = np.inf
+        y = np.asarray(y, dtype=float)
+        vals = np.interp(y, vertices, levels)
+        vals[(y < vertices[0] - tol) | (y > vertices[-1] + tol)] = np.inf
         return vals
 
-    return phi, vertices, edges
+    return phi, vertices
 
 
 def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) -> GridFunction:
     """The limit functional as a grid function: x -> sup_y (f(x+y) - phi(y)).
 
-    phi is the conjugate of z -> E[z . xi], the lower convex hull of the
-    points (m_i, alpha_i) and +inf off the hull of the means (see
-    ``_lower_hull``); f(x + y) is the multilinear interpolant of f,
-    constant past the box.  The sup runs over finitely many y: the
-    lower-hull vertices, the whole-cell shifts y in dx Z^d inside the
-    hull, and the points where a lower-hull edge crosses a grid line
-    y_j in dx_j Z.  On a uniform grid the multilinear weights of x + y
-    are the same for every x, so each y is a weighted sum of the 2^d
-    corner slices of one edge-padded copy of f, and a whole-cell shift
-    is one slice.
-
-    In 1D f(x + y) - phi(y) is piecewise linear in y with its breaks
-    at those y, so the result is exact.  In 2D the grid lines and the
-    lower-hull edges cut the hull into pieces on which f(x + y) is
-    bilinear and phi affine; such a function has no strict interior
-    max and is linear along grid lines, so the only miss is its bulge
-    along an edge that is not parallel to an axis.  Within one cell,
-    with mixed difference D = f[i+1, j+1] - f[i+1, j] - f[i, j+1] + f[i, j],
-    that bulge over the chord is at most |D| / 4, so the result lies
-    below the exact sup by at most max |D| / 4 over the cells
-    (at most |d1 d2 f|_inf dx_1 dx_2 / 4 for smooth f) and never above it.
+    phi is the conjugate of z -> E[z xi], the lower convex hull of the
+    points (m_i, alpha_i) and +inf off [min m, max m] (see
+    ``_lower_hull``); f(x + y) is the linear interpolant of f, constant
+    past the grid.  f(x + y) - phi(y) is piecewise linear in y, with its
+    breaks at the lower-hull vertices and the whole-cell shifts y in
+    dx Z, so the sup over those finitely many y is exact.  On a uniform
+    grid the interpolation weights of x + y are the same for every x,
+    so each y reads two slices of one edge-padded copy of f, and a
+    whole-cell shift one.
     """
     grid = f.grid
-    if grid.dim != ce.dim:
-        raise DomainError("expectation and grid dimensions differ")
-    phi, vertices, edges = _lower_hull(ce)
-    spacing = np.array(grid.spacing)
+    phi, vertices = _lower_hull(ce)
+    dx = grid.spacing[0]
     # every candidate in cell units t = y / dx
-    low = np.floor(vertices.min(axis=0) / spacing)
-    high = np.ceil(vertices.max(axis=0) / spacing)
-    cells = tensor_points([np.arange(a, b + 1) for a, b in zip(low, high)])
-    candidates = [vertices / spacing, cells]
-    for start, end in edges / spacing:
-        for ax in np.flatnonzero(start != end):
-            lines = np.arange(np.ceil(min(start[ax], end[ax])),
-                              np.floor(max(start[ax], end[ax])) + 1)
-            cuts = start + np.outer((lines - start[ax]) / (end[ax] - start[ax]), end - start)
-            cuts[:, ax] = lines
-            candidates.append(cuts)
-    t = np.unique(np.vstack(candidates), axis=0)
-    cost = phi(t * spacing)
+    cells = np.arange(np.floor(vertices[0] / dx), np.ceil(vertices[-1] / dx) + 1)
+    t = np.unique(np.concatenate([vertices / dx, cells]))
+    cost = phi(t * dx)
     t, cost = t[np.isfinite(cost)], cost[np.isfinite(cost)]
 
     cell = np.floor(t)
-    pad = np.max(np.abs(cell), axis=0).astype(int) + 1
-    padded = np.pad(f.values, [(p, p) for p in pad], mode="edge")
-    frac = t - cell
-    corners = np.array(list(itertools.product((0, 1), repeat=grid.dim)))
-    # starts[k, c]: the padded index of corner c of t_k's cell, per axis
-    starts = (cell.astype(int) + pad)[:, None, :] + corners
-    weights = np.where(corners, frac[:, None, :], 1.0 - frac[:, None, :]).prod(axis=2)
-
-    out = np.full(grid.counts, -np.inf)
-    shifted = np.empty(grid.counts)
-    for start, w, c in zip(starts.tolist(), weights.tolist(), cost.tolist()):
-        reads = [(wk, padded[tuple(slice(i, i + n) for i, n in zip(s, grid.counts))])
-                 for wk, s in zip(w, start) if wk]
-        np.multiply(reads[0][1], reads[0][0], out=shifted)
-        for wk, view in reads[1:]:
-            shifted += wk * view
+    pad = int(np.max(np.abs(cell))) + 1
+    padded = np.pad(f.values, pad, mode="edge")
+    n = grid.size
+    out = np.full(n, -np.inf)
+    shifted = np.empty(n)
+    for start, w, c in zip((cell.astype(int) + pad).tolist(), (t - cell).tolist(), cost.tolist()):
+        np.multiply(padded[start : start + n], 1.0 - w, out=shifted)
+        if w:
+            shifted += w * padded[start + 1 : start + 1 + n]
         shifted -= c
         np.maximum(out, shifted, out=out)
     return GridFunction(grid, out)
 
 
-def g_function(ce: ScenarioConvexExpectation, a) -> float:
-    """E[(1/2) xi^T a xi] = max_i ((1/2) tr(a Cov_i) - alpha_i), zero-mean scenarios."""
+def g_function(ce: ScenarioConvexExpectation, a: float) -> float:
+    """E[(1/2) a xi^2] = max_i ((1/2) a Var_i - alpha_i), zero-mean scenarios."""
     if not ce.zero_mean:
         raise DomainError("this quadratic functional requires zero-mean scenarios")
-    a_mat = np.atleast_2d(np.asarray(a, dtype=float))
-    if a_mat.shape != (ce.dim, ce.dim):
-        raise DomainError(f"coefficient matrix must be {ce.dim}x{ce.dim}")
-    if not np.allclose(a_mat, a_mat.T):
-        raise DomainError("coefficient matrix must be symmetric")
-    return max(
-        0.5 * float(np.trace(a_mat @ s.covariance)) - s.penalty for s in ce.scenarios
-    )
+    return max(0.5 * (float(a) * s.variance) - s.penalty for s in ce.scenarios)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
 """Function-space substrate: grids, grid functions, weights, norms.
 
 Everything downstream (step operators, mollification, rate measurement)
-works with piecewise-multilinear functions tabulated on a uniform box
-grid, extended beyond the box by constant continuation of the boundary
-value.  Constant extension never increases the sup norm or the Lipschitz
+works with piecewise-linear functions tabulated on a uniform grid of an
+interval, extended beyond it by constant continuation of the end
+values.  Constant extension never increases the sup norm or the Lipschitz
 constant, which the error analysis relies on.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "negative_part_norm",
     "lipschitz_estimate",
     "kappa_constant",
-    "tensor_points",
 ]
 
 
@@ -41,22 +39,16 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The tensor grid of ``axes`` as a (size, d) array in C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on a box in dimension 1 or 2.
+    """Uniform grid on an interval.
 
     Parameters
     ----------
     lower, upper : tuple of float
-        Per-axis bounds, ``lower[i] < upper[i]``.
+        One-entry tuples holding the interval's ends, ``lower < upper``.
     counts : tuple of int
-        Points per axis, at least 2 each and at least 4 in total.
+        A one-entry tuple holding the number of points, at least 4.
     """
 
     lower: tuple[float, ...]
@@ -67,82 +59,38 @@ class Grid:
         object.__setattr__(self, "lower", tuple(float(x) for x in self.lower))
         object.__setattr__(self, "upper", tuple(float(x) for x in self.upper))
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        d = len(self.counts)
-        if d not in (1, 2):
-            raise DomainError(f"grid dimension must be 1 or 2, got {d}")
-        if len(self.lower) != d or len(self.upper) != d:
+        if len(self.counts) != 1:
+            raise DomainError(
+                "grid counts must have one entry (grids are one-dimensional), "
+                f"got {len(self.counts)}"
+            )
+        if len(self.lower) != 1 or len(self.upper) != 1:
             raise DomainError("bounds and counts must have the same length")
-        if any(n < 2 for n in self.counts):
-            raise DomainError("need at least 2 points per axis")
-        if int(np.prod(self.counts)) < 4:
-            raise DomainError("need at least 4 grid points in total")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
+        if self.counts[0] < 4:
+            raise DomainError("need at least 4 grid points")
+        if self.lower[0] >= self.upper[0]:
             raise DomainError("lower bound must lie strictly below upper bound")
 
     @property
-    def dim(self) -> int:
-        return len(self.counts)
-
-    @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return self.counts[0]
 
     @cached_property
     def spacing(self) -> tuple[float, ...]:
-        return tuple(
-            (hi - lo) / (n - 1)
-            for lo, hi, n in zip(self.lower, self.upper, self.counts)
-        )
+        return ((self.upper[0] - self.lower[0]) / (self.counts[0] - 1),)
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            _frozen_array(np.linspace(lo, hi, n))
-            for lo, hi, n in zip(self.lower, self.upper, self.counts)
-        )
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """All grid points as an (size, dim) array in C order."""
-        return _frozen_array(tensor_points(self.axes))
+        return (_frozen_array(np.linspace(self.lower[0], self.upper[0], self.counts[0])),)
 
     def interpolate(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Piecewise-multilinear interpolation with constant extension.
-
-        ``x`` has shape (..., dim); for dim 1 a bare (...,) array is
-        also accepted.
-        """
-        values = np.asarray(values)
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:  # np.interp is about twice as fast as the corner sum
-            xs = x[..., 0] if x.ndim >= 2 and x.shape[-1] == 1 else x
-            return np.interp(xs, self.axes[0], values)
-        if x.shape[-1] != self.dim:
-            raise DomainError(f"interpolation points must have shape (..., {self.dim})")
-        pts = x.reshape(-1, self.dim)
-        base = []
-        frac = []
-        for ax in range(self.dim):
-            t = (pts[:, ax] - self.lower[ax]) / self.spacing[ax]
-            t = np.clip(t, 0.0, self.counts[ax] - 1.0)
-            i0 = np.minimum(t.astype(int), self.counts[ax] - 2)
-            base.append(i0)
-            frac.append(t - i0)
-        out = np.zeros(len(pts))
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            weight = np.ones(len(pts))
-            for c, u in zip(corner, frac):
-                weight *= u if c else 1.0 - u
-            out += weight * values[tuple(i + c for i, c in zip(base, corner))]
-        return out.reshape(x.shape[:-1])
+        """Piecewise-linear interpolation with constant extension."""
+        return np.interp(np.asarray(x, dtype=float), self.axes[0], np.asarray(values))
 
     def interior_mask(self, margin: float) -> np.ndarray:
-        """Boolean mask of points at least ``margin`` from every face."""
-        masks = [
-            (ax >= lo + margin) & (ax <= hi - margin)
-            for ax, lo, hi in zip(self.axes, self.lower, self.upper)
-        ]
-        return reduce(np.logical_and, np.meshgrid(*masks, indexing="ij", sparse=True))
+        """Boolean mask of points at least ``margin`` from both ends."""
+        x = self.axes[0]
+        return (x >= self.lower[0] + margin) & (x <= self.upper[0] - margin)
 
 
 @dataclass(frozen=True)
@@ -169,8 +117,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        arg = grid.axes[0] if grid.dim == 1 else grid.points
-        vals = np.asarray(fn(arg), dtype=float)
+        vals = np.asarray(fn(grid.axes[0]), dtype=float)
         if vals.size == 1:
             vals = np.full(grid.counts, float(vals))
         return cls(grid, vals.reshape(grid.counts))
@@ -249,8 +196,8 @@ class WeightFunction:
     def values(self) -> np.ndarray:
         if self.kind == "constant":
             return _frozen_array(np.ones(self.grid.counts))
-        sq = np.sum(self.grid.points**2, axis=1).reshape(self.grid.counts)
-        return _frozen_array((1.0 + sq) ** (-self.q / 2.0))
+        x = self.grid.axes[0]
+        return _frozen_array((1.0 + x**2) ** (-self.q / 2.0))
 
     @cached_property
     def c_kappa(self) -> float:
@@ -328,58 +275,43 @@ class SpaceTimeFunction:
 # norms and constants
 
 
-def _weight_values(f: GridFunction, weight: WeightFunction | None) -> np.ndarray:
-    if weight is None:
-        return np.ones_like(f.values)
-    if weight.grid != f.grid:
-        raise DomainError("function and weight live on different grids")
-    return weight.values
+def _weighted_sup(
+    f: GridFunction, part: np.ndarray, weight: WeightFunction | None, where
+) -> float:
+    """sup of part(x) kappa(x) over the grid, or over the points ``where``."""
+    if weight is not None:
+        if weight.grid != f.grid:
+            raise DomainError("function and weight live on different grids")
+        part = part * weight.values
+    if where is not None:
+        part = part[where]
+    return float(np.max(part))
 
 
 def weighted_norm(
     f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
 ) -> float:
     """sup of |f(x)| kappa(x) over the grid (optionally masked)."""
-    w = _weight_values(f, weight)
-    prod = np.abs(f.values) * w
-    if where is not None:
-        prod = prod[where]
-    return float(np.max(prod))
+    return _weighted_sup(f, np.abs(f.values), weight, where)
 
 
 def positive_part_norm(
     f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
 ) -> float:
-    w = _weight_values(f, weight)
-    prod = np.maximum(f.values, 0.0) * w
-    if where is not None:
-        prod = prod[where]
-    return float(np.max(prod))
+    return _weighted_sup(f, np.maximum(f.values, 0.0), weight, where)
 
 
 def negative_part_norm(
     f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
 ) -> float:
-    w = _weight_values(f, weight)
-    prod = np.maximum(-f.values, 0.0) * w
-    if where is not None:
-        prod = prod[where]
-    return float(np.max(prod))
+    return _weighted_sup(f, np.maximum(-f.values, 0.0), weight, where)
 
 
 def lipschitz_estimate(f: GridFunction) -> float:
-    """Max slope between adjacent grid points.
-
-    This lower-bounds the Lipschitz constant of the underlying function
-    and equals the Lipschitz constant of the multilinear interpolant
-    along the axes.
-    """
-    best = 0.0
-    for ax in range(f.grid.dim):
-        d = np.diff(f.values, axis=ax)
-        if d.size:
-            best = max(best, float(np.max(np.abs(d))) / f.grid.spacing[ax])
-    return best
+    """Max slope between adjacent grid points: the Lipschitz constant of
+    the piecewise-linear interpolant, a lower bound of the underlying
+    function's."""
+    return float(np.max(np.abs(np.diff(f.values)))) / f.grid.spacing[0]
 
 
 def kappa_constant(weight: WeightFunction) -> float:
@@ -392,18 +324,14 @@ def kappa_constant(weight: WeightFunction) -> float:
     if weight.kind == "constant":
         return 1.0
     grid = weight.grid
-    extents = [hi - lo for lo, hi in zip(grid.lower, grid.upper)]
-    if min(extents) < 1.0:
+    if grid.upper[0] - grid.lower[0] < 1.0:
         raise DomainError("grid narrower than the offset radius 1")
-    vals, counts = weight.values, grid.counts
-    reach = [int(np.floor(1.0 / dx + 1e-12)) for dx in grid.spacing]
+    vals, dx = weight.values, grid.spacing[0]
     best = 1.0
-    for offset in itertools.product(*(range(-j, j + 1) for j in reach)):
-        y2 = sum((k * dx) ** 2 for k, dx in zip(offset, grid.spacing))
-        if not any(offset) or y2 > 1.0 + 1e-12:
-            continue
-        # kappa(x + y) / kappa(x) over every x with both points on the grid
-        moved = tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(offset, counts))
-        start = tuple(slice(max(-k, 0), n + min(-k, 0)) for k, n in zip(offset, counts))
-        best = max(best, float(np.max(vals[moved] / vals[start])))
+    for k in range(1, int(np.floor(1.0 / dx + 1e-12)) + 1):
+        if (k * dx) ** 2 > 1.0 + 1e-12:
+            break
+        # kappa(x + y) / kappa(x) for y = k dx and y = -k dx
+        up, down = vals[k:] / vals[:-k], vals[:-k] / vals[k:]
+        best = max(best, float(np.max(up)), float(np.max(down)))
     return best

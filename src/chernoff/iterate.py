@@ -153,10 +153,10 @@ class StepOperator:
 def _scenario_reach(ce) -> float:
     reach = 0.0
     for s in ce.scenarios:
-        r = float(np.max(np.abs(s.mean_vector))) + s.sigma
         if s.kind == "discrete":
-            r = float(np.max(np.abs(np.asarray(s.atoms))))
-        reach = max(reach, r)
+            reach = max(reach, *(abs(a) for a in s.atoms))
+        else:
+            reach = max(reach, abs(s.mean) + s.sigma)
     return reach
 
 

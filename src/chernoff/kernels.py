@@ -30,13 +30,15 @@ length n + hi - lo is correlated with the taps through
 output wraps.  ``correlate1d`` costs about m products per point for m
 taps, the FFT a fixed overhead plus L log2 L per row of length L, and
 the branch is taken where a cost model fitted to timings of both says
-the FFT is cheaper.  For centred taps on 1D grids that is from about
-290 taps at n = 513, 160 at 1025, 76 at 4095 and 65 at 8191; on a
-129 x 129 grid from about 46.  A non-finite value spreads along the
-whole axis on the FFT branch rather than over the taps' reach.
+the FFT is cheaper.  For centred taps that is from about 290 taps at
+n = 513, 160 at 1025, 76 at 4095 and 65 at 8191.  A spectrum that
+overflows (sup |values| within a factor of about L of the largest
+float) or holds a non-finite value makes every output of its row
+non-finite, so one output per row is checked and such a call is redone
+on ``correlate1d``.
 
-A fixed step builds its Gaussian taps once with ``gaussian_axis_taps``
-and hands them to ``gaussian_convolve`` at every step.
+A fixed step builds its Gaussian taps once with ``gaussian_taps`` and
+hands them to ``gaussian_convolve`` at every step.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .core import DomainError, Grid
 
 __all__ = [
     "gaussian_taps",
-    "gaussian_axis_taps",
     "shift_taps",
     "apply_taps",
     "gaussian_convolve",
@@ -122,8 +123,10 @@ def apply_taps(
     and is returned; without ``out`` it is a new array.  More than two
     taps go through an FFT of the edge-clamped window when the cost
     model of ``_fft_is_cheaper`` prices it below ``correlate1d``; that
-    branch agrees with the sum to roundoff (about 1e-15 * sup|values|)
-    and spreads a non-finite value along the whole axis.
+    branch agrees with the sum to roundoff (about 1e-15 * sup|values|).
+    A spectrum that overflows or holds a non-finite value spoils its
+    whole row, so when the first output of any row is not finite the
+    call is redone on ``correlate1d``.
     """
     offsets = np.asarray(offsets)
     weights = np.asarray(weights, dtype=float)
@@ -162,18 +165,25 @@ def apply_taps(
     shape = list(values.shape)
     shape[ax] += hi - lo
     window = _clamped_window(values, lo, ax, np.empty(shape))
+    lead = (slice(None),) * ax
     if fft:
         # Circular correlation at length >= n + hi - lo: output i reads
         # window[i .. i + hi - lo], so none of the first n wraps.
         length = next_fast_len(shape[ax], real=True)
         spectrum = rfft(window, length, axis=ax)
-        spectrum *= np.conj(rfft(taps, length)).reshape((-1,) + (1,) * (values.ndim - 1 - ax))
-        full, start = irfft(spectrum, length, axis=ax), 0
-    else:
-        # correlate1d centres the taps at taps.size // 2; outputs from there
-        # on read only inside the window, so the mode never applies.
-        full, start = correlate1d(window, taps, axis=ax, mode="nearest"), taps.size // 2
-    out[...] = full[(slice(None),) * ax + (slice(start, start + values.shape[ax]),)]
+        kernel = np.conj(rfft(taps, length)).reshape((-1,) + (1,) * (values.ndim - 1 - ax))
+        with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed spectrum
+            spectrum *= kernel
+        full = irfft(spectrum, length, axis=ax)
+        # a non-finite spectrum spreads over its whole row, so output 0
+        # of each row tells whether the row is usable
+        if np.isfinite(full[lead + (0,)]).all():
+            out[...] = full[lead + (slice(0, values.shape[ax]),)]
+            return out
+    # correlate1d centres the taps at taps.size // 2; outputs from there
+    # on read only inside the window, so the mode never applies.
+    full, start = correlate1d(window, taps, axis=ax, mode="nearest"), taps.size // 2
+    out[...] = full[lead + (slice(start, start + values.shape[ax]),)]
     return out
 
 
@@ -214,32 +224,19 @@ def _clamped_window(
     return window
 
 
-def gaussian_axis_taps(
-    grid: Grid, std: float, shift, cut: float = 8.0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``gaussian_taps`` of std Z + shift (isotropic Z) on each axis."""
-    shift_vec = np.broadcast_to(np.asarray(shift, dtype=float), (grid.dim,))
-    return [
-        gaussian_taps(std, float(shift_vec[ax]), grid.spacing[ax], cut) for ax in range(grid.dim)
-    ]
-
-
 def gaussian_convolve(
     values: np.ndarray,
     grid: Grid,
     std: float,
-    shift,
+    shift: float,
     cut: float = 8.0,
     out: np.ndarray | None = None,
-    taps: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    taps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """E[f(x + std Z + shift)] on the grid, axis by axis (isotropic Z);
-    the last axis writes into ``out`` when it is given.  ``taps``, when
-    given, is ``gaussian_axis_taps(grid, std, shift, cut)`` built once
-    by a caller that convolves with the same factor again and again."""
+    """E[f(x + std Z + shift)] on the grid, written into ``out`` when it
+    is given.  ``taps``, when given, is ``gaussian_taps(std, shift,
+    grid.spacing[0], cut)`` built once by a caller that convolves with
+    the same factor again and again."""
     if taps is None:
-        taps = gaussian_axis_taps(grid, std, shift, cut)
-    res = np.asarray(values, dtype=float)
-    for ax, (offsets, weights) in enumerate(taps):
-        res = apply_taps(res, offsets, weights, ax, out=out if ax == grid.dim - 1 else None)
-    return res
+        taps = gaussian_taps(std, shift, grid.spacing[0], cut)
+    return apply_taps(values, *taps, out=out)

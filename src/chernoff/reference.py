@@ -33,8 +33,6 @@ def heat_exact(
 
 def certify_shape(f: GridFunction, tol: float = 1e-10) -> str | None:
     """'convex', 'concave', or None, from discrete second differences."""
-    if f.grid.dim != 1:
-        raise DomainError("shape certification is one-dimensional only")
     d2 = np.diff(f.values, 2)
     if np.all(d2 >= -tol):
         return "convex"
@@ -110,7 +108,7 @@ def _sublinear_gaussian_sigmas(ce) -> tuple[float, float]:
         raise DomainError("need a sublinear (zero-penalty) family")
     sigmas = []
     for s in scenarios:
-        if s.kind != "gaussian" or float(np.max(np.abs(s.mean_vector))) > 0:
+        if s.kind != "gaussian" or s.mean != 0:
             raise DomainError("limit reference needs centred Gaussian scenarios")
         sigmas.append(s.sigma)
     return min(sigmas), max(sigmas)
@@ -128,13 +126,8 @@ def clt_limit_reference(
     Convex or concave payoffs use the closed worst-case-volatility
     form (uncertainty 0); anything else falls back to the fine oracle.
     """
-    if f.grid.dim != 1:
-        raise DomainError("limit reference is one-dimensional only")
     lo, hi = _sublinear_gaussian_sigmas(ce)
-    shape = certify_shape(f)
-    if shape == "convex":
-        return OracleResult(heat_exact(f, hi, 0.0, 1.0), 0.0)
-    if shape == "concave":
-        return OracleResult(heat_exact(f, lo, 0.0, 1.0), 0.0)
+    if certify_shape(f) is not None:
+        return OracleResult(gheat_convex_reference(f, lo, hi, 1.0), 0.0)
     op = StepOperator.from_clt(ce, cut=cut).admit()
     return fine_oracle(op, f, 1.0, h_fine, weight)

@@ -104,6 +104,20 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
 
+def test_a_failing_step_exits_3_with_an_error_line(tmp_path, capsys):
+    # sup |payoff| = 1.68e308: the first sigma = 1 step overflows to inf
+    cfg = LINEAR_CFG.replace("kind = cos", "kind = linear\nscale = 1.4e307").replace(
+        "reference = exact\nsigma = 1", "reference = oracle\nh_fine = 2^-8"
+    )
+    path = tmp_path / "overflow.cfg"
+    path.write_text(cfg)
+    rc = main(["run", str(path), "--out", str(tmp_path / "artifacts")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1 of ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_check_invariants(linear_config, capsys):
     rc = main(["check-invariants", str(linear_config)])
     assert rc == 0

@@ -58,16 +58,6 @@ def test_cexp_eval_penalized_enumeration():
     assert cexp_eval(ce, lambda x: x) == pytest.approx(1.0)
 
 
-def test_gaussian_2d_tensor_rule_moments():
-    s = Scenario.gaussian((0.3, -0.4), 0.7)
-    pts, w = s.support_points()
-    assert pts.shape == (32 * 32, 2)
-    assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
-    second = s.expectation(lambda p: np.sum(p**2, axis=1))
-    assert second == pytest.approx(2 * 0.7**2 + 0.3**2 + 0.4**2, rel=1e-13)
-    np.testing.assert_allclose(w @ pts, [0.3, -0.4], atol=1e-14)
-
-
 def test_cexp_eval_quadrature_doubles_stably():
     ce = sublinear_pair()
     coarse = cexp_eval(ce, lambda x: np.abs(x) ** 3, gh_order=32)
@@ -255,52 +245,6 @@ def test_limit_penalized_pair_envelope():
     np.testing.assert_allclose(out.values[interior], oracle[interior], atol=5e-4)
 
 
-def _simplex_weights(k, n):
-    """All weight vectors of k scenarios with entries in {0, 1/n, ..., 1}."""
-    heads = [c for c in itertools.product(range(n + 1), repeat=k - 1) if sum(c) <= n]
-    return np.array([list(c) + [n - sum(c)] for c in heads]) / n
-
-
-@pytest.mark.parametrize(
-    "means, penalties, phi_slope, n",
-    [
-        # a box: the hull is the means' bounding box
-        pytest.param([(-0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (0.5, 0.25)],
-                     [0.0, 0.0, 0.0, 0.0], 0.0, 24, id="box-of-four"),
-        # a segment: every off-diagonal y of the bounding box is outside the hull
-        pytest.param([(-0.5, 0.25), (0.5, -0.25)], [0.0, 0.5],
-                     0.5 / math.hypot(1.0, 0.5), 400, id="diagonal-pair"),
-        # phi is affine on the triangle with gradient (0.3, 0.6)
-        pytest.param([(-0.5, -0.25), (0.5, -0.25), (0.0, 0.5)], [0.0, 0.3, 0.6],
-                     math.hypot(0.3, 0.6), 120, id="triangle"),
-    ],
-)
-def test_limit_2d_matches_simplex_sup(means, penalties, phi_slope, n):
-    g = Grid((-3.0, -3.0), (3.0, 3.0), (61, 61))
-    f = GridFunction.from_callable(
-        g, lambda p: np.exp(-((p[:, 0] - 0.3) ** 2 + (p[:, 1] + 0.2) ** 2))
-    )
-    ce = ScenarioConvexExpectation(
-        tuple(Scenario.point(m, penalty=a) for m, a in zip(means, penalties))
-    )
-    out = maximally_distributed_limit(ce, f)
-    # oracle: sup over mixture weights of f(x + sum l_i m_i) - sum l_i alpha_i
-    lam = _simplex_weights(len(means), n)
-    oracle = _sup_over(g, f, lam @ np.array(means), lam @ np.array(penalties))
-    interior = g.interior_mask(1.0)
-    gap = np.max(np.abs(out.values - oracle.reshape(g.counts))[interior])
-    # the oracle's own weight step plus the library's 2D bulge bound
-    m_max = float(np.max(np.abs(means)))
-    slope = math.sqrt(2.0) * f.lipschitz + phi_slope
-    assert gap <= slope * 2.0 * m_max / n + _bulge(f)
-
-
-def _bulge(f):
-    """max |mixed difference| / 4 over the cells: the bilinear interpolant's
-    largest excess over a chord inside one cell."""
-    return float(np.max(np.abs(np.diff(np.diff(f.values, axis=0), axis=1)))) / 4.0
-
-
 def _point_model(means, penalties):
     return ScenarioConvexExpectation(
         tuple(Scenario.point(m, penalty=a) for m, a in zip(means, penalties))
@@ -316,27 +260,8 @@ def _random_1d_models(count, seed):
         yield _point_model(rng.uniform(-3.0, 3.0, k), pens)
 
 
-def _random_2d_models(count, seed):
-    """2-4 means in [-0.8, 0.8]^2 with penalties in [0, 2], the first 0."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        k = int(rng.integers(2, 5))
-        means = rng.uniform(-0.8, 0.8, (k, 2))
-        pens = rng.uniform(0.0, 2.0, k)
-        pens[0] = 0.0
-        yield _point_model(means, pens)
-
-
-# the three models of test_limit_2d_matches_simplex_sup
-_MODELS_2D = [
-    _point_model([(-0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (0.5, 0.25)], [0.0] * 4),
-    _point_model([(-0.5, 0.25), (0.5, -0.25)], [0.0, 0.5]),
-    _point_model([(-0.5, -0.25), (0.5, -0.25), (0.0, 0.5)], [0.0, 0.3, 0.6]),
-]
-
-
 def _means_and_penalties(ce):
-    return (np.array([s.mean_vector for s in ce.scenarios]),
+    return (np.array([s.mean for s in ce.scenarios]),
             np.array([s.penalty for s in ce.scenarios]))
 
 
@@ -356,24 +281,17 @@ def test_phi_matches_linprog_on_the_hull():
         _point_model([0.4], [0.0]),
         _point_model([0.4, 0.4, 0.4], [1.0, 0.0, 0.5]),
         _point_model([-0.5, 0.3, 0.3, 0.8], [0.0, 1.2, 0.4, 0.9]),
-        _point_model([(0.2, -0.1)] * 2, [0.7, 0.0]),
-        _point_model([(-0.5, 0.25), (0.1, -0.05), (0.5, -0.25), (0.1, -0.05)],
-                     [0.0, 0.6, 0.5, 0.2]),
-        *_MODELS_2D,
-        *_random_2d_models(12, seed=5),  # thin facets put kinks of psi far out in z
     ]
     rng = np.random.default_rng(11)
-    grids = {1: grid1d(81, 4.0), 2: Grid((-2.0, -2.0), (2.0, 2.0), (21, 21))}
+    g = grid1d(81, 4.0)
+    f = GridFunction.from_callable(g, np.cos)
     for ce in models:
         means, _ = _means_and_penalties(ce)
-        phi, _, _ = _lower_hull(ce)
-        ys = np.vstack([means, rng.dirichlet(np.ones(len(means)), 10) @ means])
+        phi, _ = _lower_hull(ce)
+        ys = np.concatenate([means, rng.dirichlet(np.ones(len(means)), 10) @ means])
         expected = [_linprog_phi(ce, y) for y in ys]
         np.testing.assert_allclose(phi(ys), expected, rtol=0, atol=1e-12)
-        beyond = means[np.argmax(means[:, 0])] + np.eye(ce.dim)[0] * 0.1
-        assert phi(beyond[None, :])[0] == np.inf
-        g = grids[ce.dim]
-        f = GridFunction(g, np.cos(g.points.sum(axis=1)).reshape(g.counts))
+        assert np.all(phi(np.array([means.min() - 0.1, means.max() + 0.1])) == np.inf)
         assert np.all(np.isfinite(maximally_distributed_limit(ce, f).values))
 
 
@@ -391,8 +309,7 @@ def _phi_1d(means, pens, ys):
 def _sup_over(grid, f, ys, costs):
     values = np.full(grid.size, -np.inf)
     for y, cost in zip(ys, costs):
-        shifted = grid.interpolate(f.values, grid.points + y).reshape(-1)
-        values = np.maximum(values, shifted - cost)
+        values = np.maximum(values, grid.interpolate(f.values, grid.axes[0] + y) - cost)
     return values
 
 
@@ -402,40 +319,26 @@ def _sup_over(grid, f, ys, costs):
         pytest.param(grid1d(401, 4.0), next(_random_1d_models(1, seed=3)), id="1d"),
         # means beyond the box: every shift reads the constant extension
         pytest.param(grid1d(201, 2.0), _point_model([-3.0, 2.5], [0.0, 0.4]), id="1d-past-edge"),
-        pytest.param(Grid((-3.0, -2.0), (3.0, 2.5), (41, 37)), _MODELS_2D[2], id="2d-triangle"),
-        pytest.param(Grid((-0.6, -0.5), (0.7, 0.4), (27, 19)), _MODELS_2D[1], id="2d-past-edge"),
     ],
 )
 def test_limit_matches_interpolated_shifts(grid, ce):
-    if grid.dim == 1:
-        f = GridFunction.from_callable(grid, lambda x: np.sin(2.0 * x) + 0.3 * x)
-    else:
-        f = GridFunction.from_callable(
-            grid, lambda p: np.sin(2.0 * p[:, 0]) * np.cos(p[:, 1]) + 0.3 * p[:, 1]
-        )
-    out = maximally_distributed_limit(ce, f).values.reshape(-1)
+    f = GridFunction.from_callable(grid, lambda x: np.sin(2.0 * x) + 0.3 * x)
+    out = maximally_distributed_limit(ce, f).values
     tol = 1e-14 * max(1.0, f.sup_norm)
-    means, pens = _means_and_penalties(ce)
-    if grid.dim == 1:
-        m, dx = means[:, 0], grid.spacing[0]
-        # the breakpoints in y: whole-cell shifts in the hull and the means
-        cells = np.arange(np.ceil(m.min() / dx), np.floor(m.max() / dx) + 1) * dx
-        ys = np.concatenate([cells, m])
-        x = grid.axes[0]
-        costs = _phi_1d(m, pens, ys)
-        exact = np.max(
-            [np.interp(x + y, x, f.values) - c for y, c in zip(ys, costs) if np.isfinite(c)],
-            axis=0,
-        )
-        np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
-        dense = np.linspace(m.min(), m.max(), 2001)[:, None]
-        bulge, dense_costs = 0.0, _phi_1d(m, pens, dense[:, 0])
-    else:
-        # affinely independent means: each y has one weight vector, so its
-        # cost is phi(y)
-        lam = _simplex_weights(len(means), 60)
-        dense, dense_costs, bulge = lam @ means, lam @ pens, _bulge(f)
-    assert np.all(out >= _sup_over(grid, f, dense, dense_costs) - bulge - tol)
+    m, pens = _means_and_penalties(ce)
+    dx = grid.spacing[0]
+    # the breakpoints in y: whole-cell shifts in the hull and the means
+    cells = np.arange(np.ceil(m.min() / dx), np.floor(m.max() / dx) + 1) * dx
+    ys = np.concatenate([cells, m])
+    x = grid.axes[0]
+    costs = _phi_1d(m, pens, ys)
+    exact = np.max(
+        [np.interp(x + y, x, f.values) - c for y, c in zip(ys, costs) if np.isfinite(c)],
+        axis=0,
+    )
+    np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
+    dense = np.linspace(m.min(), m.max(), 2001)
+    assert np.all(out >= _sup_over(grid, f, dense, _phi_1d(m, pens, dense)) - tol)
 
 
 def test_limit_close_means_with_a_steep_penalty():
@@ -550,3 +453,29 @@ def test_scenario_errors_name_the_problem(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DomainError, match="invalid JSON"):
         load_scenarios(bad)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Scenario.point((0.0, 1.0)), "mean"),
+        (lambda: Scenario.gaussian((0.0, 1.0), 0.5), "mean"),
+        (lambda: Scenario.discrete([(0.0, 1.0), (1.0, 0.0)], [0.5, 0.5]), "atoms"),
+    ],
+    ids=["point", "gaussian", "discrete"],
+)
+def test_two_entry_locations_are_rejected_naming_the_field(build, field):
+    with pytest.raises(DomainError, match=f"scenario {field} must be a number or a one-entry"):
+        build()
+
+
+def test_one_entry_locations_are_the_line():
+    assert Scenario.point((0.25,)) == Scenario.point(0.25)
+    assert Scenario.gaussian([0.25], 0.5).mean == 0.25
+
+
+def test_scenario_file_with_a_two_entry_mean_is_rejected(tmp_path):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps([{"type": "point", "mean": [0, 1]}]))
+    with pytest.raises(DomainError, match="scenario 0: scenario mean must be a number"):
+        load_scenarios(path)

@@ -127,7 +127,6 @@ def _ce(*scenarios):
 
 
 _G1 = Grid((-12.0,), (12.0,), (241,))  # spacing 0.1
-_G2 = Grid((-3.0, -2.0), (3.0, 2.0), (61, 41))  # spacing 0.1 on both axes
 
 _PLAN_CASES = {
     "nisio-two-controls": (StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0)))), _G1),
@@ -153,26 +152,11 @@ _PLAN_CASES = {
         ),
         _G1,
     ),
-    "lln-2d": (
-        StepOperator.from_lln(
-            _ce(
-                Scenario.point((0.4, -0.2)),
-                Scenario.discrete([(0.1, 0.33), (-0.5, 0.05)], [0.4, 0.6], 0.3),
-            )
-        ),
-        _G2,
-    ),
     "clt-gaussian": (
         StepOperator.from_clt(
             _ce(Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0))
         ),
         _G1,
-    ),
-    "clt-gaussian-2d": (
-        StepOperator.from_clt(
-            _ce(Scenario.gaussian((0.0, 0.0), 0.3), Scenario.gaussian((0.0, 0.0), 0.6))
-        ),
-        _G2,
     ),
 }
 
@@ -181,10 +165,7 @@ _PLAN_CASES = {
 @pytest.mark.parametrize("case", sorted(_PLAN_CASES))
 def test_plan_iteration_matches_repeated_steps(case, h):
     op, g = _PLAN_CASES[case]
-    if g.dim == 1:
-        f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
-    else:
-        f = GridFunction.from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]) + np.abs(p[:, 1]), 1.0))
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
     k = partition(1.0, h).k
     frames = [f]
     for _ in range(k):
@@ -197,9 +178,9 @@ def test_plan_iteration_matches_repeated_steps(case, h):
     np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
 
 
-def _clipped_shift(values, ax, j, weight):
-    n = values.shape[ax]
-    return weight * np.take(values, np.clip(np.arange(n) + j, 0, n - 1), axis=ax)
+def _clipped_shift(values, j, weight):
+    n = len(values)
+    return weight * values[np.clip(np.arange(n) + j, 0, n - 1)]
 
 
 def _reference_step(fam, g, u, h):
@@ -210,18 +191,15 @@ def _reference_step(fam, g, u, h):
         parts = []
         for sigma, m in fam.controls:
             offs, w = gaussian_taps(sigma * np.sqrt(h), m * h, g.spacing[0])
-            parts.append(sum(_clipped_shift(u, 0, j, wj) for j, wj in zip(offs, w)))
+            parts.append(sum(_clipped_shift(u, j, wj) for j, wj in zip(offs, w)))
         return np.max(parts, axis=0)
     parts = []
     for s in fam.scenarios:
         e = np.zeros(u.shape)
-        for atom, prob in zip(s.atoms, s.weights):
-            v = u
-            for ax, (a, dx) in enumerate(zip(atom, g.spacing)):
-                j = h * a / dx
-                j0 = int(np.floor(j))
-                v = _clipped_shift(v, ax, j0, 1 - (j - j0)) + _clipped_shift(v, ax, j0 + 1, j - j0)
-            e += prob * v
+        for a, prob in zip(s.atoms, s.weights):
+            j = h * a / g.spacing[0]
+            j0 = int(np.floor(j))
+            e += prob * (_clipped_shift(u, j0, 1 - (j - j0)) + _clipped_shift(u, j0 + 1, j - j0))
         parts.append(e - h * s.penalty)
     return np.max(parts, axis=0)
 
@@ -236,10 +214,6 @@ _REFERENCE_CASES = {
     "lln-multi-atom": _ce(
         Scenario.discrete([-0.5, 0.2, 1.1], [0.2, 0.5, 0.3]), Scenario.point(0.0, 0.1)
     ),
-    "lln-2d": _ce(
-        Scenario.point((0.4, -0.2)),
-        Scenario.discrete([(0.1, 0.33), (-0.5, 0.05)], [0.4, 0.6], 0.3),
-    ),
 }
 
 
@@ -249,14 +223,9 @@ def test_plan_iteration_matches_a_reference_from_the_definitions(case, h):
     # independent of the plans, so a plan that computes the wrong step
     # fails here even though it agrees with op.step
     fam = _REFERENCE_CASES[case]
-    if isinstance(fam, NisioFamily):
-        op, g = StepOperator.from_nisio(fam), _G1
-    else:
-        op, g = StepOperator.from_lln(fam), (_G2 if fam.dim == 2 else _G1)
-    if g.dim == 1:
-        f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
-    else:
-        f = GridFunction.from_callable(g, lambda p: np.minimum(np.abs(p[:, 0]) + np.abs(p[:, 1]), 1.0))
+    op = StepOperator.from_nisio(fam) if isinstance(fam, NisioFamily) else StepOperator.from_lln(fam)
+    g = _G1
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
     u = f.values
     for _ in range(partition(1.0, h).k):
         u = _reference_step(fam, g, u, h)

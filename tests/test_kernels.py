@@ -7,7 +7,6 @@ from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
     _fft_is_cheaper,
     apply_taps,
-    gaussian_axis_taps,
     gaussian_convolve,
     gaussian_taps,
     shift_taps,
@@ -102,15 +101,6 @@ def test_structural_exactness_of_taps():
     lip_before = np.max(np.abs(np.diff(a))) / dx
     lip_after = np.max(np.abs(np.diff(ca))) / dx
     assert lip_after <= lip_before * (1 + 1e-12)
-
-
-def test_convolution_2d_axiswise():
-    g = Grid((-8.0, -8.0), (8.0, 8.0), (257, 257))
-    f = GridFunction.from_callable(g, lambda p: np.cos(p[:, 0]) * np.cos(p[:, 1]))
-    out = gaussian_convolve(f.values, g, 0.5, (0.0, 0.0))
-    expected = np.exp(-0.5 * 0.25 * 2) * f.values  # eigenfunction factor per axis
-    interior = g.interior_mask(5.0)
-    np.testing.assert_allclose(out[interior], expected.reshape(g.counts)[interior], atol=1e-9)
 
 
 def test_apply_taps_axis1():
@@ -245,14 +235,14 @@ def test_apply_taps_rejects_a_mismatched_out(out):
 
 
 def test_gaussian_convolve_into_out():
-    g = Grid((-8.0, -8.0), (8.0, 8.0), (65, 81))
-    f = GridFunction.from_callable(g, lambda p: np.cos(p[:, 0]) * np.sin(0.5 * p[:, 1]))
+    g = Grid((-8.0,), (8.0,), (81,))
+    f = GridFunction.from_callable(g, lambda x: np.cos(x) * np.sin(0.5 * x))
     out = np.empty(g.counts)
-    res = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), out=out)
+    res = gaussian_convolve(f.values, g, 0.4, 0.1, out=out)
     assert res is out
-    np.testing.assert_array_equal(out, gaussian_convolve(f.values, g, 0.4, (0.1, -0.3)))
-    taps = gaussian_axis_taps(g, 0.4, (0.1, -0.3))
-    prebuilt = gaussian_convolve(f.values, g, 0.4, (0.1, -0.3), taps=taps)
+    np.testing.assert_array_equal(out, gaussian_convolve(f.values, g, 0.4, 0.1))
+    taps = gaussian_taps(0.4, 0.1, g.spacing[0])
+    prebuilt = gaussian_convolve(f.values, g, 0.4, 0.1, taps=taps)
     np.testing.assert_array_equal(prebuilt, out)
 
 
@@ -313,6 +303,39 @@ def test_fft_branch_matches_clipped_index_sum(shape, ax, taps):
     tol = 1e-13 * max(1.0, np.max(np.abs(values)))
     np.testing.assert_allclose(out, _clipped_sum(values, offsets, weights, ax), rtol=0, atol=tol)
     np.testing.assert_array_equal(values, before)
+
+
+def _gheat_taps():
+    """sigma = 1 at h = 2^-3 on 4095 points over [-12, 12]: 967 taps."""
+    offsets, weights = gaussian_taps(np.sqrt(0.125), 0.0, 24.0 / (_W - 1))
+    assert offsets.size == 967
+    return offsets, weights
+
+
+@pytest.mark.parametrize("scale", [1e303, 1e304, 1e305])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_fft_branch_redoes_an_overflowed_spectrum(scale, rows):
+    # sup|u| = 1.2e305 overflows the spectrum of the 4095-point window
+    offsets, weights = _gheat_taps()
+    shape = (rows, _W)
+    assert _fft_is_cheaper(shape, 1, offsets.size)
+    x = np.linspace(-12.0, 12.0, _W)
+    values = np.stack([x * (scale if i == rows // 2 else 1.0) for i in range(rows)])
+    out = apply_taps(values, offsets, weights, 1)
+    assert np.all(np.isfinite(out))
+    expected = _clipped_sum(values, offsets, weights, 1)
+    for row, want in zip(out, expected):
+        tol = 1e-13 * np.max(np.abs(want))
+        np.testing.assert_allclose(row, want, rtol=0, atol=tol)
+
+
+def test_fft_branch_keeps_a_non_finite_value_within_the_taps_reach():
+    offsets, weights = _gheat_taps()
+    values = np.linspace(-1.0, 1.0, _W)
+    values[2000] = np.nan
+    out = apply_taps(values, offsets, weights)
+    reach = np.abs(np.arange(_W) - 2000) <= offsets.max()
+    assert np.all(np.isnan(out[reach])) and np.all(np.isfinite(out[~reach]))
 
 
 @pytest.mark.parametrize("ax", [0, 1])

@@ -240,9 +240,9 @@ def test_derivative_bound_mixed_time_space():
     assert rep.ok
 
 
-def test_derivative_bound_nisio_trajectory_2d():
-    g = Grid((-4.0, -4.0), (4.0, 4.0), (65, 65))
-    f = GridFunction.from_callable(g, lambda p: np.minimum(np.hypot(*p.T), 1.0))
+def test_derivative_bound_nisio_trajectory():
+    g = _grid(65, 4.0)
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.0))
     op = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0))))
     _, u = chernoff_iterate(op, f, 1.0, 2.0**-4, record=True)
     eps = Epsilon.coupled(0.5, 1.0)
