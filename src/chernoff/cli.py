@@ -10,6 +10,7 @@ and seed; nothing time-dependent is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -86,13 +87,10 @@ def cmd_run(args) -> int:
         weight=exp.weight,
         margin=exp.margin,
     )
+    # the floor goes into the CSV, so ``rates`` refits with it
+    curve = dataclasses.replace(curve, noise_floor=exp.noise_floor)
     bounds = exp.build_bounds()
-    report = rate_report(
-        curve,
-        bounds,
-        slope_tolerance=exp.slope_tolerance,
-        noise_floor_multiplier=exp.noise_floor,
-    )
+    report = rate_report(curve, bounds, slope_tolerance=exp.slope_tolerance)
     out = _out_dir(args, config_path)
     csv_bound = next((b for b in bounds if b.side == "plus"), bounds[0])
     write_error_curve(out / "error_curve.csv", curve, csv_bound)

@@ -346,7 +346,7 @@ def load_config(path) -> Experiment:
     if problems:
         raise ConfigError(problems)
 
-    return Experiment(
+    experiment = Experiment(
         grid=grid,
         weight=weight,
         payoff=payoff,
@@ -371,3 +371,27 @@ def load_config(path) -> Experiment:
         cut=cut,
         raw_text=raw_text,
     )
+    _check_bounds(experiment)
+    return experiment
+
+
+def _check_bounds(exp: Experiment) -> None:
+    """Evaluate the rate bounds once, so that a payoff whose radius makes
+    them non-finite is rejected here rather than after every step of a
+    run.  They are closed-form, and their addends grow with the radius,
+    so bounds that hold at radius 1 and fail at the payoff's put the
+    fault on ``[payoff] scale``; any other failure is left to the
+    command that uses the bounds."""
+    try:
+        exp.build_bounds()
+    except DomainError:
+        try:
+            exp.build_bounds(1.0)
+        except DomainError:
+            return
+        raise ConfigError(
+            [
+                f"[payoff] scale: the rate bounds are not finite at the payoff's "
+                f"radius r = {exp.radius:.6g} (the larger of its sup and Lipschitz constant)"
+            ]
+        ) from None

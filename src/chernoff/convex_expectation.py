@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction
-from .kernels import apply_taps, gaussian_convolve, gaussian_taps, shift_taps
+from .kernels import apply_taps, gaussian_convolve, gaussian_plan, row_max, shift_taps
 
 __all__ = [
     "Scenario",
@@ -209,18 +209,10 @@ def cexp_eval(
 # one-step operators on grid functions
 
 
-def _scenario_plan(s: Scenario, grid: Grid, scale: float, std_scale: float, cut: float):
-    """E_i[u(x + displacement)] as ``expect(u, out)``, with the scenario's
-    displacement scaled and its taps built once."""
+def _discrete_plan(s: Scenario, grid: Grid, scale: float):
+    """E_i[u(x + scale xi)] for a discrete scenario as ``expect(u, out)``,
+    with each atom's shift taps built once."""
     dx = grid.spacing[0]
-    if s.kind == "gaussian":
-        std, shift = s.sigma * std_scale, scale * s.mean
-        taps = gaussian_taps(std, shift, dx, cut)
-
-        def expect(u, out):
-            return gaussian_convolve(u, grid, std, shift, cut, out=out, taps=taps)
-
-        return expect
     atoms = [(prob, shift_taps(scale * x, dx)) for x, prob in zip(s.atoms, s.weights)]
     term = np.empty(grid.counts) if len(atoms) > 1 else None
 
@@ -245,23 +237,42 @@ def _penalized_max_plan(
     cut: float,
 ):
     """Pointwise max_i (E_i[u(x + scaled displacement)] - t alpha_i) as a
-    plan ``step(u, out)``; scenarios in a fixed order for deterministic
-    tie-breaking."""
+    plan ``step(u, out)``.  Each scenario fills one row: the Gaussian
+    ones together, from one ``gaussian_convolve`` call whose factors and
+    ``TapPlan`` are built here, then each discrete one.  The row buffer
+    is the plan's own, so one plan must not run in two threads at once."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
-    parts = [
-        (_scenario_plan(s, grid, scale, std_scale, cut), t * s.penalty) for s in ce.scenarios
+    gaussian = [s for s in ce.scenarios if s.kind == "gaussian"]
+    discrete = [s for s in ce.scenarios if s.kind != "gaussian"]
+    stds = [s.sigma * std_scale for s in gaussian]
+    shifts = [scale * s.mean for s in gaussian]
+    taps = gaussian_plan(grid, stds, shifts, cut) if gaussian else None
+    if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
+        if taps is None:
+            return _discrete_plan(discrete[0], grid, scale)
+
+        def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
+            return out
+
+        return single
+    buffer = np.empty((len(ce.scenarios), grid.size))
+    rows = list(buffer)  # the row views, made once rather than per step
+    gaussian_rows = buffer[: len(gaussian)]
+    filled = [
+        (_discrete_plan(s, grid, scale), row) for s, row in zip(discrete, rows[len(gaussian) :])
     ]
-    scratch = np.empty(grid.counts) if len(parts) > 1 else None
+    penalized = [(row, t * s.penalty) for s, row in zip(gaussian + discrete, rows) if s.penalty]
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for i, (expect, penalty) in enumerate(parts):
-            vals = expect(u, scratch if i else out)
-            if penalty:  # x - 0.0 is x exactly
-                vals -= penalty
-            if i:
-                np.maximum(out, vals, out=out)
-        return out
+        if taps is not None:
+            gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
+        for expect, row in filled:
+            expect(u, row)
+        for row, penalty in penalized:
+            row -= penalty
+        return row_max(rows, out)
 
     return step
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction, weighted_norm
-from .kernels import gaussian_convolve, gaussian_taps
+from .kernels import gaussian_convolve, gaussian_plan, row_max
 
 
 @dataclass(frozen=True)
@@ -128,26 +128,26 @@ def nisio_plan(family: NisioFamily, grid: Grid, t: float, cut: float = 8.0):
     """The step ``nisio_step(family, ., t)`` on value arrays, as a plan
     ``step(u, out)`` that writes into ``out`` and returns it.
 
-    The controls' Gaussian factors (std, shift) and their taps are built
-    here, so repeated steps build nothing; the scratch buffer for the
-    second and later controls is the plan's own, so one plan must not
-    run in two threads at once.
+    The controls' Gaussian factors (std, shift) and their ``TapPlan`` are
+    built here, so repeated steps build and transform nothing: a step is
+    one ``gaussian_convolve`` call with a row per control, then their
+    max.  The row buffer is the plan's own, so one plan must not run in
+    two threads at once.
     """
     if t < 0:
         raise DomainError("time must be non-negative")
-    factors = []
-    for sigma, mean in family.controls:
-        std, shift = sigma * math.sqrt(t), mean * t
-        factors.append((std, shift, gaussian_taps(std, shift, grid.spacing[0], cut)))
-    scratch = np.empty(grid.counts) if len(factors) > 1 else None
+    stds = [sigma * math.sqrt(t) for sigma, _ in family.controls]
+    shifts = [mean * t for _, mean in family.controls]
+    taps = gaussian_plan(grid, stds, shifts, cut)
+    buffer = np.empty((len(stds), grid.size)) if len(stds) > 1 else None
+    rows = list(buffer) if buffer is not None else None  # the row views, made once
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        std, shift, taps = factors[0]
-        gaussian_convolve(u, grid, std, shift, cut=cut, out=out, taps=taps)
-        for std, shift, taps in factors[1:]:
-            gaussian_convolve(u, grid, std, shift, cut=cut, out=scratch, taps=taps)
-            np.maximum(out, scratch, out=out)
-        return out
+        if buffer is None:
+            gaussian_convolve(u, grid, stds, shifts, cut=cut, out=out[np.newaxis], taps=taps)
+            return out
+        gaussian_convolve(u, grid, stds, shifts, cut=cut, out=buffer, taps=taps)
+        return row_max(rows, out)
 
     return step
 

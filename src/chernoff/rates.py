@@ -34,7 +34,8 @@ class InconclusiveError(RuntimeError):
     """The data cannot support a rate estimate."""
 
 
-_CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
+_CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
+DEFAULT_NOISE_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,21 @@ class ErrorPoint:
 
 @dataclass(frozen=True)
 class ErrorCurve:
-    """Errors along a strictly refining step-size list."""
+    """Errors along a strictly refining step-size list, with the
+    noise-floor multiplier that its fit uses (``rate_report``)."""
 
     points: tuple[ErrorPoint, ...]
     interior_margin: float | None = None
+    noise_floor: float = DEFAULT_NOISE_FLOOR
 
     def __post_init__(self):
         hs = [pt.h for pt in self.points]
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise DomainError("step sizes must be strictly decreasing")
+        if not (math.isfinite(self.noise_floor) and self.noise_floor >= 1):
+            raise DomainError(
+                f"noise floor must be a finite multiplier >= 1, got {self.noise_floor!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -107,21 +114,23 @@ class ErrorCurve:
                     ok = "skipped"
                 tail = f"{value!r},{ok}"
             lines.append(
-                f"{pt.h!r},{pt.e_plus!r},{pt.e_minus!r},{pt.oracle_uncertainty!r},{tail}"
+                f"{pt.h!r},{pt.e_plus!r},{pt.e_minus!r},{pt.oracle_uncertainty!r},"
+                f"{self.noise_floor!r},{tail}"
             )
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, uncertainty: float | None = None) -> "ErrorCurve":
         """Read ``to_csv`` output; ``uncertainty``, when given, replaces
-        every point's ``oracle_uncertainty``."""
+        every point's ``oracle_uncertainty``.  Every row must carry the
+        same noise floor."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
             raise DomainError(f"expected header {_CSV_HEADER!r}")
-        points = []
+        points, floors = [], set()
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) != 6:
+            if len(cells) != 7:
                 raise DomainError(f"malformed error-curve row {ln!r}")
             points.append(
                 ErrorPoint(
@@ -131,7 +140,11 @@ class ErrorCurve:
                     oracle_uncertainty=float(cells[3]) if uncertainty is None else uncertainty,
                 )
             )
-        return cls(points=tuple(points))
+            floors.add(float(cells[4]))
+        if len(floors) > 1:
+            raise DomainError(f"error-curve rows disagree on the noise floor: {sorted(floors)}")
+        floor = floors.pop() if floors else DEFAULT_NOISE_FLOOR
+        return cls(points=tuple(points), noise_floor=floor)
 
 
 def write_error_curve(path, curve: ErrorCurve, bound: BoundReport | None = None):
@@ -259,7 +272,7 @@ def _loglog_slope(points, pick) -> float | None:
 
 def fit_rate(
     curve: ErrorCurve,
-    noise_floor_multiplier: float = 10.0,
+    noise_floor_multiplier: float = DEFAULT_NOISE_FLOOR,
     absolute_floor: float = 1e-11,
 ) -> RateFit:
     """Slope and intercept of log max(e+, e-) against log h.
@@ -462,7 +475,6 @@ def rate_report(
     curve: ErrorCurve,
     bounds=(),
     slope_tolerance: float = 0.05,
-    noise_floor_multiplier: float = 10.0,
     absolute_floor: float = 1e-11,
     target_gamma: float | None = None,
     interior_margin: float | None = None,
@@ -472,8 +484,10 @@ def rate_report(
 
     A curve whose every point sits at the noise floor cannot be fitted;
     if the bounds still hold, that is the exact-scheme case and passes
-    with no slope estimate.
+    with no slope estimate.  The noise-floor multiplier is the curve's
+    own, and so is the interior margin unless one is given.
     """
+    noise_floor_multiplier = curve.noise_floor
     if slope_tolerance < 0:
         raise DomainError("slope_tolerance must be non-negative")
     checks = tuple(verify_bound(curve, b) for b in bounds)

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from chernoff import config as config_module
 from chernoff.cli import main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 LINEAR_CFG = """
 [grid]
@@ -58,7 +61,7 @@ def test_run_writes_artifacts_and_passes(linear_config, tmp_path, capsys):
     ]
 
     csv_text = (out / "error_curve.csv").read_text()
-    assert csv_text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
+    assert csv_text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
     assert len(csv_text.splitlines()) == 4
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -104,18 +107,35 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
 
-def test_a_failing_step_exits_3_with_an_error_line(tmp_path, capsys):
+def test_a_failing_step_exits_3_with_an_error_line(tmp_path, capsys, monkeypatch):
     # sup |payoff| = 1.68e308: the first sigma = 1 step overflows to inf
     cfg = LINEAR_CFG.replace("kind = cos", "kind = linear\nscale = 1.4e307").replace(
         "reference = exact\nsigma = 1", "reference = oracle\nh_fine = 2^-8"
     )
     path = tmp_path / "overflow.cfg"
     path.write_text(cfg)
+    # load_config rejects this payoff, whose bound is not finite (see
+    # test_a_payoff_whose_bound_is_not_finite_fails_at_load); without that
+    # check the run reaches the step that overflows
+    monkeypatch.setattr(config_module, "_check_bounds", lambda exp: None)
     rc = main(["run", str(path), "--out", str(tmp_path / "artifacts")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: step 1 of ") and "must be finite" in err
     assert "Traceback" not in err
+
+
+def test_a_payoff_whose_bound_is_not_finite_fails_at_load(tmp_path, capsys):
+    # radius 1.2e307 on [-12, 12]; the gheat bound is about 196 r
+    text = (EXAMPLES / "gheat_lipschitz.cfg").read_text()
+    text = text.replace("kind = capped_abs", "kind = linear\nscale = 1e306")
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("h = 2^-3..2^-9", "h = 2^-3..2^-5"))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "[payoff] scale" in err and "r = 1.2e+307" in err
+    assert not out.exists()
 
 
 def test_check_invariants(linear_config, capsys):
@@ -185,10 +205,10 @@ def test_kernel_constants_subcommand(capsys):
 
 def test_rates_fit_only(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,0.0,,")
+        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,0.0,10.0,,")
     csv.write_text("\n".join(rows) + "\n")
 
     rc = main(["rates", str(csv)])
@@ -240,13 +260,21 @@ def test_rates_refits_a_run_to_the_same_fit(tmp_path, capsys):
     assert (fit["gamma_hat"], fit["n_fit"]) == (run_fit["gamma_hat"], run_fit["n_fit"])
     assert main(["rates", str(out / "error_curve.csv"), "--uncertainty", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["fit"]["n_fit"] > run_fit["n_fit"]
+    # a noise floor of 100 leaves too few points to fit: the CSV carries
+    # the floor, so the refit is inconclusive as the run was
+    config.write_text(ORACLE_CFG + "\n[rate]\nnoise_floor = 100\n")
+    floored = tmp_path / "floored"
+    assert main(["run", str(config), "--out", str(floored)]) == 2
+    capsys.readouterr()
+    assert main(["rates", str(floored / "error_curve.csv")]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
 
 
 def test_rates_inconclusive_exit_2(tmp_path, capsys):
     csv = tmp_path / "floor.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
     for n in range(3, 9):
-        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,0.0,,")
+        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,0.0,10.0,,")
     csv.write_text("\n".join(rows) + "\n")
     rc = main(["rates", str(csv)])
     assert rc == 2
@@ -256,10 +284,10 @@ def test_rates_inconclusive_exit_2(tmp_path, capsys):
 
 def test_rates_out_writes_report(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{2.0 * h!r},0.0,0.0,,")
+        rows.append(f"{h!r},{2.0 * h!r},0.0,0.0,10.0,,")
     csv.write_text("\n".join(rows) + "\n")
     out = tmp_path / "report"
     rc = main(["rates", str(csv), "--out", str(out)])

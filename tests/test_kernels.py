@@ -3,14 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernoff import kernels
+from chernoff.convex_expectation import (
+    Scenario,
+    ScenarioConvexExpectation,
+    clt_plan,
+    lln_plan,
+)
 from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
     _fft_is_cheaper,
     apply_taps,
     gaussian_convolve,
+    gaussian_plan,
     gaussian_taps,
     shift_taps,
+    tap_plan,
 )
+from chernoff.nisio import NisioFamily, nisio_plan
 
 
 def test_shift_taps_exact_multiple():
@@ -103,20 +113,12 @@ def test_structural_exactness_of_taps():
     assert lip_after <= lip_before * (1 + 1e-12)
 
 
-def test_apply_taps_axis1():
-    vals = np.arange(12, dtype=float).reshape(3, 4)
-    offs, w = shift_taps(1.0, 1.0)
-    out = apply_taps(vals, offs, w, ax=1)
-    expected = vals[:, [1, 2, 3, 3]]
-    np.testing.assert_array_equal(out, expected)
-
-
-def _clipped_sum(values, offsets, weights, ax):
-    """The defining sum: w_j * values[clip(i + offsets_j, 0, n - 1)] along ax."""
-    n = values.shape[ax]
-    out = np.zeros(values.shape)
+def _clipped_sum(values, offsets, weights):
+    """The defining sum: w_j * values[clip(i + offsets_j, 0, n - 1)]."""
+    n = values.size
+    out = np.zeros(n)
     for j, wj in zip(offsets, weights):
-        out += wj * np.take(values, np.clip(np.arange(n) + j, 0, n - 1), axis=ax)
+        out += wj * values[np.clip(np.arange(n) + j, 0, n - 1)]
     return out
 
 
@@ -124,47 +126,45 @@ _N = 301
 
 
 @pytest.mark.parametrize(
-    "shape, ax, offsets, weights",
+    "n, offsets, weights",
     [
-        pytest.param((_N,), 0, *gaussian_taps(0.35, 0.08, 0.01), id="gaussian-drift"),
-        pytest.param((_N,), 0, [_N + 12], [1.0], id="shift-past-plus-n"),
-        pytest.param((_N,), 0, [-_N - 40], [0.5], id="shift-past-minus-n"),
-        pytest.param((_N,), 0, [7, 7], [0.25, 0.5], id="duplicate-one-offset"),
-        pytest.param((_N,), 0, [0], [1.0], id="zero-shift"),
-        pytest.param((_N,), 0, *shift_taps(-0.137, 0.01), id="two-tap-fractional"),
-        pytest.param((_N,), 0, [4, -3, 4, 0, -3], [0.1, 0.2, 0.3, 0.15, 0.25], id="unsorted-duplicate"),
-        pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0"),
-        pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1"),
-        pytest.param((41, 57), 1, [60, 75, 57, 60], [0.2, 0.1, 0.3, 0.4],
-                     id="2d-axis1-all-beyond-plus"),
-        pytest.param((41, 57), 1, [-56, -90, -70], [0.5, 0.25, 0.25],
-                     id="2d-axis1-all-beyond-minus"),
+        pytest.param(_N, *gaussian_taps(0.35, 0.08, 0.01), id="gaussian-drift"),
+        pytest.param(_N, [_N + 12], [1.0], id="shift-past-plus-n"),
+        pytest.param(_N, [-_N - 40], [0.5], id="shift-past-minus-n"),
+        pytest.param(_N, [7, 7], [0.25, 0.5], id="duplicate-one-offset"),
+        pytest.param(_N, [0], [1.0], id="zero-shift"),
+        pytest.param(_N, *shift_taps(-0.137, 0.01), id="two-tap-fractional"),
+        pytest.param(_N, [4, -3, 4, 0, -3], [0.1, 0.2, 0.3, 0.15, 0.25], id="unsorted-duplicate"),
+        pytest.param(41, *gaussian_taps(0.05, -0.02, 0.01), id="short-row-gaussian-drift-minus"),
+        pytest.param(57, *gaussian_taps(0.05, 0.03, 0.01), id="short-row-gaussian-drift-plus"),
+        pytest.param(57, [60, 75, 57, 60], [0.2, 0.1, 0.3, 0.4], id="unsorted-all-beyond-plus-n"),
+        pytest.param(57, [-56, -90, -70], [0.5, 0.25, 0.25], id="unsorted-all-beyond-minus-n"),
     ],
 )
-def test_apply_taps_matches_clipped_index_sum(shape, ax, offsets, weights):
-    values = np.random.default_rng(5).normal(size=shape) * 7.0
+def test_apply_taps_matches_clipped_index_sum(n, offsets, weights):
+    values = np.random.default_rng(5).normal(size=n) * 7.0
     before = values.copy()
-    out = apply_taps(values, np.asarray(offsets), np.asarray(weights), ax)
-    expected = _clipped_sum(values, offsets, weights, ax)
+    out = apply_taps(values, np.asarray(offsets), np.asarray(weights))
+    expected = _clipped_sum(values, offsets, weights)
     assert out.shape == values.shape
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(values)))
     np.testing.assert_array_equal(values, before)
     assert not np.shares_memory(out, values)
 
 
-@pytest.mark.parametrize("ax", [0, 1])
-def test_apply_taps_on_strided_and_float32_input(ax):
-    base = np.random.default_rng(8).normal(size=(90, 130))
+@pytest.mark.parametrize("start", [0, 1])
+def test_apply_taps_on_strided_and_float32_input(start):
+    base = np.random.default_rng(8).normal(size=390)
     offsets, weights = [-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]
-    view = base[1::2, ::3]  # not contiguous
-    out = apply_taps(view, np.asarray(offsets), np.asarray(weights), ax)
-    expected = _clipped_sum(view, offsets, weights, ax)
+    view = base[start::3]  # not contiguous
+    out = apply_taps(view, np.asarray(offsets), np.asarray(weights))
+    expected = _clipped_sum(view, offsets, weights)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(view)))
     single = view.astype(np.float32)
-    out = apply_taps(single, np.asarray(offsets), np.asarray(weights), ax)
+    out = apply_taps(single, np.asarray(offsets), np.asarray(weights))
     assert out.dtype == np.float64
     assert not np.shares_memory(out, single)
-    expected = _clipped_sum(single.astype(float), offsets, weights, ax)
+    expected = _clipped_sum(single.astype(float), offsets, weights)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(view)))
 
 
@@ -174,56 +174,61 @@ def test_apply_taps_on_strided_and_float32_input(ax):
 )
 def test_apply_taps_rejects_bad_tap_lists(offsets, weights, name):
     with pytest.raises(DomainError, match=name):
-        apply_taps(np.zeros(5), np.asarray(offsets, dtype=int), np.asarray(weights), 0)
+        apply_taps(np.zeros(5), np.asarray(offsets, dtype=int), np.asarray(weights))
+
+
+def test_apply_taps_rejects_a_second_axis():
+    with pytest.raises(DomainError, match="one row"):
+        apply_taps(np.zeros((3, 4)), np.array([1]), np.array([1.0]))
 
 
 @pytest.mark.parametrize(
-    "shape, ax, offsets, weights",
+    "n, offsets, weights",
     [
-        pytest.param((_N,), 0, *gaussian_taps(0.35, 0.08, 0.01), id="origin-in-range"),
-        pytest.param((_N,), 0, *gaussian_taps(0.02, 0.5, 0.01), id="drift-above-cut-std"),
-        pytest.param((_N,), 0, *gaussian_taps(0.02, -0.5, 0.01), id="drift-below-cut-std"),
-        pytest.param((_N,), 0, [_N], [1.0], id="shift-plus-n"),
-        pytest.param((_N,), 0, [-_N], [0.75], id="shift-minus-n"),
-        pytest.param((_N,), 0, [_N + 12, _N + 13], [0.3, 0.7], id="two-tap-past-plus-n"),
-        pytest.param((_N,), 0, [4, 5], [0.3, 0.7], id="fraction-past-one-cell"),
-        pytest.param((_N,), 0, [-9, -8], [0.6, 0.4], id="fraction-past-minus-one-cell"),
-        pytest.param((_N,), 0, [_N - 1, _N], [0.2, 0.8], id="two-tap-straddling-the-edge"),
-        pytest.param((_N,), 0, [-3 * _N], [1.0], id="shift-far-minus"),
-        pytest.param((_N,), 0, [0], [0.5], id="zero-shift"),
-        pytest.param((41, 57), 0, *gaussian_taps(0.05, -0.02, 0.01), id="2d-axis0-in-range"),
-        pytest.param((41, 57), 1, *gaussian_taps(0.05, 0.03, 0.01), id="2d-axis1-in-range"),
-        pytest.param((41, 57), 0, [3, 5], [0.5, 0.5], id="2d-axis0-one-sided"),
-        pytest.param((41, 57), 1, [-60], [1.0], id="2d-axis1-past-minus-n"),
-        pytest.param((41, 57), 1, [6, 7], [0.45, 0.55], id="2d-axis1-fraction-past-one-cell"),
+        pytest.param(_N, *gaussian_taps(0.35, 0.08, 0.01), id="origin-in-range"),
+        pytest.param(_N, *gaussian_taps(0.02, 0.5, 0.01), id="drift-above-cut-std"),
+        pytest.param(_N, *gaussian_taps(0.02, -0.5, 0.01), id="drift-below-cut-std"),
+        pytest.param(_N, [_N], [1.0], id="shift-plus-n"),
+        pytest.param(_N, [-_N], [0.75], id="shift-minus-n"),
+        pytest.param(_N, [_N + 12, _N + 13], [0.3, 0.7], id="two-tap-past-plus-n"),
+        pytest.param(_N, [4, 5], [0.3, 0.7], id="fraction-past-one-cell"),
+        pytest.param(_N, [-9, -8], [0.6, 0.4], id="fraction-past-minus-one-cell"),
+        pytest.param(_N, [_N - 1, _N], [0.2, 0.8], id="two-tap-straddling-the-edge"),
+        pytest.param(_N, [-3 * _N], [1.0], id="shift-far-minus"),
+        pytest.param(_N, [0], [0.5], id="zero-shift"),
+        pytest.param(41, *gaussian_taps(0.05, -0.02, 0.01), id="short-row-in-range"),
+        pytest.param(57, *gaussian_taps(0.05, 0.03, 0.01), id="short-row-drift-in-range"),
+        pytest.param(41, [3, 5], [0.5, 0.5], id="one-sided-with-a-gap"),
+        pytest.param(57, [-60], [1.0], id="short-row-past-minus-n"),
+        pytest.param(57, [6, 7], [0.45, 0.55], id="short-row-fraction-past-one-cell"),
     ],
 )
-def test_apply_taps_into_out(shape, ax, offsets, weights):
-    values = np.random.default_rng(6).normal(size=shape) * 7.0
+def test_apply_taps_into_out(n, offsets, weights):
+    values = np.random.default_rng(6).normal(size=n) * 7.0
     before = values.copy()
-    out = np.full(shape, np.nan)
-    res = apply_taps(values, np.asarray(offsets), np.asarray(weights), ax, out=out)
+    out = np.full(n, np.nan)
+    res = apply_taps(values, np.asarray(offsets), np.asarray(weights), out=out)
     assert res is out
     np.testing.assert_allclose(
-        out, _clipped_sum(values, offsets, weights, ax), rtol=0, atol=1e-13 * np.max(np.abs(values))
+        out, _clipped_sum(values, offsets, weights), rtol=0, atol=1e-13 * np.max(np.abs(values))
     )
-    np.testing.assert_array_equal(out, apply_taps(values, np.asarray(offsets), np.asarray(weights), ax))
+    np.testing.assert_array_equal(out, apply_taps(values, np.asarray(offsets), np.asarray(weights)))
     np.testing.assert_array_equal(values, before)
 
 
-@pytest.mark.parametrize("ax", [0, 1])
+@pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize(
     "offsets, weights", [([-2, 5, 0, 31], [0.1, 0.4, 0.3, 0.2]), ([4, 9], [0.6, 0.4]), ([-7], [1.0]), ([3, 4], [0.25, 0.75])]
 )
-def test_apply_taps_into_out_from_strided_input(ax, offsets, weights):
-    base = np.random.default_rng(9).normal(size=(90, 130))
-    view = base[1::2, ::3]
+def test_apply_taps_into_out_from_strided_input(start, offsets, weights):
+    base = np.random.default_rng(9).normal(size=390)
+    view = base[start::3]
     before = view.copy()
     out = np.empty(view.shape)
-    res = apply_taps(view, np.asarray(offsets), np.asarray(weights), ax, out=out)
+    res = apply_taps(view, np.asarray(offsets), np.asarray(weights), out=out)
     assert res is out
     np.testing.assert_allclose(
-        out, _clipped_sum(view, offsets, weights, ax), rtol=0, atol=1e-13 * np.max(np.abs(view))
+        out, _clipped_sum(view, offsets, weights), rtol=0, atol=1e-13 * np.max(np.abs(view))
     )
     np.testing.assert_array_equal(view, before)
 
@@ -231,7 +236,7 @@ def test_apply_taps_into_out_from_strided_input(ax, offsets, weights):
 @pytest.mark.parametrize("out", [np.empty(6), np.empty(5, dtype=np.float32)])
 def test_apply_taps_rejects_a_mismatched_out(out):
     with pytest.raises(DomainError, match="out"):
-        apply_taps(np.zeros(5), np.array([0, 1]), np.array([0.5, 0.5]), 0, out=out)
+        apply_taps(np.zeros(5), np.array([0, 1]), np.array([0.5, 0.5]), out=out)
 
 
 def test_gaussian_convolve_into_out():
@@ -241,7 +246,7 @@ def test_gaussian_convolve_into_out():
     res = gaussian_convolve(f.values, g, 0.4, 0.1, out=out)
     assert res is out
     np.testing.assert_array_equal(out, gaussian_convolve(f.values, g, 0.4, 0.1))
-    taps = gaussian_taps(0.4, 0.1, g.spacing[0])
+    taps = gaussian_plan(g, 0.4, 0.1)
     prebuilt = gaussian_convolve(f.values, g, 0.4, 0.1, taps=taps)
     np.testing.assert_array_equal(prebuilt, out)
 
@@ -274,34 +279,38 @@ def _shuffled_with_duplicates():
 _W = 4095
 
 
+def _takes_fft(n, offsets, weights):
+    return tap_plan(n, offsets, weights).spectra is not None
+
+
 @pytest.mark.parametrize(
-    "shape, ax, taps",
+    "n, taps",
     [
-        pytest.param((_W,), 0, _centred_gaussian(61), id="centred-123"),
-        pytest.param((_W,), 0, _centred_gaussian(483), id="centred-967"),
-        pytest.param((_W,), 0, _centred_gaussian(1365), id="centred-2731"),
-        pytest.param((_W,), 0, _one_sided(300, 250), id="drift-beyond-cut"),
-        pytest.param((_W,), 0, _one_sided(-700, 400, 1), id="drift-below-cut"),
-        pytest.param((_W,), 0, _one_sided(_W + 10, 300, 2), id="past-plus-n"),
-        pytest.param((_W,), 0, _one_sided(-_W - 500, 400, 3), id="past-minus-n"),
-        pytest.param((_W,), 0, _one_sided(_W - 150, 300, 5), id="straddling-plus-n"),
-        pytest.param((_W,), 0, _shuffled_with_duplicates(), id="unsorted-duplicate"),
-        pytest.param((129, 129), 0, _centred_gaussian(50), id="2d-axis0"),
-        pytest.param((129, 129), 1, _centred_gaussian(50), id="2d-axis1"),
-        pytest.param((129, 129), 0, _one_sided(20, 120, 6), id="2d-axis0-one-sided"),
-        pytest.param((60, 700), 1, _one_sided(-760, 300, 7), id="2d-axis1-past-minus-n"),
+        pytest.param(_W, _centred_gaussian(61), id="centred-123"),
+        pytest.param(_W, _centred_gaussian(483), id="centred-967"),
+        pytest.param(_W, _centred_gaussian(1365), id="centred-2731"),
+        pytest.param(_W, _one_sided(300, 250), id="drift-beyond-cut"),
+        pytest.param(_W, _one_sided(-700, 400, 1), id="drift-below-cut"),
+        pytest.param(_W, _one_sided(_W + 10, 300, 2), id="past-plus-n"),
+        pytest.param(_W, _one_sided(-_W - 500, 400, 3), id="past-minus-n"),
+        pytest.param(_W, _one_sided(_W - 150, 300, 5), id="straddling-plus-n"),
+        pytest.param(_W, _shuffled_with_duplicates(), id="unsorted-duplicate"),
+        pytest.param(_W, _centred_gaussian(50), id="centred-101"),
+        pytest.param(8191, _centred_gaussian(50), id="centred-101-on-8191"),
+        pytest.param(_W, _one_sided(20, 120, 6), id="one-sided-120"),
+        pytest.param(700, _one_sided(-760, 300, 7), id="past-minus-n-on-700"),
     ],
 )
-def test_fft_branch_matches_clipped_index_sum(shape, ax, taps):
+def test_fft_branch_matches_clipped_index_sum(n, taps):
     offsets, weights = taps
-    assert _fft_is_cheaper(shape, ax, offsets.max() - offsets.min() + 1)
-    values = np.random.default_rng(12).normal(size=shape).cumsum(axis=ax) + 3.0
+    assert _takes_fft(n, offsets, weights)
+    values = np.random.default_rng(12).normal(size=n).cumsum() + 3.0
     before = values.copy()
-    out = np.full(shape, np.nan)
-    res = apply_taps(values, offsets, weights, ax, out=out)
+    out = np.full(n, np.nan)
+    res = apply_taps(values, offsets, weights, out=out)
     assert res is out
     tol = 1e-13 * max(1.0, np.max(np.abs(values)))
-    np.testing.assert_allclose(out, _clipped_sum(values, offsets, weights, ax), rtol=0, atol=tol)
+    np.testing.assert_allclose(out, _clipped_sum(values, offsets, weights), rtol=0, atol=tol)
     np.testing.assert_array_equal(values, before)
 
 
@@ -315,18 +324,20 @@ def _gheat_taps():
 @pytest.mark.parametrize("scale", [1e303, 1e304, 1e305])
 @pytest.mark.parametrize("rows", [1, 3])
 def test_fft_branch_redoes_an_overflowed_spectrum(scale, rows):
-    # sup|u| = 1.2e305 overflows the spectrum of the 4095-point window
+    # sup|u| = 1.2e305 overflows the spectrum of the 4095-point window;
+    # with three weight rows every row sees it
     offsets, weights = _gheat_taps()
-    shape = (rows, _W)
-    assert _fft_is_cheaper(shape, 1, offsets.size)
-    x = np.linspace(-12.0, 12.0, _W)
-    values = np.stack([x * (scale if i == rows // 2 else 1.0) for i in range(rows)])
-    out = apply_taps(values, offsets, weights, 1)
+    if rows == 3:
+        narrow = np.exp(-0.5 * (offsets / 60.0) ** 2)
+        weights = np.stack([weights, narrow / narrow.sum(), np.roll(weights, 200)])
+    assert _takes_fft(_W, offsets, weights)
+    values = np.linspace(-12.0, 12.0, _W) * scale
+    out = apply_taps(values, offsets, weights)
+    assert out.shape == weights.shape[:-1] + (_W,)
     assert np.all(np.isfinite(out))
-    expected = _clipped_sum(values, offsets, weights, 1)
-    for row, want in zip(out, expected):
-        tol = 1e-13 * np.max(np.abs(want))
-        np.testing.assert_allclose(row, want, rtol=0, atol=tol)
+    for row, w in zip(np.atleast_2d(out), np.atleast_2d(weights)):
+        want = _clipped_sum(values, offsets, w)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_fft_branch_keeps_a_non_finite_value_within_the_taps_reach():
@@ -338,21 +349,21 @@ def test_fft_branch_keeps_a_non_finite_value_within_the_taps_reach():
     assert np.all(np.isnan(out[reach])) and np.all(np.isfinite(out[~reach]))
 
 
-@pytest.mark.parametrize("ax", [0, 1])
-def test_fft_branch_on_strided_and_float32_input(ax):
-    base = np.random.default_rng(13).normal(size=(258, 390)).cumsum(axis=ax)
-    view = base[::2, ::3]  # 129 x 130, not contiguous
+@pytest.mark.parametrize("start", [0, 1])
+def test_fft_branch_on_strided_and_float32_input(start):
+    base = np.random.default_rng(13).normal(size=3 * _W + 1).cumsum()
+    view = base[start::3][:_W]  # not contiguous
     offsets, weights = _one_sided(-60, 101, 8)
-    assert _fft_is_cheaper(view.shape, ax, offsets.size)
+    assert _takes_fft(_W, offsets, weights)
     tol = 1e-13 * max(1.0, np.max(np.abs(view)))
     before = view.copy()
-    out = apply_taps(view, offsets, weights, ax)
-    np.testing.assert_allclose(out, _clipped_sum(view, offsets, weights, ax), rtol=0, atol=tol)
+    out = apply_taps(view, offsets, weights)
+    np.testing.assert_allclose(out, _clipped_sum(view, offsets, weights), rtol=0, atol=tol)
     np.testing.assert_array_equal(view, before)
     single = view.astype(np.float32)
-    out = apply_taps(single, offsets, weights, ax)
+    out = apply_taps(single, offsets, weights)
     assert out.dtype == np.float64
-    expected = _clipped_sum(single.astype(float), offsets, weights, ax)
+    expected = _clipped_sum(single.astype(float), offsets, weights)
     np.testing.assert_allclose(out, expected, rtol=0, atol=tol)
 
 
@@ -363,7 +374,7 @@ def test_fft_branch_keeps_constants_and_the_range(seed):
     n, count = int(rng.integers(2000, 8192)), int(rng.integers(150, 3000))
     offsets, weights = _one_sided(int(rng.integers(-n - count, n)), count, seed)
     weights = weights**3 / np.sum(weights**3)
-    assert _fft_is_cheaper((n,), 0, count)
+    assert _takes_fft(n, offsets, weights)
     c = rng.normal() * 10.0 ** rng.uniform(-3, 3)
     np.testing.assert_allclose(apply_taps(np.full(n, c), offsets, weights), c, rtol=1e-14, atol=0)
     u = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
@@ -373,10 +384,150 @@ def test_fft_branch_keeps_constants_and_the_range(seed):
 
 
 def test_the_fft_branch_is_taken_past_the_measured_crossover():
-    # the 513-point structural-suite calls stay on correlate1d
-    assert not _fft_is_cheaper((513,), 0, 87)
-    assert not _fft_is_cheaper((513,), 0, 173)
+    # one row: the 513-point structural-suite calls stay on correlate1d
+    assert not _fft_is_cheaper(513, 87, 1, 87)
+    assert not _fft_is_cheaper(513, 173, 1, 173)
     for count in (123, 301, 967, 1931, 2731):
-        assert _fft_is_cheaper((4095,), 0, count)
+        assert _fft_is_cheaper(4095, count, 1, count)
     for count in (1, 2, 3, 25):
-        assert not _fft_is_cheaper((4095,), 0, count)
+        assert not _fft_is_cheaper(4095, count, 1, count)
+
+
+# ---------------------------------------------------------------------------
+# plans of a step's Gaussian factors: one shared window, held spectra
+
+_FACTOR_CASES = {
+    "nisio-two-controls": ((0.5, 0.0), (1.0, 0.0)),
+    "nisio-drift": ((0.5, 0.7), (1.0, -0.4)),
+    "clt-gaussian-pair": (0.5, 1.0),
+}
+
+
+def _factors(case, h):
+    """The (std, shift) of each Gaussian factor of one step of size h."""
+    if case.startswith("nisio"):
+        return [(s * np.sqrt(h), m * h) for s, m in _FACTOR_CASES[case]]
+    return [(s * np.sqrt(h), 0.0) for s in _FACTOR_CASES[case]]
+
+
+def _step_plan(case, grid, h):
+    if case.startswith("nisio"):
+        return nisio_plan(NisioFamily(_FACTOR_CASES[case]), grid, h)
+    ce = ScenarioConvexExpectation(tuple(Scenario.gaussian(0.0, s) for s in _FACTOR_CASES[case]))
+    return clt_plan(ce, grid, h)
+
+
+def _fine_grid():
+    return Grid((-12.0,), (12.0,), (_W,))
+
+
+def _payoff(grid, scale=1.0):
+    x = grid.axes[0]
+    return (np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x)) * scale
+
+
+@pytest.mark.parametrize("h", [2.0**-7, 2.0**-1])
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_a_plan_of_gaussian_factors_matches_each_factor(case, h):
+    grid = _fine_grid()
+    u = _payoff(grid)
+    factors = _factors(case, h)
+    stds, shifts = zip(*factors)
+    plan = gaussian_plan(grid, stds, shifts)
+    assert plan.spectra is not None and plan.spectra.shape[0] == len(factors)
+    rows = gaussian_convolve(u, grid, stds, shifts, taps=plan)
+    assert rows.shape == (len(factors), _W)
+    tol = 1e-14 * np.max(np.abs(u))
+    sums = []
+    for row, (std, shift) in zip(rows, factors):
+        taps = gaussian_taps(std, shift, grid.spacing[0])
+        sums.append(_clipped_sum(u, *taps))
+        np.testing.assert_allclose(row, apply_taps(u, *taps), rtol=0, atol=tol)
+        np.testing.assert_allclose(row, sums[-1], rtol=0, atol=tol)
+    step = _step_plan(case, grid, h)
+    np.testing.assert_allclose(step(u, np.empty(_W)), np.max(sums, axis=0), rtol=0, atol=tol)
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, np.shape(args[0])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("h", [2.0**-7, 2.0**-1])
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_a_plan_step_runs_one_forward_transform_and_none_of_the_taps(case, h, monkeypatch):
+    grid = _fine_grid()
+    u = _payoff(grid)
+    step = _step_plan(case, grid, h)  # the taps' spectra are made here
+    calls = []
+    for name in ("rfft", "irfft", "correlate1d"):
+        _counting(monkeypatch, kernels, name, calls)
+    for _ in range(3):
+        step(u, np.empty(_W))
+    k = len(_FACTOR_CASES[case])
+    # per step: one rfft of the window (longer than the values), one
+    # stacked irfft of the k products, no correlate1d
+    assert [name for name, _ in calls] == ["rfft", "irfft"] * 3
+    assert all(shape[0] > _W for name, shape in calls if name == "rfft")
+    assert all(shape[0] == k for name, shape in calls if name == "irfft")
+
+
+@pytest.mark.parametrize("h", [2.0**-7, 2.0**-1])
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_a_plan_redoes_an_overflowed_step_on_correlate1d(case, h, monkeypatch):
+    grid = _fine_grid()
+    u = np.linspace(-1.0, 1.0, _W) * 1e306
+    factors = _factors(case, h)
+    stds, shifts = zip(*factors)
+    plan = gaussian_plan(grid, stds, shifts)
+    assert plan.spectra is not None
+    calls = []
+    _counting(monkeypatch, kernels, "correlate1d", calls)
+    rows = gaussian_convolve(u, grid, stds, shifts, taps=plan)
+    assert len(calls) == len(factors)
+    assert np.all(np.isfinite(rows))
+    sums = []
+    for row, (std, shift) in zip(rows, factors):
+        sums.append(_clipped_sum(u, *gaussian_taps(std, shift, grid.spacing[0])))
+        np.testing.assert_allclose(row, sums[-1], rtol=0, atol=1e-14 * 1e306)
+    out = _step_plan(case, grid, h)(u, np.empty(_W))
+    np.testing.assert_allclose(out, np.max(sums, axis=0), rtol=0, atol=1e-14 * 1e306)
+
+
+def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
+    # the clt Gaussian pair's 513-point structural-suite calls: 87 and 173
+    # taps, each row on correlate1d with its own taps, as one-row calls
+    grid = Grid((-12.0,), (12.0,), (513,))
+    u = _payoff(grid)
+    plan = gaussian_plan(grid, [0.25, 0.5], [0.0, 0.0])
+    assert plan.spectra is None
+    assert [taps.size for _, taps in plan.rows] == [87, 173]
+    rows = gaussian_convolve(u, grid, [0.25, 0.5], [0.0, 0.0], taps=plan)
+    for row, std in zip(rows, (0.25, 0.5)):
+        np.testing.assert_array_equal(row, apply_taps(u, *gaussian_taps(std, 0.0, grid.spacing[0])))
+    # one-tap lln steps: scaled slices, with no plan, correlate1d or FFT
+    fine = _fine_grid()
+    mass = 512 * fine.spacing[0]
+    ce = ScenarioConvexExpectation((Scenario.point(-mass), Scenario.point(mass, 1.0)))
+    step = lln_plan(ce, fine, 2.0**-5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-tap step left the scaled-slice branch")
+
+    for name in ("tap_plan", "correlate1d", "rfft", "irfft"):
+        monkeypatch.setattr(kernels, name, refuse)
+    u = _payoff(fine)
+    out = step(u, np.empty(_W))
+    j = 512 // 32  # whole cells moved by h * mass at h = 2^-5
+    left = u[np.clip(np.arange(_W) - j, 0, _W - 1)]
+    right = u[np.clip(np.arange(_W) + j, 0, _W - 1)] - 2.0**-5
+    np.testing.assert_array_equal(out, np.maximum(left, right))
+    # a fractional shift past one cell: two taps on adjacent cells, two slices
+    ce = ScenarioConvexExpectation((Scenario.point(16.5 * 32 * fine.spacing[0]),))
+    out = lln_plan(ce, fine, 2.0**-5)(u, np.empty(_W))
+    np.testing.assert_allclose(out, _clipped_sum(u, [16, 17], [0.5, 0.5]), rtol=0, atol=1e-15)

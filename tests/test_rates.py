@@ -55,7 +55,7 @@ def test_curve_validation():
 def test_csv_roundtrip_and_columns():
     curve = synthetic_curve(lambda h: 2.0 * h)
     text = curve.to_csv()
-    assert text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,bound_value,pass"
+    assert text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
     back = ErrorCurve.from_csv(text)
     assert [pt.h for pt in back] == [pt.h for pt in curve]
     assert [pt.e_plus for pt in back] == [pt.e_plus for pt in curve]
@@ -77,6 +77,24 @@ def test_csv_keeps_the_oracle_uncertainty():
     assert [pt.oracle_uncertainty for pt in back] == [3.5e-4] * len(curve)
     override = ErrorCurve.from_csv(curve.to_csv(), uncertainty=0.0)
     assert [pt.oracle_uncertainty for pt in override] == [0.0] * len(curve)
+
+
+def test_csv_keeps_the_noise_floor():
+    curve = synthetic_curve(lambda h: 2.0 * h)
+    floored = ErrorCurve(points=curve.points, noise_floor=100.0)
+    back = ErrorCurve.from_csv(floored.to_csv())
+    assert back.noise_floor == 100.0
+    assert ErrorCurve.from_csv(curve.to_csv()).noise_floor == 10.0
+    # the curve's floor is the fit's default
+    at_floor = synthetic_curve(lambda h: 1e-3 * h, uncertainty=2e-6)
+    assert rate_report(at_floor).fit is not None
+    assert rate_report(ErrorCurve(points=at_floor.points, noise_floor=500.0)).fit is None
+    rows = floored.to_csv().splitlines()
+    rows[2] = rows[2].replace(",100.0,", ",10.0,")
+    with pytest.raises(DomainError, match="noise floor"):
+        ErrorCurve.from_csv("\n".join(rows))
+    with pytest.raises(DomainError, match="noise floor"):
+        ErrorCurve(points=curve.points, noise_floor=0.5)
 
 
 def test_worker_count(monkeypatch):
