@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     )
     # the floor goes into the CSV, so ``rates`` refits with it
     curve = dataclasses.replace(curve, noise_floor=exp.noise_floor)
-    bounds = exp.build_bounds()
+    bounds = exp.bounds
     report = rate_report(curve, bounds, slope_tolerance=exp.slope_tolerance)
     out = _out_dir(args, config_path)
     csv_bound = next((b for b in bounds if b.side == "plus"), bounds[0])
@@ -143,7 +143,7 @@ def cmd_check_invariants(args) -> int:
 
 def cmd_bounds(args) -> int:
     exp = load_config(args.config)
-    payload = [b.to_dict() for b in exp.build_bounds()]
+    payload = [b.to_dict() for b in exp.bounds]
     if args.out:
         out = _out_dir(args, Path(args.config))
         _write_json(out / "bound_report.json", payload)

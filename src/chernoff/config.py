@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,11 @@ class Experiment:
     def radius(self) -> float:
         """Smallest r with the payoff r-Lipschitz and r-bounded."""
         return max(self.payoff.sup_norm, self.payoff.lipschitz)
+
+    @cached_property
+    def bounds(self) -> tuple[BoundReport, ...]:
+        """The rate bounds at the payoff's radius, evaluated once."""
+        return self.build_bounds()
 
     def build_bounds(self, r: float | None = None) -> tuple[BoundReport, ...]:
         r = self.radius if r is None else r
@@ -376,14 +382,14 @@ def load_config(path) -> Experiment:
 
 
 def _check_bounds(exp: Experiment) -> None:
-    """Evaluate the rate bounds once, so that a payoff whose radius makes
-    them non-finite is rejected here rather than after every step of a
-    run.  They are closed-form, and their addends grow with the radius,
-    so bounds that hold at radius 1 and fail at the payoff's put the
-    fault on ``[payoff] scale``; any other failure is left to the
-    command that uses the bounds."""
+    """Evaluate the rate bounds once, into ``exp.bounds``, so that a
+    payoff whose radius makes them non-finite is rejected here rather
+    than after every step of a run.  They are closed-form, and their
+    addends grow with the radius, so bounds that hold at radius 1 and
+    fail at the payoff's put the fault on ``[payoff] scale``; any other
+    failure is left to the command that reads ``exp.bounds``."""
     try:
-        exp.build_bounds()
+        exp.bounds
     except DomainError:
         try:
             exp.build_bounds(1.0)

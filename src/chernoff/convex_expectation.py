@@ -30,11 +30,12 @@ __all__ = [
     "Scenario",
     "ScenarioConvexExpectation",
     "GrowthCertificate",
-    "cexp_eval",
     "lln_step",
     "clt_step",
     "lln_plan",
     "clt_plan",
+    "penalized_max_plan",
+    "step_once",
     "maximally_distributed_limit",
     "g_function",
     "growth_certificate",
@@ -198,13 +199,6 @@ class ScenarioConvexExpectation:
         return self.evaluate(payoff, gh_order)
 
 
-def cexp_eval(
-    ce: ScenarioConvexExpectation, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER
-) -> float:
-    """max_i (E_i[payoff] - alpha_i)."""
-    return ce.evaluate(payoff, gh_order)
-
-
 # ---------------------------------------------------------------------------
 # one-step operators on grid functions
 
@@ -228,7 +222,7 @@ def _discrete_plan(s: Scenario, grid: Grid, scale: float):
     return expect
 
 
-def _penalized_max_plan(
+def penalized_max_plan(
     ce: ScenarioConvexExpectation,
     grid: Grid,
     t: float,
@@ -237,7 +231,11 @@ def _penalized_max_plan(
     cut: float,
 ):
     """Pointwise max_i (E_i[u(x + scaled displacement)] - t alpha_i) as a
-    plan ``step(u, out)``.  Each scenario fills one row: the Gaussian
+    plan ``step(u, out)``: scenario i moves by ``scale`` m_i (each atom
+    of a discrete one by ``scale`` times the atom) and a Gaussian one
+    spreads with std ``std_scale`` sigma_i.  The three families are its
+    scalings: lln (t, t), clt (sqrt t, sqrt t) and nisio (t, sqrt t)
+    with zero penalties.  Each scenario fills one row: the Gaussian
     ones together, from one ``gaussian_convolve`` call whose factors and
     ``TapPlan`` are built here, then each discrete one.  The row buffer
     is the plan's own, so one plan must not run in two threads at once."""
@@ -279,16 +277,18 @@ def _penalized_max_plan(
 
 def lln_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
     """``lln_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
-    return _penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut)
+    return penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut)
 
 
 def clt_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
     """``clt_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
     rt = float(np.sqrt(max(t, 0.0)))
-    return _penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut)
+    return penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut)
 
 
-def _step_once(plan, ce, f: GridFunction, t: float, cut: float) -> GridFunction:
+def step_once(plan, ce, f: GridFunction, t: float, cut: float) -> GridFunction:
+    """One step of size t of ``plan(ce, grid, t, cut)`` on f, built for
+    this call alone; t = 0 returns f."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     if t == 0:
@@ -301,14 +301,14 @@ def lln_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Large-numbers step: pointwise max_i (E_i[f(x + t xi)] - t alpha_i)."""
-    return _step_once(lln_plan, ce, f, t, cut)
+    return step_once(lln_plan, ce, f, t, cut)
 
 
 def clt_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Central-limit step: as lln_step with sqrt(t) spatial scaling."""
-    return _step_once(clt_plan, ce, f, t, cut)
+    return step_once(clt_plan, ce, f, t, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,6 @@ class MollifierKernel:
         if self.dim not in (1, 2):
             raise DomainError("kernel dimension must be 1 or 2")
 
-    @property
-    def normalization(self) -> float:
-        mass = _bump_mass()
-        return 2.0 * self.dim ** (self.dim / 2.0) / mass ** (self.dim + 1)
-
     def time_factor(self, s):
         """tau(s), the density of the time variable on [0, 1]."""
         return 2.0 * bump(2.0 * np.asarray(s, float) - 1.0) / _bump_mass()

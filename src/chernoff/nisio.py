@@ -5,6 +5,12 @@ of constant-coefficient Gaussian controls (sigma, m):
 
     (I(t)f)(x) = max over controls of  E[f(x + sigma W_t + m t)].
 
+That is the penalty-free Gaussian scenario step: each control is the
+scenario N(m, sigma^2) with penalty 0 (``NisioFamily.expectation``),
+moved by t m and spread with std sqrt(t) sigma, so the step is the
+shared ``penalized_max_plan`` of ``convex_expectation`` at those
+scales.
+
 Continuous control sets are represented by finitely many samples; for
 convex or concave payoffs the extreme points suffice, otherwise the
 finite sup under-approximates and callers should treat the gap as a
@@ -19,8 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, Grid, GridFunction, weighted_norm
-from .kernels import gaussian_convolve, gaussian_plan, row_max
+from .convex_expectation import (
+    Scenario,
+    ScenarioConvexExpectation,
+    penalized_max_plan,
+    step_once,
+)
+from .core import DomainError, Grid, GridFunction
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,13 @@ class NisioFamily:
             self.controls, smooth=self.assume_smooth
         )
 
+    @cached_property
+    def expectation(self) -> ScenarioConvexExpectation:
+        """The controls as penalty-free Gaussian scenarios N(m, sigma^2)."""
+        return ScenarioConvexExpectation(
+            tuple(Scenario.gaussian(m, s) for s, m in self.controls)
+        )
+
     @property
     def sigma_max(self) -> float:
         return max(s for s, _ in self.controls)
@@ -126,42 +144,17 @@ class NisioFamily:
 
 def nisio_plan(family: NisioFamily, grid: Grid, t: float, cut: float = 8.0):
     """The step ``nisio_step(family, ., t)`` on value arrays, as a plan
-    ``step(u, out)`` that writes into ``out`` and returns it.
-
-    The controls' Gaussian factors (std, shift) and their ``TapPlan`` are
-    built here, so repeated steps build and transform nothing: a step is
-    one ``gaussian_convolve`` call with a row per control, then their
-    max.  The row buffer is the plan's own, so one plan must not run in
-    two threads at once.
-    """
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    stds = [sigma * math.sqrt(t) for sigma, _ in family.controls]
-    shifts = [mean * t for _, mean in family.controls]
-    taps = gaussian_plan(grid, stds, shifts, cut)
-    buffer = np.empty((len(stds), grid.size)) if len(stds) > 1 else None
-    rows = list(buffer) if buffer is not None else None  # the row views, made once
-
-    def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if buffer is None:
-            gaussian_convolve(u, grid, stds, shifts, cut=cut, out=out[np.newaxis], taps=taps)
-            return out
-        gaussian_convolve(u, grid, stds, shifts, cut=cut, out=buffer, taps=taps)
-        return row_max(rows, out)
-
-    return step
+    ``step(u, out)`` that writes into ``out`` and returns it: the
+    family's scenarios moved by t m and spread with std sqrt(t) sigma."""
+    rt = math.sqrt(max(t, 0.0))
+    return penalized_max_plan(family.expectation, grid, t, scale=t, std_scale=rt, cut=cut)
 
 
 def nisio_step(
     family: NisioFamily, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Pointwise max over the family's controls of E[f(x + sigma W_t + m t)]."""
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    if t == 0.0:
-        return f
-    step = nisio_plan(family, f.grid, t, cut)
-    return GridFunction(f.grid, step(f.values, np.empty(f.grid.counts)))
+    return step_once(nisio_plan, family, f, t, cut)
 
 
 def generator_apply(family: NisioFamily, f: GridFunction):
@@ -190,48 +183,3 @@ def _neighbours(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The values one cell up and one cell down, clipped at the ends."""
     padded = np.pad(vals, 1, mode="edge")
     return padded[2:], padded[:-2]
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    measured: float
-    cap: float
-    within: bool
-
-
-def consistency_residual(
-    family: NisioFamily,
-    f: GridFunction,
-    h: float,
-    weight=None,
-    tol: float = 0.05,
-    cut: float = 8.0,
-) -> ConsistencyReport:
-    """Compare the one-step rate (I(h)f - f)/h with its generator cap.
-
-    The cap is v1 sup|f'| + v2 sup|f''| with the derivative
-    sups taken by finite differences on the interior.
-    """
-    if h <= 0:
-        raise DomainError("step size must be positive")
-    grid = f.grid
-    stepped = nisio_step(family, f, h, cut=cut)
-    rate = (stepped.values - f.values) / h
-    margin = (
-        cut * family.sigma_max * math.sqrt(h)
-        + family.drift_max * h
-        + 2 * grid.spacing[0]
-    )
-    mask = grid.interior_mask(margin)
-    if not np.any(mask):
-        raise DomainError("grid too small for the requested step")
-    measured = weighted_norm(GridFunction(grid, rate), weight, where=mask)
-
-    gb = family.bounds
-    dx = grid.spacing[0]
-    up, down = _neighbours(f.values)
-    inner = grid.interior_mask(1.5 * dx)
-    sup1 = float(np.max(np.abs((up - down) / (2 * dx))[inner]))
-    sup2 = float(np.max(np.abs((up - 2 * f.values + down) / (dx * dx))[inner]))
-    cap = gb.first_order * sup1 + gb.second_order * sup2
-    return ConsistencyReport(measured, cap, measured <= cap * (1 + tol))

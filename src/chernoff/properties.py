@@ -10,7 +10,7 @@ are deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,18 +232,6 @@ def appendix_suite(
 
     return SuiteReport(
         results=(scaling.result(), shift.result(), jensen.result()), seed=seed
-    )
-
-
-def negated_operator(op: StepOperator) -> StepOperator:
-    """Negative control: wraps the step so monotonicity must fail."""
-    inner = op.step
-    return replace(
-        op,
-        name=f"negated-{op.name}",
-        step=lambda f, h: inner(-f, h),
-        admitted=False,
-        planner=None,  # the family's plan would iterate the unwrapped step
     )
 
 

@@ -94,10 +94,6 @@ class ErrorCurve:
         return iter(self.points)
 
     @property
-    def h_values(self) -> np.ndarray:
-        return np.array([pt.h for pt in self.points])
-
-    @property
     def uncertainty(self) -> float:
         return max((pt.oracle_uncertainty for pt in self.points), default=0.0)
 

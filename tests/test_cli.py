@@ -7,6 +7,7 @@ import pytest
 
 from chernoff import config as config_module
 from chernoff.cli import main
+from chernoff.core import DomainError
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -295,3 +296,27 @@ def test_rates_out_writes_report(tmp_path, capsys):
     capsys.readouterr()
     on_disk = json.loads((out / "rate_report.json").read_text())
     assert on_disk["fit"]["gamma_hat"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_bounds_evaluates_the_growth_certificate_once(monkeypatch, capsys):
+    # load_config checks the bounds and keeps them for the command
+    real, calls = config_module.growth_certificate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "growth_certificate", counted)
+    assert main(["bounds", str(EXAMPLES / "clt_sublinear.cfg")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_bound_failure_left_to_the_command_exits_3(linear_config, monkeypatch, capsys):
+    # bounds that fail at radius 1 too are not the payoff's fault: the
+    # load-time check lets them through and the command reports them
+    def failing(*args, **kwargs):
+        raise DomainError("addends must be finite and non-negative")
+
+    monkeypatch.setattr(config_module, "nisio_bounds", failing)
+    assert main(["bounds", str(linear_config)]) == 3
+    assert capsys.readouterr().err == "error: addends must be finite and non-negative\n"

@@ -52,7 +52,7 @@ def test_minimal_nisio_config(tmp_path):
     assert exp.weight is None
     assert exp.radius == pytest.approx(1.0)
     assert exp.raw_text == NISIO_CFG
-    (report,) = exp.build_bounds()
+    (report,) = exp.bounds
     assert report.side == "plus" and report.gamma == 0.25
 
 
@@ -119,7 +119,7 @@ h = 2^-3, 2^-4
     exp = load_config(write(tmp_path, cfg))
     assert exp.model_kind == "lln"
     assert len(exp.model.scenarios) == 2
-    minus, plus = exp.build_bounds()
+    minus, plus = exp.bounds
     assert (minus.side, plus.side) == ("minus", "plus")
     assert minus.gamma == 0.5
     missing = cfg.replace("pair.json", "ghost.json")
@@ -154,7 +154,7 @@ h = 2^-3, 2^-4
 symmetric = true
 """
     exp = load_config(write(tmp_path, cfg))
-    reports = exp.build_bounds()
+    reports = exp.bounds
     assert [b.gamma for b in reports] == pytest.approx([1 / 6, 1 / 6, 0.25, 0.25])
     plain = cfg.replace("type = clt", "type = lln")
     with pytest.raises(ConfigError, match="symmetric"):
@@ -176,7 +176,7 @@ def test_smooth_rejected_outside_nisio(tmp_path, op_type):
     smooth_nisio = NISIO_CFG.replace(
         "controls = 0.5 0, 1 0", "controls = 0.5 0, 1 0\nsmooth = false"
     )
-    (report,) = load_config(write(tmp_path, smooth_nisio, "n.cfg")).build_bounds()
+    (report,) = load_config(write(tmp_path, smooth_nisio, "n.cfg")).bounds
     assert report.gamma == pytest.approx(1 / 6)
 
 

@@ -11,7 +11,6 @@ from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
     _lower_hull,
-    cexp_eval,
     clt_step,
     g_function,
     growth_certificate,
@@ -43,11 +42,11 @@ def grid1d(n=801, half=8.0):
 
 
 def test_cexp_eval_zero_payoff():
-    assert cexp_eval(sublinear_pair(), lambda x: np.zeros_like(x)) == 0.0
+    assert sublinear_pair().evaluate(lambda x: np.zeros_like(x)) == 0.0
 
 
 def test_cexp_eval_gaussian_second_moment():
-    val = cexp_eval(sublinear_pair(0.5, 1.0), lambda x: x**2)
+    val = sublinear_pair(0.5, 1.0).evaluate(lambda x: x**2)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -55,13 +54,13 @@ def test_cexp_eval_penalized_enumeration():
     ce = ScenarioConvexExpectation(
         (Scenario.point(1.0), Scenario.point(-1.0, penalty=0.5))
     )
-    assert cexp_eval(ce, lambda x: x) == pytest.approx(1.0)
+    assert ce.evaluate(lambda x: x) == pytest.approx(1.0)
 
 
 def test_cexp_eval_quadrature_doubles_stably():
     ce = sublinear_pair()
-    coarse = cexp_eval(ce, lambda x: np.abs(x) ** 3, gh_order=32)
-    fine = cexp_eval(ce, lambda x: np.abs(x) ** 3, gh_order=64)
+    coarse = ce.evaluate(lambda x: np.abs(x) ** 3, gh_order=32)
+    fine = ce.evaluate(lambda x: np.abs(x) ** 3, gh_order=64)
     exact = 2.0 * math.sqrt(2.0 / math.pi)  # E|Z|^3 for the unit Gaussian
     assert coarse == pytest.approx(exact, rel=1e-3)
     assert abs(fine - exact) <= abs(coarse - exact) + 1e-12
@@ -76,10 +75,10 @@ def test_translation_identity_and_monotonicity():
     ce = ScenarioConvexExpectation(
         (Scenario.gaussian(0.0, 1.0), Scenario.point(0.5, penalty=0.3))
     )
-    base = cexp_eval(ce, lambda x: np.cos(x))
-    shifted = cexp_eval(ce, lambda x: np.cos(x) + 2.5)
+    base = ce.evaluate(lambda x: np.cos(x))
+    shifted = ce.evaluate(lambda x: np.cos(x) + 2.5)
     assert shifted == pytest.approx(base + 2.5, abs=1e-12)
-    low = cexp_eval(ce, lambda x: np.cos(x) - 1.0)
+    low = ce.evaluate(lambda x: np.cos(x) - 1.0)
     assert low <= base
 
 
@@ -93,8 +92,8 @@ def test_convexity_in_the_payoff():
         f = lambda x: a * x + b * np.tanh(x) + c
         g = lambda x: b * x**2 / (1 + x**2) + a
         for w in (0.0, 0.3, 0.8, 1.0):
-            mix = cexp_eval(ce, lambda x: w * f(x) + (1 - w) * g(x))
-            assert mix <= w * cexp_eval(ce, f) + (1 - w) * cexp_eval(ce, g) + 1e-11
+            mix = ce.evaluate(lambda x: w * f(x) + (1 - w) * g(x))
+            assert mix <= w * ce.evaluate(f) + (1 - w) * ce.evaluate(g) + 1e-11
 
 
 def test_scaling_inequality_for_small_lambda():
@@ -108,9 +107,9 @@ def test_scaling_inequality_for_small_lambda():
         x = lambda t: a * np.sin(t)
         y = lambda t: b * np.cos(t)
         for lam in (0.1, 0.5, 1.0):
-            lhs = cexp_eval(ce, x) - cexp_eval(ce, y)
-            inner = cexp_eval(ce, lambda t: (x(t) - y(t)) / lam + y(t))
-            rhs = lam * (inner - cexp_eval(ce, y))
+            lhs = ce.evaluate(x) - ce.evaluate(y)
+            inner = ce.evaluate(lambda t: (x(t) - y(t)) / lam + y(t))
+            rhs = lam * (inner - ce.evaluate(y))
             assert lhs <= rhs + 1e-11
 
 
@@ -123,8 +122,8 @@ def test_finite_mixture_jensen():
         (lambda x, s=s: np.sin(s * x) + s) for s in rng.uniform(0.5, 2.0, size=4)
     ]
     w = rng.dirichlet(np.ones(4))
-    mixed = cexp_eval(ce, lambda x: sum(wi * p(x) for wi, p in zip(w, payoffs)))
-    assert mixed <= sum(wi * cexp_eval(ce, p) for wi, p in zip(w, payoffs)) + 1e-11
+    mixed = ce.evaluate(lambda x: sum(wi * p(x) for wi, p in zip(w, payoffs)))
+    assert mixed <= sum(wi * ce.evaluate(p) for wi, p in zip(w, payoffs)) + 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,40 @@ def test_plan_adapter_for_a_bare_step():
     out, traj = chernoff_iterate(op, f, 1.0, 0.25, record=True)
     np.testing.assert_array_equal(out.values, f.values * 0.0625)
     np.testing.assert_array_equal(traj.slice(2).values, f.values * 0.25)
+
+
+@pytest.mark.parametrize(
+    "module, name, build",
+    [
+        ("nisio", "nisio_step", lambda: StepOperator.from_nisio(NisioFamily(((0.5, 0.0),)))),
+        (
+            "convex_expectation",
+            "lln_step",
+            lambda: StepOperator.from_lln(ScenarioConvexExpectation((Scenario.point(0.5),))),
+        ),
+        (
+            "convex_expectation",
+            "clt_step",
+            lambda: StepOperator.from_clt(
+                ScenarioConvexExpectation((Scenario.gaussian(0.0, 0.5),))
+            ),
+        ),
+    ],
+)
+def test_a_family_step_looks_its_step_function_up_when_built(module, name, build, monkeypatch):
+    # a wrapper put on the module's name before the operator is built is
+    # the function op.step calls (a profiler wraps the names this way)
+    owner = importlib.import_module(f"chernoff.{module}")
+    real, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    f = GridFunction.from_callable(grid1d(101), np.cos)
+    build().step(f, 0.25)
+    assert calls == [0.25]
 
 
 # ---------------------------------------------------------------------------

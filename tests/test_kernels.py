@@ -7,8 +7,8 @@ from chernoff import kernels
 from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
-    clt_plan,
     lln_plan,
+    penalized_max_plan,
 )
 from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.kernels import (
@@ -20,7 +20,7 @@ from chernoff.kernels import (
     shift_taps,
     tap_plan,
 )
-from chernoff.nisio import NisioFamily, nisio_plan
+from chernoff.nisio import NisioFamily
 
 
 def test_shift_taps_exact_multiple():
@@ -411,10 +411,16 @@ def _factors(case, h):
 
 
 def _step_plan(case, grid, h):
+    """The family's step as the shared penalised-max plan: nisio at shift
+    scale h, clt at sqrt(h); both at std scale sqrt(h)."""
     if case.startswith("nisio"):
-        return nisio_plan(NisioFamily(_FACTOR_CASES[case]), grid, h)
-    ce = ScenarioConvexExpectation(tuple(Scenario.gaussian(0.0, s) for s in _FACTOR_CASES[case]))
-    return clt_plan(ce, grid, h)
+        ce, scale = NisioFamily(_FACTOR_CASES[case]).expectation, h
+    else:
+        ce = ScenarioConvexExpectation(
+            tuple(Scenario.gaussian(0.0, s) for s in _FACTOR_CASES[case])
+        )
+        scale = np.sqrt(h)
+    return penalized_max_plan(ce, grid, h, scale=scale, std_scale=np.sqrt(h), cut=8.0)
 
 
 def _fine_grid():

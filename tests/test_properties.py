@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from chernoff.nisio import NisioFamily
 from chernoff.properties import (
     admit_operator,
     appendix_suite,
-    negated_operator,
     random_lipschitz_function,
     random_nonnegative_bump,
     structural_suite,
@@ -19,6 +20,18 @@ from chernoff.properties import (
 
 def grid1d(n=513, half=8.0):
     return Grid((-half,), (half,), (n,))
+
+
+def negated_operator(op: StepOperator) -> StepOperator:
+    """Negative control: wraps the step so monotonicity must fail."""
+    inner = op.step
+    return replace(
+        op,
+        name=f"negated-{op.name}",
+        step=lambda f, h: inner(-f, h),
+        admitted=False,
+        planner=None,  # the family's plan would iterate the unwrapped step
+    )
 
 
 GHEAT_OP = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0))))
