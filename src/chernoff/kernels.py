@@ -23,44 +23,49 @@ steps transform no taps and choose no branch.  Without a plan the call
 builds one and applies it once; a shift (one tap, or two on adjacent
 cells) needs none.
 
-On the direct branch every row is correlated on its own offset range.
-When that range covers offset 0 this is one
-``scipy.ndimage.correlate1d`` call on the values themselves, with
-``mode="nearest"`` as the edge clamp and ``origin`` placing the taps;
-scipy admits no other origin, so a tap list wholly on one side of 0 (a
-whole-cell shift, or drift beyond ``cut`` standard deviations) reads an
-edge-clamped copy of the values instead, except for one or two taps (a
-shift, or a fractional shift past one cell), which are scaled slices
-written into ``out``.
+On the direct branch the call fills one edge-clamped window over the
+plan's offset range and correlates each row with ``np.correlate(...,
+"valid")`` on its own slice of it, forming every product of every row;
+a row of one or two taps (a shift, whole or fractional) is instead one
+or two scaled slices of the values written into ``out``.  No value is
+added to another before it is weighted, so every partial sum is a
+partial weighted average and a finite input gives a finite output
+however close it is to the float range.
 
-Wide lists take an FFT branch instead.  The plan fixes one offset range
-[min lo, max hi] for all rows, one length ``next_fast_len`` at least
-n + hi - lo (long enough that no output wraps) and the rows' conjugated
-spectra.  A call fills the edge-clamped window once, runs one ``rfft``,
-multiplies it by the k held spectra and runs one stacked ``irfft``.
-``correlate1d`` costs about m products per point for m taps, the FFT a
-fixed overhead plus L log2 L per transform of length L; the plan takes
-the FFT where a cost model fitted to timings of both branches prices
-its 1 + k transforms per call, and the k made for the spectra, below
-the rows' products.  For one centred row that is from about 290 taps
-at n = 513, 160 at 1025, 76 at 4095 and 65 at 8191.  A spectrum that
-overflows (sup |values| within a factor of about L of the largest
-float) or holds a non-finite value makes every output of its row
-non-finite, so output 0 of each row is checked and such a call is
-redone on ``correlate1d``.
+Wide lists take an FFT branch instead, on ``numpy.fft``.  The plan fixes
+one offset range [min lo, max hi] for all rows, one 5-smooth length
+``next_fast_len`` at least n + hi - lo (long enough that no output
+wraps) and the rows' conjugated spectra.  A call fills the window once,
+runs one ``rfft``, multiplies it by the k held spectra and runs one
+stacked ``irfft``.  ``np.correlate`` costs a fixed part per output of a
+row plus its m products, the FFT a fixed overhead plus L log2 L per
+transform of length L; the plan takes the FFT where a cost model fitted
+to step timings of both branches prices its 1 + k transforms per call
+below the rows' direct cost.  For one centred row every list longer
+than 545 taps takes it at n = 513, 241 at 1025, 145 at 2049 and 113 at
+4095 and 8191, and for the two rows of a nisio family with sigmas 1/2
+and 1 every pair wider than 289, 129, 65, 37 and 65 taps; shorter
+lists that leave many products outside the dot kernel's blocks of 16
+may take it earlier.  A spectrum that overflows (sup |values| within a factor of
+about L of the largest float) or holds a non-finite value makes every
+output of its row non-finite, so output 0 of each row is checked and
+such a call is redone on the direct branch.
 
-A plan is read-only and may be shared; the row buffers that the step
-plans keep beside it are not, so each thread builds its own step plan.
+A plan holds the window and, on the FFT branch, the spectrum, product
+and output buffers of its transforms, so a call makes no array of its
+own but ``np.correlate``'s result rows.  A plan must therefore not run
+in two threads at once; each step plan builds its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.ndimage import correlate1d
+from numpy import correlate
+from numpy.fft import irfft, rfft
 
 from .core import DomainError, Grid
 
@@ -76,18 +81,22 @@ __all__ = [
 ]
 
 _EXACT_SHIFT_TOL = 1e-9
-# Cost model of correlating rows of n points with m taps, in seconds:
-# correlate1d ~ _DIRECT_S * n * m per row against the FFT's _FFT_FIXED_S +
-# _FFT_S * L log2 L per three transforms, L = next_fast_len(n + m - 1);
-# _FFT_FIXED_S is its fixed cost less correlate1d's.  Fitted to one-row
-# calls of both branches, which ran three transforms each (window, taps,
-# inverse), at n = 513, 1025, 4095, 8191 and on 129 x 129 (2 cores, numpy
-# 2.4.6, scipy 1.17.1) with mirror-symmetric taps, for which correlate1d
-# forms half the products; drifted lists cost it twice as much, so the
-# model keeps them on correlate1d up to about twice their true crossover.
-_DIRECT_S = 0.22e-9
-_FFT_FIXED_S = 26e-6
-_FFT_S = 0.8e-9
+# Cost model of one call on rows of n points, in seconds, fitted to the
+# step loop of nisio families of one and two controls with both branches
+# forced, at n = 513, 1025, 2049, 4095, 8191 and 1 to 32 cells of std
+# (2 cores, numpy 2.4.6 on OpenBLAS 0.3.31).  np.correlate forms each
+# output of a row of m taps as one BLAS dot product: _DOT_S plus _DIRECT_S
+# per product, and _TAIL_S for each of the m mod 16 products left over
+# by the 16-wide kernel; numpy forms rows of up to _SMALL_ROW taps in a
+# loop of its own, _DIRECT_S per product.  The FFT costs _FFT_FIXED_S more
+# than that per call, plus _FFT_S * L log2 L for each of its transforms of
+# length L = next_fast_len(n + size - 1).
+_DIRECT_S = 0.11e-9
+_DOT_S = 14e-9
+_TAIL_S = 0.7e-9
+_SMALL_ROW = 11
+_FFT_FIXED_S = 19e-6
+_FFT_S = 0.92e-9
 
 
 def shift_taps(shift: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,11 +140,14 @@ class TapPlan:
     """How ``apply_taps`` correlates rows of ``n`` values with the weight
     rows ``weights`` ((m,) or (k, m)) on the shared ``offsets``.
 
-    ``rows`` holds each weight row as its first offset and dense taps,
-    for ``correlate1d``.  On the FFT branch
-    (``spectra`` not None) the window starts at offset ``lo`` and spans
-    ``size`` offsets, and ``spectra`` holds the rows' conjugated
-    transforms at ``length``, one per weight row.
+    ``rows`` holds each weight row as its first offset and dense taps.
+    ``window`` receives the edge-clamped values from offset ``lo`` over
+    ``size`` offsets (None when every row has one or two taps, which
+    read the values); on the FFT branch (``spectra`` not None) it is
+    zero-padded to ``length``, ``spectra`` holds the rows' conjugated
+    transforms at that length, one per weight row, and ``spectrum``,
+    ``product`` and ``full`` receive the forward transform, its products
+    with the spectra and their inverse transforms.
     """
 
     n: int
@@ -146,6 +158,10 @@ class TapPlan:
     size: int
     length: int
     spectra: np.ndarray | None
+    window: np.ndarray | None
+    spectrum: np.ndarray | None = None
+    product: np.ndarray | None = None
+    full: np.ndarray | None = None
 
 
 def tap_plan(n: int, offsets, weights) -> TapPlan:
@@ -196,11 +212,35 @@ def _plan(n: int, offsets, weights, lo: int, dense: np.ndarray, rows) -> TapPlan
     """The plan of ``weights`` on ``offsets``, given as ``dense`` taps from
     offset ``lo`` (one row per weight row) and each row's own range."""
     size = dense.shape[-1]
-    length, spectra = 0, None
-    if size > 2 and _fft_is_cheaper(n, size, len(rows), sum(t.size for _, t in rows)):
-        length = next_fast_len(n + size - 1, real=True)
-        spectra = np.conj(rfft(dense, length))
-    return TapPlan(n, offsets, weights, tuple(rows), lo, size, length, spectra)
+    if not (size > 2 and _fft_is_cheaper(n, size, [t.size for _, t in rows])):
+        # rows of one or two taps are slices of the values, with no window
+        window = np.empty(n + size - 1) if max(t.size for _, t in rows) > 2 else None
+        return TapPlan(n, offsets, weights, tuple(rows), lo, size, 0, None, window)
+    length = next_fast_len(n + size - 1)
+    spectra = np.conj(rfft(dense, length))
+    return TapPlan(
+        n, offsets, weights, tuple(rows), lo, size, length, spectra,
+        window=np.zeros(length),  # past n + size - 1, the transform's padding
+        spectrum=np.empty(length // 2 + 1, dtype=complex),
+        product=np.empty_like(spectra),
+        full=np.empty(spectra.shape[:-1] + (length,)),
+    )
+
+
+@lru_cache(maxsize=1024)
+def next_fast_len(target: int) -> int:
+    """The least 2^a 3^b 5^c >= ``target``: a length whose real transform
+    is fast, as ``scipy.fft.next_fast_len(target, real=True)`` gives."""
+    best = 1 << max(target - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power of two that lifts this 3^b 5^c to target
+            best = min(best, odd << max(-(-target // odd) - 1, 0).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def apply_taps(
@@ -222,7 +262,7 @@ def apply_taps(
     built once by a caller that applies the same taps again and again.
     The FFT branch agrees with the sum to roundoff (about 1e-15 *
     sup|values|); when output 0 of any row is not finite there, the call
-    is redone on ``correlate1d``.
+    is redone on the direct branch.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -239,58 +279,59 @@ def apply_taps(
         if offsets.shape == weights.shape == (1,):
             return _clamped_window(values, int(offsets[0]), out, weights[0])
         if offsets.shape == weights.shape == (2,) and offsets[1] - offsets[0] == 1:
-            return _correlate_row(values, int(offsets[0]), weights, out)
+            return _shift_row(values, int(offsets[0]), weights, out)
         plan = tap_plan(values.size, offsets, weights)
     elif plan.n != values.size:
         raise DomainError(f"apply_taps: the plan is for {plan.n} values, got {values.size}")
+    n = values.size
+    if plan.window is not None:
+        _clamped_window(values, plan.lo, plan.window[: n + plan.size - 1])
     if plan.spectra is not None:
         # Circular correlation at length >= n + hi - lo: output i reads
-        # window[i .. i + hi - lo], so none of the first n wraps.
-        window = _clamped_window(values, plan.lo, np.empty(values.size + plan.size - 1))
-        spectrum = rfft(window, plan.length)
-        with np.errstate(invalid="ignore"):  # inf * 0 in an overflowed spectrum
-            full = irfft(spectrum * plan.spectra, plan.length, overwrite_x=True)
+        # window[i .. i + hi - lo], so none of the first n wraps.  An
+        # overflowed spectrum warns and gives inf * 0; both are caught
+        # below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rfft(plan.window, out=plan.spectrum)
+            np.multiply(plan.spectrum, plan.spectra, out=plan.product)
+            irfft(plan.product, plan.length, out=plan.full)
         # a non-finite spectrum spreads over its whole row, so output 0
         # of each row tells whether the row is usable
-        if np.isfinite(full[..., 0]).all():
-            out[...] = full[..., : values.size]
+        if np.isfinite(plan.full[..., 0]).all():
+            out[...] = plan.full[..., :n]
             return out
     for row, (lo, taps) in zip(np.atleast_2d(out), plan.rows):
-        _correlate_row(values, lo, taps, row)
+        if taps.size > 2:
+            start = lo - plan.lo
+            row[...] = correlate(plan.window[start : start + n + taps.size - 1], taps, "valid")
+        else:
+            _shift_row(values, lo, taps, row)
     return out
 
 
-def _fft_is_cheaper(n: int, size: int, rows: int, products: int) -> bool:
-    """Whether the cost model prices the FFT correlation of ``rows`` weight
-    rows on ``size`` shared offsets below ``correlate1d`` forming
-    ``products`` products per point.  The FFT runs one forward and
-    ``rows`` inverse transforms per call and ``rows`` more for the
-    spectra, so a one-row plan applied once is priced as the three
-    transforms the model was fitted to."""
-    length = next_fast_len(n + size - 1, real=True)
-    fft = _FFT_FIXED_S + _FFT_S * (1 + 2 * rows) / 3 * length * math.log2(length)
-    return _DIRECT_S * n * products > fft
+def _fft_is_cheaper(n: int, size: int, taps: list[int]) -> bool:
+    """Whether the cost model prices one call of the FFT correlation of
+    weight rows of ``taps`` taps each, on ``size`` shared offsets, below
+    the direct branch.  A plan is built to be applied again and again, so
+    a call is priced as its one forward and len(taps) inverse transforms;
+    the transforms of the taps, made once, are left out."""
+    length = next_fast_len(n + size - 1)
+    fft = _FFT_FIXED_S + _FFT_S * (1 + len(taps)) * length * math.log2(length)
+    direct = 0.0
+    for m in taps:
+        direct += _DIRECT_S * m
+        if m > _SMALL_ROW:
+            direct += _DOT_S + _TAIL_S * (m % 16)
+    return n * direct > fft
 
 
-def _correlate_row(values: np.ndarray, lo: int, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i] = sum_k taps[k] * values[clip(i + lo + k, 0, n - 1)]``
-    without an FFT."""
-    n, hi = values.size, lo + taps.size - 1
-    if taps.size > 1 and lo <= 0 <= hi:
-        # taps[k] reads values[i + lo + k]; the clamp is scipy's "nearest".
-        return correlate1d(values, taps, output=out, mode="nearest", origin=-(lo + taps.size // 2))
-    if taps.size <= 2:
-        # out = w0 * values[clip(i + lo)] (+ w1 * values[clip(i + lo + 1)]),
-        # the products and the one sum correlate1d would form.
-        _clamped_window(values, lo, out, taps[0])
-        if taps.size == 2:
-            _clamped_window(values, lo + 1, out, taps[1], add=True)
-        return out
-    # correlate1d centres the taps at taps.size // 2; outputs from there
-    # on read only inside the window, so the mode never applies.
-    window = _clamped_window(values, lo, np.empty(n + hi - lo))
-    start = taps.size // 2
-    out[...] = correlate1d(window, taps, mode="nearest")[start : start + n]
+def _shift_row(values: np.ndarray, lo: int, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = taps[0] * values[clip(i + lo, 0, n - 1)] (+ taps[1] *
+    values[clip(i + lo + 1, 0, n - 1)])`` for one or two taps: one scaled
+    slice of the values, or a second one added to it."""
+    _clamped_window(values, lo, out, taps[0])
+    if taps.size == 2:
+        _clamped_window(values, lo + 1, out, taps[1], add=True)
     return out
 
 
@@ -303,19 +344,20 @@ def _clamped_window(
 ) -> np.ndarray:
     """Fill ``window[k] = scale * values[clip(lo + k, 0, n - 1)]`` (with
     ``add``, add it to ``window[k]``): one product over the inner part
-    [a, b) and one for each edge value."""
+    [a, b) and one for each edge value, or a copy when ``scale`` is 1."""
     n, size = values.size, window.size
     a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
     for part, src in (
-        (slice(a, b), slice(lo + a, lo + b)),
-        (slice(0, a), slice(0, 1)),
-        (slice(b, size), slice(n - 1, n)),
+        (slice(a, b), values[lo + a : lo + b]),
+        (slice(0, a), values[0]),
+        (slice(b, size), values[n - 1]),
     ):
-        dst = window[part]
         if add:
-            dst += values[src] * scale
+            window[part] += src * scale
+        elif scale == 1.0:  # x * 1.0 is x exactly
+            window[part] = src
         else:
-            np.multiply(values[src], scale, out=dst)
+            np.multiply(src, scale, out=window[part])
     return window
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from chernoff.kernels import (
     gaussian_convolve,
     gaussian_plan,
     gaussian_taps,
+    next_fast_len,
     shift_taps,
     tap_plan,
 )
@@ -371,7 +374,7 @@ def test_fft_branch_on_strided_and_float32_input(start):
 @given(st.integers(0, 2**32 - 1))
 def test_fft_branch_keeps_constants_and_the_range(seed):
     rng = np.random.default_rng(seed)
-    n, count = int(rng.integers(2000, 8192)), int(rng.integers(150, 3000))
+    n, count = int(rng.integers(2000, 8192)), int(rng.integers(200, 3000))
     offsets, weights = _one_sided(int(rng.integers(-n - count, n)), count, seed)
     weights = weights**3 / np.sum(weights**3)
     assert _takes_fft(n, offsets, weights)
@@ -384,13 +387,13 @@ def test_fft_branch_keeps_constants_and_the_range(seed):
 
 
 def test_the_fft_branch_is_taken_past_the_measured_crossover():
-    # one row: the 513-point structural-suite calls stay on correlate1d
-    assert not _fft_is_cheaper(513, 87, 1, 87)
-    assert not _fft_is_cheaper(513, 173, 1, 173)
+    # one row: the 513-point structural-suite calls stay on correlate
+    assert not _fft_is_cheaper(513, 87, [87])
+    assert not _fft_is_cheaper(513, 173, [173])
     for count in (123, 301, 967, 1931, 2731):
-        assert _fft_is_cheaper(4095, count, 1, count)
+        assert _fft_is_cheaper(4095, count, [count])
     for count in (1, 2, 3, 25):
-        assert not _fft_is_cheaper(4095, count, 1, count)
+        assert not _fft_is_cheaper(4095, count, [count])
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +474,13 @@ def test_a_plan_step_runs_one_forward_transform_and_none_of_the_taps(case, h, mo
     u = _payoff(grid)
     step = _step_plan(case, grid, h)  # the taps' spectra are made here
     calls = []
-    for name in ("rfft", "irfft", "correlate1d"):
+    for name in ("rfft", "irfft", "correlate"):
         _counting(monkeypatch, kernels, name, calls)
     for _ in range(3):
         step(u, np.empty(_W))
     k = len(_FACTOR_CASES[case])
     # per step: one rfft of the window (longer than the values), one
-    # stacked irfft of the k products, no correlate1d
+    # stacked irfft of the k products, no correlate
     assert [name for name, _ in calls] == ["rfft", "irfft"] * 3
     assert all(shape[0] > _W for name, shape in calls if name == "rfft")
     assert all(shape[0] == k for name, shape in calls if name == "irfft")
@@ -485,7 +488,7 @@ def test_a_plan_step_runs_one_forward_transform_and_none_of_the_taps(case, h, mo
 
 @pytest.mark.parametrize("h", [2.0**-7, 2.0**-1])
 @pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
-def test_a_plan_redoes_an_overflowed_step_on_correlate1d(case, h, monkeypatch):
+def test_a_plan_redoes_an_overflowed_step_on_correlate(case, h, monkeypatch):
     grid = _fine_grid()
     u = np.linspace(-1.0, 1.0, _W) * 1e306
     factors = _factors(case, h)
@@ -493,21 +496,52 @@ def test_a_plan_redoes_an_overflowed_step_on_correlate1d(case, h, monkeypatch):
     plan = gaussian_plan(grid, stds, shifts)
     assert plan.spectra is not None
     calls = []
-    _counting(monkeypatch, kernels, "correlate1d", calls)
-    rows = gaussian_convolve(u, grid, stds, shifts, taps=plan)
-    assert len(calls) == len(factors)
+    _counting(monkeypatch, kernels, "correlate", calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is caught, not reported
+        rows = gaussian_convolve(u, grid, stds, shifts, taps=plan)
+        out = _step_plan(case, grid, h)(u, np.empty(_W))
+    assert len(calls) == 2 * len(factors)
     assert np.all(np.isfinite(rows))
     sums = []
     for row, (std, shift) in zip(rows, factors):
         sums.append(_clipped_sum(u, *gaussian_taps(std, shift, grid.spacing[0])))
         np.testing.assert_allclose(row, sums[-1], rtol=0, atol=1e-14 * 1e306)
-    out = _step_plan(case, grid, h)(u, np.empty(_W))
     np.testing.assert_allclose(out, np.max(sums, axis=0), rtol=0, atol=1e-14 * 1e306)
+
+
+@pytest.mark.parametrize("h, fft", [(2.0**-1, True), (2.0**-8, False)])
+def test_a_payoff_near_the_float_range_steps_to_finite_values(h, fft, monkeypatch):
+    # a linear payoff with sup |f| = 1.68e308 and one sigma = 1 step of
+    # size h on 1025 points: 483 taps on the FFT branch, whose spectrum
+    # overflows so the call is redone directly, or 45 on the direct one
+    grid = Grid((-12.0,), (12.0,), (1025,))
+    u = 1.4e307 * grid.axes[0]
+    plan = gaussian_plan(grid, np.sqrt(h), 0.0)
+    assert (plan.spectra is not None) == fft
+    calls = []
+    _counting(monkeypatch, kernels, "correlate", calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gaussian_convolve(u, grid, np.sqrt(h), 0.0, taps=plan)
+        step = _step_plan("nisio-two-controls", grid, h)(u, np.empty(grid.size))
+    assert len(calls) == 3
+    sup = np.max(np.abs(u))
+    for row in (out, step):
+        assert np.all(np.isfinite(row)) and np.max(np.abs(row)) <= sup
+    expected = _clipped_sum(u, *gaussian_taps(np.sqrt(h), 0.0, grid.spacing[0]))
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * sup)
+
+
+def test_next_fast_len_gives_the_real_transform_lengths_of_scipy():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    for target in range(1, 2**15 + 1):
+        assert next_fast_len(target) == scipy_fft.next_fast_len(target, real=True)
 
 
 def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     # the clt Gaussian pair's 513-point structural-suite calls: 87 and 173
-    # taps, each row on correlate1d with its own taps, as one-row calls
+    # taps, each row on correlate with its own taps, as one-row calls
     grid = Grid((-12.0,), (12.0,), (513,))
     u = _payoff(grid)
     plan = gaussian_plan(grid, [0.25, 0.5], [0.0, 0.0])
@@ -516,7 +550,7 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     rows = gaussian_convolve(u, grid, [0.25, 0.5], [0.0, 0.0], taps=plan)
     for row, std in zip(rows, (0.25, 0.5)):
         np.testing.assert_array_equal(row, apply_taps(u, *gaussian_taps(std, 0.0, grid.spacing[0])))
-    # one-tap lln steps: scaled slices, with no plan, correlate1d or FFT
+    # one-tap lln steps: scaled slices, with no plan, correlate or FFT
     fine = _fine_grid()
     mass = 512 * fine.spacing[0]
     ce = ScenarioConvexExpectation((Scenario.point(-mass), Scenario.point(mass, 1.0)))
@@ -525,7 +559,7 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a one-tap step left the scaled-slice branch")
 
-    for name in ("tap_plan", "correlate1d", "rfft", "irfft"):
+    for name in ("tap_plan", "correlate", "rfft", "irfft"):
         monkeypatch.setattr(kernels, name, refuse)
     u = _payoff(fine)
     out = step(u, np.empty(_W))

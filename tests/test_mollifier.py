@@ -23,7 +23,7 @@ from chernoff.nisio import NisioFamily
 # oracle helpers. The derivative closed form is validated pointwise by
 # high-order finite differences of the bump itself (safe interior points
 # only), and the L1 integrals by dense midpoint Riemann sums, so the
-# production values (recursion + adaptive quadrature) are cross-checked
+# production values (recursion + tanh-sinh quadrature) are cross-checked
 # by two mechanisms that share none of their code.
 
 
@@ -65,6 +65,21 @@ def test_bump_mass_value():
 def test_first_derivative_l1_closed_form():
     # integral of |beta'| telescopes to 2 * beta(0)
     assert _bump_deriv_l1(1) == pytest.approx(2.0 / math.e, abs=1e-12)
+
+
+# integral of |beta^(n)| for n = 0..3 to 19 digits: mpmath at 40 digits,
+# split at the real roots of Q_n polished to that precision
+DERIV_L1_40_DIGITS = [
+    0.4439938161680794378,
+    0.7357588823428846432,
+    3.193719007334398177,
+    35.64721990968618204,
+]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_deriv_l1_is_pinned_to_high_precision_values(n):
+    assert _bump_deriv_l1(n) == pytest.approx(DERIV_L1_40_DIGITS[n], rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
