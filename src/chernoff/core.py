@@ -250,25 +250,63 @@ class SpaceTimeFunction:
     def slice(self, i: int) -> GridFunction:
         return GridFunction(self.grid, self.values[i])
 
+    def sample_indices(self, times, tol: float = 1e-9) -> np.ndarray:
+        """Index of the nearest sample to each of ``times`` (the earlier
+        one on a tie), as an integer array of the same shape.  Raises
+        for the first time, in order, that is more than ``tol`` from
+        every sample.  Cost O(len(times) log len(self.times)), memory
+        O(len(times)): no slice is made."""
+        t = np.asarray(times, dtype=float)
+        right = np.minimum(np.searchsorted(self.times, t), len(self.times) - 1)
+        left = np.maximum(right - 1, 0)
+        idx = np.where(
+            np.abs(self.times[left] - t) <= np.abs(self.times[right] - t), left, right
+        )
+        off = ~(np.abs(self.times[idx] - t) <= tol)
+        if off.any():
+            k = np.flatnonzero(off.ravel())[0]
+            t0, nearest = t.ravel()[k], self.times[idx.ravel()[k]]
+            raise DomainError(f"time {t0} is not a sample (nearest: {nearest})")
+        return idx
+
     def at_time(self, t: float, tol: float = 1e-9) -> GridFunction:
-        """Slice at an exactly sampled time (within ``tol``)."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
-            raise DomainError(f"time {t} is not a sample (nearest: {self.times[i]})")
-        return self.slice(i)
+        """Slice at an exactly sampled time (within ``tol``): the
+        one-time case of ``sample_indices``."""
+        return self.slice(int(self.sample_indices(t, tol)))
+
+    def interp_weights(self, times) -> np.ndarray:
+        """Matrix ``W`` of shape (len(times), len(self.times)) with
+        ``W @ self.values`` the linear interpolation between samples at
+        each time: row r holds 1 - w and w at the samples i, i + 1 that
+        bracket ``times[r]``.  Times within 1e-12 * max(1, |t_max|) of
+        the sampled range are clamped into it; others raise, naming the
+        first.  Memory is len(times) * len(self.times) floats, so
+        callers pass a block of times at a time."""
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        tol = 1e-12 * max(1.0, abs(self.t_max))
+        outside = ~((t >= self.t_min - tol) & (t <= self.t_max + tol))
+        if outside.any():
+            raise DomainError(
+                f"time {t[np.argmax(outside)]} outside sampled range "
+                f"[{self.t_min}, {self.t_max}]"
+            )
+        m = len(self.times)
+        W = np.zeros((t.size, m))
+        if m == 1:
+            W[:, 0] = 1.0
+            return W
+        t = np.clip(t, self.t_min, self.t_max)
+        i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, m - 2)
+        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
+        rows = np.arange(t.size)
+        W[rows, i] = 1.0 - w
+        W[rows, i + 1] = w
+        return W
 
     def interp_time(self, t: float) -> np.ndarray:
-        """Values at time ``t``, linear interpolation between samples."""
-        tol = 1e-12 * max(1.0, abs(self.t_max))
-        if t < self.t_min - tol or t > self.t_max + tol:
-            raise DomainError(
-                f"time {t} outside sampled range [{self.t_min}, {self.t_max}]"
-            )
-        t = min(max(t, self.t_min), self.t_max)
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.times) - 2)
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        """Values at time ``t``, linear interpolation between samples:
+        the one-row case of ``interp_weights``."""
+        return self.interp_weights(t)[0] @ self.values
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .core import (
     WeightFunction,
     negative_part_norm,
     positive_part_norm,
-    weighted_norm,
 )
 from .iterate import StepOperator, chernoff_iterate
 from .reference import OracleResult
@@ -401,30 +400,69 @@ def holder_check(
 
     Each pair (s, t) contributes ||u(s) - u(t)|| / (|s - t| + h)^alpha;
     the discrete trajectory only resolves times to one step, hence the
-    +h in the denominator.
+    +h in the denominator.  A pair with a zero denominator (s = t and
+    h = 0) reads the same sample twice and contributes 0.  The worst
+    pair is the first with the largest positive ratio.
+
+    The pairs are checked in input order (horizon, |s - t| <= 1, both
+    times samples), so an error names the first bad pair.  Their frame
+    indices are then resolved at once and the gaps taken on the stacked
+    frames, in blocks keyed by each pair's first frame: one block holds
+    at most len(trajectory.times) partner frames, so memory stays at
+    that many grid rows whatever the number of pairs.  A difference
+    that overflows raises ``DomainError``.
     """
     if not 0 < alpha <= 1:
         raise DomainError("the regularity exponent must lie in (0, 1]")
     if h < 0 or tol < 0:
         raise DomainError("h and tol must be non-negative")
     horizon = trajectory.t_max
-    worst = 0.0
-    worst_pair = None
+    checked, denominators, bad = [], [], None
     for s, t in pairs:
         if not (0 <= min(s, t) and max(s, t) <= horizon + 1e-12):
-            raise DomainError(f"pair ({s}, {t}) leaves the recorded horizon")
+            bad = DomainError(f"pair ({s}, {t}) leaves the recorded horizon")
+            break
         if abs(s - t) > 1 + 1e-12:
-            raise DomainError("the regularity bound is stated for |s - t| <= 1")
-        gap = weighted_norm(trajectory.at_time(s) - trajectory.at_time(t), weight)
-        ratio = gap / (abs(s - t) + h) ** alpha
-        if ratio > worst:
-            worst = ratio
-            worst_pair = (float(s), float(t))
+            bad = DomainError("the regularity bound is stated for |s - t| <= 1")
+            break
+        checked.append((s, t))
+        denominators.append((abs(s - t) + h) ** alpha)
+    # a time that is not a sample raises here, naming the first in input order
+    idx = trajectory.sample_indices(np.reshape(checked, (-1, 2)))
+    if bad is not None:
+        raise bad
+    if weight is not None and weight.grid != trajectory.grid:
+        raise DomainError("function and weight live on different grids")
+
+    values, block = trajectory.values, len(trajectory.times)
+    buffer = np.empty((min(block, len(checked)),) + values.shape[1:])
+    gaps = np.empty(len(checked))
+    order = np.argsort(idx[:, 0], kind="stable")
+    cuts = np.flatnonzero(np.diff(idx[order, 0])) + 1
+    for group in np.split(order, cuts) if order.size else ():
+        first = values[idx[group[0], 0]]
+        for rows in np.array_split(group, -(-group.size // block)):
+            # the indices are valid; mode="clip" lets take write into out
+            # without the buffered copy that mode="raise" makes
+            diff = np.take(values, idx[rows, 1], axis=0, out=buffer[: rows.size], mode="clip")
+            np.subtract(first, diff, out=diff)
+            np.abs(diff, out=diff)
+            if weight is not None:
+                diff *= weight.values
+            gaps[rows] = diff.max(axis=1)
+    if not np.isfinite(gaps).all():
+        s, t = checked[int(np.argmin(np.isfinite(gaps)))]
+        raise DomainError(f"pair ({s}, {t}): u(s) - u(t) is not finite")
+
+    denominators = np.array(denominators)
+    ratios = np.divide(gaps, denominators, out=np.zeros_like(gaps), where=denominators > 0)
+    k = int(np.argmax(ratios)) if ratios.size else 0
+    worst = float(ratios[k]) if ratios.size and ratios[k] > 0 else 0.0
     return HolderReport(
         alpha=alpha,
         limit=limit,
         max_ratio=worst,
-        worst_pair=worst_pair,
+        worst_pair=tuple(float(x) for x in checked[k]) if worst > 0 else None,
         passed=worst <= limit * (1 + tol),
     )
 

@@ -180,3 +180,54 @@ def test_space_time_function_validation_and_interp():
     with pytest.raises(DomainError):
         SpaceTimeFunction.from_functions([0.0, 0.0], [f0, f1])
 
+
+
+def _uneven_space_time(n_times=9, seed=4):
+    g = grid1d(n=17)
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, n_times - 2)), [2.0]])
+    return SpaceTimeFunction(g, times, rng.normal(size=(n_times, 17)))
+
+
+def test_sample_indices_match_the_nearest_sample():
+    u = _uneven_space_time()
+    # every sample, nudged within the tolerance, in a 2D layout
+    query = (u.times[::-1] + 3e-10).reshape(-1, 1).repeat(2, axis=1)
+    query[:, 1] -= 6e-10
+    idx = u.sample_indices(query)
+    assert idx.shape == query.shape
+    nearest = [[int(np.argmin(np.abs(u.times - t))) for t in row] for row in query]
+    np.testing.assert_array_equal(idx, nearest)
+    assert int(u.sample_indices(u.times[3])) == 3  # a scalar gives a 0-d index
+    # halfway between two samples with a wide tolerance: the earlier wins,
+    # as argmin's does
+    halves = SpaceTimeFunction(u.grid, [0.0, 0.5, 1.0], u.values[:3])
+    np.testing.assert_array_equal(halves.sample_indices([0.75, 0.25], tol=1.0), [1, 0])
+    with pytest.raises(DomainError, match="time 0.5 is not a sample"):
+        u.sample_indices([0.0, 0.5, 0.7, float("nan")])
+    with pytest.raises(DomainError, match="time nan is not a sample"):
+        u.sample_indices([0.0, float("nan")])
+    single = SpaceTimeFunction(u.grid, [1.0], u.values[:1])
+    np.testing.assert_array_equal(single.sample_indices([1.0, 1.0]), [0, 0])
+
+
+def test_interp_weights_rows_interpolate_linearly():
+    u = _uneven_space_time()
+    times = np.concatenate([u.times, np.linspace(0.0, 2.0, 37), [2.0 + 1e-13, -1e-13]])
+    W = u.interp_weights(times)
+    assert W.shape == (times.size, len(u.times))
+    np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    atol = 1e-15 * np.max(np.abs(u.values))
+    for row, t in zip(W @ u.values, times):
+        t = min(max(t, 0.0), 2.0)
+        i = min(max(int(np.searchsorted(u.times, t, side="right")) - 1, 0), len(u.times) - 2)
+        w = (t - u.times[i]) / (u.times[i + 1] - u.times[i])
+        ref = (1.0 - w) * u.values[i] + w * u.values[i + 1]
+        np.testing.assert_allclose(row, ref, rtol=0, atol=atol)
+        np.testing.assert_allclose(u.interp_time(t), ref, rtol=0, atol=atol)
+    with pytest.raises(DomainError, match="time 2.5 outside"):
+        u.interp_weights([1.0, 2.5, -1.0])
+    with pytest.raises(DomainError, match="outside"):
+        u.interp_weights([float("nan")])
+    single = SpaceTimeFunction(u.grid, [1.0], u.values[:1])
+    np.testing.assert_array_equal(single.interp_weights([1.0]), [[1.0]])

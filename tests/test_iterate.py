@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
-from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
+from chernoff.core import (
+    DomainError,
+    Grid,
+    GridFunction,
+    SpaceTimeFunction,
+    WeightFunction,
+    positive_part_norm,
+)
 from chernoff.iterate import (
+    ComparisonReport,
     IterationError,
     Partition,
     StepOperator,
@@ -382,6 +390,76 @@ def test_comparison_flags_bogus_certificate():
     assert rep.vacuous
     assert rep.certificate_violation == pytest.approx(c / 2, abs=1e-10)
     assert not rep.passed
+
+
+
+def _comparison_reference(op, u, v, f_bound, g_bound, h, T, weight=None, tol=1e-9):
+    """discrete_comparison_check written per lattice time: the nearest
+    sample by argmin, differences as GridFunctions."""
+
+    def at(w, s):
+        return w.slice(int(np.argmin(np.abs(w.times - s))))
+
+    times = [s for s in u.times if s <= T + 1e-12]
+    cert = [s for s in times if s >= h - 1e-12]
+    violation = 0.0
+    for s in cert:
+        res_u = (at(u, s).values - op.step(at(u, s - h), h).values) / h
+        res_v = (at(v, s).values - op.step(at(v, s - h), h).values) / h
+        over = float(np.max(res_u - at(f_bound, s).values))
+        violation = max(violation, over, float(np.max(at(g_bound, s).values - res_v)))
+    driver = max(
+        [positive_part_norm(at(f_bound, s) - at(g_bound, s), weight) for s in cert], default=0.0
+    )
+    initial = max(
+        positive_part_norm(at(u, s) - at(v, s), weight) for s in times if s < h - 1e-12
+    )
+    slack, worst = -np.inf, 0.0
+    for s in times:
+        d = positive_part_norm(at(u, s) - at(v, s), weight) - (initial + s * driver)
+        if d > slack:
+            slack, worst = d, s
+    vacuous = violation > tol
+    return ComparisonReport(slack, worst, vacuous, violation, (not vacuous) and slack <= tol)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("claim", [0.6, 0.02])
+def test_comparison_matches_the_per_time_definition(weighted, claim):
+    g = grid1d(601, 12.0)
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.0))
+    op = gheat_op()
+    h, T = 0.125, 0.9
+    _, v = chernoff_iterate(op, f, 1.0, h, record=True)
+    rng = np.random.default_rng(2)
+    frames = [f]
+    for _ in range(8):
+        bump = rng.uniform(0.0, 0.5) * h * np.exp(-((g.axes[0] - 3.0) ** 2))
+        frames.append(GridFunction(g, op.step(frames[-1], h).values + bump))
+    u = SpaceTimeFunction.from_functions(v.times, frames)
+    # bounds sampled twice as finely as the lattice, varying in time
+    fine = np.linspace(0.0, 1.0, 17)
+    shape = np.exp(-((g.axes[0][None, :] - 3.0) ** 2))  # off centre, where kappa < 1
+    f_bound = SpaceTimeFunction(g, fine, claim * shape * (1.0 + fine[:, None]))
+    g_bound = SpaceTimeFunction(g, fine, -0.2 * claim * shape * fine[:, None])
+    weight = WeightFunction.inverse_poly(g, 1.0) if weighted else None
+    rep = discrete_comparison_check(op, u, v, f_bound, g_bound, h, T, weight=weight)
+    ref = _comparison_reference(op, u, v, f_bound, g_bound, h, T, weight=weight)
+    assert rep == ref  # bit for bit
+    # the claim 0.02 understates the bumps: a vacuous certificate, and
+    # the gap outgrows its bound after t = 0
+    assert rep.vacuous == (claim == 0.02)
+    assert (rep.worst_time > 0.0) == (claim == 0.02)
+
+
+def test_comparison_overflowing_difference_raises():
+    g = grid1d(101)
+    times = [0.0, 0.25]
+    u = SpaceTimeFunction(g, times, np.full((2, 101), 1.5e308))
+    v = SpaceTimeFunction(g, times, np.full((2, 101), -1.5e308))
+    zero = _constant_bound(u, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite"):
+        discrete_comparison_check(gheat_op(), u, v, zero, zero, 0.25, 1.0, tol=np.inf)
 
 
 def test_operator_admission_flag():

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
 from chernoff.iterate import StepOperator, chernoff_iterate
+from chernoff.kernels import apply_taps
 from chernoff.mollifier import (
     Epsilon,
     MollifierKernel,
     _bump_deriv_l1,
     _bump_mass,
     _bump_poly,
+    _space_taps,
     bump,
     bump_derivative,
     derivative_bound_check,
@@ -275,3 +278,106 @@ def test_derivative_bound_rejects_time_only_orders():
         derivative_bound_check(u, Epsilon(0.2, 0.2), k=1, l=0, r=1.0)
     with pytest.raises(DomainError):
         derivative_bound_check(u, Epsilon(0.2, 0.2), k=0, l=4, r=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation against the per-time definition
+
+
+def _interp_reference(u, t):
+    """u at time t from the definition: linear interpolation between the
+    two samples around t, clamped into the sampled range."""
+    t = min(max(t, u.t_min), u.t_max)
+    i = min(max(int(np.searchsorted(u.times, t, side="right")) - 1, 0), len(u.times) - 2)
+    w = (t - u.times[i]) / (u.times[i + 1] - u.times[i])
+    return (1.0 - w) * u.values[i] + w * u.values[i + 1]
+
+
+def _mollified_reference(u, eps, t):
+    """The time rule (32 Gauss-Legendre nodes on [0, 1] weighted by the
+    kernel's time density), one interpolated row per node, then the
+    space taps."""
+    z, w = np.polynomial.legendre.leggauss(32)
+    s = (z + 1.0) / 2.0
+    w = w * MollifierKernel(1).time_factor(s)
+    w = w / w.sum()
+    agg = np.zeros(u.grid.counts)
+    for si, wi in zip(s, w):
+        agg += wi * _interp_reference(u, t + eps.eps1 * si)
+    return apply_taps(agg, *_space_taps(eps.eps2, u.grid.spacing[0]))
+
+
+def _derivative_reference(u, eps, k, l, r, n_times=5):
+    """derivative_bound_check from its definition: per centre, the k-th
+    time difference of mollified rows, then the l-th space difference."""
+    dt = eps.eps1 / 50.0
+    centers = np.linspace(u.t_min + k * dt, u.t_max - eps.eps1 - k * dt, n_times)
+    b = MollifierKernel(1).b(k, l - 1)
+    best = (-np.inf, None, None)
+    for t in centers:
+        rows = np.stack(
+            [_mollified_reference(u, eps, t + (j - k / 2.0) * dt) for j in range(k + 1)]
+        )
+        block = np.diff(rows, n=k, axis=0)[0] / dt**k
+        block = np.diff(block, n=l) / u.grid.spacing[0] ** l
+        measured = float(np.max(np.abs(block)))
+        bound = r * b * eps.eps1 ** (-k) * eps.eps2 ** (1 - l)
+        if measured / bound > best[0]:
+            best = (measured / bound, measured, bound)
+    return best[1], best[2]
+
+
+def _uneven_trajectory():
+    # uneven sample times, so that no output time falls on a sample grid
+    g = _grid(301, 5.0)
+    times = np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 23)), [1.0]])
+    vals = np.sin(g.axes[0][None, :] * (1.0 + times[:, None])) + 3.0 * times[:, None]
+    return SpaceTimeFunction(g, times, vals)
+
+
+def _clt_trajectory():
+    # criterion 10's trajectory: the capped payoff under the Gaussian
+    # pair, 2^-6 steps on 4095 points
+    g = Grid((-12.0,), (12.0,), (4095,))
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.0))
+    ce = ScenarioConvexExpectation(
+        (Scenario.gaussian((0.0,), 0.5), Scenario.gaussian((0.0,), 1.0))
+    )
+    return chernoff_iterate(StepOperator.from_clt(ce), f, 1.0, 2.0**-6, record=True)[1]
+
+
+@pytest.mark.parametrize("build", [_uneven_trajectory, _clt_trajectory])
+def test_mollify_matches_the_per_time_definition(build):
+    u = build()
+    eps = Epsilon.coupled(0.5, 1.0)
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(u.values))))
+    out = mollify(u, eps)
+    ref = np.stack([_mollified_reference(u, eps, t) for t in out.times])
+    np.testing.assert_allclose(out.values, ref, rtol=0.0, atol=tol)
+    # explicit times between samples, up to the last one with coverage
+    times = [0.0, 0.05, 0.4, 0.41, 0.75]
+    out = mollify(u, eps, times=times)
+    ref = np.stack([_mollified_reference(u, eps, t) for t in times])
+    np.testing.assert_allclose(out.values, ref, rtol=0.0, atol=tol)
+
+
+# measured moves by roundoff only: the time difference is taken of the
+# weight rows, before the space smoothing, where the reference takes it
+# of the smoothed rows.  A second time difference with a third space
+# difference amplifies the roundoff: up to 3.1e-6 relative on the
+# clt_certify trajectories, where an extended-precision evaluation
+# agrees with the stacked path to 1e-9 and with the reference to 3e-6
+DERIVATIVE_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("build", [_uneven_trajectory, _clt_trajectory])
+def test_derivative_bound_check_matches_the_per_time_definition(build):
+    u = build()
+    eps = Epsilon.coupled(0.5, 1.0)
+    for k in (0, 1, 2):
+        for l in (1, 2, 3):
+            rep = derivative_bound_check(u, eps, k, l, 1.0)
+            measured, bound = _derivative_reference(u, eps, k, l, 1.0)
+            assert rep.bound == pytest.approx(bound, rel=1e-14), (k, l)
+            assert rep.measured == pytest.approx(measured, rel=DERIVATIVE_RTOL), (k, l)
+            assert rep.ok == (measured <= bound * (1.0 + rep.tol)), (k, l)

@@ -10,6 +10,7 @@ from chernoff.core import (
     Grid,
     GridFunction,
     SpaceTimeFunction,
+    WeightFunction,
     negative_part_norm,
     positive_part_norm,
     weighted_norm,
@@ -308,3 +309,127 @@ def test_rate_report_monotone_in_slope_tolerance():
         for tol in (0.0, 0.02, 0.05, 0.2)
     ]
     assert verdicts == ["fail", "fail", "pass", "pass"]
+
+
+# ---------------------------------------------------------------------------
+# holder_check against its per-pair definition
+
+
+def _holder_reference(traj, pairs, alpha, limit, h, weight=None, tol=0.01):
+    """holder_check written out pair by pair: the nearest sample by
+    argmin, the sup of |u(s) - u(t)| kappa, and a strict > so that the
+    first worst pair wins."""
+    worst, worst_pair = 0.0, None
+    for s, t in pairs:
+        i = int(np.argmin(np.abs(traj.times - s)))
+        j = int(np.argmin(np.abs(traj.times - t)))
+        part = np.abs(traj.values[i] - traj.values[j])
+        if weight is not None:
+            part = part * weight.values
+        ratio = float(np.max(part)) / (abs(s - t) + h) ** alpha
+        if ratio > worst:
+            worst, worst_pair = ratio, (float(s), float(t))
+    return worst, worst_pair, worst <= limit * (1 + tol)
+
+
+def _assert_holder_matches(traj, pairs, alpha, limit, h, weight=None):
+    rep = holder_check(traj, pairs, alpha, limit, h, weight=weight)
+    worst, worst_pair, passed = _holder_reference(traj, pairs, alpha, limit, h, weight)
+    assert rep.max_ratio == worst  # bit for bit: the same elementwise arithmetic
+    assert rep.worst_pair == worst_pair
+    assert rep.passed == passed
+    return rep
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_holder_check_matches_per_pair_definition(weighted):
+    traj, h = transport_trajectory(speed=0.4, h=0.0625, steps=12)
+    times = list(traj.times)
+    rng = np.random.default_rng(5)
+    # shuffled, both orientations, and repeats, so blocks keyed by the
+    # first frame do not follow the input order
+    pairs = [(a, b) for a in times for b in times if a != b and abs(a - b) <= 0.5]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))] + pairs[:5]
+    weight = WeightFunction.inverse_poly(traj.grid, 2.0) if weighted else None
+    rep = _assert_holder_matches(traj, pairs, 0.5, 0.5, h, weight)
+    assert rep.worst_pair is not None
+
+
+def test_holder_check_tie_goes_to_the_first_pair():
+    g = grid1d(101, 4.0)
+    f0 = GridFunction.from_callable(g, np.cos)
+    f1 = GridFunction.from_callable(g, np.sin)
+    traj = SpaceTimeFunction.from_functions([0.0, 0.5, 1.0], [f0, f1, f0])
+    # equal gaps and equal |s - t|: the pair listed first is the worst,
+    # although its first frame sorts after the other's
+    pairs = [(0.5, 1.0), (0.0, 0.5)]
+    rep = _assert_holder_matches(traj, pairs, 0.5, 10.0, 0.01)
+    assert rep.worst_pair == (0.5, 1.0)
+    rep = _assert_holder_matches(traj, pairs[::-1], 0.5, 10.0, 0.01)
+    assert rep.worst_pair == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_holder_check_matches_definition_on_clt_certify_trajectories(seed):
+    # the benchmark's clt_certify trajectory: a capped payoff under the
+    # Gaussian pair, 2^-6 steps on 4095 points, all 2080 pairs
+    cap = float(np.random.default_rng([seed, 3]).uniform(0.5, 2.0))
+    grid = Grid((-12.0,), (12.0,), (4095,))
+    f = GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), cap))
+    ce = ScenarioConvexExpectation(
+        (Scenario.gaussian((0.0,), 0.5), Scenario.gaussian((0.0,), 1.0))
+    )
+    _, traj = chernoff_iterate(StepOperator.from_clt(ce), f, 1.0, 2.0**-6, record=True)
+    times = list(traj.times)
+    pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
+    assert len(pairs) == 2080
+    _assert_holder_matches(traj, pairs, 0.5, 1.0, 2.0**-6)
+
+
+def test_holder_check_empty_and_zero_denominator():
+    traj, h = transport_trajectory()
+    rep = holder_check(traj, [], 0.5, 1.0, h)
+    assert (rep.max_ratio, rep.worst_pair, rep.passed) == (0.0, None, True)
+    # s = t with h = 0 reads one sample twice: a zero gap, ratio 0
+    rep = holder_check(traj, [(0.5, 0.5)], 0.5, 1.0, 0.0)
+    assert (rep.max_ratio, rep.worst_pair, rep.passed) == (0.0, None, True)
+
+
+def test_holder_check_names_the_first_bad_pair():
+    traj, h = transport_trajectory(steps=16)  # horizon 2
+    off_sample, too_far, outside = (0.1, 0.25), (0.0, 1.5), (0.0, 3.0)
+    with pytest.raises(DomainError, match="time 0.1 is not a sample"):
+        holder_check(traj, [(0.0, 0.5), off_sample, too_far, outside], 0.5, 1.0, h)
+    with pytest.raises(DomainError, match=r"\|s - t\| <= 1"):
+        holder_check(traj, [too_far, off_sample, outside], 0.5, 1.0, h)
+    with pytest.raises(DomainError, match="horizon"):
+        holder_check(traj, [outside, too_far, off_sample], 0.5, 1.0, h)
+    # a later time that is not a sample does not hide an earlier one
+    with pytest.raises(DomainError, match="time 0.3 is not a sample"):
+        holder_check(traj, [(0.0, 0.3), (0.7, 0.5)], 0.5, 1.0, h)
+
+
+def test_holder_check_overflowing_difference_raises():
+    g = grid1d(33, 2.0)
+    big = SpaceTimeFunction(g, [0.0, 0.5], np.stack([np.full(33, 1.5e308), np.full(33, -1.5e308)]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            holder_check(big, [(0.0, 0.0), (0.0, 0.5)], 1.0, 1.0, 0.1)
+
+
+def test_holder_check_builds_no_grid_function_per_pair(monkeypatch):
+    # 65 frames, 2080 pairs: per-pair objects would make thousands
+    g = grid1d(257, 4.0)
+    times = np.linspace(0.0, 1.0, 65)
+    traj = SpaceTimeFunction(g, times, np.cos(g.axes[0][None, :] + times[:, None]))
+    real, calls = GridFunction.__post_init__, []
+
+    def counted(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
+    rep = holder_check(traj, pairs, 0.5, 10.0, 1.0 / 64, weight=WeightFunction.constant(g))
+    assert rep.worst_pair is not None
+    assert len(calls) <= 2
