@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction
-from .kernels import apply_taps, gaussian_convolve, gaussian_plan, row_max, shift_taps
+from .kernels import clamped_shift, gaussian_convolve, gaussian_plan, row_max, shift_taps
 
 __all__ = [
     "Scenario",
@@ -203,20 +203,28 @@ class ScenarioConvexExpectation:
 # one-step operators on grid functions
 
 
-def _discrete_plan(s: Scenario, grid: Grid, scale: float):
-    """E_i[u(x + scale xi)] for a discrete scenario as ``expect(u, out)``,
-    with each atom's shift taps built once."""
+def _discrete_plan(s: Scenario, grid: Grid, scale: float, minus: float = 0.0):
+    """E_i[u(x + scale xi)] - ``minus`` for a discrete scenario as
+    ``expect(u, out)``, with each atom's ``ClampedShift`` prepared once.
+    One atom of probability 1 is its shift, ``minus`` included."""
     dx = grid.spacing[0]
-    atoms = [(prob, shift_taps(scale * x, dx)) for x, prob in zip(s.atoms, s.weights)]
-    term = np.empty(grid.counts) if len(atoms) > 1 else None
+    atoms = []
+    for x, prob in zip(s.atoms, s.weights):
+        offsets, weights = shift_taps(scale * x, dx)
+        atoms.append((prob, clamped_shift(grid.size, int(offsets[0]), weights)))
+    if len(atoms) == 1 and atoms[0][0] == 1.0:
+        return partial(atoms[0][1].apply, minus=minus)
+    term = np.empty(grid.counts)
 
     def expect(u, out):
-        for i, (prob, (offsets, weights)) in enumerate(atoms):
-            res = apply_taps(u, offsets, weights, out=term if i else out)
+        for i, (prob, shift) in enumerate(atoms):
+            res = shift.apply(u, term if i else out)
             if prob != 1.0:  # x * 1.0 is x exactly
                 res *= prob
             if i:
                 out += res
+        if minus:
+            out -= minus
         return out
 
     return expect
@@ -259,9 +267,10 @@ def penalized_max_plan(
     rows = list(buffer)  # the row views, made once rather than per step
     gaussian_rows = buffer[: len(gaussian)]
     filled = [
-        (_discrete_plan(s, grid, scale), row) for s, row in zip(discrete, rows[len(gaussian) :])
+        (_discrete_plan(s, grid, scale, t * s.penalty), row)
+        for s, row in zip(discrete, rows[len(gaussian) :])
     ]
-    penalized = [(row, t * s.penalty) for s, row in zip(gaussian + discrete, rows) if s.penalty]
+    penalized = [(row, t * s.penalty) for s, row in zip(gaussian, rows) if s.penalty]
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
         if taps is not None:
@@ -379,10 +388,12 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
     out = np.full(n, -np.inf)
     shifted = np.empty(n)
     for start, w, c in zip((cell.astype(int) + pad).tolist(), (t - cell).tolist(), cost.tolist()):
-        np.multiply(padded[start : start + n], 1.0 - w, out=shifted)
         if w:
+            np.multiply(padded[start : start + n], 1.0 - w, out=shifted)
             shifted += w * padded[start + 1 : start + 1 + n]
-        shifted -= c
+            shifted -= c
+        else:  # a whole-cell shift: x * 1.0 - c is x - c exactly
+            np.subtract(padded[start : start + n], c, out=shifted)
         np.maximum(out, shifted, out=out)
     return GridFunction(grid, out)
 

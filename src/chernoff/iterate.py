@@ -167,8 +167,8 @@ def chernoff_iterate(
     record: bool = False,
 ):
     """Apply op k = floor(t/h) times through one plan, checking after
-    every step that the values are finite; optionally keep (a copy of)
-    every iterate."""
+    every step, into one held bool buffer, that the values are finite;
+    optionally keep (a copy of) every iterate."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -176,12 +176,13 @@ def chernoff_iterate(
     grid = f.grid
     u = f.values
     buffers = (np.empty(grid.counts), np.empty(grid.counts))
+    finite = np.empty(grid.counts, dtype=bool)
     j = 0
     try:
         step = op.plan(grid, part.h)
         for j in range(part.k):
             u = step(u, buffers[j % 2])
-            if not np.isfinite(u).all():
+            if not np.isfinite(u, out=finite).all():
                 raise DomainError("grid function values must be finite")
             if record:
                 frames.append(GridFunction(grid, u))

@@ -1,15 +1,19 @@
 """Discrete convolution taps for Gaussian and transport steps.
 
-Every expectation step downstream reduces to convolving grid values
-with a short nonnegative tap vector that sums to one: a sampled
-Gaussian for diffusion, a one- or two-tap stencil for transport, the
-mollifier's space bump.  ``apply_taps`` is the one primitive that
-applies such vectors; the step families, ``gaussian_convolve`` and
-the mollifier all call it by that name.  The taps act on the grid
-with constant extension at the box edges, so each step preserves
-constants, monotonicity, convexity, the sup norm, and Lipschitz
-bounds: exactly on the direct branches below, and up to roundoff
-(about 1e-15 * sup|u|) on the FFT branch.  The only error relative
+Every expectation step downstream reduces to this module's tap code:
+convolving grid values with a short nonnegative tap vector that sums
+to one, a sampled Gaussian for diffusion, a one- or two-tap stencil
+for transport, the mollifier's space bump.  ``apply_taps`` applies
+such vectors; ``gaussian_convolve`` and the mollifier call it by that
+name.  A shift row (one tap, or two on adjacent cells) is a
+``ClampedShift``: its edge clamp is worked out once from (n, offset).
+Shift rows are prepared once per plan: a step plan holds one per atom
+of each discrete scenario, so a shift-only step runs on those slices
+with no ``apply_taps`` call.  The taps act on the grid with constant
+extension at the box edges, so each step preserves constants,
+monotonicity, convexity, the sup norm, and Lipschitz bounds: exactly
+on the direct branches below, and up to roundoff (about 1e-15 *
+sup|u|) on the FFT branch.  The only error relative
 to the continuum operator is Gaussian sampling aliasing, which decays
 like exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
 
@@ -21,7 +25,7 @@ weight row into ``out``.  How it does so is fixed by a ``TapPlan``:
 its own once per (operator, h) and hands it to every call, so repeated
 steps transform no taps and choose no branch.  Without a plan the call
 builds one and applies it once; a shift (one tap, or two on adjacent
-cells) needs none.
+cells) needs none and is applied as a ``ClampedShift``.
 
 On the direct branch the call fills one edge-clamped window over the
 plan's offset range and correlates each row with ``np.correlate(...,
@@ -72,6 +76,8 @@ from .core import DomainError, Grid
 __all__ = [
     "gaussian_taps",
     "shift_taps",
+    "ClampedShift",
+    "clamped_shift",
     "TapPlan",
     "tap_plan",
     "gaussian_plan",
@@ -140,7 +146,9 @@ class TapPlan:
     """How ``apply_taps`` correlates rows of ``n`` values with the weight
     rows ``weights`` ((m,) or (k, m)) on the shared ``offsets``.
 
-    ``rows`` holds each weight row as its first offset and dense taps.
+    ``rows`` holds each weight row as its first offset and dense taps,
+    and ``shifts`` the ``ClampedShift`` of each row of one or two taps
+    (None for a longer row, and for every row on the FFT branch).
     ``window`` receives the edge-clamped values from offset ``lo`` over
     ``size`` offsets (None when every row has one or two taps, which
     read the values); on the FFT branch (``spectra`` not None) it is
@@ -154,6 +162,7 @@ class TapPlan:
     offsets: np.ndarray
     weights: np.ndarray
     rows: tuple[tuple[int, np.ndarray], ...]
+    shifts: tuple[ClampedShift | None, ...]
     lo: int
     size: int
     length: int
@@ -212,14 +221,16 @@ def _plan(n: int, offsets, weights, lo: int, dense: np.ndarray, rows) -> TapPlan
     """The plan of ``weights`` on ``offsets``, given as ``dense`` taps from
     offset ``lo`` (one row per weight row) and each row's own range."""
     size = dense.shape[-1]
+    rows = tuple(rows)
     if not (size > 2 and _fft_is_cheaper(n, size, [t.size for _, t in rows])):
         # rows of one or two taps are slices of the values, with no window
-        window = np.empty(n + size - 1) if max(t.size for _, t in rows) > 2 else None
-        return TapPlan(n, offsets, weights, tuple(rows), lo, size, 0, None, window)
+        shifts = tuple(clamped_shift(n, start, t) if t.size <= 2 else None for start, t in rows)
+        window = np.empty(n + size - 1) if None in shifts else None
+        return TapPlan(n, offsets, weights, rows, shifts, lo, size, 0, None, window)
     length = next_fast_len(n + size - 1)
     spectra = np.conj(rfft(dense, length))
     return TapPlan(
-        n, offsets, weights, tuple(rows), lo, size, length, spectra,
+        n, offsets, weights, rows, (None,) * len(rows), lo, size, length, spectra,
         window=np.zeros(length),  # past n + size - 1, the transform's padding
         spectrum=np.empty(length // 2 + 1, dtype=complex),
         product=np.empty_like(spectra),
@@ -276,10 +287,10 @@ def apply_taps(
     if plan is None:
         # a shift, whole or fractional (``shift_taps``), has nothing to plan
         offsets = np.asarray(offsets)
-        if offsets.shape == weights.shape == (1,):
-            return _clamped_window(values, int(offsets[0]), out, weights[0])
-        if offsets.shape == weights.shape == (2,) and offsets[1] - offsets[0] == 1:
-            return _shift_row(values, int(offsets[0]), weights, out)
+        if offsets.shape == weights.shape == (1,) or (
+            offsets.shape == weights.shape == (2,) and offsets[1] - offsets[0] == 1
+        ):
+            return clamped_shift(values.size, int(offsets[0]), weights).apply(values, out)
         plan = tap_plan(values.size, offsets, weights)
     elif plan.n != values.size:
         raise DomainError(f"apply_taps: the plan is for {plan.n} values, got {values.size}")
@@ -300,12 +311,12 @@ def apply_taps(
         if np.isfinite(plan.full[..., 0]).all():
             out[...] = plan.full[..., :n]
             return out
-    for row, (lo, taps) in zip(np.atleast_2d(out), plan.rows):
-        if taps.size > 2:
+    for row, (lo, taps), shift in zip(np.atleast_2d(out), plan.rows, plan.shifts):
+        if shift is None:
             start = lo - plan.lo
             row[...] = correlate(plan.window[start : start + n + taps.size - 1], taps, "valid")
         else:
-            _shift_row(values, lo, taps, row)
+            shift.apply(values, row)
     return out
 
 
@@ -325,40 +336,63 @@ def _fft_is_cheaper(n: int, size: int, taps: list[int]) -> bool:
     return n * direct > fft
 
 
-def _shift_row(values: np.ndarray, lo: int, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i] = taps[0] * values[clip(i + lo, 0, n - 1)] (+ taps[1] *
-    values[clip(i + lo + 1, 0, n - 1)])`` for one or two taps: one scaled
-    slice of the values, or a second one added to it."""
-    _clamped_window(values, lo, out, taps[0])
-    if taps.size == 2:
-        _clamped_window(values, lo + 1, out, taps[1], add=True)
-    return out
-
-
-def _clamped_window(
-    values: np.ndarray,
-    lo: int,
-    window: np.ndarray,
-    scale: float = 1.0,
-    add: bool = False,
-) -> np.ndarray:
-    """Fill ``window[k] = scale * values[clip(lo + k, 0, n - 1)]`` (with
-    ``add``, add it to ``window[k]``): one product over the inner part
-    [a, b) and one for each edge value, or a copy when ``scale`` is 1."""
-    n, size = values.size, window.size
+def _clamp_parts(n: int, lo: int, size: int):
+    """``window[k] = values[clip(lo + k, 0, n - 1)]`` for k < ``size`` as
+    its nonempty parts, each a (destination slice, source) pair: the
+    inner part [a, b) reads the slice of values from lo + a, the low
+    edge [0, a) reads index 0 and the high edge [b, size) index n - 1.
+    The one implementation of the edge clamp."""
     a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
-    for part, src in (
-        (slice(a, b), values[lo + a : lo + b]),
-        (slice(0, a), values[0]),
-        (slice(b, size), values[n - 1]),
-    ):
-        if add:
-            window[part] += src * scale
-        elif scale == 1.0:  # x * 1.0 is x exactly
-            window[part] = src
-        else:
-            np.multiply(src, scale, out=window[part])
+    parts = ((slice(a, b), slice(lo + a, lo + b)), (slice(0, a), 0), (slice(b, size), n - 1))
+    return tuple((dst, src) for dst, src in parts if dst.start < dst.stop)
+
+
+def _clamped_window(values: np.ndarray, lo: int, window: np.ndarray) -> np.ndarray:
+    """Fill ``window[k] = values[clip(lo + k, 0, n - 1)]``."""
+    for dst, src in _clamp_parts(values.size, lo, window.size):
+        window[dst] = values[src]
     return window
+
+
+@dataclass(frozen=True, eq=False)
+class ClampedShift:
+    """A row of one tap, or two on adjacent offsets (a whole or fractional
+    shift, ``shift_taps``), with its edge clamp worked out once for rows
+    of a fixed length: ``taps`` holds each tap's weight and the nonempty
+    ``_clamp_parts`` of a whole row at its offset."""
+
+    taps: tuple[tuple[float, tuple], ...]
+
+    def apply(self, values: np.ndarray, out: np.ndarray, minus: float = 0.0) -> np.ndarray:
+        """Write ``out[i] = taps[0] * values[clip(i + lo, 0, n - 1)] (+
+        taps[1] * values[clip(i + lo + 1, 0, n - 1)]) - minus`` and return
+        ``out``: one scaled slice of the values and one fill per edge, a
+        second slice added to it, then ``minus`` taken off.  A single tap
+        of weight 1 is a copy, and takes ``minus`` off in that copy."""
+        (w, parts), rest = self.taps[0], self.taps[1:]
+        folded = bool(minus) and w == 1.0 and not rest
+        for dst, src in parts:
+            if folded:  # x * 1.0 - m is x - m exactly
+                np.subtract(values[src], minus, out=out[dst])
+            elif w == 1.0:  # x * 1.0 is x exactly
+                out[dst] = values[src]
+            else:
+                np.multiply(values[src], w, out=out[dst])
+        for w, parts in rest:
+            for dst, src in parts:
+                out[dst] += values[src] * w
+        if minus and not folded:
+            out -= minus
+        return out
+
+
+def clamped_shift(n: int, lo: int, weights) -> ClampedShift:
+    """The ``ClampedShift`` of one or two weights on offsets ``lo`` (and
+    ``lo + 1``) for rows of ``n`` values."""
+    weights = np.asarray(weights, dtype=float).tolist()
+    if len(weights) not in (1, 2):
+        raise DomainError(f"a clamped shift has one or two taps, got {len(weights)}")
+    return ClampedShift(tuple((w, _clamp_parts(n, lo + j, n)) for j, w in enumerate(weights)))
 
 
 def gaussian_convolve(

@@ -269,6 +269,34 @@ def test_non_finite_plan_step_reports_index(cell):
         chernoff_iterate(_leaky_operator(3, cell), f, 1.0, 0.125)
 
 
+def test_a_shift_only_step_on_an_infinite_payoff_names_step_1(monkeypatch):
+    g = grid1d(101)
+    ce = ScenarioConvexExpectation((Scenario.point(-0.24), Scenario.point(0.24, 1.0)))
+    op = StepOperator.from_lln(ce)
+    assert op.shifts_only
+    held, isfinite = [], np.isfinite
+
+    def recorded(x, *args, **kwargs):
+        if "out" in kwargs:
+            held.append(kwargs["out"])
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recorded)
+    # a finite run checks every step into the same held bool buffer
+    chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
+    assert len(held) == 8 and all(b is held[0] for b in held)
+    assert held[0].dtype == bool and held[0].shape == g.counts
+    # a payoff holding inf, set past GridFunction's own check
+    values = np.cos(g.axes[0])
+    values[50] = np.inf
+    f = object.__new__(GridFunction)
+    object.__setattr__(f, "grid", g)
+    object.__setattr__(f, "values", values)
+    with pytest.raises(IterationError, match=r"step 1 of 8 .*finite"):
+        chernoff_iterate(op, f, 1.0, 0.125)
+    assert len(held) == 9
+
+
 def test_plan_adapter_for_a_bare_step():
     g = grid1d(101)
     f = GridFunction.from_callable(g, np.cos)

@@ -13,9 +13,11 @@ from chernoff.convex_expectation import (
     penalized_max_plan,
 )
 from chernoff.core import DomainError, Grid, GridFunction
+from chernoff.iterate import StepOperator, chernoff_iterate
 from chernoff.kernels import (
     _fft_is_cheaper,
     apply_taps,
+    clamped_shift,
     gaussian_convolve,
     gaussian_plan,
     gaussian_taps,
@@ -153,6 +155,71 @@ def test_apply_taps_matches_clipped_index_sum(n, offsets, weights):
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.max(np.abs(values)))
     np.testing.assert_array_equal(values, before)
     assert not np.shares_memory(out, values)
+
+
+@pytest.mark.parametrize("minus", [0.0, 0.375])
+@pytest.mark.parametrize(
+    "offset, weights",
+    [
+        pytest.param(0, [1.0], id="zero-shift"),
+        pytest.param(1, [1.0], id="plus-one-cell"),
+        pytest.param(-1, [1.0], id="minus-one-cell"),
+        pytest.param(_N, [1.0], id="plus-n"),
+        pytest.param(-_N, [1.0], id="minus-n"),
+        pytest.param(_N + 12, [1.0], id="past-plus-n"),
+        pytest.param(-_N - 40, [1.0], id="past-minus-n"),
+        pytest.param(5, [0.5], id="scaled-tap"),
+        pytest.param(int(shift_taps(-0.137, 0.01)[0][0]), shift_taps(-0.137, 0.01)[1],
+                     id="two-tap-fractional"),
+        pytest.param(_N - 1, [0.25, 0.75], id="two-tap-straddling-plus-n"),
+        pytest.param(-_N, [0.6, 0.4], id="two-tap-straddling-minus-n"),
+    ],
+)
+def test_a_clamped_shift_is_the_clipped_sum_bit_for_bit(offset, weights, minus):
+    values = np.random.default_rng(6).normal(size=_N) * 7.0
+    before = values.copy()
+    shift = clamped_shift(_N, offset, weights)
+    out = np.empty(_N)
+    assert shift.apply(values, out, minus) is out
+    offsets = offset + np.arange(len(weights))
+    expected = _clipped_sum(values, offsets, weights)
+    np.testing.assert_array_equal(out, expected - minus)
+    np.testing.assert_array_equal(values, before)
+    # apply_taps' own one- and two-tap path is the same prepared shift
+    np.testing.assert_array_equal(apply_taps(values, offsets, weights), expected)
+
+
+def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
+    # three atoms (one a fractional shift), probabilities and a penalty,
+    # against a point at 0 whose row is the values themselves
+    grid = Grid((-1.5,), (1.5,), (_N,))
+    dx, t = grid.spacing[0], 0.5
+    atoms, probs, penalty = (-0.137, 0.05, 0.4), (0.2, 0.5, 0.3), 0.75
+    ce = ScenarioConvexExpectation(
+        (Scenario.discrete(atoms, probs, penalty), Scenario.point(0.0))
+    )
+    u = np.random.default_rng(9).normal(size=_N)
+    expected = None
+    for x, prob in zip(atoms, probs):
+        term = _clipped_sum(u, *shift_taps(t * x, dx)) * prob
+        expected = term if expected is None else expected + term
+    expected = np.maximum(expected - t * penalty, u)
+    np.testing.assert_array_equal(lln_plan(ce, grid, t)(u, np.empty(_N)), expected)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_lln_envelope_iterates_are_the_clipped_sums(k):
+    # the benchmark's penalised two-point family: whole-cell shifts of
+    # 512 h cells, the right one penalised by h per step
+    fine = _fine_grid()
+    mass = 512 * fine.spacing[0]
+    ce = ScenarioConvexExpectation((Scenario.point(-mass), Scenario.point(mass, 1.0)))
+    h, cells = 2.0**-k, 512 >> k
+    u = _payoff(fine)
+    got = chernoff_iterate(StepOperator.from_lln(ce), GridFunction(fine, u), 1.0, h)
+    for _ in range(2**k):
+        u = np.maximum(_clipped_sum(u, [-cells], [1.0]), _clipped_sum(u, [cells], [1.0]) - h)
+    np.testing.assert_array_equal(got.values, u)
 
 
 @pytest.mark.parametrize("start", [0, 1])
@@ -559,7 +626,8 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a one-tap step left the scaled-slice branch")
 
-    for name in ("tap_plan", "correlate", "rfft", "irfft"):
+    # the plan holds each atom's prepared shift: no apply_taps call either
+    for name in ("tap_plan", "correlate", "rfft", "irfft", "apply_taps"):
         monkeypatch.setattr(kernels, name, refuse)
     u = _payoff(fine)
     out = step(u, np.empty(_W))
@@ -567,6 +635,7 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     left = u[np.clip(np.arange(_W) - j, 0, _W - 1)]
     right = u[np.clip(np.arange(_W) + j, 0, _W - 1)] - 2.0**-5
     np.testing.assert_array_equal(out, np.maximum(left, right))
+    chernoff_iterate(StepOperator.from_lln(ce), GridFunction(fine, u), 1.0, 2.0**-5)
     # a fractional shift past one cell: two taps on adjacent cells, two slices
     ce = ScenarioConvexExpectation((Scenario.point(16.5 * 32 * fine.spacing[0]),))
     out = lln_plan(ce, fine, 2.0**-5)(u, np.empty(_W))

@@ -386,6 +386,20 @@ def test_holder_check_matches_definition_on_clt_certify_trajectories(seed):
     _assert_holder_matches(traj, pairs, 0.5, 1.0, 2.0**-6)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 1.0 / 3.0, 0.7])
+def test_holder_check_denominators_are_pythons_power(alpha):
+    # irregular sample times, so |s - t| + h takes hundreds of values;
+    # numpy's vectorised power rounds some of them differently from
+    # Python's, which each single-pair call would show in its ratio
+    g = grid1d(33, 2.0)
+    times = np.r_[0.0, np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 30))]
+    traj = SpaceTimeFunction(g, times, np.cos(g.axes[0][None, :] + 3.0 * times[:, None]))
+    listed = times.tolist()
+    for i, a in enumerate(listed):
+        for b in listed[i + 1 :]:
+            _assert_holder_matches(traj, [(a, b)], alpha, 10.0, 1.0 / 64)
+
+
 def test_holder_check_empty_and_zero_denominator():
     traj, h = transport_trajectory()
     rep = holder_check(traj, [], 0.5, 1.0, h)
