@@ -203,18 +203,22 @@ class ScenarioConvexExpectation:
 # one-step operators on grid functions
 
 
-def _discrete_plan(s: Scenario, grid: Grid, scale: float, minus: float = 0.0):
+def _discrete_plan(
+    s: Scenario, grid: Grid, scale: float, minus: float = 0.0, stack: int | None = None
+):
     """E_i[u(x + scale xi)] - ``minus`` for a discrete scenario as
-    ``expect(u, out)``, with each atom's ``ClampedShift`` prepared once.
-    One atom of probability 1 is its shift, ``minus`` included."""
+    ``expect(u, out)`` on one row or a ``stack`` of rows, with each
+    atom's ``ClampedShift`` prepared once.  One atom of probability 1 is
+    its shift, ``minus`` included."""
     dx = grid.spacing[0]
     atoms = []
     for x, prob in zip(s.atoms, s.weights):
         offsets, weights = shift_taps(scale * x, dx)
-        atoms.append((prob, clamped_shift(grid.size, int(offsets[0]), weights)))
+        shift = clamped_shift(grid.size, int(offsets[0]), weights, stacked=stack is not None)
+        atoms.append((prob, shift))
     if len(atoms) == 1 and atoms[0][0] == 1.0:
         return partial(atoms[0][1].apply, minus=minus)
-    term = np.empty(grid.counts)
+    term = np.empty(_shape(grid, stack))
 
     def expect(u, out):
         for i, (prob, shift) in enumerate(atoms):
@@ -237,6 +241,7 @@ def penalized_max_plan(
     scale: float,
     std_scale: float,
     cut: float,
+    stack: int | None = None,
 ):
     """Pointwise max_i (E_i[u(x + scaled displacement)] - t alpha_i) as a
     plan ``step(u, out)``: scenario i moves by ``scale`` m_i (each atom
@@ -245,7 +250,9 @@ def penalized_max_plan(
     scalings: lln (t, t), clt (sqrt t, sqrt t) and nisio (t, sqrt t)
     with zero penalties.  Each scenario fills one row: the Gaussian
     ones together, from one ``gaussian_convolve`` call whose factors and
-    ``TapPlan`` are built here, then each discrete one.  The row buffer
+    ``TapPlan`` are built here, then each discrete one.  ``u`` and
+    ``out`` are one row of values, or with ``stack`` = b a (b, n) stack
+    of rows, each stepped as a one-row plan steps it.  The row buffer
     is the plan's own, so one plan must not run in two threads at once."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
@@ -253,21 +260,21 @@ def penalized_max_plan(
     discrete = [s for s in ce.scenarios if s.kind != "gaussian"]
     stds = [s.sigma * std_scale for s in gaussian]
     shifts = [scale * s.mean for s in gaussian]
-    taps = gaussian_plan(grid, stds, shifts, cut) if gaussian else None
+    taps = gaussian_plan(grid, stds, shifts, cut, stack) if gaussian else None
     if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
         if taps is None:
-            return _discrete_plan(discrete[0], grid, scale)
+            return _discrete_plan(discrete[0], grid, scale, stack=stack)
 
         def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
             gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
             return out
 
         return single
-    buffer = np.empty((len(ce.scenarios), grid.size))
+    buffer = np.empty((len(ce.scenarios),) + _shape(grid, stack))
     rows = list(buffer)  # the row views, made once rather than per step
     gaussian_rows = buffer[: len(gaussian)]
     filled = [
-        (_discrete_plan(s, grid, scale, t * s.penalty), row)
+        (_discrete_plan(s, grid, scale, t * s.penalty, stack), row)
         for s, row in zip(discrete, rows[len(gaussian) :])
     ]
     penalized = [(row, t * s.penalty) for s, row in zip(gaussian, rows) if s.penalty]
@@ -284,15 +291,28 @@ def penalized_max_plan(
     return step
 
 
-def lln_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
-    """``lln_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
-    return penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut)
+def _shape(grid: Grid, stack: int | None) -> tuple[int, ...]:
+    """The shape of one row of values on ``grid``, or of a stack of them."""
+    return grid.counts if stack is None else (stack,) + grid.counts
 
 
-def clt_plan(ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0):
-    """``clt_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays."""
+def lln_plan(
+    ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0,
+    stack: int | None = None,
+):
+    """``lln_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays,
+    one row or a ``stack`` of rows."""
+    return penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut, stack=stack)
+
+
+def clt_plan(
+    ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0,
+    stack: int | None = None,
+):
+    """``clt_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays,
+    one row or a ``stack`` of rows."""
     rt = float(np.sqrt(max(t, 0.0)))
-    return penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut)
+    return penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut, stack=stack)
 
 
 def step_once(plan, ce, f: GridFunction, t: float, cut: float) -> GridFunction:

@@ -16,6 +16,12 @@ plan on two ping-pong buffers, checks after every step that the
 values are finite (so the failing step is named even when a later
 step would move a non-finite value off the grid), and wraps one
 ``GridFunction`` at the end.
+
+A plan may also be built for a stack of b rows, ``op.plan(grid, h,
+b)``, and then steps a (b, n) array, each row to the bits the one-row
+plan gives it.  ``stacked_steps`` runs a stack of any height in blocks
+of at most ``BLOCK_BYTES`` of values, one plan per block height; the
+structural suite and ``discrete_comparison_check`` step through it.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ from .core import (
     SpaceTimeFunction,
     WeightFunction,
 )
+
+
+# A stack of value rows is stepped in blocks of at most this many bytes
+# of values (511 rows of 513 points, 64 of 4095), so a stacked plan's
+# buffers stay a few such blocks however many rows the stack has.
+BLOCK_BYTES = 2**21
 
 
 class IterationError(RuntimeError):
@@ -61,6 +73,10 @@ class Partition:
 
 
 def partition(t: float, h: float) -> Partition:
+    if not math.isfinite(h):
+        raise DomainError(f"step size h must be finite, got {h!r}")
+    if not math.isfinite(t):
+        raise DomainError(f"time t must be finite, got {t!r}")
     if h <= 0:
         raise DomainError("step size must be positive")
     if t < 0:
@@ -79,8 +95,9 @@ class StepOperator:
     seen the operator (the rates module refuses unadmitted operators).
     sigma_scale and drift_scale describe the spatial reach of one step
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
-    planner(grid, h), when given, builds the same step as a plan on
-    value arrays (see ``plan``); the families' constructors set it.
+    planner(grid, h, stack=None), when given, builds the same step as a
+    plan on value arrays (see ``plan``); the families' constructors set
+    it.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -96,17 +113,31 @@ class StepOperator:
     def admit(self) -> "StepOperator":
         return replace(self, admitted=True)
 
-    def plan(self, grid: Grid, h: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``step(u, out)``: one step of size h on the value array u.
+    def plan(
+        self, grid: Grid, h: float, stack: int | None = None
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``step(u, out)``: one step of size h on the value array u, one
+        row of values or, with ``stack`` = b, a (b, n) stack of rows.
 
         The result is written into ``out`` and returned, except by the
-        adapter for an operator without a planner, which returns the
-        values of ``self.step(GridFunction(grid, u), h)``.
+        one-row adapter for an operator without a planner, which returns
+        the values of ``self.step(GridFunction(grid, u), h)``; its
+        stacked adapter writes that of each row into ``out``.
         """
         if self.planner is not None:
-            return self.planner(grid, h)
+            if stack is None:
+                return self.planner(grid, h)
+            return self.planner(grid, h, stack)
         step = self.step
-        return lambda u, out: step(GridFunction(grid, u), h).values
+        if stack is None:
+            return lambda u, out: step(GridFunction(grid, u), h).values
+
+        def rows(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            for row, target in zip(u, out):
+                target[...] = step(GridFunction(grid, row), h).values
+            return out
+
+        return rows
 
     @classmethod
     def from_nisio(cls, family, cut: float = 8.0) -> "StepOperator":
@@ -117,7 +148,7 @@ class StepOperator:
             step=lambda f, h: nisio_step(family, f, h, cut=cut),
             sigma_scale=family.sigma_max,
             drift_scale=family.drift_max,
-            planner=lambda grid, h: nisio_plan(family, grid, h, cut=cut),
+            planner=lambda grid, h, stack=None: nisio_plan(family, grid, h, cut, stack),
             shifts_only=family.sigma_max == 0,
         )
 
@@ -129,7 +160,7 @@ class StepOperator:
             name="lln",
             step=lambda f, h: lln_step(ce, f, h, cut=cut),
             drift_scale=_scenario_reach(ce),
-            planner=lambda grid, h: lln_plan(ce, grid, h, cut=cut),
+            planner=lambda grid, h, stack=None: lln_plan(ce, grid, h, cut, stack),
             shifts_only=all(s.sigma == 0 for s in ce.scenarios),
         )
 
@@ -141,7 +172,7 @@ class StepOperator:
             name="clt",
             step=lambda f, h: clt_step(ce, f, h, cut=cut),
             sigma_scale=_scenario_reach(ce),
-            planner=lambda grid, h: clt_plan(ce, grid, h, cut=cut),
+            planner=lambda grid, h, stack=None: clt_plan(ce, grid, h, cut, stack),
             shifts_only=all(s.sigma == 0 for s in ce.scenarios),
         )
 
@@ -195,6 +226,39 @@ def chernoff_iterate(
     return GridFunction(grid, u)
 
 
+def block_rows(n: int) -> int:
+    """How many rows of ``n`` values one block of a stack holds: at most
+    ``BLOCK_BYTES`` of them, and at least one row."""
+    return max(1, BLOCK_BYTES // (8 * n))
+
+
+def stacked_steps(op: StepOperator, grid: Grid, h: float):
+    """``step(values, out)``: one step of size h of ``op`` on every row of
+    the (r, n) stack ``values``, written into ``out`` of the same shape
+    and returned.  The rows run in blocks of ``block_rows(n)``, each
+    through ``op.plan(grid, h, stack)`` for its height.  The plan is kept
+    until a block of another height comes, so a caller that steps block
+    after block of one height builds one plan, and only one plan's
+    buffers are held at a time.  Each row gets the bits a one-row plan
+    gives it.  A non-finite result raises ``DomainError``."""
+    held = {}  # the height of the latest block -> its plan
+    size = block_rows(grid.size)
+
+    def step(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for start in range(0, len(values), size):
+            block = slice(start, min(start + size, len(values)))
+            height = block.stop - start
+            if height not in held:
+                held.clear()  # its buffers go before the next plan's come
+                held[height] = op.plan(grid, h, height)
+            held[height](values[block], out[block])
+        if not np.isfinite(out).all():
+            raise DomainError("grid function values must be finite")
+        return out
+
+    return step
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Outcome of the discrete comparison inequality on a lattice.
@@ -233,9 +297,11 @@ def discrete_comparison_check(
             + t * sup_s sup ((f_bound - g_bound)(s))^+ kappa.
 
     The lattice times are resolved to sample indices once; residuals,
-    driver gaps and slack are read from rows of the stacked values.
-    Only the inputs of the 2K steps ``op.step(prev, h)`` are wrapped as
-    grid functions.
+    driver gaps and slack are read from rows of the stacked values.  The
+    2K certificate steps I(h)u(t - h) and I(h)v(t - h) run as one stack
+    of the u rows and the v rows through ``stacked_steps`` (one plan per
+    block height), with no grid function per step; each row gets the
+    bits ``op.step`` gives it.
     """
     if h <= 0:
         raise DomainError("step size must be positive")
@@ -249,12 +315,16 @@ def discrete_comparison_check(
 
     # certificate verification: the claimed residual bounds must hold
     violation = 0.0
-    for i, p, a, b in zip(cert, prev, fi, gi):
-        res_u = (u.values[i] - op.step(u.slice(p), h).values) / h
-        res_v = (v.values[i] - op.step(v.slice(p), h).values) / h
-        over = np.max(res_u - f_bound.values[a])
-        under = np.max(g_bound.values[b] - res_v)
-        violation = max(violation, float(over), float(under))
+    if cert.size:
+        if u.grid != v.grid:
+            raise DomainError("grid functions live on different grids")
+        stack = np.concatenate((u.values[prev], v.values[prev]))
+        stepped = stacked_steps(op, u.grid, h)(stack, np.empty_like(stack))
+        res_u = (u.values[cert] - stepped[: cert.size]) / h
+        res_v = (v.values[cert] - stepped[cert.size :]) / h
+        over = np.max(res_u - f_bound.values[fi], axis=1)
+        under = np.max(g_bound.values[gi] - res_v, axis=1)
+        violation = max(violation, float(over.max()), float(under.max()))
     vacuous = violation > tol
 
     # driver gap: sup over certificate times of ((f - g)^+) in kappa

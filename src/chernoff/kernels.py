@@ -24,8 +24,17 @@ weight row into ``out``.  How it does so is fixed by a ``TapPlan``:
 ``tap_plan`` builds one for rows of n values, and a step plan builds
 its own once per (operator, h) and hands it to every call, so repeated
 steps transform no taps and choose no branch.  Without a plan the call
-builds one and applies it once; a shift (one tap, or two on adjacent
-cells) needs none and is applied as a ``ClampedShift``.
+takes one row of values, builds a plan and applies it once; a shift
+(one tap, or two on adjacent cells) needs none and is applied as a
+``ClampedShift``.  A plan built for a ``stack`` of b rows takes a (b, n)
+stack of values on a leading batch axis, fixed when it is built (the
+structural suite's pairs, the comparison check's certificate steps):
+the branch is chosen for rows of n values as for one row, shift rows
+and the window fill act on ``values[..., slice]``, the direct branch
+correlates each row and the FFT branch runs one stacked ``rfft`` and
+one stacked ``irfft`` (numpy's transforms go row by row, so each row
+gets the bits of its own call).  Each output row of a stack is the one
+a one-row plan gives its values row.
 
 On the direct branch the call fills one edge-clamped window over the
 plan's offset range and correlates each row with ``np.correlate(...,
@@ -53,7 +62,8 @@ lists that leave many products outside the dot kernel's blocks of 16
 may take it earlier.  A spectrum that overflows (sup |values| within a factor of
 about L of the largest float) or holds a non-finite value makes every
 output of its row non-finite, so output 0 of each row is checked and
-such a call is redone on the direct branch.
+such a call (in a stack, such a values row) is redone on the direct
+branch.
 
 A plan holds the window and, on the FFT branch, the spectrum, product
 and output buffers of its transforms, so a call makes no array of its
@@ -146,16 +156,19 @@ class TapPlan:
     """How ``apply_taps`` correlates rows of ``n`` values with the weight
     rows ``weights`` ((m,) or (k, m)) on the shared ``offsets``.
 
-    ``rows`` holds each weight row as its first offset and dense taps,
-    and ``shifts`` the ``ClampedShift`` of each row of one or two taps
-    (None for a longer row, and for every row on the FFT branch).
-    ``window`` receives the edge-clamped values from offset ``lo`` over
-    ``size`` offsets (None when every row has one or two taps, which
-    read the values); on the FFT branch (``spectra`` not None) it is
-    zero-padded to ``length``, ``spectra`` holds the rows' conjugated
-    transforms at that length, one per weight row, and ``spectrum``,
-    ``product`` and ``full`` receive the forward transform, its products
-    with the spectra and their inverse transforms.
+    The values are one row, or a stack of ``batch`` = (b,) rows fixed
+    when the plan is built.  ``rows`` holds each weight row as its first
+    offset and dense taps, and ``shifts`` the ``ClampedShift`` of each
+    row of one or two taps (None for a longer row, and for every row on
+    the FFT branch).  ``window`` receives the edge-clamped values from
+    offset ``lo`` over ``size`` offsets, one window per value row (None
+    when every row has one or two taps, which read the values); on the
+    FFT branch (``spectra`` not None) it is zero-padded to ``length``,
+    ``spectra`` holds the rows' conjugated transforms at that length,
+    one per weight row (with a unit axis to broadcast over a stack), and
+    ``spectrum``, ``product`` and ``full`` receive the forward
+    transforms, their products with the spectra and the inverse
+    transforms.
     """
 
     n: int
@@ -171,13 +184,15 @@ class TapPlan:
     spectrum: np.ndarray | None = None
     product: np.ndarray | None = None
     full: np.ndarray | None = None
+    batch: tuple[int, ...] = ()
 
 
-def tap_plan(n: int, offsets, weights) -> TapPlan:
-    """The ``TapPlan`` of ``weights`` on ``offsets`` for rows of ``n``
-    values: the branch chosen by the cost model of ``_fft_is_cheaper``
-    and, on the FFT branch, the rows' spectra.  Offsets may be unsorted
-    or repeated."""
+def tap_plan(n: int, offsets, weights, stack: int | None = None) -> TapPlan:
+    """The ``TapPlan`` of ``weights`` on ``offsets`` for one row of ``n``
+    values, or a (``stack``, n) stack of them: the branch chosen by the
+    cost model of ``_fft_is_cheaper`` for rows of n values and, on the
+    FFT branch, the rows' spectra.  Offsets may be unsorted or
+    repeated."""
     offsets = np.asarray(offsets)
     weights = np.asarray(weights, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
@@ -194,47 +209,66 @@ def tap_plan(n: int, offsets, weights) -> TapPlan:
         [np.bincount(offsets - lo, weights=w, minlength=size) for w in np.atleast_2d(weights)]
     )
     rows = [(lo, taps) for taps in dense]
-    return _plan(n, offsets, weights, lo, dense.reshape(weights.shape[:-1] + (size,)), rows)
+    dense = dense.reshape(weights.shape[:-1] + (size,))
+    return _plan(n, offsets, weights, lo, dense, rows, stack)
 
 
-def gaussian_plan(grid: Grid, std, shift, cut: float = 8.0) -> TapPlan:
+def gaussian_plan(
+    grid: Grid, std, shift, cut: float = 8.0, stack: int | None = None
+) -> TapPlan:
     """The ``TapPlan`` of ``gaussian_taps(std, shift, grid.spacing[0],
     cut)``; for equal-length sequences ``std`` and ``shift``, one weight
     row per factor on the shared range of their taps.  Each factor's
     offsets ascend one cell at a time, so its weights are already dense,
-    and on the direct branch each row keeps its own range."""
+    and on the direct branch each row keeps its own range.  ``stack``
+    as for ``tap_plan``."""
     dx = grid.spacing[0]
     if np.ndim(std) == 0:
         offsets, weights = gaussian_taps(std, shift, dx, cut)
         lo = int(offsets[0])
-        return _plan(grid.size, offsets, weights, lo, weights, [(lo, weights)])
+        return _plan(grid.size, offsets, weights, lo, weights, [(lo, weights)], stack)
     factors = [gaussian_taps(s, m, dx, cut) for s, m in zip(std, shift, strict=True)]
     rows = [(int(o[0]), w) for o, w in factors]
     lo = min(start for start, _ in rows)
     weights = np.zeros((len(rows), max(start + w.size for start, w in rows) - lo))
     for dense, (start, w) in zip(weights, rows):
         dense[start - lo : start - lo + w.size] = w
-    return _plan(grid.size, np.arange(lo, lo + weights.shape[1]), weights, lo, weights, rows)
+    offsets = np.arange(lo, lo + weights.shape[1])
+    return _plan(grid.size, offsets, weights, lo, weights, rows, stack)
 
 
-def _plan(n: int, offsets, weights, lo: int, dense: np.ndarray, rows) -> TapPlan:
+def _plan(
+    n: int, offsets, weights, lo: int, dense: np.ndarray, rows, stack: int | None
+) -> TapPlan:
     """The plan of ``weights`` on ``offsets``, given as ``dense`` taps from
-    offset ``lo`` (one row per weight row) and each row's own range."""
+    offset ``lo`` (one row per weight row) and each row's own range, for
+    one row of n values or a ``stack`` of them.  The branch depends on n
+    and the taps alone, so every row of a stack takes the branch a
+    one-row plan takes."""
     size = dense.shape[-1]
     rows = tuple(rows)
+    batch = () if stack is None else (stack,)
     if not (size > 2 and _fft_is_cheaper(n, size, [t.size for _, t in rows])):
         # rows of one or two taps are slices of the values, with no window
-        shifts = tuple(clamped_shift(n, start, t) if t.size <= 2 else None for start, t in rows)
-        window = np.empty(n + size - 1) if None in shifts else None
-        return TapPlan(n, offsets, weights, rows, shifts, lo, size, 0, None, window)
+        shifts = tuple(
+            clamped_shift(n, start, t, stacked=bool(batch)) if t.size <= 2 else None
+            for start, t in rows
+        )
+        window = np.empty(batch + (n + size - 1,)) if None in shifts else None
+        return TapPlan(n, offsets, weights, rows, shifts, lo, size, 0, None, window, batch=batch)
     length = next_fast_len(n + size - 1)
     spectra = np.conj(rfft(dense, length))
+    if batch:  # one spectrum per weight row, broadcast over the stack
+        spectra = spectra[..., np.newaxis, :]
+    spectrum = np.empty(batch + (length // 2 + 1,), dtype=complex)
+    product = np.empty(np.broadcast_shapes(spectra.shape, spectrum.shape), dtype=complex)
     return TapPlan(
         n, offsets, weights, rows, (None,) * len(rows), lo, size, length, spectra,
-        window=np.zeros(length),  # past n + size - 1, the transform's padding
-        spectrum=np.empty(length // 2 + 1, dtype=complex),
-        product=np.empty_like(spectra),
-        full=np.empty(spectra.shape[:-1] + (length,)),
+        window=np.zeros(batch + (length,)),  # past n + size - 1, the transform's padding
+        spectrum=spectrum,
+        product=product,
+        full=np.empty(product.shape[:-1] + (length,)),
+        batch=batch,
     )
 
 
@@ -266,18 +300,26 @@ def apply_taps(
     and for k weight rows ((k, m) ``weights``) ``out[r, i]`` likewise
     with ``weights[r, j]``.
 
-    ``values`` is one row of n values.  The result goes into ``out`` (a
-    float64 array of shape ``weights.shape[:-1] + (n,)`` that does not
-    overlap the values) and is returned; without ``out`` it is a new
-    array.  ``plan``, when given, is ``tap_plan(n, offsets, weights)``
-    built once by a caller that applies the same taps again and again.
-    The FFT branch agrees with the sum to roundoff (about 1e-15 *
-    sup|values|); when output 0 of any row is not finite there, the call
-    is redone on the direct branch.
+    ``values`` is one row of n values, or with a plan built for a stack
+    of b rows, a (b, n) stack of them.  The result goes into ``out`` (a
+    float64 array of shape ``weights.shape[:-1] + values.shape`` that
+    does not overlap the values) and is returned; without ``out`` it is
+    a new array.  ``plan``, when given, is ``tap_plan(n, offsets,
+    weights)`` (or its ``stack``) built once by a caller that applies the
+    same taps again and again.  Each value row of a stack gets the bits
+    a one-row plan gives it.  The FFT branch agrees with the sum to
+    roundoff (about 1e-15 * sup|values|); when output 0 of any weight
+    row of a value row is not finite there, that value row is redone on
+    the direct branch.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
+    if plan is None and values.ndim != 1:
         raise DomainError(f"apply_taps: values must be one row, got shape {values.shape}")
+    if plan is not None and values.shape != plan.batch + (plan.n,):
+        raise DomainError(
+            f"apply_taps: the plan is for values of shape {plan.batch + (plan.n,)}, "
+            f"got {values.shape}"
+        )
     weights = np.asarray(weights, dtype=float)
     shape = weights.shape[:-1] + values.shape
     if out is None:
@@ -292,31 +334,51 @@ def apply_taps(
         ):
             return clamped_shift(values.size, int(offsets[0]), weights).apply(values, out)
         plan = tap_plan(values.size, offsets, weights)
-    elif plan.n != values.size:
-        raise DomainError(f"apply_taps: the plan is for {plan.n} values, got {values.size}")
-    n = values.size
+    n = plan.n
     if plan.window is not None:
-        _clamped_window(values, plan.lo, plan.window[: n + plan.size - 1])
-    if plan.spectra is not None:
-        # Circular correlation at length >= n + hi - lo: output i reads
-        # window[i .. i + hi - lo], so none of the first n wraps.  An
-        # overflowed spectrum warns and gives inf * 0; both are caught
-        # below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rfft(plan.window, out=plan.spectrum)
-            np.multiply(plan.spectrum, plan.spectra, out=plan.product)
-            irfft(plan.product, plan.length, out=plan.full)
-        # a non-finite spectrum spreads over its whole row, so output 0
-        # of each row tells whether the row is usable
-        if np.isfinite(plan.full[..., 0]).all():
+        _clamped_window(values, plan.lo, plan.window[..., : n + plan.size - 1])
+    if plan.spectra is None:
+        return _direct(plan, values, out, plan.window)
+    # Circular correlation at length >= n + hi - lo: output i reads
+    # window[i .. i + hi - lo], so none of the first n wraps.  An
+    # overflowed spectrum warns and gives inf * 0; both are caught below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rfft(plan.window, out=plan.spectrum)
+        np.multiply(plan.spectrum, plan.spectra, out=plan.product)
+        irfft(plan.product, plan.length, out=plan.full)
+    # a non-finite spectrum spreads over its whole row, so output 0 of
+    # each row tells whether the row is usable
+    finite = np.isfinite(plan.full[..., 0])
+    if not plan.batch:
+        if finite.all():
             out[...] = plan.full[..., :n]
             return out
-    for row, (lo, taps), shift in zip(np.atleast_2d(out), plan.rows, plan.shifts):
-        if shift is None:
-            start = lo - plan.lo
-            row[...] = correlate(plan.window[start : start + n + taps.size - 1], taps, "valid")
+        return _direct(plan, values, out, plan.window)
+    out[...] = plan.full[..., :n]
+    if plan.weights.ndim == 2:
+        finite = finite.all(axis=0)
+    for i in np.flatnonzero(~finite):
+        _direct(plan, values[i], out[..., i, :], plan.window[i])
+    return out
+
+
+def _direct(plan: TapPlan, values: np.ndarray, out: np.ndarray, window) -> np.ndarray:
+    """The direct branch of ``plan`` on one value row or a stack: a row of
+    one or two taps by its ``ClampedShift``, a longer one by
+    ``np.correlate`` of each value row's filled ``window`` with it."""
+    n = plan.n
+    for target, (lo, taps), shift in zip(
+        out if plan.weights.ndim == 2 else (out,), plan.rows, plan.shifts
+    ):
+        if shift is not None:
+            shift.apply(values, target)
+            continue
+        span = slice(lo - plan.lo, lo - plan.lo + n + taps.size - 1)
+        if window.ndim == 1:
+            target[...] = correlate(window[span], taps, "valid")
         else:
-            shift.apply(values, row)
+            for w, row in zip(window, target):
+                row[...] = correlate(w[span], taps, "valid")
     return out
 
 
@@ -336,20 +398,29 @@ def _fft_is_cheaper(n: int, size: int, taps: list[int]) -> bool:
     return n * direct > fft
 
 
-def _clamp_parts(n: int, lo: int, size: int):
+def _clamp_parts(n: int, lo: int, size: int, stacked: bool = False):
     """``window[k] = values[clip(lo + k, 0, n - 1)]`` for k < ``size`` as
-    its nonempty parts, each a (destination slice, source) pair: the
-    inner part [a, b) reads the slice of values from lo + a, the low
+    its nonempty parts, each a (destination, source) pair of indices:
+    the inner part [a, b) reads the slice of values from lo + a, the low
     edge [0, a) reads index 0 and the high edge [b, size) index n - 1.
-    The one implementation of the edge clamp."""
+    ``stacked`` gives the same parts along the last axis of a stack of
+    rows, an edge read as a one-column slice that broadcasts over its
+    part.  The one implementation of the edge clamp."""
     a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
     parts = ((slice(a, b), slice(lo + a, lo + b)), (slice(0, a), 0), (slice(b, size), n - 1))
-    return tuple((dst, src) for dst, src in parts if dst.start < dst.stop)
+    parts = tuple((dst, src) for dst, src in parts if dst.start < dst.stop)
+    if not stacked:
+        return parts
+    return tuple(
+        ((..., dst), (..., src if isinstance(src, slice) else slice(src, src + 1)))
+        for dst, src in parts
+    )
 
 
 def _clamped_window(values: np.ndarray, lo: int, window: np.ndarray) -> np.ndarray:
-    """Fill ``window[k] = values[clip(lo + k, 0, n - 1)]``."""
-    for dst, src in _clamp_parts(values.size, lo, window.size):
+    """Fill ``window[..., k] = values[..., clip(lo + k, 0, n - 1)]``."""
+    parts = _clamp_parts(values.shape[-1], lo, window.shape[-1], values.ndim > 1)
+    for dst, src in parts:
         window[dst] = values[src]
     return window
 
@@ -359,7 +430,8 @@ class ClampedShift:
     """A row of one tap, or two on adjacent offsets (a whole or fractional
     shift, ``shift_taps``), with its edge clamp worked out once for rows
     of a fixed length: ``taps`` holds each tap's weight and the nonempty
-    ``_clamp_parts`` of a whole row at its offset."""
+    ``_clamp_parts`` of a whole row at its offset, for one row of values
+    or for a stack of rows."""
 
     taps: tuple[tuple[float, tuple], ...]
 
@@ -386,13 +458,16 @@ class ClampedShift:
         return out
 
 
-def clamped_shift(n: int, lo: int, weights) -> ClampedShift:
+def clamped_shift(n: int, lo: int, weights, stacked: bool = False) -> ClampedShift:
     """The ``ClampedShift`` of one or two weights on offsets ``lo`` (and
-    ``lo + 1``) for rows of ``n`` values."""
+    ``lo + 1``) for one row of ``n`` values, or (``stacked``) for a stack
+    of such rows."""
     weights = np.asarray(weights, dtype=float).tolist()
     if len(weights) not in (1, 2):
         raise DomainError(f"a clamped shift has one or two taps, got {len(weights)}")
-    return ClampedShift(tuple((w, _clamp_parts(n, lo + j, n)) for j, w in enumerate(weights)))
+    return ClampedShift(
+        tuple((w, _clamp_parts(n, lo + j, n, stacked)) for j, w in enumerate(weights))
+    )
 
 
 def gaussian_convolve(

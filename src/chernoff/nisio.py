@@ -142,12 +142,17 @@ class NisioFamily:
         return max(abs(m) for _, m in self.controls)
 
 
-def nisio_plan(family: NisioFamily, grid: Grid, t: float, cut: float = 8.0):
-    """The step ``nisio_step(family, ., t)`` on value arrays, as a plan
-    ``step(u, out)`` that writes into ``out`` and returns it: the
-    family's scenarios moved by t m and spread with std sqrt(t) sigma."""
+def nisio_plan(
+    family: NisioFamily, grid: Grid, t: float, cut: float = 8.0, stack: int | None = None
+):
+    """The step ``nisio_step(family, ., t)`` on value arrays (one row, or
+    a ``stack`` of rows), as a plan ``step(u, out)`` that writes into
+    ``out`` and returns it: the family's scenarios moved by t m and
+    spread with std sqrt(t) sigma."""
     rt = math.sqrt(max(t, 0.0))
-    return penalized_max_plan(family.expectation, grid, t, scale=t, std_scale=rt, cut=cut)
+    return penalized_max_plan(
+        family.expectation, grid, t, scale=t, std_scale=rt, cut=cut, stack=stack
+    )
 
 
 def nisio_step(

@@ -6,6 +6,13 @@ and translation properties; appendix_suite does the same for a scenario
 expectation's scaling, constant-shift and mixture inequalities.  Both
 return per-property counts so a single bad draw is visible, and both
 are deterministic given the seed.
+
+structural_suite steps its pairs as stacks: each block of pairs is
+written as rows of one array and stepped through a plan built for that
+many rows (``iterate.stacked_steps``), which gives every row the bits
+``op.step`` gives it, so the report is that of a loop over pairs.  The
+zero function is stepped once through ``op.step``, and the translation
+check shifts rows with ``apply_taps``, one row per call.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction
-from .iterate import StepOperator
+from .iterate import StepOperator, block_rows, stacked_steps
 from .kernels import apply_taps
 
 
@@ -90,14 +97,25 @@ class _Tally:
         self.violations = 0
         self.worst = 0.0
 
-    def record(self, measure: float):
-        self.checked += 1
-        self.worst = max(self.worst, measure)
-        if measure > self.tol:
-            self.violations += 1
+    def record(self, measures):
+        """Count one check per measure, in any order: the worst is a max."""
+        measures = np.atleast_1d(np.asarray(measures, dtype=float))
+        if measures.size:
+            self.checked += measures.size
+            self.worst = max(self.worst, float(measures.max()))
+            self.violations += int(np.count_nonzero(measures > self.tol))
 
     def result(self) -> PropertyResult:
         return PropertyResult(self.name, self.checked, self.violations, self.worst)
+
+
+# The suite's step size, the slope bound of its random functions and the
+# tolerance of its slope check.
+SUITE_H = 0.25
+SUITE_RADIUS = 2.0
+LIPSCHITZ_TOL = 1e-9
+# f, g, their mix and the shifted f of a pair: the rows a pair stacks
+_PAIR_ROWS = 4
 
 
 def structural_suite(
@@ -105,16 +123,21 @@ def structural_suite(
     grid: Grid,
     n_pairs: int = 1000,
     seed: int = 0,
-    h: float = 0.25,
-    radius: float = 2.0,
     tol: float = 1e-9,
-    lipschitz_tol: float = 1e-9,
 ) -> SuiteReport:
     """Monotone / convex / zero / contraction / slope / translation checks.
 
     Violations are excesses over the exact inequality beyond tol, except
     contraction and lipschitz where the recorded measure is the growth
-    factor itself and a violation means factor > 1 + tol.
+    factor itself and a violation means factor > 1 + tol (1 +
+    ``LIPSCHITZ_TOL`` for lipschitz).
+
+    The zero function takes one ``op.step``.  The pairs are drawn block
+    by block, in the order one pair at a time would draw them: each
+    block writes f, g, the mix and the shifted f of its pairs as rows of
+    one stack of at most ``iterate.block_rows`` rows, steps the stack
+    through ``iterate.stacked_steps`` (one plan per block height for the
+    whole suite) and scores the six properties with row reductions.
     """
     if n_pairs < 1:
         raise DomainError("need at least one pair")
@@ -122,45 +145,59 @@ def structural_suite(
     mono = _Tally("monotone", tol)
     convex = _Tally("convex", tol)
     contraction = _Tally("contraction", 1.0 + tol)
-    slope = _Tally("lipschitz", 1.0 + lipschitz_tol)
+    slope = _Tally("lipschitz", 1.0 + LIPSCHITZ_TOL)
     translation = _Tally("translation", tol)
     zero = _Tally("zero", tol)
 
     zero_in = GridFunction(grid, np.zeros(grid.counts))
-    zero.record(op.step(zero_in, h).sup_norm)
+    zero.record(op.step(zero_in, SUITE_H).sup_norm)
 
-    margin = 8.0 * op.reach(h) + 4.0 * grid.spacing[0]
+    margin = 8.0 * op.reach(SUITE_H) + 4.0 * grid.spacing[0]
     interior = grid.interior_mask(margin)
     if not interior.any():
         raise DomainError("grid too small for the translation check margin")
 
-    for _ in range(n_pairs):
-        f = random_lipschitz_function(grid, rng, radius)
-        g = f + random_nonnegative_bump(grid, rng, radius / 2)
-        lam = float(rng.uniform(0.0, 1.0))
-        mix = lam * f + (1.0 - lam) * g
-        If = op.step(f, h)
-        Ig = op.step(g, h)
-        Imix = op.step(mix, h)
+    n, dx = grid.size, grid.spacing[0]
+    per_block = max(1, block_rows(n) // _PAIR_ROWS)
+    step = stacked_steps(op, grid, SUITE_H)
+    for first in range(0, n_pairs, per_block):
+        count = min(per_block, n_pairs - first)
+        rows = np.empty((_PAIR_ROWS, count, n))
+        out = np.empty_like(rows)
+        f, g, mix, fz = rows
+        lam = np.empty(count)
+        cells = []
+        for j in range(count):
+            f[j] = random_lipschitz_function(grid, rng, SUITE_RADIUS).values
+            np.add(f[j], random_nonnegative_bump(grid, rng, SUITE_RADIUS / 2).values, out=g[j])
+            lam[j] = rng.uniform(0.0, 1.0)
+            cells.append(int(rng.integers(1, 4)))
+            # shift with constant extension, the operators' boundary rule
+            apply_taps(f[j], [cells[j]], [1.0], out=fz[j])
+        lam = lam[:, np.newaxis]
+        np.add(f * lam, g * (1.0 - lam), out=mix)
+        step(rows.reshape(-1, n), out.reshape(-1, n))
+        If, Ig, Imix, Ifz = out
 
-        mono.record(float(np.max(If.values - Ig.values)))
-        convex.record(
-            float(np.max(Imix.values - (lam * If + (1.0 - lam) * Ig).values))
-        )
-        gap = float(np.max(np.abs(f.values - g.values)))
-        if gap > 0:
-            contraction.record(float(np.max(np.abs(If.values - Ig.values))) / gap)
-        slope.record(If.lipschitz / f.lipschitz)
-
-        cells = int(rng.integers(1, 4))
-        # shift with constant extension, the operators' boundary rule
-        fz = GridFunction(grid, apply_taps(f.values, [cells], [1.0]))
-        lhs = op.step(fz, h).values
-        rhs = apply_taps(If.values, [cells], [1.0])
-        translation.record(float(np.max(np.abs(lhs - rhs)[interior])))
+        mono.record(np.max(If - Ig, axis=1))
+        convex.record(np.max(Imix - (If * lam + Ig * (1.0 - lam)), axis=1))
+        gap = np.max(np.abs(f - g), axis=1)
+        spread = np.max(np.abs(If - Ig), axis=1)
+        moved = gap > 0
+        contraction.record(spread[moved] / gap[moved])
+        slope.record(_lipschitz(If, dx) / _lipschitz(f, dx))
+        shifted = np.empty_like(If)
+        for j in range(count):
+            apply_taps(If[j], [cells[j]], [1.0], out=shifted[j])
+        translation.record(np.max(np.abs(Ifz - shifted)[:, interior], axis=1))
 
     results = [zero, mono, convex, contraction, slope, translation]
     return SuiteReport(results=tuple(t.result() for t in results), seed=seed)
+
+
+def _lipschitz(rows: np.ndarray, dx: float) -> np.ndarray:
+    """``lipschitz_estimate`` of each row: max adjacent slope."""
+    return np.max(np.abs(np.diff(rows, axis=1)), axis=1) / dx
 
 
 def _random_payoff(rng: np.random.Generator, radius: float = 2.0, knots: int = 17):
@@ -240,14 +277,13 @@ def admit_operator(
     grid: Grid,
     seed: int = 0,
     n_pairs: int = 64,
-    h: float = 0.25,
 ) -> StepOperator:
     """Run a short structural suite and return the operator admitted.
 
     Raises instead of admitting when any property fails, naming the
     offenders.
     """
-    report = structural_suite(op, grid, n_pairs=n_pairs, seed=seed, h=h)
+    report = structural_suite(op, grid, n_pairs=n_pairs, seed=seed)
     if not report.passed:
         raise DomainError(
             f"operator {op.name!r} failed admission: {', '.join(report.failing())}"

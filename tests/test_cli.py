@@ -115,9 +115,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
 
 
 def test_a_failing_step_exits_3_with_an_error_line(linear_config, tmp_path, capsys, monkeypatch):
-    # step plans whose output is not finite, as a step that overflows
-    # would give; the admission suite's one-shot steps are left alone
-    def failing_plan(self, grid, h):
+    # one-row step plans whose output is not finite, as a step that
+    # overflows would give; the admission suite's stacked plans and
+    # one-shot steps are left alone
+    stacked = StepOperator.plan
+
+    def failing_plan(self, grid, h, stack=None):
+        if stack is not None:
+            return stacked(self, grid, h, stack)
+
         def step(u, out):
             out[...] = np.nan
             return out

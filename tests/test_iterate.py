@@ -61,6 +61,20 @@ def test_partition_examples():
         Partition(t=1.0, h=0.25, k=5)
 
 
+@pytest.mark.parametrize(
+    "t, h, field",
+    [
+        (float("nan"), 0.25, "time t"),
+        (float("inf"), 0.25, "time t"),
+        (1.0, float("nan"), "step size h"),
+        (1.0, float("inf"), "step size h"),
+    ],
+)
+def test_partition_rejects_a_non_finite_time_or_step(t, h, field):
+    with pytest.raises(DomainError, match=f"{field} must be finite, got {h if t == 1.0 else t}"):
+        partition(t, h)
+
+
 def test_iterate_zero_steps_returns_input():
     g = grid1d(101)
     f = GridFunction.from_callable(g, np.cos)

@@ -13,7 +13,7 @@ from chernoff.convex_expectation import (
     penalized_max_plan,
 )
 from chernoff.core import DomainError, Grid, GridFunction
-from chernoff.iterate import StepOperator, chernoff_iterate
+from chernoff.iterate import StepOperator, block_rows, chernoff_iterate
 from chernoff.kernels import (
     _fft_is_cheaper,
     apply_taps,
@@ -617,6 +617,20 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     rows = gaussian_convolve(u, grid, [0.25, 0.5], [0.0, 0.0], taps=plan)
     for row, std in zip(rows, (0.25, 0.5)):
         np.testing.assert_array_equal(row, apply_taps(u, *gaussian_taps(std, 0.0, grid.spacing[0])))
+    # the stacked suite's rows stay on correlate whatever the batch: one
+    # row, a pair's four, clt_certify's 48 pairs and a full block
+    stack = np.array([u * (1.0 + 0.1 * j) for j in range(block_rows(grid.size))])
+    with monkeypatch.context() as patch:
+        for name in ("rfft", "irfft"):
+            patch.setattr(kernels, name, lambda *a, **k: pytest.fail("a suite row took the FFT"))
+        for batch in (1, 4, 192, block_rows(grid.size)):
+            plan = gaussian_plan(grid, [0.25, 0.5], [0.0, 0.0], stack=batch)
+            assert plan.spectra is None
+            out = gaussian_convolve(stack[:batch], grid, [0.25, 0.5], [0.0, 0.0], taps=plan)
+            for j in (0, batch - 1):
+                np.testing.assert_array_equal(
+                    out[:, j], gaussian_convolve(stack[j], grid, [0.25, 0.5], [0.0, 0.0])
+                )
     # one-tap lln steps: scaled slices, with no plan, correlate or FFT
     fine = _fine_grid()
     mass = 512 * fine.spacing[0]
