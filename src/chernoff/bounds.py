@@ -5,7 +5,8 @@ fixes its exponent in closed form and evaluates the printed per-model
 constants from the shipped transcription table data/bound_addends.json,
 so audits diff data, not code.  The semigroup growth rate omega and the
 translation cap L the table's nisio sections take are 0 for every model
-built here.
+built here.  Their weight shift constant c_kappa is 1: errors are
+measured in the unweighted sup norm, whose weight is constant.
 """
 
 from __future__ import annotations

@@ -84,7 +84,6 @@ def cmd_run(args) -> int:
         exp.t,
         exp.h_list,
         reference,
-        weight=exp.weight,
         margin=exp.margin,
     )
     # the floor goes into the CSV, so ``rates`` refits with it

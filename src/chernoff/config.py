@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import BoundReport, clt_bounds, lln_bounds, nisio_bounds
 from .convex_expectation import growth_certificate, load_scenarios
-from .core import DomainError, Grid, GridFunction, WeightFunction
+from .core import DomainError, Grid, GridFunction
 from .iterate import StepOperator
 from .nisio import NisioFamily
 from .reference import OracleResult, fine_oracle, heat_exact
@@ -74,7 +74,6 @@ _PAYOFFS = {
 
 _KNOWN_KEYS = {
     "grid": {"low", "high", "points"},
-    "weight": {"kind", "q"},
     "operator": {"type", "controls", "scenarios", "smooth", "cut"},
     "payoff": {"kind", "scale", "cap"},
     "experiment": {"t", "h", "reference", "h_fine", "sigma", "mean", "seed"},
@@ -88,7 +87,6 @@ class Experiment:
     """Everything a run needs, already validated and built."""
 
     grid: Grid
-    weight: WeightFunction | None
     payoff: GridFunction
     payoff_name: str
     operator: StepOperator
@@ -153,7 +151,6 @@ class Experiment:
             self.payoff,
             self.t,
             self.h_fine,
-            weight=self.weight,
             margin=self.margin,
         )
 
@@ -276,13 +273,6 @@ def load_config(path) -> Experiment:
         except DomainError as exc:
             r.flag("grid", "low/high/points", str(exc))
 
-    weight = None
-    kind = r.choice("weight", "kind", {"constant", "inverse_poly"}, default="constant")
-    if kind == "inverse_poly":
-        q = r.number("weight", "q", required=True, check=lambda v: v > 0)
-        if q is not None and grid is not None:
-            weight = WeightFunction(grid, "inverse_poly", q=q)
-
     op_type = r.choice("operator", "type", {"nisio", "lln", "clt"}, required=True)
     cut = r.number("operator", "cut", default=8.0, check=lambda v: v > 0)
     smooth = r.boolean("operator", "smooth", default=None)
@@ -354,7 +344,6 @@ def load_config(path) -> Experiment:
 
     experiment = Experiment(
         grid=grid,
-        weight=weight,
         payoff=payoff,
         payoff_name=payoff_name,
         operator=operator,

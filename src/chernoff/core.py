@@ -1,4 +1,4 @@
-"""Function-space substrate: grids, grid functions, weights, norms.
+"""Function-space substrate: grids, grid functions, norms.
 
 Everything downstream (step operators, mollification, rate measurement)
 works with piecewise-linear functions tabulated on a uniform grid of an
@@ -19,13 +19,11 @@ __all__ = [
     "DomainError",
     "Grid",
     "GridFunction",
-    "WeightFunction",
     "SpaceTimeFunction",
-    "weighted_norm",
+    "sup_norm",
     "positive_part_norm",
     "negative_part_norm",
     "lipschitz_estimate",
-    "kappa_constant",
 ]
 
 
@@ -167,44 +165,6 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class WeightFunction:
-    """Weight for the weighted sup-norm, tabulated on a grid.
-
-    Two closed forms: constant one, and the inverse polynomial
-    ``(1 + |x|^2)^(-q/2)`` with q > 0.  Both satisfy 0 < kappa <= 1.
-    """
-
-    grid: Grid
-    kind: str
-    q: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "inverse_poly"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "inverse_poly" and not self.q > 0:
-            raise DomainError("inverse-polynomial weight needs q > 0")
-
-    @classmethod
-    def constant(cls, grid: Grid) -> "WeightFunction":
-        return cls(grid, "constant")
-
-    @classmethod
-    def inverse_poly(cls, grid: Grid, q: float) -> "WeightFunction":
-        return cls(grid, "inverse_poly", float(q))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        if self.kind == "constant":
-            return _frozen_array(np.ones(self.grid.counts))
-        x = self.grid.axes[0]
-        return _frozen_array((1.0 + x**2) ** (-self.q / 2.0))
-
-    @cached_property
-    def c_kappa(self) -> float:
-        return kappa_constant(self)
-
-
-@dataclass(frozen=True)
 class SpaceTimeFunction:
     """Time-indexed family of grid functions on a shared grid."""
 
@@ -310,39 +270,29 @@ class SpaceTimeFunction:
 
 
 # ---------------------------------------------------------------------------
-# norms and constants
+# norms
 
 
-def _weighted_sup(
-    f: GridFunction, part: np.ndarray, weight: WeightFunction | None, where
-) -> float:
-    """sup of part(x) kappa(x) over the grid, or over the points ``where``."""
-    if weight is not None:
-        if weight.grid != f.grid:
-            raise DomainError("function and weight live on different grids")
-        part = part * weight.values
+def _sup(part: np.ndarray, where) -> float:
+    """sup of ``part`` over the grid, or over the points ``where``."""
     if where is not None:
         part = part[where]
     return float(np.max(part))
 
 
-def weighted_norm(
-    f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
-) -> float:
-    """sup of |f(x)| kappa(x) over the grid (optionally masked)."""
-    return _weighted_sup(f, np.abs(f.values), weight, where)
+def sup_norm(f: GridFunction, where: np.ndarray | None = None) -> float:
+    """sup of |f(x)| over the grid (optionally masked)."""
+    return _sup(np.abs(f.values), where)
 
 
-def positive_part_norm(
-    f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
-) -> float:
-    return _weighted_sup(f, np.maximum(f.values, 0.0), weight, where)
+def positive_part_norm(f: GridFunction, where: np.ndarray | None = None) -> float:
+    """sup of f(x)^+ over the grid (optionally masked)."""
+    return _sup(np.maximum(f.values, 0.0), where)
 
 
-def negative_part_norm(
-    f: GridFunction, weight: WeightFunction | None, where: np.ndarray | None = None
-) -> float:
-    return _weighted_sup(f, np.maximum(-f.values, 0.0), weight, where)
+def negative_part_norm(f: GridFunction, where: np.ndarray | None = None) -> float:
+    """sup of f(x)^- over the grid (optionally masked)."""
+    return _sup(np.maximum(-f.values, 0.0), where)
 
 
 def lipschitz_estimate(f: GridFunction) -> float:
@@ -350,26 +300,3 @@ def lipschitz_estimate(f: GridFunction) -> float:
     the piecewise-linear interpolant, a lower bound of the underlying
     function's."""
     return float(np.max(np.abs(np.diff(f.values)))) / f.grid.spacing[0]
-
-
-def kappa_constant(weight: WeightFunction) -> float:
-    """Discrete sup of kappa(x)/kappa(x - y) over grid offsets |y| <= 1.
-
-    The scan resolution equals the grid spacing, so the result is a
-    lower bound of the continuum constant; tests compare against a
-    refined scan.
-    """
-    if weight.kind == "constant":
-        return 1.0
-    grid = weight.grid
-    if grid.upper[0] - grid.lower[0] < 1.0:
-        raise DomainError("grid narrower than the offset radius 1")
-    vals, dx = weight.values, grid.spacing[0]
-    best = 1.0
-    for k in range(1, int(np.floor(1.0 / dx + 1e-12)) + 1):
-        if (k * dx) ** 2 > 1.0 + 1e-12:
-            break
-        # kappa(x + y) / kappa(x) for y = k dx and y = -k dx
-        up, down = vals[k:] / vals[:-k], vals[:-k] / vals[k:]
-        best = max(best, float(np.max(up)), float(np.max(down)))
-    return best

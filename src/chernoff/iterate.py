@@ -32,13 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    Grid,
-    GridFunction,
-    SpaceTimeFunction,
-    WeightFunction,
-)
+from .core import DomainError, Grid, GridFunction, SpaceTimeFunction
 
 
 # A stack of value rows is stepped in blocks of at most this many bytes
@@ -284,7 +278,6 @@ def discrete_comparison_check(
     g_bound: SpaceTimeFunction,
     h: float,
     T: float,
-    weight: WeightFunction | None = None,
     tol: float = 1e-9,
 ) -> ComparisonReport:
     """Check the one-step comparison estimate on the h-lattice.
@@ -293,8 +286,8 @@ def discrete_comparison_check(
     (u(t) - I(h)u(t-h))/h <= f_bound(t) and the reverse for v, g_bound
     on {h, ..., Kh}.  Verifies, for every lattice t <= T,
 
-        sup (u(t)-v(t))^+ kappa <= initial gap
-            + t * sup_s sup ((f_bound - g_bound)(s))^+ kappa.
+        sup (u(t)-v(t))^+ <= initial gap
+            + t * sup_s sup ((f_bound - g_bound)(s))^+.
 
     The lattice times are resolved to sample indices once; residuals,
     driver gaps and slack are read from rows of the stacked values.  The
@@ -327,10 +320,10 @@ def discrete_comparison_check(
         violation = max(violation, float(over.max()), float(under.max()))
     vacuous = violation > tol
 
-    # driver gap: sup over certificate times of ((f - g)^+) in kappa
-    gap_driver = float(np.max(_positive_sups(f_bound, fi, g_bound, gi, weight), initial=0.0))
+    # driver gap: sup over certificate times of ((f - g)^+)
+    gap_driver = float(np.max(_positive_sups(f_bound, fi, g_bound, gi), initial=0.0))
     head = slice(times.size)
-    lhs = _positive_sups(u, head, v, head, weight)
+    lhs = _positive_sups(u, head, v, head)
     initial = float(np.max(lhs[times < h - 1e-12]))
     slack = lhs - (initial + times * gap_driver)
     worst = int(np.argmax(slack))
@@ -344,21 +337,15 @@ def discrete_comparison_check(
     )
 
 
-def _positive_sups(
-    a: SpaceTimeFunction, ia, b: SpaceTimeFunction, ib, weight: WeightFunction | None
-) -> np.ndarray:
-    """``positive_part_norm(a(s) - b(s), weight)`` for each pair of rows
+def _positive_sups(a: SpaceTimeFunction, ia, b: SpaceTimeFunction, ib) -> np.ndarray:
+    """``positive_part_norm(a(s) - b(s))`` for each pair of rows
     ``a.values[ia]``, ``b.values[ib]``, on the stacked rows with no
     ``GridFunction`` per time; a difference that overflows raises as
     the ``GridFunction`` check does."""
     if a.grid != b.grid:
         raise DomainError("grid functions live on different grids")
-    if weight is not None and weight.grid != a.grid:
-        raise DomainError("function and weight live on different grids")
     part = a.values[ia] - b.values[ib]
     if not np.isfinite(part).all():
         raise DomainError("grid function values must be finite")
     np.maximum(part, 0.0, out=part)
-    if weight is not None:
-        part *= weight.values
     return part.max(axis=1)

@@ -21,7 +21,6 @@ from .core import (
     DomainError,
     GridFunction,
     SpaceTimeFunction,
-    WeightFunction,
     negative_part_norm,
     positive_part_norm,
 )
@@ -175,7 +174,6 @@ def measure_errors(
     t: float,
     h_list,
     reference: OracleResult,
-    weight: WeightFunction | None = None,
     margin: float | None = None,
     workers: int | None = None,
 ) -> ErrorCurve:
@@ -212,8 +210,8 @@ def measure_errors(
         diff = ref - approx
         return ErrorPoint(
             h=h,
-            e_plus=positive_part_norm(diff, weight, where=mask),
-            e_minus=negative_part_norm(diff, weight, where=mask),
+            e_plus=positive_part_norm(diff, where=mask),
+            e_minus=negative_part_norm(diff, where=mask),
             oracle_uncertainty=reference.uncertainty,
             wall_time=time.perf_counter() - start,
         )
@@ -393,7 +391,6 @@ def holder_check(
     alpha: float,
     limit: float,
     h: float,
-    weight: WeightFunction | None = None,
     tol: float = 0.01,
 ) -> HolderReport:
     """Time regularity along a recorded trajectory.
@@ -432,8 +429,6 @@ def holder_check(
             a, b = pairs[bad[0]]
             raise DomainError(f"pair ({a}, {b}) leaves the recorded horizon")
         raise DomainError("the regularity bound is stated for |s - t| <= 1")
-    if weight is not None and weight.grid != trajectory.grid:
-        raise DomainError("function and weight live on different grids")
 
     values, block = trajectory.values, len(trajectory.times)
     buffer = np.empty((min(block, len(checked)),) + values.shape[1:])
@@ -448,8 +443,6 @@ def holder_check(
             diff = np.take(values, idx[rows, 1], axis=0, out=buffer[: rows.size], mode="clip")
             np.subtract(first, diff, out=diff)
             np.abs(diff, out=diff)
-            if weight is not None:
-                diff *= weight.values
             gaps[rows] = diff.max(axis=1)
     if not np.isfinite(gaps).all():
         a, b = pairs[int(np.argmin(np.isfinite(gaps)))]
@@ -520,10 +513,12 @@ def rate_report(
     """Aggregate verdict: every bound holds and the fitted slope is not
     materially below the slowest guaranteed exponent.
 
-    A curve whose every point sits at the noise floor cannot be fitted;
-    if the bounds still hold, that is the exact-scheme case and passes
-    with no slope estimate.  The noise-floor multiplier is the curve's
-    own, and so is the interior margin unless one is given.
+    A curve that cannot be fitted passes with no slope estimate only in
+    the exact-scheme case: the bounds hold and every point is at most
+    ``absolute_floor``.  Otherwise it is inconclusive, since a large
+    reference uncertainty would hide any error under the noise floor.
+    The noise-floor multiplier is the curve's own, and so is the
+    interior margin unless one is given.
     """
     noise_floor_multiplier = curve.noise_floor
     if slope_tolerance < 0:
@@ -544,11 +539,8 @@ def rate_report(
         slope_ok = target_gamma is None or fit.gamma_hat >= target_gamma - slope_tolerance
         status = "pass" if slope_ok else "fail"
     else:
-        at_floor = all(
-            pt.max_error <= _point_floor(pt, noise_floor_multiplier, absolute_floor)
-            for pt in curve.points
-        )
-        status = "pass" if (checks and at_floor) else "inconclusive"
+        exact = all(pt.max_error <= absolute_floor for pt in curve.points)
+        status = "pass" if (checks and exact) else "inconclusive"
     if interior_margin is None:
         interior_margin = curve.interior_margin
     return RateReport(

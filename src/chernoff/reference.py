@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, GridFunction, WeightFunction, weighted_norm
+from .core import DomainError, GridFunction, sup_norm
 from .iterate import StepOperator, chernoff_iterate
 from .kernels import gaussian_convolve
 
@@ -76,7 +76,6 @@ def fine_oracle(
     f: GridFunction,
     t: float,
     h_fine: float,
-    weight: WeightFunction | None = None,
     margin: float | None = None,
 ) -> OracleResult:
     """Chernoff run at h_fine; uncertainty from comparing with 2 h_fine.
@@ -98,7 +97,7 @@ def fine_oracle(
     mask = f.grid.interior_mask(margin)
     if not np.any(mask):
         raise DomainError("margin leaves no interior points")
-    uncertainty = weighted_norm(fine - coarse, weight, where=mask)
+    uncertainty = sup_norm(fine - coarse, where=mask)
     return OracleResult(values=fine, uncertainty=uncertainty, h_fine=h_fine)
 
 
@@ -119,7 +118,6 @@ def clt_limit_reference(
     f: GridFunction,
     h_fine: float = 2.0**-13,
     cut: float = 8.0,
-    weight: WeightFunction | None = None,
 ) -> OracleResult:
     """The t = 1 scaling limit for a centred sublinear Gaussian family.
 
@@ -130,4 +128,4 @@ def clt_limit_reference(
     if certify_shape(f) is not None:
         return OracleResult(gheat_convex_reference(f, lo, hi, 1.0), 0.0)
     op = StepOperator.from_clt(ce, cut=cut).admit()
-    return fine_oracle(op, f, 1.0, h_fine, weight)
+    return fine_oracle(op, f, 1.0, h_fine)

@@ -23,7 +23,7 @@ from chernoff.convex_expectation import (
     growth_certificate,
     maximally_distributed_limit,
 )
-from chernoff.core import Grid, GridFunction, SpaceTimeFunction, weighted_norm
+from chernoff.core import Grid, GridFunction, SpaceTimeFunction, sup_norm
 from chernoff.iterate import (
     StepOperator,
     chernoff_iterate,
@@ -254,7 +254,7 @@ def test_criterion_04_linear_exactness():
     for cut in (8.0, 16.0):
         op = StepOperator.from_nisio(family, cut=cut)
         worst[cut] = max(
-            weighted_norm(chernoff_iterate(op, cosine, 1.0, h) - reference, None, where=mask)
+            sup_norm(chernoff_iterate(op, cosine, 1.0, h) - reference, where=mask)
             for h in H_LIST
         )
     ok = worst[8.0] <= 5e-3 and worst[16.0] <= 5e-4
@@ -280,7 +280,7 @@ def test_criterion_05_convex_collapse(gheat_op):
     origin_err = 0.0
     for h in H_LIST:
         iterate = chernoff_iterate(gheat_op, absolute, 1.0, h)
-        sup_err = max(sup_err, weighted_norm(iterate - reference, None, where=mask))
+        sup_err = max(sup_err, sup_norm(iterate - reference, where=mask))
         origin_err = max(
             origin_err, abs(float(iterate.values[center]) - math.sqrt(2.0 / math.pi))
         )

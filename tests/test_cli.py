@@ -114,6 +114,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
 
+def test_a_weight_section_exits_3(tmp_path, capsys):
+    # errors are measured in the unweighted sup norm the certificates
+    # are stated for, so a weight is an unknown section, not ignored
+    weighted = tmp_path / "weighted.cfg"
+    weighted.write_text(LINEAR_CFG + "\n[weight]\nkind = inverse_poly\nq = 2\n")
+    assert main(["run", str(weighted)]) == 3
+    assert "config error: [weight]: unknown section" in capsys.readouterr().err
+
+
 def test_a_failing_step_exits_3_with_an_error_line(linear_config, tmp_path, capsys, monkeypatch):
     # one-row step plans whose output is not finite, as a step that
     # overflows would give; the admission suite's stacked plans and

@@ -49,7 +49,6 @@ def test_minimal_nisio_config(tmp_path):
     assert exp.model_kind == "nisio"
     assert exp.h_list == (0.125, 0.0625, 0.03125)
     assert exp.seed == 0 and exp.h_fine == 2.0**-13 and exp.cut == 8.0
-    assert exp.weight is None
     assert exp.radius == pytest.approx(1.0)
     assert exp.raw_text == NISIO_CFG
     (report,) = exp.bounds
@@ -180,13 +179,10 @@ def test_smooth_rejected_outside_nisio(tmp_path, op_type):
     assert report.gamma == pytest.approx(1 / 6)
 
 
-def test_weight_and_exact_reference(tmp_path):
-    cfg = NISIO_CFG.replace(
-        "controls = 0.5 0, 1 0", "controls = 1 0"
-    ) + "\n[weight]\nkind = inverse_poly\nq = 2\n"
+def test_exact_reference(tmp_path):
+    cfg = NISIO_CFG.replace("controls = 0.5 0, 1 0", "controls = 1 0")
     cfg = cfg.replace("[experiment]\nt = 1", "[experiment]\nreference = exact\nsigma = 1\nt = 1")
     exp = load_config(write(tmp_path, cfg))
-    assert exp.weight is not None and exp.weight.kind == "inverse_poly"
     ref = exp.build_reference(exp.operator.admit())
     assert ref.uncertainty == 0.0 and ref.h_fine is None
 

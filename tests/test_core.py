@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +8,11 @@ from chernoff.core import (
     Grid,
     GridFunction,
     SpaceTimeFunction,
-    WeightFunction,
-    kappa_constant,
     lipschitz_estimate,
     negative_part_norm,
     positive_part_norm,
-    weighted_norm,
+    sup_norm,
 )
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def grid1d(lo=-2.0, hi=2.0, n=129):
@@ -59,33 +53,27 @@ def test_grid_function_rejects_nonfinite():
         GridFunction(g, bad)
 
 
-def test_weighted_norm_examples():
+def test_sup_norm_examples():
     g = grid1d()
-    kappa1 = WeightFunction.constant(g)
     zero = GridFunction(g, np.zeros(129))
     one = GridFunction(g, np.ones(129))
-    assert weighted_norm(zero, kappa1) == 0.0
-    assert weighted_norm(one, kappa1) == 1.0
+    assert sup_norm(zero) == 0.0
+    assert sup_norm(one) == 1.0
     ident = GridFunction.from_callable(g, lambda x: x)
-    kq = WeightFunction.inverse_poly(g, 1.0)
-    assert weighted_norm(ident, kq) == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-12)
-
-
-def test_weighted_norm_grid_mismatch():
-    f = GridFunction(grid1d(), np.zeros(129))
-    kappa = WeightFunction.constant(grid1d(n=65))
-    with pytest.raises(DomainError):
-        weighted_norm(f, kappa)
+    assert sup_norm(ident) == 2.0
+    # masked: only the points with |x| <= 1 count
+    assert sup_norm(ident, where=g.interior_mask(1.0)) == 1.0
+    assert positive_part_norm(ident, where=g.axes[0] < 0) == 0.0
+    assert negative_part_norm(ident, where=g.axes[0] < 0) == 2.0
 
 
 def test_part_norms_sign_split():
     g = grid1d()
-    kappa = WeightFunction.constant(g)
     f = GridFunction(g, np.full(129, -3.0))
-    assert positive_part_norm(f, kappa) == 0.0
-    assert negative_part_norm(f, kappa) == 3.0
+    assert positive_part_norm(f) == 0.0
+    assert negative_part_norm(f) == 3.0
     odd = GridFunction.from_callable(g, lambda x: x)
-    assert positive_part_norm(odd, kappa) == negative_part_norm(odd, kappa)
+    assert positive_part_norm(odd) == negative_part_norm(odd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,27 +82,23 @@ def test_part_norm_max_identity(seed):
     g = grid1d(n=33)
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.normal(size=33) - rng.normal(size=33))
-    kappa = WeightFunction.inverse_poly(g, 2.0)
-    pos = positive_part_norm(f, kappa)
-    neg = negative_part_norm(f, kappa)
-    assert max(pos, neg) == pytest.approx(weighted_norm(f, kappa), abs=1e-15)
-    assert pos == pytest.approx(negative_part_norm(-f, kappa), abs=0.0)
+    pos = positive_part_norm(f)
+    neg = negative_part_norm(f)
+    assert max(pos, neg) == sup_norm(f) == f.sup_norm
+    assert pos == negative_part_norm(-f)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-4.0, 4.0))
-def test_weighted_norm_is_a_norm(seed, scale):
+def test_sup_norm_is_a_norm(seed, scale):
     g = grid1d(n=33)
     rng = np.random.default_rng(seed)
     f = GridFunction(g, rng.normal(size=33))
     h = GridFunction(g, rng.normal(size=33))
-    kappa = WeightFunction.inverse_poly(g, 1.0)
-    assert weighted_norm(f * scale, kappa) == pytest.approx(
-        abs(scale) * weighted_norm(f, kappa), rel=1e-12, abs=1e-300
+    assert sup_norm(f * scale) == pytest.approx(
+        abs(scale) * sup_norm(f), rel=1e-12, abs=1e-300
     )
-    assert weighted_norm(f + h, kappa) <= (
-        weighted_norm(f, kappa) + weighted_norm(h, kappa) + 1e-12
-    )
+    assert sup_norm(f + h) <= sup_norm(f) + sup_norm(h) + 1e-12
 
 
 def test_lipschitz_estimate_examples():
@@ -126,44 +110,6 @@ def test_lipschitz_estimate_examples():
     est = lipschitz_estimate(sine)
     assert est <= 1.0
     assert est >= 1.0 - g.spacing[0]
-
-
-def test_kappa_constant_examples():
-    g = grid1d(-6.0, 6.0, 1201)
-    assert kappa_constant(WeightFunction.constant(g)) == 1.0
-    c1 = kappa_constant(WeightFunction.inverse_poly(g, 1.0))
-    c2 = kappa_constant(WeightFunction.inverse_poly(g, 2.0))
-    # closed form for the continuum sup: golden ratio to the q-th power
-    assert c1 <= GOLDEN + 1e-12
-    assert c1 == pytest.approx(GOLDEN, abs=2e-3)
-    assert c2 > c1
-    assert c2 == pytest.approx(GOLDEN**2, abs=5e-3)
-    # refined scan comes closer from below
-    fine = kappa_constant(WeightFunction.inverse_poly(grid1d(-6.0, 6.0, 12001), 1.0))
-    assert c1 <= fine <= GOLDEN + 1e-12
-
-
-def test_kappa_constant_narrow_grid():
-    g = grid1d(0.0, 0.5, 9)
-    with pytest.raises(DomainError):
-        kappa_constant(WeightFunction.inverse_poly(g, 1.0))
-
-
-def _kappa_brute_force(weight):
-    """max of kappa(x + y) / kappa(x) over grid points x, x + y, |y| <= 1."""
-    vals, n, dx = weight.values, weight.grid.size, weight.grid.spacing[0]
-    best = 1.0
-    for i in range(n):
-        for j in range(n):
-            if ((j - i) * dx) ** 2 <= 1.0 + 1e-12:
-                best = max(best, vals[j] / vals[i])
-    return best
-
-
-@pytest.mark.parametrize("lo, hi, n, q", [(-2.0, 2.0, 81, 2.0), (-1.5, 3.0, 61, 1.5)])
-def test_kappa_constant_matches_brute_force(lo, hi, n, q):
-    weight = WeightFunction.inverse_poly(grid1d(lo, hi, n), q)
-    assert kappa_constant(weight) == _kappa_brute_force(weight)
 
 
 def test_space_time_function_validation_and_interp():

@@ -12,7 +12,10 @@ def test_every_exported_name_exists(module):
     assert not missing, f"chernoff.{module}.__all__ names {missing}"
 
 
-_SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chernoff").glob("*.py"))
+_ROOT = Path(__file__).resolve().parents[1]
+_SOURCES = sorted((_ROOT / "src" / "chernoff").glob("*.py")) + sorted(
+    (_ROOT / "tests").glob("*.py")
+)
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)

@@ -10,10 +10,9 @@ from chernoff.core import (
     Grid,
     GridFunction,
     SpaceTimeFunction,
-    WeightFunction,
     negative_part_norm,
     positive_part_norm,
-    weighted_norm,
+    sup_norm,
 )
 from chernoff.iterate import StepOperator, chernoff_iterate
 from chernoff.nisio import GeneratorBounds, NisioFamily
@@ -164,9 +163,9 @@ def test_signed_split_partitions_the_norm():
     grid = grid1d(257, 4.0)
     for _ in range(20):
         diff = GridFunction(grid, rng.normal(size=257))
-        plus = positive_part_norm(diff, None)
-        minus = negative_part_norm(diff, None)
-        total = weighted_norm(diff, None)
+        plus = positive_part_norm(diff)
+        minus = negative_part_norm(diff)
+        total = sup_norm(diff)
         assert plus <= total + 1e-15 and minus <= total + 1e-15
         assert max(plus, minus) == pytest.approx(total, abs=0.0)
 
@@ -301,6 +300,22 @@ def test_rate_report_statuses():
     assert d["status"] == "pass" and d["checks"][0]["passed"]
 
 
+def test_only_an_exact_scheme_passes_without_a_fit():
+    bound = BoundReport.from_addends(0.5, "plus", 1.0, 1.0, 1.0, [("c", 2.0)])
+    # errors around 1e-4 under an uncertainty of 1e-3: every point sits
+    # below 10x the uncertainty, and the bounds hold, yet nothing shows
+    # that the scheme is exact
+    hidden = synthetic_curve(lambda h: 1e-4 * (1.0 + h), uncertainty=1e-3)
+    rep = rate_report(hidden, [bound])
+    assert rep.fit is None and all(c.passed for c in rep.checks)
+    assert rep.status == "inconclusive"
+    # errors at most the absolute floor are the exact-scheme case
+    exact = synthetic_curve(lambda h: 1e-13, uncertainty=1e-3)
+    assert rate_report(exact, [bound]).status == "pass"
+    assert rate_report(exact, [bound], absolute_floor=1e-14).status == "inconclusive"
+    assert rate_report(exact, []).status == "inconclusive"  # no bound to hold
+
+
 def test_rate_report_monotone_in_slope_tolerance():
     curve = synthetic_curve(lambda h: 2.0 * math.sqrt(h))
     bound = BoundReport.from_addends(0.5, "plus", 1.0, 1.0, 1.0, [("c", 2.0)])
@@ -315,34 +330,31 @@ def test_rate_report_monotone_in_slope_tolerance():
 # holder_check against its per-pair definition
 
 
-def _holder_reference(traj, pairs, alpha, limit, h, weight=None, tol=0.01):
+def _holder_reference(traj, pairs, alpha, limit, h, tol=0.01):
     """holder_check written out pair by pair: the nearest sample by
-    argmin, the sup of |u(s) - u(t)| kappa, and a strict > so that the
-    first worst pair wins."""
+    argmin, the sup of |u(s) - u(t)|, and a strict > so that the first
+    worst pair wins."""
     worst, worst_pair = 0.0, None
     for s, t in pairs:
         i = int(np.argmin(np.abs(traj.times - s)))
         j = int(np.argmin(np.abs(traj.times - t)))
         part = np.abs(traj.values[i] - traj.values[j])
-        if weight is not None:
-            part = part * weight.values
         ratio = float(np.max(part)) / (abs(s - t) + h) ** alpha
         if ratio > worst:
             worst, worst_pair = ratio, (float(s), float(t))
     return worst, worst_pair, worst <= limit * (1 + tol)
 
 
-def _assert_holder_matches(traj, pairs, alpha, limit, h, weight=None):
-    rep = holder_check(traj, pairs, alpha, limit, h, weight=weight)
-    worst, worst_pair, passed = _holder_reference(traj, pairs, alpha, limit, h, weight)
+def _assert_holder_matches(traj, pairs, alpha, limit, h):
+    rep = holder_check(traj, pairs, alpha, limit, h)
+    worst, worst_pair, passed = _holder_reference(traj, pairs, alpha, limit, h)
     assert rep.max_ratio == worst  # bit for bit: the same elementwise arithmetic
     assert rep.worst_pair == worst_pair
     assert rep.passed == passed
     return rep
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_holder_check_matches_per_pair_definition(weighted):
+def test_holder_check_matches_per_pair_definition():
     traj, h = transport_trajectory(speed=0.4, h=0.0625, steps=12)
     times = list(traj.times)
     rng = np.random.default_rng(5)
@@ -350,8 +362,7 @@ def test_holder_check_matches_per_pair_definition(weighted):
     # first frame do not follow the input order
     pairs = [(a, b) for a in times for b in times if a != b and abs(a - b) <= 0.5]
     pairs = [pairs[i] for i in rng.permutation(len(pairs))] + pairs[:5]
-    weight = WeightFunction.inverse_poly(traj.grid, 2.0) if weighted else None
-    rep = _assert_holder_matches(traj, pairs, 0.5, 0.5, h, weight)
+    rep = _assert_holder_matches(traj, pairs, 0.5, 0.5, h)
     assert rep.worst_pair is not None
 
 
@@ -444,6 +455,6 @@ def test_holder_check_builds_no_grid_function_per_pair(monkeypatch):
 
     monkeypatch.setattr(GridFunction, "__post_init__", counted)
     pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
-    rep = holder_check(traj, pairs, 0.5, 10.0, 1.0 / 64, weight=WeightFunction.constant(g))
+    rep = holder_check(traj, pairs, 0.5, 10.0, 1.0 / 64)
     assert rep.worst_pair is not None
     assert len(calls) <= 2
