@@ -92,15 +92,13 @@ def holder_parameters(
     a1: Callable[[float], float],
     a2: float,
     p: float,
-    kernel: MollifierKernel | None = None,
-    allow_small_r: bool = False,
 ) -> HolderParameters:
     """Time regularity exponent 1/(1+p) and its constant."""
-    if r < 1 and not allow_small_r:
+    if r < 1:
         raise DomainError("the time regularity constant needs r >= 1")
     if p < 0 or a2 < 0 or omega < 0 or T < 0:
         raise DomainError("parameters must be non-negative")
-    b01 = (kernel or MollifierKernel(1)).b(0, 1)
+    b01 = MollifierKernel(1).b(0, 1)
     alpha = 1.0 / (1.0 + p)
     constant = math.exp(omega * T) * (2 * r + a1(r) + a2 * b01**p * r**p)
     return HolderParameters(alpha=alpha, constant=constant)

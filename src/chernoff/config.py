@@ -8,6 +8,7 @@ one per run attempt.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,10 +58,10 @@ def parse_h_list(text: str) -> tuple[float, ...]:
     steps = tuple(parse_step(tok) for tok in text.split(",") if tok.strip())
     if not steps:
         raise DomainError("empty step list")
-    if any(s <= 0 for s in steps) or any(
+    if not all(0 < s < math.inf for s in steps) or any(
         b >= a for a, b in zip(steps, steps[1:])
     ):
-        raise DomainError("steps must be positive and strictly decreasing")
+        raise DomainError("steps must be finite, positive and strictly decreasing")
     return steps
 
 
@@ -180,6 +181,11 @@ class _Reader:
             value = parse_step(text) if text.strip().startswith("2^") else float(text)
         except ValueError:
             self.flag(section, key, f"not a number: {text!r}")
+            return default
+        except OverflowError:  # 2^k past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            self.flag(section, key, f"not a finite number: {text!r}")
             return default
         if check is not None and not check(value):
             self.flag(section, key, f"out of range: {text!r}")

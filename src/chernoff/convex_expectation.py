@@ -12,11 +12,19 @@ scalar functionals by Gauss-Hermite quadrature or direct enumeration,
 grid steps by exact discrete convolutions, and the maximally
 distributed limit by a sup-convolution with the lower convex hull of
 the penalised means.
+
+The one-step operators of all three families (lln, clt and nisio, whose
+controls are penalty-free Gaussian scenarios) are one plan,
+``penalized_max_plan``, at the family's (shift, std) scaling, which
+``family_plan`` holds.  A plan steps one row of values or a stack of
+rows through the same code; ``lln_step``, ``clt_step`` and
+``nisio.nisio_step`` build one for a single call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
@@ -32,8 +40,7 @@ __all__ = [
     "GrowthCertificate",
     "lln_step",
     "clt_step",
-    "lln_plan",
-    "clt_plan",
+    "family_plan",
     "penalized_max_plan",
     "step_once",
     "maximally_distributed_limit",
@@ -77,16 +84,16 @@ class Scenario:
         if not (np.isfinite(self.penalty) and self.penalty >= 0):
             raise DomainError("scenario penalty must be finite and >= 0")
         if self.kind == "gaussian":
-            if self.sigma < 0:
-                raise DomainError("gaussian scenario needs sigma >= 0")
+            if not (np.isfinite(self.sigma) and self.sigma >= 0):
+                raise DomainError("gaussian scenario needs a finite sigma >= 0")
             object.__setattr__(self, "mean", _location(self.mean, "mean"))
             return
         if not self.atoms:
             raise DomainError("discrete scenario needs at least one atom")
         atoms = tuple(_location(a, "atoms") for a in self.atoms)
         w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(atoms) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError("atom probabilities must be >= 0 and sum to 1")
+        if len(w) != len(atoms) or not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-12:
+            raise DomainError("atom probabilities must be finite, >= 0 and sum to 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "mean", float(w @ np.asarray(atoms)))
 
@@ -214,8 +221,7 @@ def _discrete_plan(
     atoms = []
     for x, prob in zip(s.atoms, s.weights):
         offsets, weights = shift_taps(scale * x, dx)
-        shift = clamped_shift(grid.size, int(offsets[0]), weights, stacked=stack is not None)
-        atoms.append((prob, shift))
+        atoms.append((prob, clamped_shift(grid.size, int(offsets[0]), weights)))
     if len(atoms) == 1 and atoms[0][0] == 1.0:
         return partial(atoms[0][1].apply, minus=minus)
     term = np.empty(_shape(grid, stack))
@@ -246,9 +252,8 @@ def penalized_max_plan(
     """Pointwise max_i (E_i[u(x + scaled displacement)] - t alpha_i) as a
     plan ``step(u, out)``: scenario i moves by ``scale`` m_i (each atom
     of a discrete one by ``scale`` times the atom) and a Gaussian one
-    spreads with std ``std_scale`` sigma_i.  The three families are its
-    scalings: lln (t, t), clt (sqrt t, sqrt t) and nisio (t, sqrt t)
-    with zero penalties.  Each scenario fills one row: the Gaussian
+    spreads with std ``std_scale`` sigma_i; ``family_plan`` holds the
+    three families' scalings.  Each scenario fills one row: the Gaussian
     ones together, from one ``gaussian_convolve`` call whose factors and
     ``TapPlan`` are built here, then each discrete one.  ``u`` and
     ``out`` are one row of values, or with ``stack`` = b a (b, n) stack
@@ -296,33 +301,26 @@ def _shape(grid: Grid, stack: int | None) -> tuple[int, ...]:
     return grid.counts if stack is None else (stack,) + grid.counts
 
 
-def lln_plan(
-    ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0,
+def family_plan(
+    kind: str, ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0,
     stack: int | None = None,
 ):
-    """``lln_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays,
-    one row or a ``stack`` of rows."""
-    return penalized_max_plan(ce, grid, t, scale=t, std_scale=t, cut=cut, stack=stack)
+    """The step of size t of the ``kind`` family of ``ce`` as a plan
+    ``step(u, out)`` on one row of values or a ``stack`` of rows: the
+    ``penalized_max_plan`` at the family's (shift, std) scaling, lln
+    (t, t), clt (sqrt t, sqrt t) or nisio (t, sqrt t)."""
+    rt = math.sqrt(max(t, 0.0))
+    scale, std_scale = {"lln": (t, t), "clt": (rt, rt), "nisio": (t, rt)}[kind]
+    return penalized_max_plan(ce, grid, t, scale, std_scale, cut, stack)
 
 
-def clt_plan(
-    ce: ScenarioConvexExpectation, grid: Grid, t: float, cut: float = 8.0,
-    stack: int | None = None,
-):
-    """``clt_step(ce, ., t)`` as a plan ``step(u, out)`` on value arrays,
-    one row or a ``stack`` of rows."""
-    rt = float(np.sqrt(max(t, 0.0)))
-    return penalized_max_plan(ce, grid, t, scale=rt, std_scale=rt, cut=cut, stack=stack)
-
-
-def step_once(plan, ce, f: GridFunction, t: float, cut: float) -> GridFunction:
-    """One step of size t of ``plan(ce, grid, t, cut)`` on f, built for
-    this call alone; t = 0 returns f."""
-    if t < 0:
-        raise DomainError("step size must be nonnegative")
+def step_once(kind: str, ce, f: GridFunction, t: float, cut: float) -> GridFunction:
+    """One step of size t of ``family_plan(kind, ce, ...)`` on f, built
+    for this call alone; t = 0 returns f, and t < 0 raises as the plan
+    does."""
     if t == 0:
         return f
-    step = plan(ce, f.grid, t, cut)
+    step = family_plan(kind, ce, f.grid, t, cut)
     return GridFunction(f.grid, step(f.values, np.empty(f.grid.counts)))
 
 
@@ -330,14 +328,14 @@ def lln_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Large-numbers step: pointwise max_i (E_i[f(x + t xi)] - t alpha_i)."""
-    return step_once(lln_plan, ce, f, t, cut)
+    return step_once("lln", ce, f, t, cut)
 
 
 def clt_step(
     ce: ScenarioConvexExpectation, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Central-limit step: as lln_step with sqrt(t) spatial scaling."""
-    return step_once(clt_plan, ce, f, t, cut)
+    return step_once("clt", ce, f, t, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,20 @@ input unchanged.
 Every step of one run has the same h, so the run asks the operator
 once for a plan: ``op.plan(grid, h)`` returns ``step(u, out)``, which
 maps the value array ``u`` to the next iterate, writes it into the
-preallocated ``out`` and returns it.  The families build their taps,
-penalties and scratch buffers into the plan; an operator given only a
-``step`` function gets an adapter that wraps each array in a
-``GridFunction``.  ``chernoff_iterate`` is the one loop: it runs the
+preallocated ``out`` and returns it.  Every operator has a planner;
+the families build their taps, penalties and scratch buffers into the
+plan.  ``chernoff_iterate`` is the one loop: it runs the
 plan on two ping-pong buffers, checks after every step that the
 values are finite (so the failing step is named even when a later
 step would move a non-finite value off the grid), and wraps one
 ``GridFunction`` at the end.
 
 A plan may also be built for a stack of b rows, ``op.plan(grid, h,
-b)``, and then steps a (b, n) array, each row to the bits the one-row
-plan gives it.  ``stacked_steps`` runs a stack of any height in blocks
-of at most ``BLOCK_BYTES`` of values, one plan per block height; the
-structural suite and ``discrete_comparison_check`` step through it.
+b)``, and then steps a (b, n) array through the same code, each row to
+the bits the one-row plan gives it.  ``stacked_steps`` runs a stack of
+any height in blocks of at most ``BLOCK_BYTES`` of values, one plan per
+block height; the structural suite and ``discrete_comparison_check``
+step through it.
 """
 
 from __future__ import annotations
@@ -89,19 +89,19 @@ class StepOperator:
     seen the operator (the rates module refuses unadmitted operators).
     sigma_scale and drift_scale describe the spatial reach of one step
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
-    planner(grid, h, stack=None), when given, builds the same step as a
-    plan on value arrays (see ``plan``); the families' constructors set
-    it.
+    planner(grid, h, stack=None) builds the same step as a plan on value
+    arrays (see ``plan``); every operator has one, and the families'
+    constructors set it to ``family_plan``.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
 
     name: str
     step: Callable[[GridFunction, float], GridFunction]
+    planner: Callable[..., Callable[[np.ndarray, np.ndarray], np.ndarray]]
     sigma_scale: float = 0.0
     drift_scale: float = 0.0
     admitted: bool = False
-    planner: Callable[[Grid, float], Callable] | None = None
     shifts_only: bool = False
 
     def admit(self) -> "StepOperator":
@@ -111,63 +111,50 @@ class StepOperator:
         self, grid: Grid, h: float, stack: int | None = None
     ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``step(u, out)``: one step of size h on the value array u, one
-        row of values or, with ``stack`` = b, a (b, n) stack of rows.
-
-        The result is written into ``out`` and returned, except by the
-        one-row adapter for an operator without a planner, which returns
-        the values of ``self.step(GridFunction(grid, u), h)``; its
-        stacked adapter writes that of each row into ``out``.
-        """
-        if self.planner is not None:
-            if stack is None:
-                return self.planner(grid, h)
-            return self.planner(grid, h, stack)
-        step = self.step
-        if stack is None:
-            return lambda u, out: step(GridFunction(grid, u), h).values
-
-        def rows(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            for row, target in zip(u, out):
-                target[...] = step(GridFunction(grid, row), h).values
-            return out
-
-        return rows
+        row of values or, with ``stack`` = b, a (b, n) stack of rows,
+        written into ``out`` and returned."""
+        return self.planner(grid, h, stack)
 
     @classmethod
     def from_nisio(cls, family, cut: float = 8.0) -> "StepOperator":
-        from .nisio import nisio_plan, nisio_step
+        from .nisio import nisio_step
 
-        return cls(
-            name="nisio",
-            step=lambda f, h: nisio_step(family, f, h, cut=cut),
-            sigma_scale=family.sigma_max,
-            drift_scale=family.drift_max,
-            planner=lambda grid, h, stack=None: nisio_plan(family, grid, h, cut, stack),
-            shifts_only=family.sigma_max == 0,
+        return cls._family(
+            "nisio", family.expectation, cut, lambda f, h: nisio_step(family, f, h, cut=cut),
+            sigma_scale=family.sigma_max, drift_scale=family.drift_max,
         )
 
     @classmethod
     def from_lln(cls, ce, cut: float = 8.0) -> "StepOperator":
-        from .convex_expectation import lln_plan, lln_step
+        from .convex_expectation import lln_step
 
-        return cls(
-            name="lln",
-            step=lambda f, h: lln_step(ce, f, h, cut=cut),
+        return cls._family(
+            "lln", ce, cut, lambda f, h: lln_step(ce, f, h, cut=cut),
             drift_scale=_scenario_reach(ce),
-            planner=lambda grid, h, stack=None: lln_plan(ce, grid, h, cut, stack),
-            shifts_only=all(s.sigma == 0 for s in ce.scenarios),
         )
 
     @classmethod
     def from_clt(cls, ce, cut: float = 8.0) -> "StepOperator":
-        from .convex_expectation import clt_plan, clt_step
+        from .convex_expectation import clt_step
+
+        return cls._family(
+            "clt", ce, cut, lambda f, h: clt_step(ce, f, h, cut=cut),
+            sigma_scale=_scenario_reach(ce),
+        )
+
+    @classmethod
+    def _family(cls, kind: str, ce, cut: float, step, **reach) -> "StepOperator":
+        """The ``kind`` family of the scenarios ``ce``: ``step`` is its
+        one-shot step function, looked up by the caller when the operator
+        is built, and its planner is ``family_plan``."""
+        from .convex_expectation import family_plan
 
         return cls(
-            name="clt",
-            step=lambda f, h: clt_step(ce, f, h, cut=cut),
-            sigma_scale=_scenario_reach(ce),
-            planner=lambda grid, h, stack=None: clt_plan(ce, grid, h, cut, stack),
+            name=kind,
+            step=step,
+            planner=lambda grid, h, stack=None: family_plan(kind, ce, grid, h, cut, stack),
             shifts_only=all(s.sigma == 0 for s in ce.scenarios),
+            **reach,
         )
 
     def reach(self, t: float) -> float:

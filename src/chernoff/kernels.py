@@ -26,15 +26,15 @@ its own once per (operator, h) and hands it to every call, so repeated
 steps transform no taps and choose no branch.  Without a plan the call
 takes one row of values, builds a plan and applies it once; a shift
 (one tap, or two on adjacent cells) needs none and is applied as a
-``ClampedShift``.  A plan built for a ``stack`` of b rows takes a (b, n)
-stack of values on a leading batch axis, fixed when it is built (the
-structural suite's pairs, the comparison check's certificate steps):
-the branch is chosen for rows of n values as for one row, shift rows
-and the window fill act on ``values[..., slice]``, the direct branch
-correlates each row and the FFT branch runs one stacked ``rfft`` and
-one stacked ``irfft`` (numpy's transforms go row by row, so each row
-gets the bits of its own call).  Each output row of a stack is the one
-a one-row plan gives its values row.
+``ClampedShift``.  A plan is built for one row of n values or for a
+``stack`` of b rows on a leading batch axis (the structural suite's
+pairs, the comparison check's certificate steps), and both run through
+the same code: every index acts on the last axis, an edge of the clamp
+is a one-column slice that broadcasts, the direct branch correlates
+each values row and the FFT branch transforms them all in one call
+(numpy's transforms go row by row, so each row gets the bits of its
+own call).  The branch is chosen for rows of n values, so each output
+row of a stack is the one a one-row plan gives its values row.
 
 On the direct branch the call fills one edge-clamped window over the
 plan's offset range and correlates each row with ``np.correlate(...,
@@ -62,8 +62,7 @@ lists that leave many products outside the dot kernel's blocks of 16
 may take it earlier.  A spectrum that overflows (sup |values| within a factor of
 about L of the largest float) or holds a non-finite value makes every
 output of its row non-finite, so output 0 of each row is checked and
-such a call (in a stack, such a values row) is redone on the direct
-branch.
+such a values row is redone on the direct branch.
 
 A plan holds the window and, on the FFT branch, the spectrum, product
 and output buffers of its transforms, so a call makes no array of its
@@ -75,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy import correlate
@@ -157,10 +156,10 @@ class TapPlan:
     rows ``weights`` ((m,) or (k, m)) on the shared ``offsets``.
 
     The values are one row, or a stack of ``batch`` = (b,) rows fixed
-    when the plan is built.  ``rows`` holds each weight row as its first
-    offset and dense taps, and ``shifts`` the ``ClampedShift`` of each
-    row of one or two taps (None for a longer row, and for every row on
-    the FFT branch).  ``window`` receives the edge-clamped values from
+    when the plan is built; ``at`` indexes each values row.  ``rows``
+    holds each weight row as its first offset and dense taps, and
+    ``shifts`` the ``ClampedShift`` of each row of one or two taps (None
+    for a longer row, and for every row on the FFT branch).  ``window`` receives the edge-clamped values from
     offset ``lo`` over ``size`` offsets, one window per value row (None
     when every row has one or two taps, which read the values); on the
     FFT branch (``spectra`` not None) it is zero-padded to ``length``,
@@ -185,6 +184,11 @@ class TapPlan:
     product: np.ndarray | None = None
     full: np.ndarray | None = None
     batch: tuple[int, ...] = ()
+
+    @cached_property
+    def at(self) -> tuple[tuple[int, ...], ...]:
+        """The index of every values row in a batch: ``((),)`` for one row."""
+        return tuple(np.ndindex(self.batch))
 
 
 def tap_plan(n: int, offsets, weights, stack: int | None = None) -> TapPlan:
@@ -250,16 +254,13 @@ def _plan(
     batch = () if stack is None else (stack,)
     if not (size > 2 and _fft_is_cheaper(n, size, [t.size for _, t in rows])):
         # rows of one or two taps are slices of the values, with no window
-        shifts = tuple(
-            clamped_shift(n, start, t, stacked=bool(batch)) if t.size <= 2 else None
-            for start, t in rows
-        )
+        shifts = tuple(clamped_shift(n, start, t) if t.size <= 2 else None for start, t in rows)
         window = np.empty(batch + (n + size - 1,)) if None in shifts else None
         return TapPlan(n, offsets, weights, rows, shifts, lo, size, 0, None, window, batch=batch)
     length = next_fast_len(n + size - 1)
+    # one spectrum per weight row, with a unit axis per batch axis to broadcast over
     spectra = np.conj(rfft(dense, length))
-    if batch:  # one spectrum per weight row, broadcast over the stack
-        spectra = spectra[..., np.newaxis, :]
+    spectra = spectra.reshape(dense.shape[:-1] + (1,) * len(batch) + spectra.shape[-1:])
     spectrum = np.empty(batch + (length // 2 + 1,), dtype=complex)
     product = np.empty(np.broadcast_shapes(spectra.shape, spectrum.shape), dtype=complex)
     return TapPlan(
@@ -338,7 +339,7 @@ def apply_taps(
     if plan.window is not None:
         _clamped_window(values, plan.lo, plan.window[..., : n + plan.size - 1])
     if plan.spectra is None:
-        return _direct(plan, values, out, plan.window)
+        return _direct(plan, values, out, plan.at)
     # Circular correlation at length >= n + hi - lo: output i reads
     # window[i .. i + hi - lo], so none of the first n wraps.  An
     # overflowed spectrum warns and gives inf * 0; both are caught below.
@@ -347,25 +348,22 @@ def apply_taps(
         np.multiply(plan.spectrum, plan.spectra, out=plan.product)
         irfft(plan.product, plan.length, out=plan.full)
     # a non-finite spectrum spreads over its whole row, so output 0 of
-    # each row tells whether the row is usable
-    finite = np.isfinite(plan.full[..., 0])
-    if not plan.batch:
-        if finite.all():
-            out[...] = plan.full[..., :n]
-            return out
-        return _direct(plan, values, out, plan.window)
+    # each row tells whether the row is usable; a values row with an
+    # unusable row of any weight row is redone on the direct branch
     out[...] = plan.full[..., :n]
-    if plan.weights.ndim == 2:
-        finite = finite.all(axis=0)
-    for i in np.flatnonzero(~finite):
-        _direct(plan, values[i], out[..., i, :], plan.window[i])
+    finite = np.isfinite(plan.full[..., 0])
+    if not finite.all():
+        bad = ~finite.reshape((-1,) + plan.batch).all(axis=0)
+        _direct(plan, values, out, [tuple(i) for i in np.argwhere(bad)])
     return out
 
 
-def _direct(plan: TapPlan, values: np.ndarray, out: np.ndarray, window) -> np.ndarray:
-    """The direct branch of ``plan`` on one value row or a stack: a row of
-    one or two taps by its ``ClampedShift``, a longer one by
-    ``np.correlate`` of each value row's filled ``window`` with it."""
+def _direct(plan: TapPlan, values: np.ndarray, out: np.ndarray, at) -> np.ndarray:
+    """The direct branch of ``plan`` on the values rows at the batch
+    indices ``at`` (``plan.at``: every row): a weight row of one or two
+    taps by its ``ClampedShift`` on every row (only a direct-branch plan
+    holds one), a longer one by ``np.correlate`` of each values row's
+    filled window with it."""
     n = plan.n
     for target, (lo, taps), shift in zip(
         out if plan.weights.ndim == 2 else (out,), plan.rows, plan.shifts
@@ -374,11 +372,8 @@ def _direct(plan: TapPlan, values: np.ndarray, out: np.ndarray, window) -> np.nd
             shift.apply(values, target)
             continue
         span = slice(lo - plan.lo, lo - plan.lo + n + taps.size - 1)
-        if window.ndim == 1:
-            target[...] = correlate(window[span], taps, "valid")
-        else:
-            for w, row in zip(window, target):
-                row[...] = correlate(w[span], taps, "valid")
+        for i in at:
+            target[i] = correlate(plan.window[i][span], taps, "valid")
     return out
 
 
@@ -398,29 +393,26 @@ def _fft_is_cheaper(n: int, size: int, taps: list[int]) -> bool:
     return n * direct > fft
 
 
-def _clamp_parts(n: int, lo: int, size: int, stacked: bool = False):
-    """``window[k] = values[clip(lo + k, 0, n - 1)]`` for k < ``size`` as
-    its nonempty parts, each a (destination, source) pair of indices:
-    the inner part [a, b) reads the slice of values from lo + a, the low
-    edge [0, a) reads index 0 and the high edge [b, size) index n - 1.
-    ``stacked`` gives the same parts along the last axis of a stack of
-    rows, an edge read as a one-column slice that broadcasts over its
-    part.  The one implementation of the edge clamp."""
+def _clamp_parts(n: int, lo: int, size: int):
+    """``window[..., k] = values[..., clip(lo + k, 0, n - 1)]`` for k <
+    ``size`` as its nonempty parts, each a (destination, source) pair of
+    indices on the last axis: the inner part [a, b) reads the slice of
+    values from lo + a, the low edge [0, a) the one-column slice at 0 and
+    the high edge [b, size) the one at n - 1, which broadcast over their
+    parts.  The one implementation of the edge clamp, for one row of
+    values and a stack of rows alike."""
     a, b = min(max(-lo, 0), size), min(max(n - lo, 0), size)
-    parts = ((slice(a, b), slice(lo + a, lo + b)), (slice(0, a), 0), (slice(b, size), n - 1))
-    parts = tuple((dst, src) for dst, src in parts if dst.start < dst.stop)
-    if not stacked:
-        return parts
-    return tuple(
-        ((..., dst), (..., src if isinstance(src, slice) else slice(src, src + 1)))
-        for dst, src in parts
+    parts = (
+        (slice(a, b), slice(lo + a, lo + b)),
+        (slice(0, a), slice(0, 1)),
+        (slice(b, size), slice(n - 1, n)),
     )
+    return tuple(((..., dst), (..., src)) for dst, src in parts if dst.start < dst.stop)
 
 
 def _clamped_window(values: np.ndarray, lo: int, window: np.ndarray) -> np.ndarray:
     """Fill ``window[..., k] = values[..., clip(lo + k, 0, n - 1)]``."""
-    parts = _clamp_parts(values.shape[-1], lo, window.shape[-1], values.ndim > 1)
-    for dst, src in parts:
+    for dst, src in _clamp_parts(values.shape[-1], lo, window.shape[-1]):
         window[dst] = values[src]
     return window
 
@@ -458,16 +450,13 @@ class ClampedShift:
         return out
 
 
-def clamped_shift(n: int, lo: int, weights, stacked: bool = False) -> ClampedShift:
+def clamped_shift(n: int, lo: int, weights) -> ClampedShift:
     """The ``ClampedShift`` of one or two weights on offsets ``lo`` (and
-    ``lo + 1``) for one row of ``n`` values, or (``stacked``) for a stack
-    of such rows."""
+    ``lo + 1``) for rows of ``n`` values: one row, or a stack of them."""
     weights = np.asarray(weights, dtype=float).tolist()
     if len(weights) not in (1, 2):
         raise DomainError(f"a clamped shift has one or two taps, got {len(weights)}")
-    return ClampedShift(
-        tuple((w, _clamp_parts(n, lo + j, n, stacked)) for j, w in enumerate(weights))
-    )
+    return ClampedShift(tuple((w, _clamp_parts(n, lo + j, n)) for j, w in enumerate(weights)))
 
 
 def gaussian_convolve(

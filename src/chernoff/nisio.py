@@ -7,9 +7,8 @@ of constant-coefficient Gaussian controls (sigma, m):
 
 That is the penalty-free Gaussian scenario step: each control is the
 scenario N(m, sigma^2) with penalty 0 (``NisioFamily.expectation``),
-moved by t m and spread with std sqrt(t) sigma, so the step is the
-shared ``penalized_max_plan`` of ``convex_expectation`` at those
-scales.
+moved by t m and spread with std sqrt(t) sigma, so the step is
+``convex_expectation.family_plan`` of kind "nisio".
 
 Continuous control sets are represented by finitely many samples; for
 convex or concave payoffs the extreme points suffice, otherwise the
@@ -25,13 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex_expectation import (
-    Scenario,
-    ScenarioConvexExpectation,
-    penalized_max_plan,
-    step_once,
-)
-from .core import DomainError, Grid, GridFunction
+from .convex_expectation import Scenario, ScenarioConvexExpectation, step_once
+from .core import DomainError, GridFunction
 
 
 @dataclass(frozen=True)
@@ -142,24 +136,11 @@ class NisioFamily:
         return max(abs(m) for _, m in self.controls)
 
 
-def nisio_plan(
-    family: NisioFamily, grid: Grid, t: float, cut: float = 8.0, stack: int | None = None
-):
-    """The step ``nisio_step(family, ., t)`` on value arrays (one row, or
-    a ``stack`` of rows), as a plan ``step(u, out)`` that writes into
-    ``out`` and returns it: the family's scenarios moved by t m and
-    spread with std sqrt(t) sigma."""
-    rt = math.sqrt(max(t, 0.0))
-    return penalized_max_plan(
-        family.expectation, grid, t, scale=t, std_scale=rt, cut=cut, stack=stack
-    )
-
-
 def nisio_step(
     family: NisioFamily, f: GridFunction, t: float, cut: float = 8.0
 ) -> GridFunction:
     """Pointwise max over the family's controls of E[f(x + sigma W_t + m t)]."""
-    return step_once(nisio_plan, family, f, t, cut)
+    return step_once("nisio", family.expectation, f, t, cut)
 
 
 def generator_apply(family: NisioFamily, f: GridFunction):

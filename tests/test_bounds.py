@@ -61,8 +61,6 @@ def test_constant_skeleton_is_eight():
 def test_constant_requires_unit_radius():
     with pytest.raises(DomainError, match="r >= 1"):
         holder_parameters(0.5, 1.0, 0.0, lambda r: 0.0, 0.0, 0.0)
-    hp = holder_parameters(0.5, 1.0, 0.0, lambda r: 0.0, 0.0, 0.0, allow_small_r=True)
-    assert hp.constant == 1.0
 
 
 def test_constant_monotone_in_r_and_t():

@@ -114,6 +114,49 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("controls = 1 0", "controls = 1 0\ncut = inf", "[operator] cut: not a finite number"),
+        ("sigma = 1", "sigma = inf", "[experiment] sigma: not a finite number"),
+        ("seed = 3", "seed = 3\nmean = inf", "[experiment] mean: not a finite number"),
+        ("seed = 3", "seed = 3\nmean = nan", "[experiment] mean: not a finite number"),
+        ("low = -12", "low = nan", "[grid] low: not a finite number"),
+        ("high = 12", "high = 2^5000", "[grid] high: not a finite number"),
+        ("margin = 8.0", "margin = -inf", "[rate] margin: not a finite number"),
+        ("h = 2^-3..2^-5", "h = inf", "[experiment] h: steps must be finite"),
+        ("h = 2^-3..2^-5", "h = 0.5, nan", "[experiment] h: steps must be finite"),
+    ],
+)
+def test_a_non_finite_number_exits_3_naming_its_key(old, new, message, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(LINEAR_CFG.replace(old, new))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"type": "gaussian", "mean": 0.0, "sigma": float("nan")},
+        {"type": "gaussian", "mean": 0.0, "sigma": float("inf")},
+        {"type": "discrete", "atoms": [-1.0, 1.0], "weights": [float("nan"), 1.0]},
+    ],
+    ids=["sigma-nan", "sigma-inf", "weight-nan"],
+)
+def test_a_non_finite_scenario_field_exits_3_naming_the_scenario(entry, tmp_path, capsys):
+    (tmp_path / "pair.json").write_text(json.dumps([{"type": "point", "mean": 0.0}, entry]))
+    path = tmp_path / "clt.cfg"
+    scenario_cfg = LINEAR_CFG.replace("type = nisio\ncontrols = 1 0", "type = clt\nscenarios = pair.json")
+    path.write_text(scenario_cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "[operator] scenarios: scenario 1:" in err
+
+
 def test_a_weight_section_exits_3(tmp_path, capsys):
     # errors are measured in the unweighted sup norm the certificates
     # are stated for, so a weight is an unknown section, not ignored

@@ -40,6 +40,9 @@ def test_parse_h_list():
         parse_h_list("0.25, 0.5")
     with pytest.raises(DomainError):
         parse_h_list("")
+    for text in ("inf", "0.5, nan", "0.5, -inf"):
+        with pytest.raises(DomainError, match="finite"):
+            parse_h_list(text)
 
 
 def test_minimal_nisio_config(tmp_path):

@@ -455,6 +455,24 @@ def test_scenario_errors_name_the_problem(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ({"type": "gaussian", "mean": 0.0, "sigma": float("nan")}, "finite sigma"),
+        ({"type": "gaussian", "mean": 0.0, "sigma": float("inf")}, "finite sigma"),
+        ({"type": "discrete", "atoms": [0.0, 1.0], "weights": [float("nan"), 1.0]}, "finite"),
+        ({"type": "discrete", "atoms": [0.0, 1.0], "weights": [float("inf"), 1.0]}, "finite"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "weight-nan", "weight-inf"],
+)
+def test_a_non_finite_scenario_field_names_the_scenario(entry, problem, tmp_path):
+    # json reads NaN and Infinity, so a scenario file can hold them
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps([{"type": "point", "mean": 0.0}, entry]))
+    with pytest.raises(DomainError, match=f"scenario 1: .*{problem}"):
+        load_scenarios(path)
+
+
+@pytest.mark.parametrize(
     "build, field",
     [
         (lambda: Scenario.point((0.0, 1.0)), "mean"),

@@ -130,13 +130,17 @@ def test_failing_step_reports_index():
     f = GridFunction.from_callable(g, np.cos)
     calls = {"n": 0}
 
-    def bad_step(u, h):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise ValueError("boom")
-        return u
+    def planner(grid, h, stack=None):
+        def step(u, out):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise ValueError("boom")
+            out[...] = u
+            return out
 
-    op = StepOperator(name="bad", step=bad_step)
+        return step
+
+    op = StepOperator(name="bad", step=lambda f, h: f, planner=planner)
     with pytest.raises(IterationError, match=r"step 3 of 8.*boom"):
         chernoff_iterate(op, f, 1.0, 0.125)
 
@@ -260,7 +264,7 @@ def _leaky_operator(bad_call: int, cell: int):
     writes inf at ``cell``."""
     calls = {"n": 0}
 
-    def planner(grid, h):
+    def planner(grid, h, stack=None):
         def step(u, out):
             calls["n"] += 1
             apply_taps(u, [1], [1.0], out=out)
@@ -310,10 +314,15 @@ def test_a_shift_only_step_on_an_infinite_payoff_names_step_1(monkeypatch):
     assert len(held) == 9
 
 
-def test_plan_adapter_for_a_bare_step():
+def test_a_recorded_run_keeps_a_copy_of_each_plan_step():
+    # the plan writes each step into one of two held buffers
     g = grid1d(101)
     f = GridFunction.from_callable(g, np.cos)
-    op = StepOperator(name="scaled", step=lambda u, h: u * 0.5)
+
+    def planner(grid, h, stack=None):
+        return lambda u, out: np.multiply(u, 0.5, out=out)
+
+    op = StepOperator(name="scaled", step=lambda f, h: f * 0.5, planner=planner)
     out, traj = chernoff_iterate(op, f, 1.0, 0.25, record=True)
     np.testing.assert_array_equal(out.values, f.values * 0.0625)
     np.testing.assert_array_equal(traj.slice(2).values, f.values * 0.25)

@@ -9,8 +9,7 @@ from chernoff import kernels
 from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
-    lln_plan,
-    penalized_max_plan,
+    family_plan,
 )
 from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.iterate import StepOperator, block_rows, chernoff_iterate
@@ -187,6 +186,12 @@ def test_a_clamped_shift_is_the_clipped_sum_bit_for_bit(offset, weights, minus):
     np.testing.assert_array_equal(values, before)
     # apply_taps' own one- and two-tap path is the same prepared shift
     np.testing.assert_array_equal(apply_taps(values, offsets, weights), expected)
+    # the same shift on a (3, n) stack: each row as that row alone
+    stack = np.stack([values, -3.0 * values, values[::-1]])
+    out = np.empty_like(stack)
+    assert shift.apply(stack, out, minus) is out
+    for row, got in zip(stack, out):
+        np.testing.assert_array_equal(got, _clipped_sum(row, offsets, weights) - minus)
 
 
 def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
@@ -204,7 +209,7 @@ def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
         term = _clipped_sum(u, *shift_taps(t * x, dx)) * prob
         expected = term if expected is None else expected + term
     expected = np.maximum(expected - t * penalty, u)
-    np.testing.assert_array_equal(lln_plan(ce, grid, t)(u, np.empty(_N)), expected)
+    np.testing.assert_array_equal(family_plan("lln", ce, grid, t)(u, np.empty(_N)), expected)
 
 
 @pytest.mark.parametrize("k", range(3, 10))
@@ -484,13 +489,9 @@ def _step_plan(case, grid, h):
     """The family's step as the shared penalised-max plan: nisio at shift
     scale h, clt at sqrt(h); both at std scale sqrt(h)."""
     if case.startswith("nisio"):
-        ce, scale = NisioFamily(_FACTOR_CASES[case]).expectation, h
-    else:
-        ce = ScenarioConvexExpectation(
-            tuple(Scenario.gaussian(0.0, s) for s in _FACTOR_CASES[case])
-        )
-        scale = np.sqrt(h)
-    return penalized_max_plan(ce, grid, h, scale=scale, std_scale=np.sqrt(h), cut=8.0)
+        return family_plan("nisio", NisioFamily(_FACTOR_CASES[case]).expectation, grid, h)
+    ce = ScenarioConvexExpectation(tuple(Scenario.gaussian(0.0, s) for s in _FACTOR_CASES[case]))
+    return family_plan("clt", ce, grid, h)
 
 
 def _fine_grid():
@@ -635,7 +636,7 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     fine = _fine_grid()
     mass = 512 * fine.spacing[0]
     ce = ScenarioConvexExpectation((Scenario.point(-mass), Scenario.point(mass, 1.0)))
-    step = lln_plan(ce, fine, 2.0**-5)
+    step = family_plan("lln", ce, fine, 2.0**-5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a one-tap step left the scaled-slice branch")
@@ -652,5 +653,5 @@ def test_suite_calls_and_one_tap_steps_keep_their_branches(monkeypatch):
     chernoff_iterate(StepOperator.from_lln(ce), GridFunction(fine, u), 1.0, 2.0**-5)
     # a fractional shift past one cell: two taps on adjacent cells, two slices
     ce = ScenarioConvexExpectation((Scenario.point(16.5 * 32 * fine.spacing[0]),))
-    out = lln_plan(ce, fine, 2.0**-5)(u, np.empty(_W))
+    out = family_plan("lln", ce, fine, 2.0**-5)(u, np.empty(_W))
     np.testing.assert_allclose(out, _clipped_sum(u, [16, 17], [0.5, 0.5]), rtol=0, atol=1e-15)

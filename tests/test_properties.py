@@ -23,14 +23,20 @@ def grid1d(n=513, half=8.0):
 
 
 def negated_operator(op: StepOperator) -> StepOperator:
-    """Negative control: wraps the step so monotonicity must fail."""
-    inner = op.step
+    """Negative control: wraps the step and its plan so monotonicity must
+    fail."""
+    inner, plan = op.step, op.plan
+
+    def planner(grid, h, stack=None):
+        step = plan(grid, h, stack)
+        return lambda u, out: step(-u, out)
+
     return replace(
         op,
         name=f"negated-{op.name}",
         step=lambda f, h: inner(-f, h),
         admitted=False,
-        planner=None,  # the family's plan would iterate the unwrapped step
+        planner=planner,
     )
 
 

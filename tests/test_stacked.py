@@ -162,15 +162,6 @@ def test_stacked_steps_run_blocks_and_a_short_last_block(case, monkeypatch):
     np.testing.assert_array_equal(out, _one_row(op, grid, SUITE_H, stack))
 
 
-def test_the_stacked_adapter_maps_each_row_through_step():
-    clt = _FAMILIES["clt-gaussian-pair"]
-    bare = StepOperator(name="bare", step=clt.step, sigma_scale=1.0)
-    grid = _grid(513)
-    stack = _rows(grid, 3)
-    out = bare.plan(grid, SUITE_H, 3)(stack, np.empty_like(stack))
-    np.testing.assert_array_equal(out, _one_row(clt, grid, SUITE_H, stack))
-
-
 # ---------------------------------------------------------------------------
 # the suite and the comparison check report what per-row loops report
 
@@ -212,8 +203,13 @@ def _suite_reference(op, grid, n_pairs, seed, tol=1e-9):
 
 
 def _negated(op):
-    inner = op.step
-    return replace(op, name="negated", step=lambda f, h: inner(-f, h), planner=None)
+    inner, plan = op.step, op.plan
+
+    def planner(grid, h, stack=None):
+        step = plan(grid, h, stack)
+        return lambda u, out: step(-u, out)
+
+    return replace(op, name="negated", step=lambda f, h: inner(-f, h), planner=planner)
 
 
 _SUITE_OPS = {
@@ -222,9 +218,6 @@ _SUITE_OPS = {
     "lln": StepOperator.from_lln(_ce(Scenario.point(-0.5), Scenario.point(0.5, 1.0))),
     "clt": _FAMILIES["clt-gaussian-pair"],
     "negated": _negated(_FAMILIES["nisio-two-controls"]),
-    "bare-step": StepOperator(
-        name="bare", step=_FAMILIES["lln-fractional"].step, drift_scale=3.3
-    ),
 }
 
 
