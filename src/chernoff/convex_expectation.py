@@ -32,7 +32,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DomainError, Grid, GridFunction
-from .kernels import clamped_shift, gaussian_convolve, gaussian_plan, row_max, shift_taps
+from .kernels import (
+    apply_shift,
+    clamped_window,
+    gaussian_convolve,
+    gaussian_plan,
+    row_max,
+    shift_taps,
+)
 
 __all__ = [
     "Scenario",
@@ -210,25 +217,19 @@ class ScenarioConvexExpectation:
 # one-step operators on grid functions
 
 
-def _discrete_plan(
-    s: Scenario, grid: Grid, scale: float, minus: float = 0.0, stack: int | None = None
-):
+def _discrete_plan(shifts, minus: float, shape: tuple[int, ...]):
     """E_i[u(x + scale xi)] - ``minus`` for a discrete scenario as
-    ``expect(u, out)`` on one row or a ``stack`` of rows, with each
-    atom's ``ClampedShift`` prepared once.  One atom of probability 1 is
-    its shift, ``minus`` included."""
-    dx = grid.spacing[0]
-    atoms = []
-    for x, prob in zip(s.atoms, s.weights):
-        offsets, weights = shift_taps(scale * x, dx)
-        atoms.append((prob, clamped_shift(grid.size, int(offsets[0]), weights)))
-    if len(atoms) == 1 and atoms[0][0] == 1.0:
-        return partial(atoms[0][1].apply, minus=minus)
-    term = np.empty(_shape(grid, stack))
+    ``expect(out)``, from its atoms' ``shifts`` ((probability, shift row)
+    pairs, each row one or two scaled slices of the step's filled
+    window).  One atom of probability 1 is its shift, ``minus``
+    included."""
+    if len(shifts) == 1 and shifts[0][0] == 1.0:
+        return partial(apply_shift, shifts[0][1], minus=minus)
+    term = np.empty(shape)
 
-    def expect(u, out):
-        for i, (prob, shift) in enumerate(atoms):
-            res = shift.apply(u, term if i else out)
+    def expect(out):
+        for i, (prob, shift) in enumerate(shifts):
+            res = apply_shift(shift, term if i else out)
             if prob != 1.0:  # x * 1.0 is x exactly
                 res *= prob
             if i:
@@ -238,6 +239,16 @@ def _discrete_plan(
         return out
 
     return expect
+
+
+def _window_view(shifts, minus: float) -> np.ndarray | None:
+    """The view of the window that is a discrete scenario's row when it
+    is one whole-cell atom of probability 1 and ``minus`` is 0, else
+    None."""
+    if minus or len(shifts) != 1 or shifts[0][0] != 1.0 or len(shifts[0][1]) != 1:
+        return None
+    weight, view = shifts[0][1][0]
+    return view if weight == 1.0 else None
 
 
 def penalized_max_plan(
@@ -255,40 +266,79 @@ def penalized_max_plan(
     spreads with std ``std_scale`` sigma_i; ``family_plan`` holds the
     three families' scalings.  Each scenario fills one row: the Gaussian
     ones together, from one ``gaussian_convolve`` call whose factors and
-    ``TapPlan`` are built here, then each discrete one.  ``u`` and
+    ``TapPlan`` are built here, then each discrete one.  A step fills one
+    edge-clamped window of ``u`` over every row's offsets: the Gaussian
+    plan's own on its direct branch, widened to reach the atoms, else
+    one of the step plan's.  Each atom is then one or two scaled slices
+    of that window, and a row that is one whole-cell atom of probability
+    1 with no penalty is a view of it, not a copy.  On the FFT branch the
+    Gaussian rows are the transform's output buffer itself.  ``u`` and
     ``out`` are one row of values, or with ``stack`` = b a (b, n) stack
-    of rows, each stepped as a one-row plan steps it.  The row buffer
-    is the plan's own, so one plan must not run in two threads at once."""
+    of rows, each stepped as a one-row plan steps it.  The window and
+    row buffers are the plan's own, so one plan must not run in two
+    threads at once."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
+    shape = _shape(grid, stack)
     gaussian = [s for s in ce.scenarios if s.kind == "gaussian"]
     discrete = [s for s in ce.scenarios if s.kind != "gaussian"]
     stds = [s.sigma * std_scale for s in gaussian]
     shifts = [scale * s.mean for s in gaussian]
-    taps = gaussian_plan(grid, stds, shifts, cut, stack) if gaussian else None
+    dx = grid.spacing[0]
+    atoms = [
+        [(prob, shift_taps(scale * x, dx)) for x, prob in zip(s.atoms, s.weights)]
+        for s in discrete
+    ]
+    offsets = [int(o) for scenario in atoms for _, (offs, _) in scenario for o in offs]
+    reach = (min(offsets), max(offsets)) if offsets else None
+    taps = gaussian_plan(grid, stds, shifts, cut, stack, reach) if gaussian else None
+    fill = None  # the window is the Gaussian plan's, filled by its call
+    if taps is not None and taps.spectra is None:
+        clamp = taps.clamp
+    elif atoms:
+        clamp = clamped_window(grid.size, *reach, shape[:-1])
+        fill = clamp.fill
+    atom_rows = [
+        [(prob, clamp.shift(int(offs[0]), w)) for prob, (offs, w) in scenario]
+        for scenario in atoms
+    ]
     if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
         if taps is None:
-            return _discrete_plan(discrete[0], grid, scale, stack=stack)
+            expect = _discrete_plan(atom_rows[0], 0.0, shape)
+
+            def single_discrete(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+                fill(u)
+                return expect(out)
+
+            return single_discrete
 
         def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
             gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
             return out
 
         return single
-    buffer = np.empty((len(ce.scenarios),) + _shape(grid, stack))
-    rows = list(buffer)  # the row views, made once rather than per step
-    gaussian_rows = buffer[: len(gaussian)]
-    filled = [
-        (_discrete_plan(s, grid, scale, t * s.penalty, stack), row)
-        for s, row in zip(discrete, rows[len(gaussian) :])
-    ]
+    rows = []  # one per scenario, each view made once rather than per step
+    if taps is not None:
+        gaussian_rows = taps.outputs
+        if gaussian_rows is None:  # the direct branch writes into rows of the plan's own
+            gaussian_rows = np.empty((len(gaussian),) + shape)
+        rows = list(gaussian_rows)
+    filled = []
+    for s, scenario in zip(discrete, atom_rows):
+        view = _window_view(scenario, t * s.penalty)
+        if view is None:
+            view = np.empty(shape)
+            filled.append((_discrete_plan(scenario, t * s.penalty, shape), view))
+        rows.append(view)
     penalized = [(row, t * s.penalty) for s, row in zip(gaussian, rows) if s.penalty]
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if fill is not None:
+            fill(u)
         if taps is not None:
             gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
         for expect, row in filled:
-            expect(u, row)
+            expect(row)
         for row, penalty in penalized:
             row -= penalty
         return row_max(rows, out)
@@ -386,9 +436,22 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
     past the grid.  f(x + y) - phi(y) is piecewise linear in y, with its
     breaks at the lower-hull vertices and the whole-cell shifts y in
     dx Z, so the sup over those finitely many y is exact.  On a uniform
-    grid the interpolation weights of x + y are the same for every x,
-    so each y reads two slices of one edge-padded copy of f, and a
-    whole-cell shift one.
+    grid the interpolation weights of x + y are the same for every x, so
+    each y reads slices of one edge-padded copy of f.
+
+    The hull vertices (and a whole cell past an end vertex by less than
+    phi's rounding tolerance) are candidates one by one, as two scaled
+    slices or one.  The whole cells of each hull piece, on which phi is
+    linear, are one sliding-window max of the padded f minus the piece's
+    linear cost, in O(n + width) work however wide the piece is
+    (``_tilted_window_max``).  Only cells whose cost is at most the
+    oscillation of f take part: every other one sits below the
+    zero-penalty vertex's value, min f at least.  The tilt is anchored
+    at the start of each block of the window's length, so no
+    intermediate exceeds sup|f| plus the piece's kept penalty rise, at
+    most max f - min f.  Against one subtraction per whole cell, the
+    result moves by a few roundings of that size: within 1e-14 *
+    max(1, sup|f|).
     """
     grid = f.grid
     phi, vertices = _lower_hull(ce)
@@ -404,8 +467,27 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
     padded = np.pad(f.values, pad, mode="edge")
     n = grid.size
     out = np.full(n, -np.inf)
+    # the whole cells of each hull piece, on which phi is linear
+    ends = vertices / dx
+    pieces = [(t == cell) & (t >= a) & (t <= b) for a, b in zip(ends[:-1], ends[1:])]
+    spread = float(np.max(f.values)) - float(np.min(f.values))  # inf past the float range
+    for piece in pieces:
+        kept = piece & (cost <= spread)
+        if not kept.any():
+            continue
+        shifts, costs = t[kept], cost[kept]
+        width = int(shifts[-1] - shifts[0]) + 1
+        slope = (costs[-1] - costs[0]) / (width - 1) if width > 1 else 0.0
+        start = int(shifts[0]) + pad
+        best = _tilted_window_max(padded[start : start + n + width - 1], width, slope, n)
+        np.maximum(out, best - costs[0], out=out)
+    explicit = ~np.any(pieces, axis=0) if pieces else np.ones(t.size, dtype=bool)
     shifted = np.empty(n)
-    for start, w, c in zip((cell.astype(int) + pad).tolist(), (t - cell).tolist(), cost.tolist()):
+    for start, w, c in zip(
+        (cell[explicit].astype(int) + pad).tolist(),
+        (t - cell)[explicit].tolist(),
+        cost[explicit].tolist(),
+    ):
         if w:
             np.multiply(padded[start : start + n], 1.0 - w, out=shifted)
             shifted += w * padded[start + 1 : start + 1 + n]
@@ -414,6 +496,29 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
             np.subtract(padded[start : start + n], c, out=shifted)
         np.maximum(out, shifted, out=out)
     return GridFunction(grid, out)
+
+
+def _tilted_window_max(values: np.ndarray, width: int, slope: float, count: int) -> np.ndarray:
+    """``m[s] = max over 0 <= r < width of (values[s + r] - slope r)`` for
+    s < ``count``, from ``count + width - 1`` values, in O(count + width)
+    work: the van Herk / Gil-Werman sliding max (Pattern Recognit. Lett.
+    1992; IEEE PAMI 1993).  The values are cut into blocks of ``width``,
+    tilted by slope times the offset from their block's start; the window
+    from s = b width + r is the running max back from the end of block b
+    and, for r > 0, the running max from the start of block b + 1, each
+    re-tilted to start at s."""
+    blocks = -(-count // width) + 1
+    tilted = np.full(blocks * width, -np.inf)
+    tilted[: count + width - 1] = values[: count + width - 1]
+    tilted = tilted.reshape(blocks, width)
+    ramp = slope * np.arange(width)
+    tilted -= ramp
+    ahead = np.maximum.accumulate(tilted[:, ::-1], axis=1)[:, ::-1]
+    behind = np.maximum.accumulate(tilted, axis=1)
+    best = ahead[:-1] + ramp
+    # entry q of block b + 1 lies width - r + q cells past s
+    np.maximum(best[:, 1:], behind[1:, :-1] - ramp[:0:-1], out=best[:, 1:])
+    return best.reshape(-1)[:count]
 
 
 def g_function(ce: ScenarioConvexExpectation, a: float) -> float:

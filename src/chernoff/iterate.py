@@ -13,8 +13,8 @@ the families build their taps, penalties and scratch buffers into the
 plan.  ``chernoff_iterate`` is the one loop: it runs the
 plan on two ping-pong buffers, checks after every step that the
 values are finite (so the failing step is named even when a later
-step would move a non-finite value off the grid), and wraps one
-``GridFunction`` at the end.
+step would move a non-finite value off the grid), by one sum unless
+that sum is not finite, and wraps one ``GridFunction`` at the end.
 
 A plan may also be built for a stack of b rows, ``op.plan(grid, h,
 b)``, and then steps a (b, n) array through the same code, each row to
@@ -179,8 +179,8 @@ def chernoff_iterate(
     record: bool = False,
 ):
     """Apply op k = floor(t/h) times through one plan, checking after
-    every step, into one held bool buffer, that the values are finite;
-    optionally keep (a copy of) every iterate."""
+    every step that the values are finite (``_all_finite``); optionally
+    keep (a copy of) every iterate."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -188,16 +188,17 @@ def chernoff_iterate(
     grid = f.grid
     u = f.values
     buffers = (np.empty(grid.counts), np.empty(grid.counts))
-    finite = np.empty(grid.counts, dtype=bool)
     j = 0
     try:
         step = op.plan(grid, part.h)
-        for j in range(part.k):
-            u = step(u, buffers[j % 2])
-            if not np.isfinite(u, out=finite).all():
-                raise DomainError("grid function values must be finite")
-            if record:
-                frames.append(GridFunction(grid, u))
+        # a step that overflows is named by the check below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(part.k):
+                u = step(u, buffers[j % 2])
+                if not _all_finite(u):
+                    raise DomainError("grid function values must be finite")
+                if record:
+                    frames.append(GridFunction(grid, u))
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         raise IterationError(
             f"step {j + 1} of {part.k} (h={part.h:g}) failed: {exc}"
@@ -233,11 +234,21 @@ def stacked_steps(op: StepOperator, grid: Grid, h: float):
                 held.clear()  # its buffers go before the next plan's come
                 held[height] = op.plan(grid, h, height)
             held[height](values[block], out[block])
-        if not np.isfinite(out).all():
-            raise DomainError("grid function values must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _all_finite(out):
+                raise DomainError("grid function values must be finite")
         return out
 
     return step
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is finite, in one ``np.add.reduce``
+    for finite values: a finite sum proves every addend finite.  Only a
+    sum that is not finite (an inf or nan among the values, or finite
+    values whose sum passes the float range) is checked entry by entry.
+    The caller silences the sum's overflow warning."""
+    return math.isfinite(np.add.reduce(values, axis=None)) or bool(np.isfinite(values).all())
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,20 @@ convolving grid values with a short nonnegative tap vector that sums
 to one, a sampled Gaussian for diffusion, a one- or two-tap stencil
 for transport, the mollifier's space bump.  ``apply_taps`` applies
 such vectors; ``gaussian_convolve`` and the mollifier call it by that
-name.  A shift row (one tap, or two on adjacent cells) is a
-``ClampedShift``: its edge clamp is worked out once from (n, offset).
-Shift rows are prepared once per plan: a step plan holds one per atom
-of each discrete scenario, so a shift-only step runs on those slices
-with no ``apply_taps`` call.  The taps act on the grid with constant
-extension at the box edges, so each step preserves constants,
-monotonicity, convexity, the sup norm, and Lipschitz bounds: exactly
-on the direct branches below, and up to roundoff (about 1e-15 *
-sup|u|) on the FFT branch.  The only error relative
-to the continuum operator is Gaussian sampling aliasing, which decays
-like exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
+name.  Every tap reads one edge-clamped window of the values, a
+``ClampedWindow``, whose clamp is worked out once from (n, lo, hi) and
+filled with one slice per part.  A shift row (one tap, or two on
+adjacent cells) is one or two scaled slices of a filled window
+(``ClampedWindow.shift`` and ``apply_shift``), so a step plan fills one
+window per step over all of its rows' offsets and reads each atom of a
+discrete scenario from it, with no ``apply_taps`` call.  The taps act
+on the grid with constant extension at the box edges, so each step
+preserves constants, monotonicity, convexity, the sup norm, and
+Lipschitz bounds: exactly on the direct branches below, and up to
+roundoff (about 1e-15 * sup|u|) on the FFT branch.  The only error
+relative to the continuum operator is Gaussian sampling aliasing,
+which decays like exp(-2 pi^2 (std/dx)^2) and is negligible for std >=
+dx.
 
 ``apply_taps`` takes one weight row, or k rows on shared offsets (the
 Gaussian factors of one step: a nisio family's controls, the Gaussian
@@ -25,22 +28,23 @@ weight row into ``out``.  How it does so is fixed by a ``TapPlan``:
 its own once per (operator, h) and hands it to every call, so repeated
 steps transform no taps and choose no branch.  Without a plan the call
 takes one row of values, builds a plan and applies it once; a shift
-(one tap, or two on adjacent cells) needs none and is applied as a
-``ClampedShift``.  A plan is built for one row of n values or for a
-``stack`` of b rows on a leading batch axis (the structural suite's
-pairs, the comparison check's certificate steps), and both run through
-the same code: every index acts on the last axis, an edge of the clamp
-is a one-column slice that broadcasts, the direct branch correlates
-each values row and the FFT branch transforms them all in one call
-(numpy's transforms go row by row, so each row gets the bits of its
-own call).  The branch is chosen for rows of n values, so each output
-row of a stack is the one a one-row plan gives its values row.
+(one tap, or two on adjacent cells) needs none and is read from a
+window of its own taps.  A plan is built for one row of n values or
+for a ``stack`` of b rows on a leading batch axis (the structural
+suite's pairs, the comparison check's certificate steps), and both run
+through the same code: every index acts on the last axis, an edge of
+the clamp is a one-column slice that broadcasts, the direct branch
+correlates each values row and the FFT branch transforms them all in
+one call (numpy's transforms go row by row, so each row gets the bits
+of its own call).  The branch is chosen for rows of n values, so each
+output row of a stack is the one a one-row plan gives its values row.
 
-On the direct branch the call fills one edge-clamped window over the
-plan's offset range and correlates each row with ``np.correlate(...,
+On the direct branch the call fills the plan's window over its offset
+range (widened to a step plan's ``reach``, so the step's shift rows
+read the same window) and correlates each row with ``np.correlate(...,
 "valid")`` on its own slice of it, forming every product of every row;
 a row of one or two taps (a shift, whole or fractional) is instead one
-or two scaled slices of the values written into ``out``.  No value is
+or two scaled slices of the window written into ``out``.  No value is
 added to another before it is weighted, so every partial sum is a
 partial weighted average and a finite input gives a finite output
 however close it is to the float range.
@@ -50,7 +54,9 @@ one offset range [min lo, max hi] for all rows, one 5-smooth length
 ``next_fast_len`` at least n + hi - lo (long enough that no output
 wraps) and the rows' conjugated spectra.  A call fills the window once,
 runs one ``rfft``, multiplies it by the k held spectra and runs one
-stacked ``irfft``.  ``np.correlate`` costs a fixed part per output of a
+stacked ``irfft``; an ``out`` that is the plan's ``outputs`` view of
+that inverse transform receives the rows with no copy.
+``np.correlate`` costs a fixed part per output of a
 row plus its m products, the FFT a fixed overhead plus L log2 L per
 transform of length L; the plan takes the FFT where a cost model fitted
 to step timings of both branches prices its 1 + k transforms per call
@@ -62,7 +68,7 @@ lists that leave many products outside the dot kernel's blocks of 16
 may take it earlier.  A spectrum that overflows (sup |values| within a factor of
 about L of the largest float) or holds a non-finite value makes every
 output of its row non-finite, so output 0 of each row is checked and
-such a values row is redone on the direct branch.
+such a values row is redone on the direct branch, into the same ``out``.
 
 A plan holds the window and, on the FFT branch, the spectrum, product
 and output buffers of its transforms, so a call makes no array of its
@@ -85,8 +91,9 @@ from .core import DomainError, Grid
 __all__ = [
     "gaussian_taps",
     "shift_taps",
-    "ClampedShift",
-    "clamped_shift",
+    "ClampedWindow",
+    "clamped_window",
+    "apply_shift",
     "TapPlan",
     "tap_plan",
     "gaussian_plan",
@@ -157,29 +164,26 @@ class TapPlan:
 
     The values are one row, or a stack of ``batch`` = (b,) rows fixed
     when the plan is built; ``at`` indexes each values row.  ``rows``
-    holds each weight row as its first offset and dense taps, and
-    ``shifts`` the ``ClampedShift`` of each row of one or two taps (None
-    for a longer row, and for every row on the FFT branch).  ``window`` receives the edge-clamped values from
-    offset ``lo`` over ``size`` offsets, one window per value row (None
-    when every row has one or two taps, which read the values); on the
-    FFT branch (``spectra`` not None) it is zero-padded to ``length``,
-    ``spectra`` holds the rows' conjugated transforms at that length,
-    one per weight row (with a unit axis to broadcast over a stack), and
-    ``spectrum``, ``product`` and ``full`` receive the forward
-    transforms, their products with the spectra and the inverse
-    transforms.
+    holds each weight row as its first offset and dense taps.  ``clamp``
+    receives the edge-clamped values, one window per values row: on the
+    direct branch over the rows' range, widened to any ``reach`` the plan
+    was built with, so a caller's shift rows read the same window; on the
+    FFT branch (``spectra`` not None) over the rows' range and
+    zero-padded to ``length``.  There ``spectra`` holds the rows'
+    conjugated transforms at that length, one per weight row (with a
+    unit axis to broadcast over a stack), and ``spectrum``, ``product``
+    and ``full`` receive the forward transforms, their products with the
+    spectra and the inverse transforms, whose first n values of each row
+    are ``outputs``.
     """
 
     n: int
     offsets: np.ndarray
     weights: np.ndarray
     rows: tuple[tuple[int, np.ndarray], ...]
-    shifts: tuple[ClampedShift | None, ...]
-    lo: int
-    size: int
     length: int
     spectra: np.ndarray | None
-    window: np.ndarray | None
+    clamp: ClampedWindow
     spectrum: np.ndarray | None = None
     product: np.ndarray | None = None
     full: np.ndarray | None = None
@@ -189,6 +193,12 @@ class TapPlan:
     def at(self) -> tuple[tuple[int, ...], ...]:
         """The index of every values row in a batch: ``((),)`` for one row."""
         return tuple(np.ndindex(self.batch))
+
+    @cached_property
+    def outputs(self) -> np.ndarray | None:
+        """On the FFT branch, the view of ``full`` that holds the outputs:
+        an ``out`` that is this view receives them with no copy."""
+        return None if self.full is None else self.full[..., : self.n]
 
 
 def tap_plan(n: int, offsets, weights, stack: int | None = None) -> TapPlan:
@@ -218,19 +228,21 @@ def tap_plan(n: int, offsets, weights, stack: int | None = None) -> TapPlan:
 
 
 def gaussian_plan(
-    grid: Grid, std, shift, cut: float = 8.0, stack: int | None = None
+    grid: Grid, std, shift, cut: float = 8.0, stack: int | None = None, reach=None
 ) -> TapPlan:
     """The ``TapPlan`` of ``gaussian_taps(std, shift, grid.spacing[0],
     cut)``; for equal-length sequences ``std`` and ``shift``, one weight
     row per factor on the shared range of their taps.  Each factor's
     offsets ascend one cell at a time, so its weights are already dense,
     and on the direct branch each row keeps its own range.  ``stack``
-    as for ``tap_plan``."""
+    as for ``tap_plan``.  ``reach``, a (lo, hi) offset range, widens the
+    direct branch's window to cover it too; the branch is chosen without
+    it."""
     dx = grid.spacing[0]
     if np.ndim(std) == 0:
         offsets, weights = gaussian_taps(std, shift, dx, cut)
         lo = int(offsets[0])
-        return _plan(grid.size, offsets, weights, lo, weights, [(lo, weights)], stack)
+        return _plan(grid.size, offsets, weights, lo, weights, [(lo, weights)], stack, reach)
     factors = [gaussian_taps(s, m, dx, cut) for s, m in zip(std, shift, strict=True)]
     rows = [(int(o[0]), w) for o, w in factors]
     lo = min(start for start, _ in rows)
@@ -238,25 +250,27 @@ def gaussian_plan(
     for dense, (start, w) in zip(weights, rows):
         dense[start - lo : start - lo + w.size] = w
     offsets = np.arange(lo, lo + weights.shape[1])
-    return _plan(grid.size, offsets, weights, lo, weights, rows, stack)
+    return _plan(grid.size, offsets, weights, lo, weights, rows, stack, reach)
 
 
 def _plan(
-    n: int, offsets, weights, lo: int, dense: np.ndarray, rows, stack: int | None
+    n: int, offsets, weights, lo: int, dense: np.ndarray, rows, stack: int | None, reach=None
 ) -> TapPlan:
     """The plan of ``weights`` on ``offsets``, given as ``dense`` taps from
     offset ``lo`` (one row per weight row) and each row's own range, for
-    one row of n values or a ``stack`` of them.  The branch depends on n
+    one row of n values or a ``stack`` of them, its direct-branch window
+    widened to the (lo, hi) offsets ``reach``.  The branch depends on n
     and the taps alone, so every row of a stack takes the branch a
     one-row plan takes."""
     size = dense.shape[-1]
     rows = tuple(rows)
     batch = () if stack is None else (stack,)
     if not (size > 2 and _fft_is_cheaper(n, size, [t.size for _, t in rows])):
-        # rows of one or two taps are slices of the values, with no window
-        shifts = tuple(clamped_shift(n, start, t) if t.size <= 2 else None for start, t in rows)
-        window = np.empty(batch + (n + size - 1,)) if None in shifts else None
-        return TapPlan(n, offsets, weights, rows, shifts, lo, size, 0, None, window, batch=batch)
+        first, last = lo, lo + size - 1
+        if reach is not None:
+            first, last = min(first, reach[0]), max(last, reach[1])
+        clamp = clamped_window(n, first, last, batch)
+        return TapPlan(n, offsets, weights, rows, 0, None, clamp, batch=batch)
     length = next_fast_len(n + size - 1)
     # one spectrum per weight row, with a unit axis per batch axis to broadcast over
     spectra = np.conj(rfft(dense, length))
@@ -264,8 +278,8 @@ def _plan(
     spectrum = np.empty(batch + (length // 2 + 1,), dtype=complex)
     product = np.empty(np.broadcast_shapes(spectra.shape, spectrum.shape), dtype=complex)
     return TapPlan(
-        n, offsets, weights, rows, (None,) * len(rows), lo, size, length, spectra,
-        window=np.zeros(batch + (length,)),  # past n + size - 1, the transform's padding
+        n, offsets, weights, rows, length, spectra,
+        clamp=clamped_window(n, lo, lo + size - 1, batch, length),
         spectrum=spectrum,
         product=product,
         full=np.empty(product.shape[:-1] + (length,)),
@@ -307,11 +321,12 @@ def apply_taps(
     does not overlap the values) and is returned; without ``out`` it is
     a new array.  ``plan``, when given, is ``tap_plan(n, offsets,
     weights)`` (or its ``stack``) built once by a caller that applies the
-    same taps again and again.  Each value row of a stack gets the bits
-    a one-row plan gives it.  The FFT branch agrees with the sum to
-    roundoff (about 1e-15 * sup|values|); when output 0 of any weight
-    row of a value row is not finite there, that value row is redone on
-    the direct branch.
+    same taps again and again; on its FFT branch ``out`` may be the
+    plan's ``outputs``, which then hold the result with no copy.  Each
+    value row of a stack gets the bits a one-row plan gives it.  The FFT
+    branch agrees with the sum to roundoff (about 1e-15 * sup|values|);
+    when output 0 of any weight row of a value row is not finite there,
+    that value row is redone on the direct branch.
     """
     values = np.asarray(values, dtype=float)
     if plan is None and values.ndim != 1:
@@ -333,47 +348,47 @@ def apply_taps(
         if offsets.shape == weights.shape == (1,) or (
             offsets.shape == weights.shape == (2,) and offsets[1] - offsets[0] == 1
         ):
-            return clamped_shift(values.size, int(offsets[0]), weights).apply(values, out)
+            lo = int(offsets[0])
+            clamp = clamped_window(values.size, lo, lo + offsets.size - 1)
+            clamp.fill(values)
+            return apply_shift(clamp.shift(lo, weights), out)
         plan = tap_plan(values.size, offsets, weights)
-    n = plan.n
-    if plan.window is not None:
-        _clamped_window(values, plan.lo, plan.window[..., : n + plan.size - 1])
+    plan.clamp.fill(values)
     if plan.spectra is None:
-        return _direct(plan, values, out, plan.at)
+        return _direct(plan, out, plan.at)
     # Circular correlation at length >= n + hi - lo: output i reads
     # window[i .. i + hi - lo], so none of the first n wraps.  An
     # overflowed spectrum warns and gives inf * 0; both are caught below.
     with np.errstate(over="ignore", invalid="ignore"):
-        rfft(plan.window, out=plan.spectrum)
+        rfft(plan.clamp.window, out=plan.spectrum)
         np.multiply(plan.spectrum, plan.spectra, out=plan.product)
         irfft(plan.product, plan.length, out=plan.full)
     # a non-finite spectrum spreads over its whole row, so output 0 of
     # each row tells whether the row is usable; a values row with an
     # unusable row of any weight row is redone on the direct branch
-    out[...] = plan.full[..., :n]
+    if out is not plan.outputs:
+        out[...] = plan.outputs
     finite = np.isfinite(plan.full[..., 0])
     if not finite.all():
         bad = ~finite.reshape((-1,) + plan.batch).all(axis=0)
-        _direct(plan, values, out, [tuple(i) for i in np.argwhere(bad)])
+        _direct(plan, out, [tuple(i) for i in np.argwhere(bad)])
     return out
 
 
-def _direct(plan: TapPlan, values: np.ndarray, out: np.ndarray, at) -> np.ndarray:
+def _direct(plan: TapPlan, out: np.ndarray, at) -> np.ndarray:
     """The direct branch of ``plan`` on the values rows at the batch
-    indices ``at`` (``plan.at``: every row): a weight row of one or two
-    taps by its ``ClampedShift`` on every row (only a direct-branch plan
-    holds one), a longer one by ``np.correlate`` of each values row's
-    filled window with it."""
-    n = plan.n
-    for target, (lo, taps), shift in zip(
-        out if plan.weights.ndim == 2 else (out,), plan.rows, plan.shifts
-    ):
-        if shift is not None:
-            shift.apply(values, target)
+    indices ``at`` (``plan.at``: every row), read from the filled window:
+    a weight row of one or two taps of a direct-branch plan as one or two
+    scaled slices of it for every values row, any other row by
+    ``np.correlate`` of each values row's window with it."""
+    n, clamp = plan.n, plan.clamp
+    for target, (lo, taps) in zip(out if plan.weights.ndim == 2 else (out,), plan.rows):
+        if taps.size <= 2 and plan.spectra is None:
+            apply_shift(clamp.shift(lo, taps), target)
             continue
-        span = slice(lo - plan.lo, lo - plan.lo + n + taps.size - 1)
+        span = slice(lo - clamp.lo, lo - clamp.lo + n + taps.size - 1)
         for i in at:
-            target[i] = correlate(plan.window[i][span], taps, "valid")
+            target[i] = correlate(clamp.window[i][span], taps, "valid")
     return out
 
 
@@ -410,53 +425,67 @@ def _clamp_parts(n: int, lo: int, size: int):
     return tuple(((..., dst), (..., src)) for dst, src in parts if dst.start < dst.stop)
 
 
-def _clamped_window(values: np.ndarray, lo: int, window: np.ndarray) -> np.ndarray:
-    """Fill ``window[..., k] = values[..., clip(lo + k, 0, n - 1)]``."""
-    for dst, src in _clamp_parts(values.shape[-1], lo, window.shape[-1]):
-        window[dst] = values[src]
-    return window
-
-
 @dataclass(frozen=True, eq=False)
-class ClampedShift:
-    """A row of one tap, or two on adjacent offsets (a whole or fractional
-    shift, ``shift_taps``), with its edge clamp worked out once for rows
-    of a fixed length: ``taps`` holds each tap's weight and the nonempty
-    ``_clamp_parts`` of a whole row at its offset, for one row of values
-    or for a stack of rows."""
+class ClampedWindow:
+    """The edge-clamped ``window[..., k] = values[..., clip(lo + k, 0, n -
+    1)]`` of rows of ``n`` values (one row, or a stack on leading axes)
+    for the offsets from ``lo`` to some hi, k < n + hi - lo, with the
+    clamp worked out once: ``parts`` are its nonempty ``_clamp_parts``.
+    ``window`` may run past n + hi - lo (the FFT branch's zero padding),
+    where ``fill`` does not write."""
 
-    taps: tuple[tuple[float, tuple], ...]
+    n: int
+    lo: int
+    window: np.ndarray
+    parts: tuple
 
-    def apply(self, values: np.ndarray, out: np.ndarray, minus: float = 0.0) -> np.ndarray:
-        """Write ``out[i] = taps[0] * values[clip(i + lo, 0, n - 1)] (+
-        taps[1] * values[clip(i + lo + 1, 0, n - 1)]) - minus`` and return
-        ``out``: one scaled slice of the values and one fill per edge, a
-        second slice added to it, then ``minus`` taken off.  A single tap
-        of weight 1 is a copy, and takes ``minus`` off in that copy."""
-        (w, parts), rest = self.taps[0], self.taps[1:]
-        folded = bool(minus) and w == 1.0 and not rest
-        for dst, src in parts:
-            if folded:  # x * 1.0 - m is x - m exactly
-                np.subtract(values[src], minus, out=out[dst])
-            elif w == 1.0:  # x * 1.0 is x exactly
-                out[dst] = values[src]
-            else:
-                np.multiply(values[src], w, out=out[dst])
-        for w, parts in rest:
-            for dst, src in parts:
-                out[dst] += values[src] * w
-        if minus and not folded:
-            out -= minus
-        return out
+    def fill(self, values: np.ndarray) -> np.ndarray:
+        """Write the clamped ``values`` into the window, one slice per part."""
+        for dst, src in self.parts:
+            self.window[dst] = values[src]
+        return self.window
+
+    def shift(self, offset: int, weights) -> tuple[tuple[float, np.ndarray], ...]:
+        """The shift row of one or two ``weights`` on ``offset`` (and
+        ``offset + 1``) as (weight, view) pairs for ``apply_shift``: tap j
+        reads the n window entries from ``offset + j``, which hold
+        ``values[..., clip(i + offset + j, 0, n - 1)]``."""
+        start = offset - self.lo
+        return tuple(
+            (float(w), self.window[..., start + j : start + j + self.n])
+            for j, w in enumerate(weights)
+        )
 
 
-def clamped_shift(n: int, lo: int, weights) -> ClampedShift:
-    """The ``ClampedShift`` of one or two weights on offsets ``lo`` (and
-    ``lo + 1``) for rows of ``n`` values: one row, or a stack of them."""
-    weights = np.asarray(weights, dtype=float).tolist()
-    if len(weights) not in (1, 2):
-        raise DomainError(f"a clamped shift has one or two taps, got {len(weights)}")
-    return ClampedShift(tuple((w, _clamp_parts(n, lo + j, n)) for j, w in enumerate(weights)))
+def clamped_window(
+    n: int, lo: int, hi: int, batch: tuple[int, ...] = (), length: int | None = None
+) -> ClampedWindow:
+    """The ``ClampedWindow`` of offsets ``lo`` to ``hi`` for a ``batch``
+    of rows of ``n`` values, its window zero-padded to ``length`` when
+    that is given."""
+    size = n + hi - lo
+    window = np.empty(batch + (size,)) if length is None else np.zeros(batch + (length,))
+    return ClampedWindow(n, lo, window, _clamp_parts(n, lo, size))
+
+
+def apply_shift(shift, out: np.ndarray, minus: float = 0.0) -> np.ndarray:
+    """Write ``out = w0 * view0 (+ w1 * view1) - minus`` for a shift row
+    of (weight, view) pairs (``ClampedWindow.shift``) and return ``out``:
+    one scaled slice, a second one added to it, then ``minus`` taken off.
+    A single tap of weight 1 is a copy, and takes ``minus`` off in that
+    copy."""
+    (w, view), rest = shift[0], shift[1:]
+    if minus and w == 1.0 and not rest:  # x * 1.0 - m is x - m exactly
+        return np.subtract(view, minus, out=out)
+    if w == 1.0:  # x * 1.0 is x exactly
+        np.copyto(out, view)
+    else:
+        np.multiply(view, w, out=out)
+    for w, view in rest:
+        out += view * w
+    if minus:
+        out -= minus
+    return out
 
 
 def gaussian_convolve(

@@ -78,11 +78,17 @@ class GeneratorBounds:
         caps = (0.0, v1, v2)
         squared = None
         if smooth:
+            try:
+                quartic = max(0.25 * s**4 for s in sig)
+            except OverflowError:  # float ** raises where * gives inf
+                raise DomainError(
+                    f"sigma {max(sig)!r} is too large: (1/4) sigma^4 passes the float range"
+                ) from None
             squared = (
                 0.0,
                 max(m * m for m in drift),
                 max(s * s * abs(m) for s, m in controls),
-                max(0.25 * s**4 for s in sig),
+                quartic,
             )
         return cls(
             first_order=v1,
@@ -113,6 +119,7 @@ class NisioFamily:
                 raise DomainError("sigma must be non-negative")
             norm.append((s, m))
         object.__setattr__(self, "controls", tuple(norm))
+        self.bounds  # noqa: B018 - controls whose caps are not finite are rejected here
 
     @cached_property
     def bounds(self) -> GeneratorBounds:

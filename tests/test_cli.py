@@ -139,6 +139,27 @@ def test_a_non_finite_number_exits_3_naming_its_key(old, new, message, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "controls, message",
+    [
+        ("1e300 0", "sigma 1e+300 is too large"),
+        ("1e100 0", "sigma 1e+100 is too large"),
+        ("1 0, 1 1e200", "generator bounds must be finite"),
+    ],
+)
+def test_a_control_past_the_float_range_exits_3_naming_the_controls(
+    controls, message, tmp_path, capsys
+):
+    # finite numbers whose generator caps (sigma^4 / 4, m^2) overflow
+    path = tmp_path / "bad.cfg"
+    path.write_text(LINEAR_CFG.replace("controls = 1 0", f"controls = {controls}"))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [operator] controls: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "entry",
     [
         {"type": "gaussian", "mean": 0.0, "sigma": float("nan")},

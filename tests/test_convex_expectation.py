@@ -11,6 +11,7 @@ from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
     _lower_hull,
+    _tilted_window_max,
     clt_step,
     g_function,
     growth_certificate,
@@ -318,6 +319,9 @@ def _sup_over(grid, f, ys, costs):
         pytest.param(grid1d(401, 4.0), next(_random_1d_models(1, seed=3)), id="1d"),
         # means beyond the box: every shift reads the constant extension
         pytest.param(grid1d(201, 2.0), _point_model([-3.0, 2.5], [0.0, 0.4]), id="1d-past-edge"),
+        # a steep piece over a wide grid: a tilt anchored once per row
+        # reaches slope * n, about 960, and loses more than the tolerance
+        pytest.param(grid1d(4095, 12.0), _point_model([0.0, 0.05], [0.0, 2.0]), id="1d-wide-steep"),
     ],
 )
 def test_limit_matches_interpolated_shifts(grid, ce):
@@ -338,6 +342,38 @@ def test_limit_matches_interpolated_shifts(grid, ce):
     np.testing.assert_allclose(out, exact, rtol=0, atol=tol)
     dense = np.linspace(m.min(), m.max(), 2001)
     assert np.all(out >= _sup_over(grid, f, dense, _phi_1d(m, pens, dense)) - tol)
+
+
+def test_limit_keeps_each_shift_whose_cost_is_below_the_oscillation():
+    # a unit step and phi(y) = 50 y on [0, 1]: left of the step the sup
+    # reaches it at a cost up to 1, the oscillation of f, and no further
+    g = grid1d(2001, 4.0)
+    x, dx = g.axes[0], g.spacing[0]
+    f = GridFunction(g, np.clip((x - 0.5) / dx, 0.0, 1.0))
+    out = maximally_distributed_limit(_point_model([0.0, 1.0], [0.0, 50.0]), f).values
+    # the whole-cell shifts k dx, y = 1 among them, read by clipped index
+    i = np.arange(g.size)
+    exact = np.max(
+        [f.values[np.minimum(i + k, g.size - 1)] - 50.0 * k * dx for k in range(round(1 / dx) + 1)],
+        axis=0,
+    )
+    np.testing.assert_allclose(out, exact, rtol=0, atol=1e-14)
+    # a point left of the step gains 0.2 at the cost 0.8
+    assert np.any((f.values == 0.0) & (out > 0.0) & (out < 0.25))
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 64, 65, 90])
+@pytest.mark.parametrize("slope", [0.0, 0.3, -2.0])
+def test_the_tilted_window_max_is_the_max_over_each_window(width, slope):
+    # every window of every width, a block edge or not, against the loop
+    count = 65
+    values = np.random.default_rng(width).normal(size=count + width - 1) * 3.0
+    expected = [np.max(values[s : s + width] - slope * np.arange(width)) for s in range(count)]
+    got = _tilted_window_max(values, width, slope, count)
+    assert got.shape == (count,)
+    # the block-anchored tilt rounds at most about |slope| * width
+    tol = 4e-16 * (np.max(np.abs(values)) + abs(slope) * width)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
 
 def test_limit_close_means_with_a_steep_penalty():

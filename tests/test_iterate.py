@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chernoff.iterate import (
     chernoff_iterate,
     discrete_comparison_check,
     partition,
+    stacked_steps,
 )
 from chernoff.kernels import apply_taps, gaussian_taps
 from chernoff.nisio import NisioFamily
@@ -259,9 +261,9 @@ def test_plan_iteration_matches_a_reference_from_the_definitions(case, h):
     np.testing.assert_allclose(chernoff_iterate(op, f, 1.0, h).values, u, rtol=0, atol=1e-12)
 
 
-def _leaky_operator(bad_call: int, cell: int):
+def _leaky_operator(bad_call: int, cell: int, value: float = np.inf):
     """Shift left by one cell per step; the plan's call ``bad_call``
-    writes inf at ``cell``."""
+    writes ``value`` at ``cell``."""
     calls = {"n": 0}
 
     def planner(grid, h, stack=None):
@@ -269,7 +271,7 @@ def _leaky_operator(bad_call: int, cell: int):
             calls["n"] += 1
             apply_taps(u, [1], [1.0], out=out)
             if calls["n"] == bad_call:
-                out[cell] = np.inf
+                out[cell] = value
             return out
 
         return step
@@ -286,23 +288,30 @@ def test_non_finite_plan_step_reports_index(cell):
         chernoff_iterate(_leaky_operator(3, cell), f, 1.0, 0.125)
 
 
+@pytest.mark.parametrize("cell", [0, 50])
+def test_a_nan_plan_step_reports_index(cell):
+    f = GridFunction.from_callable(grid1d(101), np.cos)
+    with pytest.raises(IterationError, match=r"step 3 of 8 .*finite"):
+        chernoff_iterate(_leaky_operator(3, cell, np.nan), f, 1.0, 0.125)
+
+
 def test_a_shift_only_step_on_an_infinite_payoff_names_step_1(monkeypatch):
     g = grid1d(101)
     ce = ScenarioConvexExpectation((Scenario.point(-0.24), Scenario.point(0.24, 1.0)))
     op = StepOperator.from_lln(ce)
     assert op.shifts_only
-    held, isfinite = [], np.isfinite
+    f = GridFunction.from_callable(g, np.cos)
+    calls, isfinite = [], np.isfinite
 
     def recorded(x, *args, **kwargs):
-        if "out" in kwargs:
-            held.append(kwargs["out"])
+        calls.append(x)
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", recorded)
-    # a finite run checks every step into the same held bool buffer
-    chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
-    assert len(held) == 8 and all(b is held[0] for b in held)
-    assert held[0].dtype == bool and held[0].shape == g.counts
+    # a finite run proves each step finite by its sum alone: the one
+    # call left is the check of the returned GridFunction
+    chernoff_iterate(op, f, 1.0, 0.125)
+    assert len(calls) == 1
     # a payoff holding inf, set past GridFunction's own check
     values = np.cos(g.axes[0])
     values[50] = np.inf
@@ -311,7 +320,30 @@ def test_a_shift_only_step_on_an_infinite_payoff_names_step_1(monkeypatch):
     object.__setattr__(f, "values", values)
     with pytest.raises(IterationError, match=r"step 1 of 8 .*finite"):
         chernoff_iterate(op, f, 1.0, 0.125)
-    assert len(held) == 9
+    assert len(calls) == 2
+
+
+def test_a_finite_step_whose_sum_overflows_passes():
+    # every value finite, their sum past the float range: the check
+    # falls back to the values one by one and lets the run go on
+    g = grid1d(101)
+    ce = ScenarioConvexExpectation((Scenario.point(-0.24), Scenario.point(0.24, 1.0)))
+    op = StepOperator.from_lln(ce)
+    values = np.where(g.axes[0] < 0, -1.7e308, 1.7e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(values[50:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = chernoff_iterate(op, GridFunction(g, values), 1.0, 0.125)
+        assert np.all(np.isfinite(out.values)) and out.values.max() == 1.7e308
+        stack = np.stack([values, values[::-1]])
+        stepped = stacked_steps(op, g, 0.125)(stack, np.empty_like(stack))
+    for row, got in zip(stack, stepped):
+        np.testing.assert_array_equal(got, op.step(GridFunction(g, row), 0.125).values)
+    # a nan in a stacked step still raises
+    stack[1, 7] = np.nan
+    with pytest.raises(DomainError, match="grid function values must be finite"):
+        stacked_steps(op, g, 0.125)(stack, np.empty_like(stack))
 
 
 def test_a_recorded_run_keeps_a_copy_of_each_plan_step():

@@ -15,8 +15,9 @@ from chernoff.core import DomainError, Grid, GridFunction
 from chernoff.iterate import StepOperator, block_rows, chernoff_iterate
 from chernoff.kernels import (
     _fft_is_cheaper,
+    apply_shift,
     apply_taps,
-    clamped_shift,
+    clamped_window,
     gaussian_convolve,
     gaussian_plan,
     gaussian_taps,
@@ -175,23 +176,29 @@ def test_apply_taps_matches_clipped_index_sum(n, offsets, weights):
     ],
 )
 def test_a_clamped_shift_is_the_clipped_sum_bit_for_bit(offset, weights, minus):
+    # a shift row read as scaled slices of a filled window: the window of
+    # its own taps, and a step plan's wider one that reaches other atoms
     values = np.random.default_rng(6).normal(size=_N) * 7.0
     before = values.copy()
-    shift = clamped_shift(_N, offset, weights)
-    out = np.empty(_N)
-    assert shift.apply(values, out, minus) is out
     offsets = offset + np.arange(len(weights))
     expected = _clipped_sum(values, offsets, weights)
-    np.testing.assert_array_equal(out, expected - minus)
+    for lo, hi in [(offset, offsets[-1]), (min(offset, 0) - 3, max(offsets[-1], 0) + 5)]:
+        clamp = clamped_window(_N, lo, hi)
+        clamp.fill(values)
+        out = np.empty(_N)
+        assert apply_shift(clamp.shift(offset, weights), out, minus) is out
+        np.testing.assert_array_equal(out, expected - minus)
+        # the same shift on a (3, n) stack: each row as that row alone
+        stack = np.stack([values, -3.0 * values, values[::-1]])
+        clamp = clamped_window(_N, lo, hi, (3,))
+        clamp.fill(stack)
+        out = np.empty_like(stack)
+        assert apply_shift(clamp.shift(offset, weights), out, minus) is out
+        for row, got in zip(stack, out):
+            np.testing.assert_array_equal(got, _clipped_sum(row, offsets, weights) - minus)
     np.testing.assert_array_equal(values, before)
-    # apply_taps' own one- and two-tap path is the same prepared shift
+    # apply_taps' own one- and two-tap path is the same window shift
     np.testing.assert_array_equal(apply_taps(values, offsets, weights), expected)
-    # the same shift on a (3, n) stack: each row as that row alone
-    stack = np.stack([values, -3.0 * values, values[::-1]])
-    out = np.empty_like(stack)
-    assert shift.apply(stack, out, minus) is out
-    for row, got in zip(stack, out):
-        np.testing.assert_array_equal(got, _clipped_sum(row, offsets, weights) - minus)
 
 
 def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
@@ -210,6 +217,28 @@ def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
         expected = term if expected is None else expected + term
     expected = np.maximum(expected - t * penalty, u)
     np.testing.assert_array_equal(family_plan("lln", ce, grid, t)(u, np.empty(_N)), expected)
+
+
+@pytest.mark.parametrize("sigma, fft", [(0.05, False), (2.0, True)])
+def test_a_step_of_gaussian_and_discrete_scenarios_is_the_clipped_sum(sigma, fft):
+    # the atoms read one window per step: on the direct branch the
+    # Gaussian plan's own, widened to the far atom; on the FFT branch one
+    # of the step's, beside the transform whose output rows are the
+    # Gaussian rows.  The whole-cell point with no penalty is a view.
+    grid = _fine_grid()
+    dx, t = grid.spacing[0], 0.25
+    gaussian = Scenario.gaussian(0.1, sigma, 0.3)
+    atoms, probs, penalty = (-0.137, 0.05, 6.0), (0.2, 0.5, 0.3), 0.4
+    ce = ScenarioConvexExpectation(
+        (gaussian, Scenario.point(64 * dx / t), Scenario.discrete(atoms, probs, penalty))
+    )
+    assert (gaussian_plan(grid, [sigma * t], [0.1 * t]).spectra is not None) == fft
+    u = _payoff(grid)
+    smooth = _clipped_sum(u, *gaussian_taps(sigma * t, 0.1 * t, dx)) - t * 0.3
+    spread = sum(_clipped_sum(u, *shift_taps(t * x, dx)) * p for x, p in zip(atoms, probs))
+    expected = np.maximum(np.maximum(smooth, _clipped_sum(u, [64], [1.0])), spread - t * penalty)
+    got = family_plan("lln", ce, grid, t)(u, np.empty(_W))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(u)))
 
 
 @pytest.mark.parametrize("k", range(3, 10))
@@ -413,6 +442,12 @@ def test_fft_branch_redoes_an_overflowed_spectrum(scale, rows):
     for row, w in zip(np.atleast_2d(out), np.atleast_2d(weights)):
         want = _clipped_sum(values, offsets, w)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    # into the plan's own output view, as a step plan's Gaussian rows: no
+    # copy, and the redo writes into that view
+    plan = tap_plan(_W, offsets, weights)
+    assert apply_taps(values, offsets, weights, out=plan.outputs, plan=plan) is plan.outputs
+    assert np.shares_memory(plan.outputs, plan.full)
+    np.testing.assert_array_equal(plan.outputs, out)
 
 
 def test_fft_branch_keeps_a_non_finite_value_within_the_taps_reach():
