@@ -26,6 +26,7 @@ from .properties import admit_operator, appendix_suite, structural_suite
 from .rates import (
     InconclusiveError,
     measure_errors,
+    oracle_and_curve,
     rate_report,
     read_error_curve,
     write_error_curve,
@@ -77,15 +78,21 @@ def cmd_run(args) -> int:
     admitted = admit_operator(
         exp.operator, exp.grid, seed=exp.seed, n_pairs=min(64, exp.n_pairs)
     )
-    reference = exp.build_reference(admitted)
-    curve = measure_errors(
-        admitted,
-        exp.payoff,
-        exp.t,
-        exp.h_list,
-        reference,
-        margin=exp.margin,
-    )
+    if exp.reference_kind == "oracle":
+        # the oracle's two levels and the curve's points share one pool
+        _, curve = oracle_and_curve(
+            admitted, exp.payoff, exp.t, exp.h_fine, exp.h_list, margin=exp.margin
+        )
+    else:
+        reference = exp.build_reference(admitted)
+        curve = measure_errors(
+            admitted,
+            exp.payoff,
+            exp.t,
+            exp.h_list,
+            reference,
+            margin=exp.margin,
+        )
     # the floor goes into the CSV, so ``rates`` refits with it
     curve = dataclasses.replace(curve, noise_floor=exp.noise_floor)
     bounds = exp.bounds

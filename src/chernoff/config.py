@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundReport, clt_bounds, lln_bounds, nisio_bounds
-from .convex_expectation import growth_certificate, load_scenarios
+from .convex_expectation import family_scales, growth_certificate, load_scenarios
 from .core import DomainError, Grid, GridFunction
-from .iterate import StepOperator
+from .iterate import StepOperator, scenario_reach
 from .nisio import NisioFamily
-from .reference import OracleResult, fine_oracle, heat_exact
+from .properties import SUITE_H, suite_margin
+from .reference import EXACT_CUT, OracleResult, fine_oracle, heat_exact
 
 
 class ConfigError(ValueError):
@@ -340,6 +341,30 @@ def load_config(path) -> Experiment:
     if h_list and reference == "oracle" and h_fine is not None:
         if h_fine > min(h_list) / 8:
             r.flag("experiment", "h_fine", "must be at least 8x finer than min(h)")
+    if grid is not None and operator is not None and t is not None:
+        # every step the config runs: admission's, the curve's, the oracle's
+        steps = [SUITE_H, *h_list[:1]]
+        if reference == "oracle" and h_fine is not None:
+            steps.append(2.0 * h_fine)
+        reach_problems = _reach_problems(op_type, model, operator, grid, max(steps), cut)
+        problems.extend(reach_problems)
+        # the interior the oracle's uncertainty and the curve's errors are taken on
+        interior = 3.0 * operator.reach(t) if margin is None else margin
+        if not reach_problems and not grid.interior_mask(interior).any():
+            default = "" if margin is not None else ", by default 3 times the operator's reach at t,"
+            r.flag(
+                "rate", "margin",
+                f"the interior margin{default} is {interior:.6g}, which leaves no point of "
+                f"the grid [{grid.lower[0]:g}, {grid.upper[0]:g}]",
+            )
+    if grid is not None and reference == "exact" and exact_sigma is not None and t is not None:
+        reach, width = EXACT_CUT * exact_sigma * math.sqrt(t), grid.upper[0] - grid.lower[0]
+        if not reach <= width:
+            r.flag(
+                "experiment", "sigma",
+                f"the exact reference's Gaussian taps reach {reach:.6g} at t = {t:g} "
+                f"({EXACT_CUT:g} standard deviations), more than the grid's width {width:g}",
+            )
     if symmetric and op_type != "clt":
         r.flag("rate", "symmetric", "only meaningful for clt operators")
     if smooth is not None and op_type in ("lln", "clt"):
@@ -374,6 +399,55 @@ def load_config(path) -> Experiment:
     )
     _check_bounds(experiment)
     return experiment
+
+
+def _reach_problems(op_type, model, operator, grid, h: float, cut: float) -> list[str]:
+    """What makes the operator's steps reach past the grid, found from the
+    config alone, before any tap is built.  A scenario's (a control's)
+    step of size ``h``, the largest step the config runs, moves it by
+    its shifted mean (farthest atom) and spreads a Gaussian one over
+    ``cut`` standard deviations; reaching further than the grid is wide,
+    every tap past the edge reads the edge value, and the tap list grows
+    with the reach (a sigma of 1e10 asks for terabytes).  Then the
+    admission suite's translation check needs its margin
+    (``properties.suite_margin``) to leave a grid point."""
+    width = grid.upper[0] - grid.lower[0]
+    if op_type == "nisio":
+        field = "[operator] controls"
+        names = [f"control {i} (sigma {s:g}, m {m:g})" for i, (s, m) in enumerate(model.controls)]
+        scenarios = model.expectation.scenarios
+    else:
+        field = "[operator] scenarios"
+        names = [f"scenario {i}" for i in range(len(model.scenarios))]
+        scenarios = model.scenarios
+    scale, std_scale = family_scales(op_type, h)
+    problems = []
+    for name, s in zip(names, scenarios):
+        if s.kind == "gaussian":
+            reach = abs(s.mean) * scale + cut * s.sigma * std_scale
+            how = f"its shifted mean plus {cut:g} standard deviations of its Gaussian taps"
+        else:
+            reach = scenario_reach(s) * scale
+            how = "its farthest atom"
+        if not reach <= width:
+            problems.append(
+                f"{field}: {name} reaches {reach:.6g} in one step of h = {h:g} ({how}), "
+                f"more than the grid's width {width:g}"
+            )
+    if problems:
+        return problems
+    margin = suite_margin(operator, grid)
+    if not grid.interior_mask(margin).any():
+        if op_type != "nisio":
+            reaches = [scenario_reach(s) for s in scenarios]
+            field = f"{field}: {names[reaches.index(max(reaches))]}"
+        problems.append(
+            f"{field}: the admission suite's translation check needs a margin of "
+            f"{margin:.6g} (8 times the operator's reach at h = {SUITE_H:g}, plus 4 cells) "
+            f"from each end of the grid [{grid.lower[0]:g}, {grid.upper[0]:g}], "
+            "which leaves no grid point"
+        )
+    return problems
 
 
 def _check_bounds(exp: Experiment) -> None:

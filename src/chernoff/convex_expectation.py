@@ -48,6 +48,7 @@ __all__ = [
     "lln_step",
     "clt_step",
     "family_plan",
+    "family_scales",
     "penalized_max_plan",
     "step_once",
     "maximally_distributed_limit",
@@ -359,9 +360,15 @@ def family_plan(
     ``step(u, out)`` on one row of values or a ``stack`` of rows: the
     ``penalized_max_plan`` at the family's (shift, std) scaling, lln
     (t, t), clt (sqrt t, sqrt t) or nisio (t, sqrt t)."""
+    return penalized_max_plan(ce, grid, t, *family_scales(kind, t), cut, stack)
+
+
+def family_scales(kind: str, t: float) -> tuple[float, float]:
+    """How far a step of size t of the ``kind`` family moves a scenario
+    and how it spreads a Gaussian one: (shift, std) scale factors lln
+    (t, t), clt (sqrt t, sqrt t) and nisio (t, sqrt t)."""
     rt = math.sqrt(max(t, 0.0))
-    scale, std_scale = {"lln": (t, t), "clt": (rt, rt), "nisio": (t, rt)}[kind]
-    return penalized_max_plan(ce, grid, t, scale, std_scale, cut, stack)
+    return {"lln": (t, t), "clt": (rt, rt), "nisio": (t, rt)}[kind]
 
 
 def step_once(kind: str, ce, f: GridFunction, t: float, cut: float) -> GridFunction:

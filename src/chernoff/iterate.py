@@ -22,11 +22,19 @@ the bits the one-row plan gives it.  ``stacked_steps`` runs a stack of
 any height in blocks of at most ``BLOCK_BYTES`` of values, one plan per
 block height; the structural suite and ``discrete_comparison_check``
 step through it.
+
+``chernoff_runs`` runs ``chernoff_iterate`` at several step sizes
+through one thread pool, the runs with the most steps first, and
+returns their iterates in the order asked; ``worker_count`` sizes the
+pool.  ``chernoff run`` sends the fine oracle's two levels and every
+curve point through one such call.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -162,13 +170,15 @@ class StepOperator:
 
 
 def _scenario_reach(ce) -> float:
-    reach = 0.0
-    for s in ce.scenarios:
-        if s.kind == "discrete":
-            reach = max(reach, *(abs(a) for a in s.atoms))
-        else:
-            reach = max(reach, abs(s.mean) + s.sigma)
-    return reach
+    return max((scenario_reach(s) for s in ce.scenarios), default=0.0)
+
+
+def scenario_reach(s) -> float:
+    """How far a step of unit scale reaches with scenario ``s``: its
+    farthest atom, or its mean plus one standard deviation."""
+    if s.kind == "discrete":
+        return max(abs(a) for a in s.atoms)
+    return abs(s.mean) + s.sigma
 
 
 def chernoff_iterate(
@@ -206,6 +216,58 @@ def chernoff_iterate(
     if record:
         return frames[-1], SpaceTimeFunction.from_functions(part.times, frames)
     return GridFunction(grid, u)
+
+
+def worker_count(n_tasks: int, requested: int | None = None, default: int | None = None) -> int:
+    """Worker pool size: explicit argument, else CHERNOFF_WORKERS, else
+    ``default``, else cores."""
+    if requested is None:
+        env = os.environ.get("CHERNOFF_WORKERS", "").strip()
+        if env:
+            try:
+                requested = int(env)
+            except ValueError:
+                raise DomainError(f"CHERNOFF_WORKERS must be an integer, got {env!r}")
+        else:
+            requested = default or os.cpu_count() or 1
+    if requested < 1:
+        raise DomainError("worker count must be at least 1")
+    return max(1, min(requested, n_tasks))
+
+
+def chernoff_runs(
+    op: StepOperator, f: GridFunction, t: float, hs, workers: int | None = None
+) -> list[GridFunction]:
+    """``chernoff_iterate(op, f, t, h)`` for each h of ``hs``, in that order.
+
+    The runs go through one pool of ``worker_count`` threads, the runs
+    with the most steps submitted first, so the longest run starts at
+    once and the short ones fill the other threads around it.  When runs
+    fail, the failure of the first in the order of ``hs`` is raised, the
+    error a loop over ``hs`` would raise.  Each run builds its own plan
+    (a plan must not run in two threads at once), and numpy's transforms
+    and correlations release the interpreter lock, so the iterates are
+    the same bits on any number of threads.
+
+    A step that only shifts (no Gaussian factor) sums a few taps, so its
+    array calls are too short to overlap: two threads only take turns on
+    the interpreter lock, at 0.64x the serial speed on a 4095-point
+    two-point lln family.  Such operators default to one thread, and
+    one thread runs ``hs`` in order with no pool.
+    """
+    hs = [float(h) for h in hs]
+    n = worker_count(len(hs), workers, default=1 if op.shifts_only else None)
+    if n == 1:
+        return [chernoff_iterate(op, f, t, h) for h in hs]
+    # the sort is stable: runs of equal length keep the order of hs
+    longest_first = sorted(range(len(hs)), key=lambda i: -partition(t, hs[i]).k)
+    pool = ThreadPoolExecutor(max_workers=n)
+    try:
+        futures = {i: pool.submit(chernoff_iterate, op, f, t, hs[i]) for i in longest_first}
+        return [futures[i].result() for i in range(len(hs))]
+    finally:
+        # after a failure, the runs not yet started are not started
+        pool.shutdown(cancel_futures=True)
 
 
 def block_rows(n: int) -> int:

@@ -118,6 +118,13 @@ LIPSCHITZ_TOL = 1e-9
 _PAIR_ROWS = 4
 
 
+def suite_margin(op: StepOperator, grid: Grid) -> float:
+    """The margin off each end of the grid where ``structural_suite``'s
+    translation check is taken: eight times the operator's reach at
+    ``SUITE_H`` and four cells."""
+    return 8.0 * op.reach(SUITE_H) + 4.0 * grid.spacing[0]
+
+
 def structural_suite(
     op: StepOperator,
     grid: Grid,
@@ -132,7 +139,9 @@ def structural_suite(
     factor itself and a violation means factor > 1 + tol (1 +
     ``LIPSCHITZ_TOL`` for lipschitz).
 
-    The zero function takes one ``op.step``.  The pairs are drawn block
+    The translation check's margin (``suite_margin``) must leave interior
+    points of the grid; that is checked before any step.  The zero
+    function takes one ``op.step``.  The pairs are drawn block
     by block, in the order one pair at a time would draw them: each
     block writes f, g, the mix and the shifted f of its pairs as rows of
     one stack of at most ``iterate.block_rows`` rows, steps the stack
@@ -149,13 +158,12 @@ def structural_suite(
     translation = _Tally("translation", tol)
     zero = _Tally("zero", tol)
 
-    zero_in = GridFunction(grid, np.zeros(grid.counts))
-    zero.record(op.step(zero_in, SUITE_H).sup_norm)
-
-    margin = 8.0 * op.reach(SUITE_H) + 4.0 * grid.spacing[0]
-    interior = grid.interior_mask(margin)
+    interior = grid.interior_mask(suite_margin(op, grid))
     if not interior.any():
         raise DomainError("grid too small for the translation check margin")
+
+    zero_in = GridFunction(grid, np.zeros(grid.counts))
+    zero.record(op.step(zero_in, SUITE_H).sup_norm)
 
     n, dx = grid.size, grid.spacing[0]
     per_block = max(1, block_rows(n) // _PAIR_ROWS)

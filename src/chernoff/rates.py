@@ -4,14 +4,14 @@ measure_errors runs the iteration at each step size and splits the
 signed error against a reference on an interior subdomain, verify_bound
 compares the curve with a closed-form constant, fit_rate estimates the
 observed order, and rate_report folds everything into one verdict.
+oracle_and_curve runs a fine oracle's two levels and the curve's points
+through one pool (``iterate.chernoff_runs``), longest first, and then
+reduces them as ``fine_oracle`` and ``measure_errors`` do.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,28 @@ from .core import (
     negative_part_norm,
     positive_part_norm,
 )
-from .iterate import StepOperator, chernoff_iterate
-from .reference import OracleResult
+from .iterate import StepOperator, chernoff_runs, worker_count
+from .reference import OracleResult, fine_oracle, oracle_mask
+
+__all__ = [
+    "InconclusiveError",
+    "DEFAULT_NOISE_FLOOR",
+    "ErrorPoint",
+    "ErrorCurve",
+    "write_error_curve",
+    "read_error_curve",
+    "worker_count",
+    "measure_errors",
+    "oracle_and_curve",
+    "RateFit",
+    "fit_rate",
+    "BoundCheck",
+    "verify_bound",
+    "HolderReport",
+    "holder_check",
+    "RateReport",
+    "rate_report",
+]
 
 
 class InconclusiveError(RuntimeError):
@@ -38,13 +58,12 @@ DEFAULT_NOISE_FLOOR = 10.0
 
 @dataclass(frozen=True)
 class ErrorPoint:
-    """One step size: signed errors, the oracle's slack, and wall time."""
+    """One step size: signed errors and the oracle's slack."""
 
     h: float
     e_plus: float
     e_minus: float
     oracle_uncertainty: float = 0.0
-    wall_time: float = 0.0
 
     def __post_init__(self):
         vals = (self.h, self.e_plus, self.e_minus, self.oracle_uncertainty)
@@ -151,37 +170,13 @@ def read_error_curve(path, uncertainty: float | None = None) -> ErrorCurve:
         return ErrorCurve.from_csv(fh.read(), uncertainty=uncertainty)
 
 
-def worker_count(n_tasks: int, requested: int | None = None, default: int | None = None) -> int:
-    """Worker pool size: explicit argument, else CHERNOFF_WORKERS, else
-    ``default``, else cores."""
-    if requested is None:
-        env = os.environ.get("CHERNOFF_WORKERS", "").strip()
-        if env:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise DomainError(f"CHERNOFF_WORKERS must be an integer, got {env!r}")
-        else:
-            requested = default or os.cpu_count() or 1
-    if requested < 1:
-        raise DomainError("worker count must be at least 1")
-    return max(1, min(requested, n_tasks))
-
-
-def measure_errors(
-    op: StepOperator,
-    f: GridFunction,
-    t: float,
-    h_list,
-    reference: OracleResult,
-    margin: float | None = None,
-    workers: int | None = None,
-) -> ErrorCurve:
-    """Signed errors of the iteration against a reference, per step size.
-
-    The split is measured on the interior of the grid only; the margin
-    swallows the band where truncated convolutions pollute both runs.
-    """
+def _curve_checks(
+    op: StepOperator, f: GridFunction, t: float, h_list, h_fine: float | None,
+    margin: float | None,
+):
+    """``measure_errors``' checks, in its order: the step sizes as floats,
+    the margin (three times the operator's reach at t by default) and
+    the mask of the points the errors are measured on."""
     if not op.admitted:
         raise DomainError(
             "operator has not passed the admission suite; admit it before measuring"
@@ -193,7 +188,7 @@ def measure_errors(
         raise DomainError("step sizes must be strictly decreasing")
     if t <= 0:
         raise DomainError("need a positive terminal time")
-    if reference.h_fine is not None and reference.h_fine > min(hs) / 8 * (1 + 1e-12):
+    if h_fine is not None and h_fine > min(hs) / 8 * (1 + 1e-12):
         raise DomainError(
             "the fine oracle must be at least 8x finer than the smallest step"
         )
@@ -202,31 +197,72 @@ def measure_errors(
     mask = f.grid.interior_mask(margin)
     if not mask.any():
         raise DomainError("interior margin leaves no grid points to compare on")
+    return hs, margin, mask
+
+
+def measure_errors(
+    op: StepOperator,
+    f: GridFunction,
+    t: float,
+    h_list,
+    reference: OracleResult,
+    margin: float | None = None,
+    workers: int | None = None,
+    *,
+    runs=None,
+) -> ErrorCurve:
+    """Signed errors of the iteration against a reference, per step size.
+
+    The split is measured on the interior of the grid only; the margin
+    swallows the band where truncated convolutions pollute both runs.
+    Every check runs before any step.  The points run through one
+    ``chernoff_runs`` pool of ``workers`` threads (``worker_count``:
+    CHERNOFF_WORKERS, else one per core, and one for an operator whose
+    steps only shift), unless ``runs`` already holds their iterates, one
+    per step size in the order of ``h_list`` (``oracle_and_curve``).
+    """
+    hs, margin, mask = _curve_checks(op, f, t, h_list, reference.h_fine, margin)
+    if runs is None:
+        runs = chernoff_runs(op, f, t, hs, workers)
+    if len(runs) != len(hs):
+        raise DomainError(f"need one run per step size, got {len(runs)} for {len(hs)}")
     ref = reference.values
-
-    def one(h: float) -> ErrorPoint:
-        start = time.perf_counter()
-        approx = chernoff_iterate(op, f, t, h)
+    points = []
+    for h, approx in zip(hs, runs):
         diff = ref - approx
-        return ErrorPoint(
-            h=h,
-            e_plus=positive_part_norm(diff, where=mask),
-            e_minus=negative_part_norm(diff, where=mask),
-            oracle_uncertainty=reference.uncertainty,
-            wall_time=time.perf_counter() - start,
+        points.append(
+            ErrorPoint(
+                h=h,
+                e_plus=positive_part_norm(diff, where=mask),
+                e_minus=negative_part_norm(diff, where=mask),
+                oracle_uncertainty=reference.uncertainty,
+            )
         )
-
-    # A step that only shifts (no Gaussian factor) sums a few taps, so its
-    # array calls are too short to overlap: two threads only take turns on
-    # the interpreter lock, at 0.64x the serial speed on a 4095-point
-    # two-point lln family.  Such operators default to one thread.
-    n = worker_count(len(hs), workers, default=1 if op.shifts_only else None)
-    if n == 1:
-        points = [one(h) for h in hs]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            points = list(pool.map(one, hs))
     return ErrorCurve(points=tuple(points), interior_margin=margin)
+
+
+def oracle_and_curve(
+    op: StepOperator,
+    f: GridFunction,
+    t: float,
+    h_fine: float,
+    h_list,
+    margin: float | None = None,
+    workers: int | None = None,
+) -> tuple[OracleResult, ErrorCurve]:
+    """``fine_oracle(op, f, t, h_fine, margin)`` and the ``measure_errors``
+    curve of ``h_list`` against it, with the 2 + len(h_list) Chernoff
+    products they need run through one ``chernoff_runs`` pool, longest
+    first: the oracle's levels overlap the curve's points instead of
+    running before them.  Every check of both runs before any step, in
+    the order the two calls make them; the iterates are the bits the
+    two calls compute on their own."""
+    oracle_mask(op, f, t, h_fine, margin)
+    hs, _, _ = _curve_checks(op, f, t, h_list, h_fine, margin)
+    runs = chernoff_runs(op, f, t, [h_fine, 2.0 * h_fine, *hs], workers)
+    reference = fine_oracle(op, f, t, h_fine, margin, runs=runs[:2])
+    curve = measure_errors(op, f, t, h_list, reference, margin, workers=workers, runs=runs[2:])
+    return reference, curve
 
 
 @dataclass(frozen=True)

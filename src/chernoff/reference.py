@@ -4,7 +4,11 @@ oracles standing in for the limit semigroup.
 
 The fine oracle reports its own uncertainty (the distance between the
 h and 2h runs); experiments treat results as inconclusive when their
-measured errors sink below a multiple of that number.
+measured errors sink below a multiple of that number.  Its two levels
+are independent Chernoff products and run through one pool
+(``iterate.chernoff_runs``), the h level first; ``chernoff run`` sends
+them through the same call as its curve points
+(``rates.oracle_and_curve``) and hands the iterates to ``fine_oracle``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, GridFunction, sup_norm
-from .iterate import StepOperator, chernoff_iterate
+from .iterate import StepOperator, chernoff_runs
 from .kernels import gaussian_convolve
 
 
+# heat_exact's taps span this many standard deviations
+EXACT_CUT = 16.0
+
+
 def heat_exact(
-    f: GridFunction, sigma: float, mean: float, t: float, cut: float = 16.0
+    f: GridFunction, sigma: float, mean: float, t: float, cut: float = EXACT_CUT
 ) -> GridFunction:
     """E[f(x + sigma W_t + mean t)] in one shot, wide kernel support."""
     if t < 0:
@@ -71,32 +79,51 @@ class OracleResult:
     h_fine: float | None = None
 
 
+def oracle_mask(
+    op: StepOperator, f: GridFunction, t: float, h_fine: float, margin: float | None = None
+) -> np.ndarray | None:
+    """``fine_oracle``'s checks, in its order: the mask of the points its
+    uncertainty is measured on, or None at t = 0, where the oracle is f
+    itself and no step runs."""
+    if h_fine <= 0:
+        raise DomainError("h_fine must be positive")
+    if t < 0:
+        raise DomainError("time must be non-negative")
+    if t == 0.0:
+        return None
+    if margin is None:
+        margin = 3.0 * op.reach(t)
+    mask = f.grid.interior_mask(margin)
+    if not np.any(mask):
+        raise DomainError("margin leaves no interior points")
+    return mask
+
+
 def fine_oracle(
     op: StepOperator,
     f: GridFunction,
     t: float,
     h_fine: float,
     margin: float | None = None,
+    *,
+    runs=None,
 ) -> OracleResult:
     """Chernoff run at h_fine; uncertainty from comparing with 2 h_fine.
 
     The uncertainty norm is taken a margin away from the boundary
     (default three times the operator's spatial reach at time t) so
-    truncation layers do not masquerade as step error.
+    truncation layers do not masquerade as step error.  Every check
+    (``oracle_mask``) runs before any step.  The two levels run through
+    one ``chernoff_runs`` pool, unless ``runs`` already holds their
+    iterates, at h_fine and 2 h_fine in that order (``chernoff run``
+    computes them in its own pool, with the curve points).
     """
-    if h_fine <= 0:
-        raise DomainError("h_fine must be positive")
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    if t == 0.0:
+    mask = oracle_mask(op, f, t, h_fine, margin)
+    if mask is None:
         return OracleResult(values=f, uncertainty=0.0, h_fine=h_fine)
-    fine = chernoff_iterate(op, f, t, h_fine)
-    coarse = chernoff_iterate(op, f, t, 2.0 * h_fine)
-    if margin is None:
-        margin = 3.0 * op.reach(t)
-    mask = f.grid.interior_mask(margin)
-    if not np.any(mask):
-        raise DomainError("margin leaves no interior points")
+    if runs is None:
+        runs = chernoff_runs(op, f, t, (h_fine, 2.0 * h_fine))
+    fine, coarse = runs
     uncertainty = sup_norm(fine - coarse, where=mask)
     return OracleResult(values=fine, uncertainty=uncertainty, h_fine=h_fine)
 

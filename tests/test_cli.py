@@ -211,6 +211,118 @@ def test_a_failing_step_exits_3_with_an_error_line(linear_config, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_a_step_failing_only_at_the_oracle_level_exits_3(tmp_path, capsys, monkeypatch):
+    # the oracle's h_fine level shares a pool with the curve; its failure
+    # is reported as when the oracle ran on its own, before the curve
+    path = tmp_path / "oracle.cfg"
+    path.write_text(
+        LINEAR_CFG.replace("points = 1025", "points = 513")
+        .replace("controls = 1 0", "controls = 0.5 0, 1 0")
+        .replace("reference = exact\nsigma = 1", "reference = oracle\nh_fine = 2^-9")
+    )
+    planned = StepOperator.plan
+
+    def plan(self, grid, h, stack=None):
+        step = planned(self, grid, h, stack)
+        if stack is not None or h != 2.0**-9:
+            return step
+
+        def failing(u, out):
+            step(u, out)
+            out[...] = np.nan
+            return out
+
+        return failing
+
+    monkeypatch.setattr(StepOperator, "plan", plan)
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: step 1 of 128 (h=0.00195312) failed: grid function values must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "controls, message",
+    [
+        ("1e30 0", "control 0 (sigma 1e+30, m 0) reaches 4e+30 in one step of h = 0.25"),
+        ("1e10 0", "control 0 (sigma 1e+10, m 0) reaches 4e+10 in one step of h = 0.25"),
+        ("50 0", "control 0 (sigma 50, m 0) reaches 200 in one step of h = 0.25"),
+        ("1 0, 3 0", "the admission suite's translation check needs a margin of 12.0"),
+    ],
+)
+def test_a_control_whose_steps_outrun_the_grid_exits_3_naming_the_controls(
+    controls, message, tmp_path, capsys, monkeypatch
+):
+    # found from the config alone: no tap list is built
+    def no_taps(*args, **kwargs):
+        raise AssertionError("taps were built")
+
+    monkeypatch.setattr(chernoff.kernels, "gaussian_taps", no_taps)
+    path = tmp_path / "wide.cfg"
+    path.write_text(LINEAR_CFG.replace("controls = 1 0", f"controls = {controls}"))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [operator] controls: ") and message in err
+    assert "\n" not in err.rstrip("\n") and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"type": "point", "mean": 1e9}, "scenario 1 reaches 5e+08 in one step of h = 0.25"),
+        ({"type": "gaussian", "mean": 0.0, "sigma": 3.0}, "scenario 1: the admission suite's"),
+    ],
+    ids=["far-atom", "wide-margin"],
+)
+def test_a_scenario_whose_steps_outrun_the_grid_exits_3_naming_it(
+    entry, message, tmp_path, capsys
+):
+    (tmp_path / "pair.json").write_text(json.dumps([{"type": "point", "mean": 0.0}, entry]))
+    path = tmp_path / "clt.cfg"
+    path.write_text(
+        LINEAR_CFG.replace("type = nisio\ncontrols = 1 0", "type = clt\nscenarios = pair.json")
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [operator] scenarios: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"margin = 8.0": "margin = 12.5"}, "the interior margin is 12.5, which leaves no point"),
+        (
+            # reach 5 at t = 25; an oracle, since the exact taps would reach 80
+            {"margin = 8.0": "", "t = 0.25": "t = 25", "reference = exact": "reference = oracle"},
+            "by default 3 times the operator's reach at t, is 15,",
+        ),
+    ],
+    ids=["given", "default"],
+)
+def test_an_interior_margin_that_leaves_no_point_exits_3(edits, message, tmp_path, capsys):
+    text = LINEAR_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "narrow.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [rate] margin: ") and message in err
+    assert err.count("config error") == 1
+
+
+def test_an_exact_reference_whose_taps_outrun_the_grid_exits_3(tmp_path, capsys, monkeypatch):
+    def no_taps(*args, **kwargs):
+        raise AssertionError("taps were built")
+
+    monkeypatch.setattr(chernoff.kernels, "gaussian_taps", no_taps)
+    path = tmp_path / "wide.cfg"
+    path.write_text(LINEAR_CFG.replace("sigma = 1", "sigma = 1e30"))
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [experiment] sigma: ") and "reach 8e+30" in err
+
+
 def test_a_payoff_whose_bound_is_not_finite_fails_at_load(tmp_path, capsys):
     # radius 1.2e307 on [-12, 12]; the gheat bound is about 196 r
     text = (EXAMPLES / "gheat_lipschitz.cfg").read_text()

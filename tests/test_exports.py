@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 
-@pytest.mark.parametrize("module", ["core", "kernels", "convex_expectation", "mollifier"])
+@pytest.mark.parametrize("module", ["core", "kernels", "convex_expectation", "mollifier", "rates"])
 def test_every_exported_name_exists(module):
     mod = importlib.import_module(f"chernoff.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

@@ -135,3 +135,22 @@ def test_appendix_suite_catches_broken_inequality():
     # deliberately wrong tolerance and watch the pass flag flip
     report = appendix_suite(n_instances=30, seed=9, tol=-1.0)
     assert not report.passed
+
+
+def test_the_margin_is_checked_before_the_zero_step(monkeypatch):
+    import chernoff.kernels as kernels
+
+    built = []
+    taps = kernels.gaussian_taps
+
+    def recording_taps(*args, **kwargs):
+        built.append(args)
+        return taps(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "gaussian_taps", recording_taps)
+    wide = StepOperator.from_nisio(NisioFamily(((50.0, 0.0),)))
+    with pytest.raises(DomainError, match="translation check margin"):
+        structural_suite(wide, grid1d(), n_pairs=1)
+    assert built == []
+    structural_suite(StepOperator.from_nisio(NisioFamily(((1.0, 0.0),))), grid1d(), n_pairs=1)
+    assert built  # the recorder sees the taps a step builds

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from chernoff.core import (
     positive_part_norm,
     sup_norm,
 )
-from chernoff.iterate import StepOperator, chernoff_iterate
+from chernoff.iterate import IterationError, StepOperator, chernoff_iterate
 from chernoff.nisio import GeneratorBounds, NisioFamily
 from chernoff.rates import (
     ErrorCurve,
@@ -23,6 +25,7 @@ from chernoff.rates import (
     fit_rate,
     holder_check,
     measure_errors,
+    oracle_and_curve,
     rate_report,
     verify_bound,
     worker_count,
@@ -222,17 +225,17 @@ def test_measure_errors_parallel_matches_serial():
 
 
 def test_shift_only_operators_default_to_one_thread(monkeypatch):
-    import chernoff.rates as rates_mod
+    import chernoff.iterate as iterate_mod
 
     pools = []
 
-    class RecordingPool(rates_mod.ThreadPoolExecutor):
+    class RecordingPool(iterate_mod.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(rates_mod, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(rates_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(iterate_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(iterate_mod.os, "cpu_count", lambda: 2)
     monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
     grid = grid1d(257, 12.0)
     f = GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), 1.0))
@@ -255,6 +258,157 @@ def test_shift_only_operators_default_to_one_thread(monkeypatch):
         assert pools == ([] if shifts_only else [2])
         measure_errors(op.admit(), f, 0.25, [2.0**-3, 2.0**-4], ref, margin=1.0, workers=2)
         assert pools[-1] == 2
+
+
+def _capped(grid):
+    return GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), 1.0))
+
+
+POOLED_FAMILIES = {
+    "nisio": StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.0)))),
+    "clt": StepOperator.from_clt(
+        ScenarioConvexExpectation((Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0)))
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(POOLED_FAMILIES))
+def test_pooled_oracle_and_curve_match_one_thread_bit_for_bit(family):
+    grid = grid1d(513, 12.0)
+    f = _capped(grid)
+    op = POOLED_FAMILIES[family].admit()
+    hs = [2.0**-3, 2.0**-4, 2.0**-5]
+    # more threads than runs on most hosts, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ref, curve = oracle_and_curve(op, f, 0.5, 2.0**-8, hs, workers=5)
+    finally:
+        sys.setswitchinterval(interval)
+    serial_ref = fine_oracle(op, f, 0.5, 2.0**-8)  # its two levels through the pool
+    one_ref, one_curve = oracle_and_curve(op, f, 0.5, 2.0**-8, hs, workers=1)
+    for other in (serial_ref, one_ref):
+        assert np.array_equal(ref.values.values, other.values.values)
+        assert ref.uncertainty == other.uncertainty and ref.h_fine == other.h_fine
+    serial_curve = measure_errors(op, f, 0.5, hs, serial_ref, workers=1)
+    for other in (serial_curve, one_curve):
+        assert curve.points == other.points
+        assert curve.interior_margin == other.interior_margin
+
+
+def _recording_pool(iterate_mod, pools, submitted):
+    class RecordingPool(iterate_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[3])  # chernoff_iterate(op, f, t, h)
+            return super().submit(fn, *args, **kwargs)
+
+    return RecordingPool
+
+
+def test_the_pool_submits_the_longest_runs_first(monkeypatch):
+    import chernoff.iterate as iterate_mod
+
+    pools, submitted = [], []
+    monkeypatch.setattr(
+        iterate_mod, "ThreadPoolExecutor", _recording_pool(iterate_mod, pools, submitted)
+    )
+    grid = grid1d(257, 12.0)
+    op = POOLED_FAMILIES["nisio"].admit()
+    oracle_and_curve(op, _capped(grid), 0.25, 2.0**-8, [2.0**-3, 2.0**-4, 2.0**-5], workers=2)
+    assert pools == [2]
+    assert submitted == [2.0**-8, 2.0**-7, 2.0**-5, 2.0**-4, 2.0**-3]
+
+
+def test_shift_only_operators_open_no_pool_in_the_oracle(monkeypatch):
+    import chernoff.iterate as iterate_mod
+
+    pools, submitted = [], []
+    monkeypatch.setattr(
+        iterate_mod, "ThreadPoolExecutor", _recording_pool(iterate_mod, pools, submitted)
+    )
+    monkeypatch.setattr(iterate_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
+    grid = grid1d(257, 12.0)
+    f = _capped(grid)
+    points = ScenarioConvexExpectation((Scenario.point(-0.5), Scenario.point(0.5, 1.0)))
+    fine_oracle(StepOperator.from_lln(points), f, 0.25, 2.0**-6)
+    oracle_and_curve(StepOperator.from_lln(points).admit(), f, 0.25, 2.0**-6, [2.0**-3])
+    assert pools == []
+    fine_oracle(POOLED_FAMILIES["nisio"], f, 0.25, 2.0**-6)
+    assert pools == [2] and submitted == [2.0**-6, 2.0**-5]
+
+
+def _failing_at(op, bad_steps, slow=()):
+    """``op`` whose one-row plans at each step size h of ``bad_steps``
+    give non-finite values from step ``bad_steps[h]`` on; at the step
+    sizes in ``slow`` each step first sleeps a millisecond, letting the
+    other threads run."""
+
+    def planner(grid, h, stack=None):
+        step = op.plan(grid, h, stack)
+        if stack is not None or h not in bad_steps:
+            return step
+        count = []
+
+        def failing(u, out):
+            count.append(1)
+            if h in slow:
+                time.sleep(1e-3)
+            step(u, out)
+            if len(count) >= bad_steps[h]:
+                out[...] = np.nan
+            return out
+
+        return failing
+
+    from dataclasses import replace
+
+    return replace(op, planner=planner)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failure_at_the_finest_level_raises_as_the_serial_oracle_did(workers):
+    grid = grid1d(257, 12.0)
+    f = _capped(grid)
+    h_fine, hs = 2.0**-8, [2.0**-3, 2.0**-4]
+    # the message chernoff_iterate gives a failing run of 64 steps at h_fine
+    message = r"step 60 of 64 \(h=0\.00390625\) failed: grid function values must be finite"
+    op = _failing_at(POOLED_FAMILIES["nisio"], {h_fine: 60}).admit()
+    with pytest.raises(IterationError, match=message):
+        oracle_and_curve(op, f, 0.25, h_fine, hs, workers=workers)
+    # a curve point that fails first still yields to the first run in order
+    op = _failing_at(POOLED_FAMILIES["nisio"], {h_fine: 60, hs[-1]: 1}, slow={h_fine}).admit()
+    with pytest.raises(IterationError, match=message):
+        oracle_and_curve(op, f, 0.25, h_fine, hs, workers=workers)
+
+
+def test_oracle_and_curve_checks_before_any_step(monkeypatch):
+    import chernoff.iterate as iterate_mod
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a step ran before the checks")
+
+    monkeypatch.setattr(iterate_mod, "chernoff_iterate", no_runs)
+    grid = grid1d(257, 12.0)
+    f = _capped(grid)
+    op = POOLED_FAMILIES["nisio"]
+    cases = [
+        (op.admit(), 0.0, [0.5], "h_fine must be positive"),
+        (op, 2.0**-8, [0.5], "admission"),
+        (op.admit(), 2.0**-8, [0.25, 0.5], "strictly decreasing"),
+        (op.admit(), 2.0**-4, [0.25, 0.125], "8x finer"),
+    ]
+    for operator, h_fine, hs, message in cases:
+        with pytest.raises(DomainError, match=message):
+            oracle_and_curve(operator, f, 0.25, h_fine, hs)
+    with pytest.raises(DomainError, match="time must be non-negative"):
+        oracle_and_curve(op.admit(), f, -1.0, 2.0**-8, [0.5])
+    with pytest.raises(DomainError, match="margin leaves no interior points"):
+        oracle_and_curve(op.admit(), f, 0.25, 2.0**-8, [0.5], margin=12.5)
 
 
 def transport_trajectory(speed=0.7, r=1.0, h=0.125, steps=8):
