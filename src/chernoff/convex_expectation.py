@@ -35,6 +35,7 @@ from .core import DomainError, Grid, GridFunction
 from .kernels import (
     apply_shift,
     clamped_window,
+    clip_shift,
     gaussian_convolve,
     gaussian_plan,
     row_max,
@@ -242,6 +243,13 @@ def _discrete_plan(shifts, minus: float, shape: tuple[int, ...]):
     return expect
 
 
+def _clipped(taps, n: int) -> tuple[int, np.ndarray]:
+    """A shift row's ``shift_taps`` as its first offset, clipped to rows
+    of ``n`` values by ``clip_shift``, and its weights."""
+    offsets, weights = taps
+    return clip_shift(int(offsets[0]), n), weights
+
+
 def _window_view(shifts, minus: float) -> np.ndarray | None:
     """The view of the window that is a discrete scenario's row when it
     is one whole-cell atom of probability 1 and ``minus`` is 0, else
@@ -271,7 +279,9 @@ def penalized_max_plan(
     edge-clamped window of ``u`` over every row's offsets: the Gaussian
     plan's own on its direct branch, widened to reach the atoms, else
     one of the step plan's.  Each atom is then one or two scaled slices
-    of that window, and a row that is one whole-cell atom of probability
+    of that window, from its first offset clipped to [-n, n]
+    (``clip_shift``), so the window spans at most 3n + 1 entries however
+    far an atom lies, and a row that is one whole-cell atom of probability
     1 with no penalty is a view of it, not a copy.  On the FFT branch the
     Gaussian rows are the transform's output buffer itself.  ``u`` and
     ``out`` are one row of values, or with ``stack`` = b a (b, n) stack
@@ -286,11 +296,15 @@ def penalized_max_plan(
     stds = [s.sigma * std_scale for s in gaussian]
     shifts = [scale * s.mean for s in gaussian]
     dx = grid.spacing[0]
+    # each atom as its first offset, clipped to the grid (``clip_shift``), and its taps
     atoms = [
-        [(prob, shift_taps(scale * x, dx)) for x, prob in zip(s.atoms, s.weights)]
+        [
+            (prob, _clipped(shift_taps(scale * x, dx), grid.size))
+            for x, prob in zip(s.atoms, s.weights)
+        ]
         for s in discrete
     ]
-    offsets = [int(o) for scenario in atoms for _, (offs, _) in scenario for o in offs]
+    offsets = [o for scenario in atoms for _, (lo, w) in scenario for o in (lo, lo + w.size - 1)]
     reach = (min(offsets), max(offsets)) if offsets else None
     taps = gaussian_plan(grid, stds, shifts, cut, stack, reach) if gaussian else None
     fill = None  # the window is the Gaussian plan's, filled by its call
@@ -300,7 +314,7 @@ def penalized_max_plan(
         clamp = clamped_window(grid.size, *reach, shape[:-1])
         fill = clamp.fill
     atom_rows = [
-        [(prob, clamp.shift(int(offs[0]), w)) for prob, (offs, w) in scenario]
+        [(prob, clamp.shift(lo, w)) for prob, (lo, w) in scenario]
         for scenario in atoms
     ]
     if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation

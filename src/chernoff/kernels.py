@@ -91,6 +91,7 @@ from .core import DomainError, Grid
 __all__ = [
     "gaussian_taps",
     "shift_taps",
+    "clip_shift",
     "ClampedWindow",
     "clamped_window",
     "apply_shift",
@@ -131,6 +132,15 @@ def shift_taps(shift: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     if frac > 1.0 - _EXACT_SHIFT_TOL:
         return np.array([j0 + 1]), np.array([1.0])
     return np.array([j0, j0 + 1]), np.array([1.0 - frac, frac])
+
+
+def clip_shift(offset: int, n: int) -> int:
+    """The first offset of a shift row (one tap, or two on adjacent
+    cells) on rows of ``n`` values, clipped to [-n, n].  Every index
+    past +-(n - 1) reads an edge value, so the row reads the same
+    values from either offset, and a window over the clipped offsets
+    spans at most 3n + 1 entries however far the shift goes."""
+    return min(max(offset, -n), n)
 
 
 def gaussian_taps(
@@ -348,7 +358,7 @@ def apply_taps(
         if offsets.shape == weights.shape == (1,) or (
             offsets.shape == weights.shape == (2,) and offsets[1] - offsets[0] == 1
         ):
-            lo = int(offsets[0])
+            lo = clip_shift(int(offsets[0]), values.size)
             clamp = clamped_window(values.size, lo, lo + offsets.size - 1)
             clamp.fill(values)
             return apply_shift(clamp.shift(lo, weights), out)

@@ -248,28 +248,73 @@ def _space_taps(eps2: float, dx: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights / total
 
 
-def _space_plan(grid, eps2: float):
-    """The space taps and their ``TapPlan`` for rows of ``grid``.  The
-    plan holds scratch buffers, so each call of ``mollify`` or
-    ``derivative_bound_check`` builds its own and applies it row by row."""
+# Rows are averaged in time and smoothed in space in blocks of at most
+# _STACK rows of the grid, each block one stack through a space plan, and
+# at most _INTERP_BYTES of interpolation weights (32 rows of len(u.times)
+# per time) are held at once.  On the clt_certify benchmark (65 frames of
+# 4095 points) stacks of 8 rows ran no faster than stacks of 4 and raised
+# the process's peak resident memory by about 0.35 MB; 4 left it as it was.
+_STACK = 4
+_INTERP_BYTES = 1 << 18
+
+
+def _space_smoother(grid, eps2: float):
+    """``smooth(rows, out)``: the space taps applied to a stack of at most
+    ``_STACK`` rows of ``grid``, written into ``out``, through one
+    ``TapPlan`` per stack height, built on its first use.  Each row of a
+    stack gets the bits a one-row plan gives it.  A plan holds scratch
+    buffers of its stack's size (on the FFT branch the window, spectrum,
+    product and inverse transform of each row), so each call of
+    ``mollify`` or ``derivative_bound_check`` makes its own smoother and
+    keeps at most two plans: one for full blocks, one for a shorter
+    last block."""
     taps = _space_taps(eps2, grid.spacing[0])
-    return taps, tap_plan(grid.size, *taps)
+    plans = {}
+
+    def smooth(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if len(rows) not in plans:
+            plans[len(rows)] = tap_plan(grid.size, *taps, stack=len(rows))
+        return apply_taps(rows, *taps, out=out, plan=plans[len(rows)])
+
+    return smooth
 
 
-def _time_weights(u: SpaceTimeFunction, eps: Epsilon, t: float) -> np.ndarray:
+def _time_weights(u: SpaceTimeFunction, eps: Epsilon, times: np.ndarray) -> np.ndarray:
     """Weights over u's samples whose product with ``u.values`` is the
-    time average at ``t``: the 32-node rule on [t, t + eps1] applied to
-    the rows of ``u.interp_weights``, a (32, len(u.times)) block."""
+    time average at each of ``times`` (a (len(times), len(u.times))
+    array): the 32-node rule on [t, t + eps1] applied to the rows of one
+    ``u.interp_weights`` call for every node of every time, a (32
+    len(times), len(u.times)) block, one (32, len(u.times)) slice of it
+    per time.  Callers pass blocks of times (``_time_blocks``)."""
     s_nodes, s_weights = _time_rule()
-    return s_weights @ u.interp_weights(t + eps.eps1 * s_nodes)
+    nodes = u.interp_weights((np.asarray(times, float)[:, None] + eps.eps1 * s_nodes).ravel())
+    n = s_nodes.size
+    return np.array([s_weights @ nodes[i : i + n] for i in range(0, len(nodes), n)])
+
+
+def _time_blocks(u: SpaceTimeFunction, count: int, most: int):
+    """Slices of ``count`` times in blocks of at most ``most`` times whose
+    32 interpolation rows each fit in ``_INTERP_BYTES``."""
+    size = max(1, min(most, _INTERP_BYTES // (_TIME_NODES * len(u.times) * 8)))
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
 def _combine(weights: np.ndarray, u: SpaceTimeFunction) -> np.ndarray:
-    """``weights @ u.values`` for one weight row or a stack of them.
-    Summed by ``einsum``, not BLAS: with two BLAS threads on a 2-core
-    host, a (49, 65) x (65, 4095) gemm took 16 ms in about one process
-    in three (0.4 ms in the others), while ``einsum`` takes 6 ms in all."""
-    return np.einsum("...j,jk->...k", weights, u.values)
+    """``weights @ u.values`` for a stack of weight rows, each summed over
+    the samples where it is non-zero only: a row of time weights covers
+    the few samples its window spans.  Each row is the one ``einsum``
+    sum of the full row, in the same order of samples, since the zero
+    terms it skips add nothing (an all-zero row gives zeros).  Summed by
+    ``einsum``, not BLAS: with two BLAS threads on a 2-core host, a (49,
+    65) x (65, 4095) gemm took 16 ms in about one process in three (0.4
+    ms in the others), while ``einsum`` takes 6 ms in all."""
+    out = np.zeros((len(weights),) + u.values.shape[1:])
+    for row, w in zip(out, weights):
+        span = np.flatnonzero(w)
+        if span.size:
+            band = slice(span[0], span[-1] + 1)
+            np.einsum("j,jk->k", w[band], u.values[band], out=row)
+    return out
 
 
 def _coverage_check(u: SpaceTimeFunction, eps: Epsilon, times: np.ndarray) -> None:
@@ -294,13 +339,17 @@ def mollify(
     time come from the piecewise-linear interpolant of the stored
     slices.
 
-    All output times are averaged in time at once: their weight rows
-    over the samples (the kernel's 32-node rule folded into the rows of
-    ``u.interp_weights``) form a (len(times), len(u.times)) matrix whose
-    product with ``u.values`` gives every time-averaged row.  Each row
-    is then smoothed in space through one ``TapPlan`` built for the
-    call.  Besides the output, memory holds that matrix and one (32,
-    len(u.times)) block of interpolation weights.
+    Output times are taken in blocks of at most ``_STACK``, and fewer
+    when their interpolation rows would pass ``_INTERP_BYTES`` (32 rows
+    of len(u.times) weights per time).  A block's weight rows over the
+    samples (the kernel's 32-node rule folded into the rows of one
+    ``u.interp_weights`` call) give its time-averaged rows through the
+    banded ``_combine``, and those rows are smoothed in space as one
+    stack through a ``TapPlan`` built for the call (a second one for a
+    shorter last block).  Every output row gets the bits of averaging
+    and smoothing its time alone.  Besides the output, memory holds a
+    block's interpolation rows, its time-averaged rows and the plans'
+    buffers, a few stacks of grid rows.
     """
     if eps.eps2 > u.grid.upper[0] - u.grid.lower[0]:
         raise DomainError("space radius exceeds the grid extent")
@@ -315,9 +364,10 @@ def mollify(
     else:
         times = np.asarray(times, dtype=float)
         _coverage_check(u, eps, times)
-    taps, plan = _space_plan(u.grid, eps.eps2)
-    rows = _combine(np.stack([_time_weights(u, eps, t) for t in times]), u)
-    vals = np.stack([apply_taps(row, *taps, plan=plan) for row in rows])
+    vals = np.empty((len(times),) + u.values.shape[1:])
+    smooth = _space_smoother(u.grid, eps.eps2)
+    for block in _time_blocks(u, len(times), _STACK):
+        smooth(_combine(_time_weights(u, eps, times[block]), u), vals[block])
     return SpaceTimeFunction(u.grid, times, vals)
 
 
@@ -370,12 +420,18 @@ def derivative_bound_check(
     finite-difference inflation.  The time step is eps1/50, far below
     the scale on which the mollified function varies.
 
-    At each centre the k-th time difference is taken of the k + 1
-    stencil times' weight rows over the samples, so one time-averaged
-    row is formed and smoothed in space (one ``apply_taps`` call per
-    centre, through one ``TapPlan`` built for the call); smoothing is
-    linear, so this equals differencing the smoothed rows up to
-    roundoff.  Memory is a few rows of the grid and (k + 1) weight rows.
+    The k-th time difference at each centre is taken of the k + 1
+    stencil times' weight rows over the samples, the weight rows of all
+    n_times (k + 1) stencil times coming from one ``_time_weights`` call
+    (blocked by ``_INTERP_BYTES`` like mollify's).  So one time-averaged
+    row per centre is formed, by one banded ``_combine`` of the n_times
+    differenced rows, and those rows are smoothed in space in stacks of
+    at most ``_STACK`` (``_space_smoother``, built for the call), the
+    l-th space difference then taken of each row of a stack.  Smoothing
+    is linear, so this equals differencing the smoothed rows up to
+    roundoff.  Memory is the stencil times' interpolation rows (at most
+    ``_INTERP_BYTES`` at once) and weight rows, n_times grid rows and a
+    few stacks of ``_STACK`` grid rows.
     """
     if l == 0:
         if k == 0:
@@ -387,7 +443,7 @@ def derivative_bound_check(
         raise DomainError(f"unsupported derivative order (k, l) = ({k}, {l})")
     radius = r if callable(r) else (lambda _t: float(r))
 
-    kernel = MollifierKernel(1)
+    constant = kernel_constant(MollifierKernel(1), k, l - 1)
     dt = eps.eps1 / 50.0
     lo = u.t_min + k * dt
     hi = u.t_max - eps.eps1 - k * dt
@@ -395,25 +451,25 @@ def derivative_bound_check(
         raise DomainError("trajectory too short for the requested time stencil")
     centers = np.linspace(lo, hi, n_times) if hi > lo else np.array([lo])
 
-    taps, plan = _space_plan(u.grid, eps.eps2)
+    # every centre's stencil times, centre by centre
+    stencils = (centers[:, None] + (np.arange(k + 1) - k / 2.0) * dt).ravel()
+    weights = np.concatenate(
+        [_time_weights(u, eps, stencils[i]) for i in _time_blocks(u, stencils.size, stencils.size)]
+    )
+    # time difference of the weight rows, then one smoothed row per
+    # centre: the space smoothing is linear, so it commutes with the
+    # difference
+    weights = weights.reshape(len(centers), k + 1, -1)
+    rows = _combine(_divided_difference(weights, 1, k, dt)[:, 0], u)
+    smooth, sups = _space_smoother(u.grid, eps.eps2), []
+    for i in range(0, len(rows), _STACK):
+        stack = rows[i : i + _STACK]
+        block = _divided_difference(smooth(stack, np.empty_like(stack)), 1, l, u.grid.spacing[0])
+        sups.extend(np.abs(block, out=block).max(axis=1).tolist())
     worst_ratio = -np.inf
     best = None
-    for t in centers:
-        stencil = np.stack(
-            [_time_weights(u, eps, t + (j - k / 2.0) * dt) for j in range(k + 1)]
-        )
-        # time difference of the weight rows, then one smoothed row: the
-        # space smoothing is linear, so it commutes with the difference
-        row = _combine(_divided_difference(stencil, 0, k, dt)[0], u)
-        dk = apply_taps(row, *taps, plan=plan)
-        block = _divided_difference(dk, 0, l, u.grid.spacing[0])
-        measured = float(np.max(np.abs(block)))
-        bound = (
-            radius(t + eps.eps1)
-            * kernel.b(k, l - 1)
-            * eps.eps1 ** (-k)
-            * eps.eps2 ** (1 - l)
-        )
+    for t, measured in zip(centers, sups):
+        bound = radius(t + eps.eps1) * constant * eps.eps1 ** (-k) * eps.eps2 ** (1 - l)
         if measured / bound > worst_ratio:
             worst_ratio = measured / bound
             best = (measured, bound)

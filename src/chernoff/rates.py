@@ -89,11 +89,15 @@ class ErrorPoint:
 @dataclass(frozen=True)
 class ErrorCurve:
     """Errors along a strictly refining step-size list, with the
-    noise-floor multiplier that its fit uses (``rate_report``)."""
+    noise-floor multiplier that its fit uses (``rate_report``).  A curve
+    read from a CSV that records a bound's column also carries whether
+    that bound held at every point it was checked at (``bound_held``);
+    it is None otherwise."""
 
     points: tuple[ErrorPoint, ...]
     interior_margin: float | None = None
     noise_floor: float = DEFAULT_NOISE_FLOOR
+    bound_held: bool | None = None
 
     def __post_init__(self):
         hs = [pt.h for pt in self.points]
@@ -136,11 +140,12 @@ class ErrorCurve:
     def from_csv(cls, text: str, uncertainty: float | None = None) -> "ErrorCurve":
         """Read ``to_csv`` output; ``uncertainty``, when given, replaces
         every point's ``oracle_uncertainty``.  Every row must carry the
-        same noise floor."""
+        same noise floor.  A ``pass`` column that is not empty gives
+        ``bound_held``: false when any row reads false."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
             raise DomainError(f"expected header {_CSV_HEADER!r}")
-        points, floors = [], set()
+        points, floors, verdicts = [], set(), set()
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != 7:
@@ -154,10 +159,13 @@ class ErrorCurve:
                 )
             )
             floors.add(float(cells[4]))
+            verdicts.add(cells[6])
         if len(floors) > 1:
             raise DomainError(f"error-curve rows disagree on the noise floor: {sorted(floors)}")
         floor = floors.pop() if floors else DEFAULT_NOISE_FLOOR
-        return cls(points=tuple(points), noise_floor=floor)
+        verdicts.discard("")
+        held = "false" not in verdicts if verdicts else None
+        return cls(points=tuple(points), noise_floor=floor, bound_held=held)
 
 
 def write_error_curve(path, curve: ErrorCurve, bound: BoundReport | None = None):
@@ -439,11 +447,23 @@ def holder_check(
 
     The pairs are checked as arrays, in input order (horizon, |s - t|
     <= 1, both times samples), so an error names the first bad pair.
-    Their frame indices are then resolved at once and the gaps taken on the stacked
-    frames, in blocks keyed by each pair's first frame: one block holds
-    at most len(trajectory.times) partner frames, so memory stays at
-    that many grid rows whatever the number of pairs.  A difference
-    that overflows raises ``DomainError``.
+    Their frame indices are then resolved at once, and the sup-norm
+    gaps are priced by what the report needs.  ``_gap_bounds`` bounds
+    every pair's gap from the T - 1 consecutive-frame gaps of the T
+    frames (one subtraction over the stacked frames, their prefix sums,
+    and a rounding margin of (4 T + 8) 2^-53 of the larger prefix sum
+    that its docstring justifies).  The exact gap is taken of the pair
+    with the largest bound ratio, then of every pair whose bound ratio
+    is not below that pair's exact ratio, a non-finite bound included.
+    Every other pair's exact ratio is at most its bound ratio, so it is
+    strictly below the maximum: the ratio, the worst pair (the first in
+    input order), the verdict and the error that names the first
+    overflowing difference are those of taking every gap.  On a
+    trajectory that moves one way the bounds are tight and one or a few
+    pairs remain; at worst (a trajectory that goes back and forth)
+    every pair remains, at the cost of every gap plus T - 1.  The exact
+    gaps are taken in blocks of at most T grid rows (``_pair_gaps``).
+    A difference that overflows raises ``DomainError``.
     """
     if not 0 < alpha <= 1:
         raise DomainError("the regularity exponent must lie in (0, 1]")
@@ -466,9 +486,53 @@ def holder_check(
             raise DomainError(f"pair ({a}, {b}) leaves the recorded horizon")
         raise DomainError("the regularity bound is stated for |s - t| <= 1")
 
-    values, block = trajectory.values, len(trajectory.times)
-    buffer = np.empty((min(block, len(checked)),) + values.shape[1:])
-    gaps = np.empty(len(checked))
+    # Python's power on each distinct |s - t| + h: numpy's vectorised
+    # power may round differently in the last bit
+    distinct, where = np.unique(apart + h, return_inverse=True)
+    denominators = np.array([d**alpha for d in distinct.tolist()])[where]
+
+    def ratio(gaps, rows):
+        den = denominators[rows]
+        return np.divide(gaps, den, out=np.zeros_like(gaps), where=den > 0)
+
+    values = trajectory.values
+    gaps = np.zeros(len(checked))
+    exact = np.zeros(0, dtype=int)
+    if len(checked):
+        # an overflowing bound or bound ratio is inf or nan: a candidate
+        with np.errstate(over="ignore", invalid="ignore"):
+            ceilings = ratio(_gap_bounds(values, idx), np.arange(len(checked)))
+        first = np.argmax(ceilings, keepdims=True)
+        gaps[first] = _pair_gaps(values, idx[first])
+        # the first pair's own ceiling is at least its ratio, so it is kept
+        exact = np.flatnonzero(~(ceilings < ratio(gaps[first], first)[0]))
+        rest = exact[exact != first[0]]
+        gaps[rest] = _pair_gaps(values, idx[rest])
+    unfinished = exact[~np.isfinite(gaps[exact])]
+    if unfinished.size:
+        a, b = pairs[int(unfinished[0])]
+        raise DomainError(f"pair ({a}, {b}): u(s) - u(t) is not finite")
+
+    ratios = ratio(gaps[exact], exact)
+    k = int(exact[np.argmax(ratios)]) if ratios.size else 0
+    worst = float(ratios.max()) if ratios.size and ratios.max() > 0 else 0.0
+    return HolderReport(
+        alpha=alpha,
+        limit=limit,
+        max_ratio=worst,
+        worst_pair=tuple(checked[k].tolist()) if worst > 0 else None,
+        passed=worst <= limit * (1 + tol),
+    )
+
+
+def _pair_gaps(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sup |values[i] - values[j]| for each frame-index pair (i, j) of
+    ``idx``, taken on the stacked frames in blocks keyed by each pair's
+    first frame: one block holds at most len(values) partner frames, so
+    memory stays at that many grid rows whatever the number of pairs."""
+    block = len(values)
+    buffer = np.empty((min(block, len(idx)),) + values.shape[1:])
+    gaps = np.empty(len(idx))
     order = np.argsort(idx[:, 0], kind="stable")
     cuts = np.flatnonzero(np.diff(idx[order, 0])) + 1
     for group in np.split(order, cuts) if order.size else ():
@@ -480,24 +544,38 @@ def holder_check(
             np.subtract(first, diff, out=diff)
             np.abs(diff, out=diff)
             gaps[rows] = diff.max(axis=1)
-    if not np.isfinite(gaps).all():
-        a, b = pairs[int(np.argmin(np.isfinite(gaps)))]
-        raise DomainError(f"pair ({a}, {b}): u(s) - u(t) is not finite")
+    return gaps
 
-    # Python's power on each distinct |s - t| + h: numpy's vectorised
-    # power may round differently in the last bit
-    distinct, where = np.unique(apart + h, return_inverse=True)
-    denominators = np.array([d**alpha for d in distinct.tolist()])[where]
-    ratios = np.divide(gaps, denominators, out=np.zeros_like(gaps), where=denominators > 0)
-    k = int(np.argmax(ratios)) if ratios.size else 0
-    worst = float(ratios[k]) if ratios.size and ratios[k] > 0 else 0.0
-    return HolderReport(
-        alpha=alpha,
-        limit=limit,
-        max_ratio=worst,
-        worst_pair=tuple(checked[k].tolist()) if worst > 0 else None,
-        passed=worst <= limit * (1 + tol),
-    )
+
+_LEAST_SUBNORMAL = 5e-324
+
+
+def _gap_bounds(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """An upper bound on the computed ``_pair_gaps`` of each pair: the
+    sum of the consecutive-frame gaps between its two frames (triangle
+    inequality in the sup norm), read off their prefix sums P and
+    inflated by the rounding margin (4 T + 8) 2^-53 P_j of T frames,
+    plus the least subnormal.  No T x T table is made; memory is one
+    (T - 1)-row difference of the frames.
+
+    Why the margin suffices (u = 2^-53, T u < 1e-3): each consecutive
+    gap is computed within a factor 1 - u of the exact one, so the exact
+    gap of a pair (i, j), i <= j, is at most the sum of the computed
+    gaps c_i .. c_{j-1} over 1 - u.  Summation of at most T nonnegative
+    terms is off by at most T u / (1 - T u) of the sum, so that sum is
+    at most P_j - P_i + 2.01 T u P_j, and the subtraction P_j - P_i
+    loses at most u of it.  The product (4 T + 8) u P_j loses at most u
+    of itself, or underflows by less than the least subnormal that is
+    added to it, and the final addition loses at most u; (4 T + 8) u
+    covers the 2.01 T u + 3.01 u that all of these take, so the exact
+    gap, hence its rounded value, is at most the computed bound.  Sums
+    that overflow give an inf or nan bound."""
+    steps = np.subtract(values[1:], values[:-1])
+    np.abs(steps, out=steps)
+    prefix = np.concatenate(([0.0], np.cumsum(steps.max(axis=1))))
+    early, late = prefix[idx.min(axis=1)], prefix[idx.max(axis=1)]
+    margin = (4 * len(values) + 8) * 2.0**-53
+    return (late - early) + (margin * late + _LEAST_SUBNORMAL)
 
 
 @dataclass(frozen=True)
@@ -553,6 +631,9 @@ def rate_report(
     the exact-scheme case: the bounds hold and every point is at most
     ``absolute_floor``.  Otherwise it is inconclusive, since a large
     reference uncertainty would hide any error under the noise floor.
+    With no ``bounds``, a curve read from a run's CSV stands its recorded
+    bound's verdict (``ErrorCurve.bound_held``) in for them, so the
+    refit of an exact scheme's CSV passes, or fails, as the run did.
     The noise-floor multiplier is the curve's own, and so is the
     interior margin unless one is given.
     """
@@ -561,6 +642,9 @@ def rate_report(
         raise DomainError("slope_tolerance must be non-negative")
     checks = tuple(verify_bound(curve, b) for b in bounds)
     bounds_ok = all(c.passed for c in checks)
+    bounded = bool(checks)
+    if not checks and curve.bound_held is not None:
+        bounds_ok, bounded = curve.bound_held, True
     if target_gamma is None and checks:
         target_gamma = min(c.gamma for c in checks)
     fit = None
@@ -576,7 +660,7 @@ def rate_report(
         status = "pass" if slope_ok else "fail"
     else:
         exact = all(pt.max_error <= absolute_floor for pt in curve.points)
-        status = "pass" if (checks and exact) else "inconclusive"
+        status = "pass" if (bounded and exact) else "inconclusive"
     if interior_margin is None:
         interior_margin = curve.interior_margin
     return RateReport(

@@ -468,6 +468,24 @@ def test_rates_refits_a_run_to_the_same_fit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
 
 
+def test_rates_refits_an_exact_run_to_the_run_s_verdict(linear_config, tmp_path, capsys):
+    # the linear scheme is exact: no point rises above the floor, and the
+    # run passes on its bound; the CSV records that bound's column, so
+    # the refit passes too where a curve with no bound is inconclusive
+    out = tmp_path / "artifacts"
+    assert main(["run", str(linear_config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["rates", str(out / "error_curve.csv")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["fit"]) == ("pass", None)
+    # a point that broke the recorded bound fails the refit, as the run failed
+    lines = (out / "error_curve.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",false"
+    (tmp_path / "broken.csv").write_text("\n".join(lines) + "\n")
+    assert main(["rates", str(tmp_path / "broken.csv")]) == 1
+    capsys.readouterr()
+
+
 def test_rates_inconclusive_exit_2(tmp_path, capsys):
     csv = tmp_path / "floor.csv"
     rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]

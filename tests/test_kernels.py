@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernoff import kernels
+from chernoff import convex_expectation, kernels
 from chernoff.convex_expectation import (
     Scenario,
     ScenarioConvexExpectation,
@@ -217,6 +217,44 @@ def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
         expected = term if expected is None else expected + term
     expected = np.maximum(expected - t * penalty, u)
     np.testing.assert_array_equal(family_plan("lln", ce, grid, t)(u, np.empty(_N)), expected)
+
+
+@pytest.mark.parametrize("cells", [10**6, -(10**6), 10**6 + 0.37, -(10**6) - 0.37])
+def test_an_atom_far_past_the_grid_steps_in_a_window_of_at_most_3n_plus_1(cells, monkeypatch):
+    # an atom 10^6 cells out (one tap, or two on adjacent cells) reads
+    # only an edge value; its offset is clipped to [-n, n] before any
+    # window is sized, so no window spans the 10^6 cells
+    n = 513
+    grid = Grid((-1.5,), (1.5,), (n,))
+    dx, t = grid.spacing[0], 0.5
+    sizes, real = [], kernels.clamped_window
+
+    def recorded(n_, lo, hi, *rest):
+        sizes.append(n_ + hi - lo)
+        return real(n_, lo, hi, *rest)
+
+    monkeypatch.setattr(kernels, "clamped_window", recorded)
+    monkeypatch.setattr(convex_expectation, "clamped_window", recorded)
+    far = cells * dx / t
+    atoms, probs, penalty = (far, 0.05), (0.5, 0.5), 0.75
+    ce = ScenarioConvexExpectation((Scenario.discrete(atoms, probs, penalty), Scenario.point(0.0)))
+    u = np.random.default_rng(10).normal(size=n)
+    expected = None
+    for x, prob in zip(atoms, probs):
+        term = _clipped_sum(u, *shift_taps(t * x, dx)) * prob
+        expected = term if expected is None else expected + term
+    expected = np.maximum(expected - t * penalty, u)
+    np.testing.assert_array_equal(family_plan("lln", ce, grid, t)(u, np.empty(n)), expected)
+    assert sizes and max(sizes) <= 3 * n + 1
+    # the operator's own step and apply_taps' plan-less shift path alike
+    sizes.clear()
+    point = ScenarioConvexExpectation((Scenario.point(far),))
+    stepped = StepOperator.from_lln(point).step(GridFunction(grid, u), t).values
+    offsets, weights = shift_taps(t * far, dx)
+    expected = _clipped_sum(u, offsets, weights)
+    np.testing.assert_array_equal(stepped, expected)
+    np.testing.assert_array_equal(apply_taps(u, offsets, weights), expected)
+    assert sizes and max(sizes) <= 3 * n + 1
 
 
 @pytest.mark.parametrize("sigma, fft", [(0.05, False), (2.0, True)])

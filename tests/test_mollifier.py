@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chernoff import mollifier
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
 from chernoff.iterate import StepOperator, chernoff_iterate
@@ -381,3 +382,114 @@ def test_derivative_bound_check_matches_the_per_time_definition(build):
             assert rep.bound == pytest.approx(bound, rel=1e-14), (k, l)
             assert rep.measured == pytest.approx(measured, rel=DERIVATIVE_RTOL), (k, l)
             assert rep.ok == (measured <= bound * (1.0 + rep.tol)), (k, l)
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the composition of full weight rows and one-row taps
+
+
+def _row_by_row_weights(u, eps, t):
+    """One time's weight row over all samples: the time rule on the rows
+    of a 32-time ``interp_weights`` call."""
+    s_nodes, s_weights = mollifier._time_rule()
+    return s_weights @ u.interp_weights(t + eps.eps1 * s_nodes)
+
+
+def _row_by_row_mollify(u, eps, times):
+    """Every output time alone: its full weight row summed by ``einsum``
+    over every sample, then one-row ``apply_taps`` in space."""
+    taps = _space_taps(eps.eps2, u.grid.spacing[0])
+    rows = [np.einsum("...j,jk->...k", _row_by_row_weights(u, eps, t), u.values) for t in times]
+    return np.stack([apply_taps(row, *taps) for row in rows])
+
+
+def _row_by_row_derivative(u, eps, k, l, r, n_times=5):
+    """derivative_bound_check centre by centre: the k-th time difference
+    of the full weight rows, one einsum row, one-row taps, then the l-th
+    space difference."""
+    taps = _space_taps(eps.eps2, u.grid.spacing[0])
+    dt = eps.eps1 / 50.0
+    centers = np.linspace(u.t_min + k * dt, u.t_max - eps.eps1 - k * dt, n_times)
+    best = (-np.inf, None, None)
+    for t in centers:
+        stencil = np.stack(
+            [_row_by_row_weights(u, eps, t + (j - k / 2.0) * dt) for j in range(k + 1)]
+        )
+        row = np.einsum("...j,jk->...k", np.diff(stencil, n=k, axis=0)[0] / dt**k, u.values)
+        block = np.diff(apply_taps(row, *taps), n=l) / u.grid.spacing[0] ** l
+        measured = float(np.max(np.abs(block)))
+        bound = r * MollifierKernel(1).b(k, l - 1) * eps.eps1 ** (-k) * eps.eps2 ** (1 - l)
+        if measured / bound > best[0]:
+            best = (measured / bound, measured, bound)
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("build", [_uneven_trajectory, _clt_trajectory])
+def test_mollify_is_the_row_by_row_composition_bit_for_bit(build):
+    u = build()
+    eps = Epsilon.coupled(0.5, 1.0)
+    out = mollify(u, eps)
+    np.testing.assert_array_equal(out.values, _row_by_row_mollify(u, eps, out.times))
+    # explicit times, more than one block of them, the last block short
+    times = np.linspace(0.0, 0.75, 4 * mollifier._STACK + 3)
+    out = mollify(u, eps, times=times)
+    np.testing.assert_array_equal(out.values, _row_by_row_mollify(u, eps, times))
+
+
+@pytest.mark.parametrize("build", [_uneven_trajectory, _clt_trajectory])
+def test_derivative_bound_check_is_the_row_by_row_composition_bit_for_bit(build):
+    u = build()
+    eps = Epsilon.coupled(0.5, 1.0)
+    for k in (0, 1, 2):
+        for l in (1, 2, 3):
+            rep = derivative_bound_check(u, eps, k, l, 1.0)
+            assert (rep.measured, rep.bound) == _row_by_row_derivative(u, eps, k, l, 1.0), (k, l)
+    # more centres than one stack holds
+    rep = derivative_bound_check(u, eps, 1, 2, 1.0, n_times=2 * mollifier._STACK + 1)
+    expected = _row_by_row_derivative(u, eps, 1, 2, 1.0, n_times=2 * mollifier._STACK + 1)
+    assert (rep.measured, rep.bound) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_banded_combine_is_the_full_einsum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    g = _grid(301, 5.0)
+    u = SpaceTimeFunction(g, np.linspace(0.0, 1.0, 40), rng.normal(size=(40, 301)) * 10.0)
+    weights = rng.normal(size=(12, 40))
+    for row in weights:  # a run of zeros before and after, some inside
+        lo, hi = sorted(rng.integers(0, 41, 2))
+        row[:lo] = 0.0
+        row[hi:] = 0.0
+        row[rng.integers(0, 40, 3)] = 0.0
+    weights[3] = 0.0  # an all-zero row
+    weights[5, :-1] = 0.0  # only the last sample
+    weights[7, 1:] = 0.0  # only the first sample
+    got = mollifier._combine(weights, u)
+    np.testing.assert_array_equal(got, np.einsum("...j,jk->...k", weights, u.values))
+    for row, w in zip(got, weights):
+        np.testing.assert_array_equal(row, np.einsum("...j,jk->...k", w, u.values))
+
+
+def test_mollify_asks_interp_weights_for_at_most_its_block(monkeypatch):
+    # 300 output times on a trajectory of 200 samples: one call for all
+    # of them would be 300 * 32 * 200 weights (15 MB)
+    g = _grid(101, 5.0)
+    times = np.linspace(0.0, 1.0, 200)
+    u = SpaceTimeFunction(g, times, np.cos(g.axes[0][None, :] + times[:, None]))
+    real, asked = SpaceTimeFunction.interp_weights, []
+
+    def recorded(self, t):
+        asked.append(np.size(t) * len(self.times) * 8)
+        return real(self, t)
+
+    monkeypatch.setattr(SpaceTimeFunction, "interp_weights", recorded)
+    eps = Epsilon(0.1, 0.5)
+    out = mollify(u, eps, times=np.linspace(0.0, 0.9, 300))
+    assert len(asked) > 1 and max(asked) <= mollifier._INTERP_BYTES
+    monkeypatch.undo()
+    np.testing.assert_array_equal(out.values, _row_by_row_mollify(u, eps, out.times))
+    # the stencil times of derivative_bound_check are blocked alike
+    asked.clear()
+    monkeypatch.setattr(SpaceTimeFunction, "interp_weights", recorded)
+    derivative_bound_check(u, eps, 2, 1, 1.0, n_times=40)
+    assert len(asked) > 1 and max(asked) <= mollifier._INTERP_BYTES

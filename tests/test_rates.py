@@ -1,10 +1,12 @@
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from chernoff import rates
 from chernoff.bounds import BoundReport, nisio_bounds
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import (
@@ -80,6 +82,26 @@ def test_csv_keeps_the_oracle_uncertainty():
     assert [pt.oracle_uncertainty for pt in back] == [3.5e-4] * len(curve)
     override = ErrorCurve.from_csv(curve.to_csv(), uncertainty=0.0)
     assert [pt.oracle_uncertainty for pt in override] == [0.0] * len(curve)
+
+
+def test_csv_keeps_the_recorded_bound_verdict():
+    bound = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 0.25, [("c", 3.0)])
+    exact = synthetic_curve(lambda h: 1e-13, ns=range(1, 8))
+    assert exact.bound_held is None
+    assert rate_report(exact, [bound]).status == "pass"
+    back = ErrorCurve.from_csv(exact.to_csv(bound))
+    assert back.bound_held is True
+    assert rate_report(back).status == "pass"  # as rate_report(exact, [bound])
+    assert rate_report(ErrorCurve.from_csv(exact.to_csv())).status == "inconclusive"
+    # an error above the bound at one checked point
+    broken = synthetic_curve(lambda h: 1e-13 if h < 0.1 else 10.0, ns=range(1, 8))
+    assert rate_report(broken, [bound]).status == "fail"
+    back = ErrorCurve.from_csv(broken.to_csv(bound))
+    assert back.bound_held is False
+    assert rate_report(back).status == "fail"
+    # bounds given to rate_report take the place of the recorded verdict
+    assert rate_report(back, [bound]).status == "fail"
+    assert rate_report(ErrorCurve.from_csv(exact.to_csv(bound)), [bound]).status == "pass"
 
 
 def test_csv_keeps_the_noise_floor():
@@ -612,3 +634,147 @@ def test_holder_check_builds_no_grid_function_per_pair(monkeypatch):
     rep = holder_check(traj, pairs, 0.5, 10.0, 1.0 / 64)
     assert rep.worst_pair is not None
     assert len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# holder_check's certified pruning: exact gaps only where they can matter
+
+
+def _counted_pair_gaps(monkeypatch):
+    """Count the pairs whose exact gap ``holder_check`` takes."""
+    real, counted = rates._pair_gaps, []
+
+    def counting(values, idx):
+        counted.append(len(idx))
+        return real(values, idx)
+
+    monkeypatch.setattr(rates, "_pair_gaps", counting)
+    return counted
+
+
+def _clt_certify_trajectory(cap):
+    grid = Grid((-12.0,), (12.0,), (4095,))
+    f = GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), cap))
+    ce = ScenarioConvexExpectation(
+        (Scenario.gaussian((0.0,), 0.5), Scenario.gaussian((0.0,), 1.0))
+    )
+    return chernoff_iterate(StepOperator.from_clt(ce), f, 1.0, 2.0**-6, record=True)[1]
+
+
+@pytest.mark.parametrize("cap", [0.5, 1.2, 2.0])
+def test_holder_check_takes_few_exact_gaps_on_clt_certify_trajectories(cap, monkeypatch):
+    # the trajectory moves one way, so the consecutive-gap bounds are
+    # tight and at most 4 of the 2080 pairs need their exact gap; a
+    # fall-back to every pair fails here
+    traj = _clt_certify_trajectory(cap)
+    times = list(traj.times)
+    pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
+    counted = _counted_pair_gaps(monkeypatch)
+    for alpha in (0.5, 1.0):
+        counted.clear()
+        _assert_holder_matches(traj, pairs, alpha, 1.0, 2.0**-6)
+        assert 1 <= sum(counted) <= 4
+
+
+def test_holder_check_on_a_trajectory_going_back_and_forth_takes_every_gap(monkeypatch):
+    # frames alternate between two functions: every bound grows with
+    # |s - t| while the gaps of even distance are 0, so the pair with the
+    # largest bound ratio has ratio 0 and every pair stays a candidate
+    g = grid1d(65, 2.0)
+    f0, f1 = np.cos(g.axes[0]), np.sin(2.0 * g.axes[0])
+    times = np.linspace(0.0, 1.0, 17)
+    traj = SpaceTimeFunction(g, times, np.stack([f0 if i % 2 == 0 else f1 for i in range(17)]))
+    pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
+    counted = _counted_pair_gaps(monkeypatch)
+    rep = _assert_holder_matches(traj, pairs, 0.5, 1.0, 1.0 / 16)
+    assert rep.worst_pair is not None
+    assert sum(counted) == len(pairs)
+
+
+def test_holder_check_with_overflowing_sums_of_finite_gaps():
+    # consecutive gaps of 1e308: their prefix sums overflow to inf, and
+    # later bounds are inf - inf = nan, while every pair's own gap is
+    # 1e308 or 0 and every ratio finite; the result is the per-pair one,
+    # with no warning
+    g = grid1d(33, 2.0)
+    times = np.linspace(0.0, 1.0, 9)
+    rows = [np.full(33, 1e308) if i % 2 else np.zeros(33) for i in range(9)]
+    traj = SpaceTimeFunction(g, times, np.stack(rows))
+    pairs = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _assert_holder_matches(traj, pairs, 1.0, 1.0, 1.0)
+    assert rep.worst_pair == (0.0, 0.125)
+
+
+def test_holder_check_names_the_first_overflowing_pair_in_input_order():
+    g = grid1d(33, 2.0)
+    rows = [np.full(33, 1.5e308), np.full(33, -1.5e308), np.full(33, 1.5e308)]
+    traj = SpaceTimeFunction(g, [0.0, 0.5, 1.0], np.stack(rows))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=r"pair \(1.0, 0.5\)"):
+            holder_check(traj, [(0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (0.0, 0.5)], 1.0, 1.0, 0.1)
+
+
+def test_holder_check_reversed_repeated_and_equal_pairs():
+    traj, h = transport_trajectory(speed=0.4, h=0.0625, steps=12)
+    times = list(traj.times)
+    forward = [(a, b) for i, a in enumerate(times) for b in times[i + 1 :] if b - a <= 0.5]
+    pairs = [(b, a) for a, b in forward[::3]] + forward[:7] + forward[:7] + [(t, t) for t in times]
+    rep = _assert_holder_matches(traj, pairs, 0.5, 0.5, h)
+    # the worst pair is the first of the repeats, in the reversed orientation if listed so
+    assert rep.worst_pair in pairs
+    # s = t with h = 0 contributes 0 among other pairs
+    mixed = [(t, t) for t in times] + forward
+    rep = holder_check(traj, mixed, 0.5, 0.5, 0.0)
+    worst, worst_pair, _ = _holder_reference(traj, forward, 0.5, 0.5, 0.0)
+    assert (rep.max_ratio, rep.worst_pair) == (worst, worst_pair)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_gap_bounds_cover_every_computed_gap(seed):
+    # rows constant in space, rising in [1, 2): each consecutive and each
+    # pair's difference is exact, while the prefix sums round, so the sum
+    # of the consecutive gaps can fall below a pair's gap by a few ulps;
+    # the rounding margin covers it
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.uniform(1.0, 2.0, 200))
+    values = np.repeat(levels[:, None], 5, axis=1)
+    i, j = np.triu_indices(len(levels), 1)
+    idx = np.stack([i, j], axis=1)
+    gaps, ceilings = rates._pair_gaps(values, idx), rates._gap_bounds(values, idx)
+    assert np.all(gaps <= ceilings)
+    assert np.all(gaps <= rates._gap_bounds(values, idx[:, ::-1]))
+    # tight up to the margin: within (4 T + 8) 2^-53 of the sum
+    prefix = np.concatenate(([0.0], np.cumsum(np.diff(levels))))
+    assert np.all(ceilings - gaps <= 1e-12 * prefix[j] + 1e-15)
+
+
+def test_holder_check_keeps_every_pair_whose_bound_is_not_finite():
+    # prefix sums overflow from the third frame on, so the bounds of the
+    # pairs between later frames are inf - inf = nan; the pair with the
+    # largest bound ratio is the first nan one, and the worst pair is a
+    # later nan one
+    g = grid1d(33, 2.0)
+    levels = [0.0, 1e308, 0.0, 1e308, 0.5e308]
+    rows = np.repeat(np.array(levels)[:, None], 33, axis=1)
+    traj = SpaceTimeFunction(g, np.linspace(0.0, 1.0, 5), rows)
+    pairs = [(0.75, 1.0), (0.5, 0.75), (0.0, 0.25)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _assert_holder_matches(traj, pairs, 1.0, 1.0, 1.0)
+    assert rep.worst_pair == (0.5, 0.75)
+
+
+def test_holder_check_ties_at_an_overflowing_ratio_go_to_the_first_pair():
+    # both gaps are 1.5e308 and both ratios overflow to inf; the later
+    # pair's bound is nan, so its exact gap is taken first, and the
+    # earlier pair, whose bound ratio is inf, must still be compared
+    g = grid1d(33, 2.0)
+    levels = [0.0, 1.5e308, 0.0, 1.5e308]
+    rows = np.repeat(np.array(levels)[:, None], 33, axis=1)
+    traj = SpaceTimeFunction(g, [0.0, 0.5, 1.0, 1.5], rows)
+    pairs = [(0.0, 0.5), (1.0, 1.5)]
+    with np.errstate(over="ignore"):
+        rep = _assert_holder_matches(traj, pairs, 1.0, 1.0, 0.1)
+    assert (rep.max_ratio, rep.worst_pair) == (math.inf, (0.0, 0.5))
