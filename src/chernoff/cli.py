@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
             admitted, exp.payoff, exp.t, exp.h_fine, exp.h_list, margin=exp.margin
         )
     else:
-        reference = exp.build_reference(admitted)
+        reference = exp.build_reference()
         curve = measure_errors(
             admitted,
             exp.payoff,

@@ -22,7 +22,7 @@ from .core import DomainError, Grid, GridFunction
 from .iterate import StepOperator, scenario_reach
 from .nisio import NisioFamily
 from .properties import SUITE_H, suite_margin
-from .reference import EXACT_CUT, OracleResult, fine_oracle, heat_exact
+from .reference import EXACT_CUT, OracleResult, heat_exact
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,6 @@ class Experiment:
 
     grid: Grid
     payoff: GridFunction
-    payoff_name: str
     operator: StepOperator
     model_kind: str  # nisio | lln | clt
     model: object
@@ -144,17 +143,12 @@ class Experiment:
             )
         return tuple(reports)
 
-    def build_reference(self, admitted_op: StepOperator) -> OracleResult:
-        if self.reference_kind == "exact":
-            values = heat_exact(self.payoff, self.exact_sigma, self.exact_mean, self.t)
-            return OracleResult(values=values, uncertainty=0.0, h_fine=None)
-        return fine_oracle(
-            admitted_op,
-            self.payoff,
-            self.t,
-            self.h_fine,
-            margin=self.margin,
-        )
+    def build_reference(self) -> OracleResult:
+        """The exact reference, ``reference = exact``: the payoff under
+        the heat semigroup of ``[experiment] sigma`` and ``mean``.  A fine
+        oracle runs through ``rates.oracle_and_curve`` instead."""
+        values = heat_exact(self.payoff, self.exact_sigma, self.exact_mean, self.t)
+        return OracleResult(values=values, uncertainty=0.0, h_fine=None)
 
 
 class _Reader:
@@ -365,6 +359,10 @@ def load_config(path) -> Experiment:
                 f"the exact reference's Gaussian taps reach {reach:.6g} at t = {t:g} "
                 f"({EXACT_CUT:g} standard deviations), more than the grid's width {width:g}",
             )
+    # each reference reads its own keys; a key the other one needs is a mistake
+    for key, wanted in (("sigma", "exact"), ("mean", "exact"), ("h_fine", "oracle")):
+        if reference != wanted and r.raw("experiment", key) is not None:
+            r.flag("experiment", key, f"only meaningful for reference = {wanted}")
     if symmetric and op_type != "clt":
         r.flag("rate", "symmetric", "only meaningful for clt operators")
     if smooth is not None and op_type in ("lln", "clt"):
@@ -376,7 +374,6 @@ def load_config(path) -> Experiment:
     experiment = Experiment(
         grid=grid,
         payoff=payoff,
-        payoff_name=payoff_name,
         operator=operator,
         model_kind=op_type,
         model=model,

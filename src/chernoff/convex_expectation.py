@@ -8,10 +8,13 @@ linear expectations minus penalties,
 with each E_i a Gaussian or a finite discrete distribution (a point
 mass is a one-atom discrete distribution).  This class is
 closed under everything the iteration needs and makes E computable:
-scalar functionals by Gauss-Hermite quadrature or direct enumeration,
-grid steps by exact discrete convolutions, and the maximally
-distributed limit by a sup-convolution with the lower convex hull of
-the penalised means.
+scalar functionals by Gauss-Hermite quadrature of one fixed order
+(``GH_ORDER``) or direct enumeration, grid steps by exact discrete
+convolutions, and the maximally distributed limit by a sup-convolution
+with the lower convex hull of the penalised means.  Steps and limit read
+the grid through the same edge-clamped window
+(``kernels.clamped_window``).  The growth certificate of the clt bounds
+searches fixed grids of lambdas and moment combinations.
 
 The one-step operators of all three families (lln, clt and nisio, whose
 controls are penalty-free Gaussian scenarios) are one plan,
@@ -27,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,13 +62,15 @@ __all__ = [
     "parse_scenarios",
 ]
 
-DEFAULT_GH_ORDER = 32
+# the order of the Gauss-Hermite rule every Gaussian scenario integrates with
+GH_ORDER = 32
 
 
 @lru_cache(maxsize=None)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, computed once per order, read-only."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of order ``GH_ORDER``, computed
+    once, read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(GH_ORDER)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -135,24 +140,24 @@ class Scenario:
         pts = np.asarray(self.atoms) - self.mean
         return float((np.asarray(self.weights) * pts) @ pts)
 
-    def support_points(self, gh_order: int = DEFAULT_GH_ORDER):
+    def support_points(self):
         """Quadrature points and weights for E_i: the atoms themselves, or
-        the Gauss-Hermite rule of order ``gh_order``."""
+        the Gauss-Hermite rule of order ``GH_ORDER``."""
         if self.kind == "discrete":
             return np.asarray(self.atoms), np.asarray(self.weights)
-        nodes, w = _hermite_rule(gh_order)
+        nodes, w = _hermite_rule()
         return self.mean + self.sigma * np.sqrt(2.0) * nodes, w / np.sqrt(np.pi)
 
-    def expectation(self, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER) -> float:
+    def expectation(self, payoff: Callable) -> float:
         """E_i[payoff(xi)]; the payoff receives a flat array."""
-        pts, w = self.support_points(gh_order)
+        pts, w = self.support_points()
         out = float(np.dot(w, np.asarray(payoff(pts), dtype=float)))
         if not np.isfinite(out):
             raise DomainError("scenario expectation is not finite")
         return out
 
-    def raw_moment(self, order: int, gh_order: int = DEFAULT_GH_ORDER) -> float:
-        pts, w = self.support_points(gh_order)
+    def raw_moment(self, order: int) -> float:
+        pts, w = self.support_points()
         return float(np.dot(w, pts**order))
 
 
@@ -195,14 +200,10 @@ class ScenarioConvexExpectation:
     def third_moments_zero(self) -> bool:
         return all(abs(s.raw_moment(3)) < 1e-9 for s in self.scenarios)
 
-    def evaluate(self, payoff: Callable, gh_order: int = DEFAULT_GH_ORDER) -> float:
-        return max(
-            s.expectation(payoff, gh_order) - s.penalty for s in self.scenarios
-        )
+    def evaluate(self, payoff: Callable) -> float:
+        return max(s.expectation(payoff) - s.penalty for s in self.scenarios)
 
-    def abs_moment_combination(
-        self, coefficients: dict[int, float], gh_order: int = DEFAULT_GH_ORDER
-    ) -> float:
+    def abs_moment_combination(self, coefficients: dict[int, float]) -> float:
         """E[ sum_k c_k |xi|^k ] evaluated as one payoff (E is not linear)."""
 
         def payoff(xi):
@@ -212,7 +213,7 @@ class ScenarioConvexExpectation:
                 out += c * mag**k
             return out
 
-        return self.evaluate(payoff, gh_order)
+        return self.evaluate(payoff)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +459,17 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
     breaks at the lower-hull vertices and the whole-cell shifts y in
     dx Z, so the sup over those finitely many y is exact.  On a uniform
     grid the interpolation weights of x + y are the same for every x, so
-    each y reads slices of one edge-padded copy of f.
+    each y reads slices of one edge-clamped window of f
+    (``kernels.clamped_window``, the clamp the steps use).
 
     The hull vertices (and a whole cell past an end vertex by less than
-    phi's rounding tolerance) are candidates one by one, as two scaled
-    slices or one.  The whole cells of each hull piece, on which phi is
-    linear, are one sliding-window max of the padded f minus the piece's
-    linear cost, in O(n + width) work however wide the piece is
-    (``_tilted_window_max``).  Only cells whose cost is at most the
-    oscillation of f take part: every other one sits below the
+    phi's rounding tolerance) are candidates one by one, each the shift
+    row of its cell, two scaled slices or one (``ClampedWindow.shift``,
+    ``apply_shift``) less its cost.  The whole cells of each hull piece,
+    on which phi is linear, are one sliding-window max of the window
+    minus the piece's linear cost, in O(n + width) work however wide the
+    piece is (``_tilted_window_max``).  Only cells whose cost is at most
+    the oscillation of f take part: every other one sits below the
     zero-penalty vertex's value, min f at least.  The tilt is anchored
     at the start of each block of the window's length, so no
     intermediate exceeds sup|f| plus the piece's kept penalty rise, at
@@ -484,9 +487,11 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
     t, cost = t[np.isfinite(cost)], cost[np.isfinite(cost)]
 
     cell = np.floor(t)
-    pad = int(np.max(np.abs(cell))) + 1
-    padded = np.pad(f.values, pad, mode="edge")
     n = grid.size
+    # one edge-clamped window of f over every cell a candidate reads,
+    # the cell past the last one included for its second slice
+    clamp = clamped_window(n, int(cell.min()), int(cell.max()) + 1)
+    window = clamp.fill(f.values)
     out = np.full(n, -np.inf)
     # the whole cells of each hull piece, on which phi is linear
     ends = vertices / dx
@@ -499,22 +504,17 @@ def maximally_distributed_limit(ce: ScenarioConvexExpectation, f: GridFunction) 
         shifts, costs = t[kept], cost[kept]
         width = int(shifts[-1] - shifts[0]) + 1
         slope = (costs[-1] - costs[0]) / (width - 1) if width > 1 else 0.0
-        start = int(shifts[0]) + pad
-        best = _tilted_window_max(padded[start : start + n + width - 1], width, slope, n)
+        start = int(shifts[0]) - clamp.lo
+        best = _tilted_window_max(window[start : start + n + width - 1], width, slope, n)
         np.maximum(out, best - costs[0], out=out)
     explicit = ~np.any(pieces, axis=0) if pieces else np.ones(t.size, dtype=bool)
     shifted = np.empty(n)
-    for start, w, c in zip(
-        (cell[explicit].astype(int) + pad).tolist(),
+    for c, w, penalty in zip(
+        cell[explicit].astype(int).tolist(),
         (t - cell)[explicit].tolist(),
         cost[explicit].tolist(),
     ):
-        if w:
-            np.multiply(padded[start : start + n], 1.0 - w, out=shifted)
-            shifted += w * padded[start + 1 : start + 1 + n]
-            shifted -= c
-        else:  # a whole-cell shift: x * 1.0 - c is x - c exactly
-            np.subtract(padded[start : start + n], c, out=shifted)
+        apply_shift(clamp.shift(c, (1.0 - w, w) if w else (1.0,)), shifted, penalty)
         np.maximum(out, shifted, out=out)
     return GridFunction(grid, out)
 
@@ -556,17 +556,17 @@ class GrowthCertificate:
 
     a: float
     p: float
-    lambda_grid: tuple[float, ...]
-    c_grid: tuple[tuple[float, float], ...]
-    max_ratio: float
-    sublinear: bool
 
     def __post_init__(self) -> None:
         if not (self.a >= 0 and self.p >= 1):
             raise DomainError("certificate needs a >= 0 and p >= 1")
 
 
-_DEFAULT_C_GRID = (
+# the lambdas and the (c1, c2) of c1 |xi|^2 + c2 |xi|^3 that
+# ``growth_certificate`` tests the growth condition on
+_LAMBDA_GRID = np.geomspace(1.0, 100.0, 25)
+_LAMBDA_GRID.flags.writeable = False
+_C_GRID = (
     (1.0, 0.0),
     (0.0, 1.0),
     (1.0, 1.0),
@@ -577,34 +577,21 @@ _DEFAULT_C_GRID = (
 )
 
 
-def growth_certificate(
-    ce: ScenarioConvexExpectation,
-    lambda_grid: Sequence[float] | None = None,
-    c_grid: Sequence[tuple[float, float]] | None = None,
-    gh_order: int = DEFAULT_GH_ORDER,
-) -> GrowthCertificate:
-    """Search the smallest p in {1, 2, 3} and the ratio sup a on a grid."""
-    lam = (
-        np.geomspace(1.0, 100.0, 25)
-        if lambda_grid is None
-        else np.asarray(lambda_grid, dtype=float)
-    )
-    if np.any(lam < 1.0):
-        raise DomainError("the growth condition is quantified over lambda >= 1")
-    cs = _DEFAULT_C_GRID if c_grid is None else tuple(tuple(c) for c in c_grid)
-
+def growth_certificate(ce: ScenarioConvexExpectation) -> GrowthCertificate:
+    """Search the smallest p in {1, 2, 3} and the ratio sup a on the
+    module's lambda and (c1, c2) grids."""
     base = {}
-    for c1, c2 in cs:
-        base[(c1, c2)] = ce.abs_moment_combination({2: c1, 3: c2}, gh_order)
+    for c1, c2 in _C_GRID:
+        base[(c1, c2)] = ce.abs_moment_combination({2: c1, 3: c2})
 
     tiny = 1e-300
     for p in (1.0, 2.0, 3.0):
         worst = 0.0
         feasible = True
-        for c1, c2 in cs:
+        for c1, c2 in _C_GRID:
             b = base[(c1, c2)]
-            for lv in lam:
-                scaled = ce.abs_moment_combination({2: lv * c1, 3: lv * c2}, gh_order)
+            for lv in _LAMBDA_GRID:
+                scaled = ce.abs_moment_combination({2: lv * c1, 3: lv * c2})
                 if b <= tiny:
                     if scaled > 1e-12:
                         feasible = False
@@ -614,14 +601,7 @@ def growth_certificate(
             if not feasible:
                 break
         if feasible and worst <= 1e12:
-            return GrowthCertificate(
-                a=worst,
-                p=p,
-                lambda_grid=tuple(float(v) for v in lam),
-                c_grid=cs,
-                max_ratio=worst,
-                sublinear=ce.is_sublinear,
-            )
+            return GrowthCertificate(a=worst, p=p)
         if ce.is_sublinear:
             break  # sublinear always certifies at p = 1; do not mask a bug
     raise DomainError("no growth certificate with p <= 3 on the tested grids")

@@ -128,9 +128,6 @@ class GridFunction:
     def lipschitz(self) -> float:
         return lipschitz_estimate(self)
 
-    def sample(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.interpolate(self.values, x)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if other.grid != self.grid:
             raise DomainError("grid functions live on different grids")

@@ -47,6 +47,8 @@ __all__ = [
 
 MAX_TIME_ORDER = 2
 MAX_SPACE_ORDER = 3
+# the relative slack a measured derivative sup may take over its bound
+DERIVATIVE_TOL = 0.05
 
 
 def bump(z):
@@ -401,14 +403,14 @@ def derivative_bound_check(
     k: int,
     l: int,
     r,
-    tol: float = 0.05,
     n_times: int = 5,
 ) -> DerivativeBoundReport:
     """Compare finite differences of the mollified u against the bound
 
         r(t + eps1) * b(k, l-1) * eps1^(-k) * eps2^(1-l)
 
-    (the d^(l/2) factor of the bound is 1 on the line).
+    (the d^(l/2) factor of the bound is 1 on the line); the report
+    passes within a relative slack of ``DERIVATIVE_TOL``.
 
     The bound needs l >= 1 (its constant is b(k, l-1)); pure-time
     orders are rejected.  ``r`` is the Lipschitz/bound radius of
@@ -474,4 +476,4 @@ def derivative_bound_check(
             worst_ratio = measured / bound
             best = (measured, bound)
     assert best is not None
-    return DerivativeBoundReport(k, l, best[0], best[1], tol)
+    return DerivativeBoundReport(k, l, best[0], best[1], DERIVATIVE_TOL)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .convex_expectation import Scenario, ScenarioConvexExpectation, step_once
 from .core import DomainError, GridFunction
+from .kernels import clamped_window
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class NisioFamily:
     """A finite list of Gaussian controls (sigma scalar, drift scalar)."""
 
     controls: tuple[tuple[float, float], ...]
-    assume_smooth: bool = True
 
     def __post_init__(self):
         if not self.controls:
@@ -123,9 +123,7 @@ class NisioFamily:
 
     @cached_property
     def bounds(self) -> GeneratorBounds:
-        return GeneratorBounds.for_constant_coefficients(
-            self.controls, smooth=self.assume_smooth
-        )
+        return GeneratorBounds.for_constant_coefficients(self.controls)
 
     @cached_property
     def expectation(self) -> ScenarioConvexExpectation:
@@ -160,7 +158,9 @@ def generator_apply(family: NisioFamily, f: GridFunction):
     """
     grid = f.grid
     vals = f.values
-    up, down = _neighbours(vals)
+    # the values one cell up and one cell down, clamped at the ends
+    window = clamped_window(grid.size, -1, 1).fill(vals)
+    up, down = window[2:], window[:-2]
     dx = grid.spacing[0]
     lap = (up - 2 * vals + down) / (dx * dx)
     slope = (up - down) / (2 * dx)
@@ -170,9 +170,3 @@ def generator_apply(family: NisioFamily, f: GridFunction):
         out = cand if out is None else np.maximum(out, cand)
     interior = grid.interior_mask(1.5 * dx)
     return GridFunction(grid, out), interior
-
-
-def _neighbours(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values one cell up and one cell down, clipped at the ends."""
-    padded = np.pad(vals, 1, mode="edge")
-    return padded[2:], padded[:-2]

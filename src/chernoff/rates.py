@@ -90,14 +90,15 @@ class ErrorPoint:
 class ErrorCurve:
     """Errors along a strictly refining step-size list, with the
     noise-floor multiplier that its fit uses (``rate_report``).  A curve
-    read from a CSV that records a bound's column also carries whether
-    that bound held at every point it was checked at (``bound_held``);
-    it is None otherwise."""
+    read from a CSV that records a bound's column also carries that
+    bound as ``recorded_bound`` = (held, gamma): whether it held at
+    every point it was checked at, and its exponent (None when the
+    column gives no finite one).  Any other curve has None there."""
 
     points: tuple[ErrorPoint, ...]
     interior_margin: float | None = None
     noise_floor: float = DEFAULT_NOISE_FLOOR
-    bound_held: bool | None = None
+    recorded_bound: tuple[bool, float | None] | None = None
 
     def __post_init__(self):
         hs = [pt.h for pt in self.points]
@@ -141,11 +142,14 @@ class ErrorCurve:
         """Read ``to_csv`` output; ``uncertainty``, when given, replaces
         every point's ``oracle_uncertainty``.  Every row must carry the
         same noise floor.  A ``pass`` column that is not empty gives
-        ``bound_held``: false when any row reads false."""
+        ``recorded_bound``: not held when any row reads false, and the
+        exponent of c h^gamma through the first and last rows' bound
+        values, log(b_first / b_last) / log(h_first / h_last), which
+        every row records, skipped ones included."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
             raise DomainError(f"expected header {_CSV_HEADER!r}")
-        points, floors, verdicts = [], set(), set()
+        points, floors, verdicts, values = [], set(), set(), []
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != 7:
@@ -160,12 +164,26 @@ class ErrorCurve:
             )
             floors.add(float(cells[4]))
             verdicts.add(cells[6])
+            values.append(cells[5])
         if len(floors) > 1:
             raise DomainError(f"error-curve rows disagree on the noise floor: {sorted(floors)}")
         floor = floors.pop() if floors else DEFAULT_NOISE_FLOOR
         verdicts.discard("")
-        held = "false" not in verdicts if verdicts else None
-        return cls(points=tuple(points), noise_floor=floor, bound_held=held)
+        recorded = None
+        if verdicts:
+            recorded = ("false" not in verdicts, _recorded_gamma(points, values))
+        return cls(points=tuple(points), noise_floor=floor, recorded_bound=recorded)
+
+
+def _recorded_gamma(points, values) -> float | None:
+    """gamma of a bound column c h^gamma from its first and last rows,
+    or None when they do not give a finite one (one row, a bound of 0)."""
+    try:
+        ratio = float(values[0]) / float(values[-1])
+        gamma = math.log(ratio) / math.log(points[0].h / points[-1].h)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return gamma if math.isfinite(gamma) else None
 
 
 def write_error_curve(path, curve: ErrorCurve, bound: BoundReport | None = None):
@@ -622,7 +640,6 @@ def rate_report(
     slope_tolerance: float = 0.05,
     absolute_floor: float = 1e-11,
     target_gamma: float | None = None,
-    interior_margin: float | None = None,
 ) -> RateReport:
     """Aggregate verdict: every bound holds and the fitted slope is not
     materially below the slowest guaranteed exponent.
@@ -632,10 +649,12 @@ def rate_report(
     ``absolute_floor``.  Otherwise it is inconclusive, since a large
     reference uncertainty would hide any error under the noise floor.
     With no ``bounds``, a curve read from a run's CSV stands its recorded
-    bound's verdict (``ErrorCurve.bound_held``) in for them, so the
-    refit of an exact scheme's CSV passes, or fails, as the run did.
-    The noise-floor multiplier is the curve's own, and so is the
-    interior margin unless one is given.
+    bound (``ErrorCurve.recorded_bound``) in for them: its verdict, and
+    with no ``target_gamma`` its exponent as the target, so the refit of
+    a run's CSV passes, or fails, as the run did.  The CSV records the
+    bound with the smallest exponent a run checks (``chernoff run``
+    writes the first ``plus`` one), so that target is the run's.  The
+    noise-floor multiplier and the interior margin are the curve's own.
     """
     noise_floor_multiplier = curve.noise_floor
     if slope_tolerance < 0:
@@ -643,8 +662,11 @@ def rate_report(
     checks = tuple(verify_bound(curve, b) for b in bounds)
     bounds_ok = all(c.passed for c in checks)
     bounded = bool(checks)
-    if not checks and curve.bound_held is not None:
-        bounds_ok, bounded = curve.bound_held, True
+    if not checks and curve.recorded_bound is not None:
+        bounds_ok, recorded_gamma = curve.recorded_bound
+        bounded = True
+        if target_gamma is None:
+            target_gamma = recorded_gamma
     if target_gamma is None and checks:
         target_gamma = min(c.gamma for c in checks)
     fit = None
@@ -661,8 +683,6 @@ def rate_report(
     else:
         exact = all(pt.max_error <= absolute_floor for pt in curve.points)
         status = "pass" if (bounded and exact) else "inconclusive"
-    if interior_margin is None:
-        interior_margin = curve.interior_margin
     return RateReport(
         status=status,
         fit=fit,
@@ -672,5 +692,5 @@ def rate_report(
         slope_tolerance=slope_tolerance,
         noise_floor_multiplier=noise_floor_multiplier,
         absolute_floor=absolute_floor,
-        interior_margin=interior_margin,
+        interior_margin=curve.interior_margin,
     )

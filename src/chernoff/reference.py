@@ -140,12 +140,7 @@ def _sublinear_gaussian_sigmas(ce) -> tuple[float, float]:
     return min(sigmas), max(sigmas)
 
 
-def clt_limit_reference(
-    ce,
-    f: GridFunction,
-    h_fine: float = 2.0**-13,
-    cut: float = 8.0,
-) -> OracleResult:
+def clt_limit_reference(ce, f: GridFunction, h_fine: float = 2.0**-13) -> OracleResult:
     """The t = 1 scaling limit for a centred sublinear Gaussian family.
 
     Convex or concave payoffs use the closed worst-case-volatility
@@ -154,5 +149,5 @@ def clt_limit_reference(
     lo, hi = _sublinear_gaussian_sigmas(ce)
     if certify_shape(f) is not None:
         return OracleResult(gheat_convex_reference(f, lo, hi, 1.0), 0.0)
-    op = StepOperator.from_clt(ce, cut=cut).admit()
+    op = StepOperator.from_clt(ce).admit()
     return fine_oracle(op, f, 1.0, h_fine)

@@ -187,6 +187,25 @@ def test_a_weight_section_exits_3(tmp_path, capsys):
     assert "config error: [weight]: unknown section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "new, key, wanted",
+    [
+        ("reference = oracle\nsigma = 7", "sigma", "exact"),
+        ("reference = oracle\nmean = 3", "mean", "exact"),
+        ("reference = exact\nsigma = 1\nh_fine = 2^-4", "h_fine", "oracle"),
+    ],
+    ids=["oracle-sigma", "oracle-mean", "exact-h_fine"],
+)
+def test_a_key_the_configured_reference_ignores_exits_3(new, key, wanted, tmp_path, capsys):
+    path = tmp_path / "ignored.cfg"
+    path.write_text(LINEAR_CFG.replace("reference = exact\nsigma = 1", new))
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    message = f"[experiment] {key}: only meaningful for reference = {wanted}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_failing_step_exits_3_with_an_error_line(linear_config, tmp_path, capsys, monkeypatch):
     # one-row step plans whose output is not finite, as a step that
     # overflows would give; the admission suite's stacked plans and
@@ -292,8 +311,13 @@ def test_a_scenario_whose_steps_outrun_the_grid_exits_3_naming_it(
     [
         ({"margin = 8.0": "margin = 12.5"}, "the interior margin is 12.5, which leaves no point"),
         (
-            # reach 5 at t = 25; an oracle, since the exact taps would reach 80
-            {"margin = 8.0": "", "t = 0.25": "t = 25", "reference = exact": "reference = oracle"},
+            # reach 5 at t = 25; an oracle, since the exact taps would reach
+            # 80, so without the exact reference's sigma
+            {
+                "margin = 8.0": "",
+                "t = 0.25": "t = 25",
+                "reference = exact\nsigma = 1": "reference = oracle",
+            },
             "by default 3 times the operator's reach at t, is 15,",
         ),
     ],

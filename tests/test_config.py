@@ -186,7 +186,7 @@ def test_exact_reference(tmp_path):
     cfg = NISIO_CFG.replace("controls = 0.5 0, 1 0", "controls = 1 0")
     cfg = cfg.replace("[experiment]\nt = 1", "[experiment]\nreference = exact\nsigma = 1\nt = 1")
     exp = load_config(write(tmp_path, cfg))
-    ref = exp.build_reference(exp.operator.admit())
+    ref = exp.build_reference()
     assert ref.uncertainty == 0.0 and ref.h_fine is None
 
 

@@ -149,6 +149,24 @@ def test_generator_apply_examples():
     np.testing.assert_allclose(vals.values[interior], 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [4, 5, 64, 513])
+def test_generator_apply_is_the_clipped_index_stencil(n):
+    # every entry, both ends included, reads its neighbours at clipped
+    # indices, the same arithmetic in the same order
+    g = Grid((-3.0,), (2.0,), (n,))
+    f = GridFunction.from_callable(g, lambda v: np.sin(3.0 * v) + v * v)
+    fam = NisioFamily(((0.5, -1.0), (1.0, 2.0), (0.8, 0.3)))
+    vals, interior = generator_apply(fam, f)
+    i = np.arange(n)
+    up, down, u = f.values[np.minimum(i + 1, n - 1)], f.values[np.maximum(i - 1, 0)], f.values
+    dx = g.spacing[0]
+    lap = (up - 2 * u + down) / (dx * dx)
+    slope = (up - down) / (2 * dx)
+    expected = np.max([0.5 * s * s * lap + m * slope for s, m in fam.controls], axis=0)
+    assert np.array_equal(vals.values, expected)
+    assert np.array_equal(interior, g.interior_mask(1.5 * dx))
+
+
 def test_consistency_residual_heat():
     # the one-step rate (I(h)f - f)/h approaches the generator (1/2) f''
     # = -(1/2) sin; for the heat step the gap is (e^{-h/2} - 1 + h/2)/h

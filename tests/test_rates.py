@@ -87,21 +87,41 @@ def test_csv_keeps_the_oracle_uncertainty():
 def test_csv_keeps_the_recorded_bound_verdict():
     bound = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 0.25, [("c", 3.0)])
     exact = synthetic_curve(lambda h: 1e-13, ns=range(1, 8))
-    assert exact.bound_held is None
+    assert exact.recorded_bound is None
     assert rate_report(exact, [bound]).status == "pass"
     back = ErrorCurve.from_csv(exact.to_csv(bound))
-    assert back.bound_held is True
+    assert back.recorded_bound == (True, pytest.approx(1.0, abs=1e-15))
     assert rate_report(back).status == "pass"  # as rate_report(exact, [bound])
     assert rate_report(ErrorCurve.from_csv(exact.to_csv())).status == "inconclusive"
     # an error above the bound at one checked point
     broken = synthetic_curve(lambda h: 1e-13 if h < 0.1 else 10.0, ns=range(1, 8))
     assert rate_report(broken, [bound]).status == "fail"
     back = ErrorCurve.from_csv(broken.to_csv(bound))
-    assert back.bound_held is False
+    assert back.recorded_bound == (False, pytest.approx(1.0, abs=1e-15))
     assert rate_report(back).status == "fail"
     # bounds given to rate_report take the place of the recorded verdict
     assert rate_report(back, [bound]).status == "fail"
     assert rate_report(ErrorCurve.from_csv(exact.to_csv(bound)), [bound]).status == "pass"
+
+
+def test_the_refit_restores_the_recorded_bound_s_gamma():
+    # gamma_hat = 0.1 stays under 100 h at every checked point, but falls
+    # short of the bound's gamma = 1, so the run's verdict is fail
+    bound = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 1.0, [("c", 100.0)])
+    curve = synthetic_curve(lambda h: 0.05 * h**0.1)
+    run = rate_report(curve, [bound])
+    assert run.checks[0].passed and run.fit.gamma_hat == pytest.approx(0.1)
+    assert run.status == "fail"
+    back = ErrorCurve.from_csv(curve.to_csv(bound))
+    refit = rate_report(back)
+    assert refit.target_gamma == pytest.approx(1.0, abs=1e-15)
+    assert refit.status == "fail"
+    # a target given to the refit takes the place of the recorded one
+    assert rate_report(back, target_gamma=0.1).status == "pass"
+    # a bound column of zeros gives no exponent: the bound's verdict alone
+    zero = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 1.0, [("c", 0.0)])
+    back = ErrorCurve.from_csv(synthetic_curve(lambda h: 0.0).to_csv(zero))
+    assert back.recorded_bound == (True, None)
 
 
 def test_csv_keeps_the_noise_floor():
