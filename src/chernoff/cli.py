@@ -93,10 +93,13 @@ def cmd_run(args) -> int:
             reference,
             margin=exp.margin,
         )
-    # the floor goes into the CSV, so ``rates`` refits with it
-    curve = dataclasses.replace(curve, noise_floor=exp.noise_floor)
+    # the floor and the slope tolerance go into the CSV, so ``rates``
+    # refits with them
+    curve = dataclasses.replace(
+        curve, noise_floor=exp.noise_floor, slope_tolerance=exp.slope_tolerance
+    )
     bounds = exp.bounds
-    report = rate_report(curve, bounds, slope_tolerance=exp.slope_tolerance)
+    report = rate_report(curve, bounds)
     out = _out_dir(args, config_path)
     csv_bound = next((b for b in bounds if b.side == "plus"), bounds[0])
     write_error_curve(out / "error_curve.csv", curve, csv_bound)
@@ -218,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle uncertainty for every point (default: the CSV's column)",
     )
     fit.add_argument("--target-gamma", type=float, default=None)
-    fit.add_argument("--slope-tolerance", type=float, default=0.05)
+    fit.add_argument(
+        "--slope-tolerance",
+        type=float,
+        default=None,
+        help="allowed shortfall of the fitted slope (default: the CSV's column)",
+    )
     fit.add_argument("--out", help="also write rate_report.json here")
     fit.set_defaults(fn=cmd_rates)
     return parser

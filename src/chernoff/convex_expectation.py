@@ -225,9 +225,13 @@ def _discrete_plan(shifts, minus: float, shape: tuple[int, ...]):
     ``expect(out)``, from its atoms' ``shifts`` ((probability, shift row)
     pairs, each row one or two scaled slices of the step's filled
     window).  One atom of probability 1 is its shift, ``minus``
-    included."""
+    included: one whole-cell tap less a penalty is the one subtraction
+    ``apply_shift`` makes of it, called with no wrapper."""
     if len(shifts) == 1 and shifts[0][0] == 1.0:
-        return partial(apply_shift, shifts[0][1], minus=minus)
+        shift = shifts[0][1]
+        if minus and len(shift) == 1 and shift[0][0] == 1.0:
+            return partial(np.subtract, shift[0][1], minus)
+        return partial(apply_shift, shift, minus=minus)
     term = np.empty(shape)
 
     def expect(out):
@@ -276,24 +280,39 @@ def penalized_max_plan(
     spreads with std ``std_scale`` sigma_i; ``family_plan`` holds the
     three families' scalings.  Each scenario fills one row: the Gaussian
     ones together, from one ``gaussian_convolve`` call whose factors and
-    ``TapPlan`` are built here, then each discrete one.  A step fills one
-    edge-clamped window of ``u`` over every row's offsets: the Gaussian
-    plan's own on its direct branch, widened to reach the atoms, else
-    one of the step plan's.  Each atom is then one or two scaled slices
-    of that window, from its first offset clipped to [-n, n]
-    (``clip_shift``), so the window spans at most 3n + 1 entries however
-    far an atom lies, and a row that is one whole-cell atom of probability
-    1 with no penalty is a view of it, not a copy.  On the FFT branch the
-    Gaussian rows are the transform's output buffer itself.  ``u`` and
-    ``out`` are one row of values, or with ``stack`` = b a (b, n) stack
-    of rows, each stepped as a one-row plan steps it.  The window and
-    row buffers are the plan's own, so one plan must not run in two
-    threads at once."""
+    ``TapPlan`` are built here, then each discrete one.  When no Gaussian
+    scenario spreads (every sigma is 0), each is the point mass at its
+    mean, its row still ahead of the discrete ones.
+
+    A step reads ``u`` through one edge-clamped window over every row's
+    offsets: the Gaussian plan's own on its direct branch, widened to
+    reach the atoms, else one the step plan holds, widened to cover
+    offset 0 as well.  Each atom is one or two scaled slices of that
+    window, from its first offset clipped to [-n, n] (``clip_shift``),
+    so the window spans at most 3n + 1 entries however far an atom lies,
+    and a row that is one whole-cell atom of probability 1 with no
+    penalty is a view of it, not a copy.  On the FFT branch the Gaussian
+    rows are the transform's output buffer itself.
+
+    A one-row plan that holds its own window holds two, each with its
+    own row views, and offers their ``interior`` views as the plan's
+    ``buffers`` (``kernels.ClampedWindow``): a step given one of them as
+    ``out`` reads ``u`` through the other window, and a step whose ``u``
+    is a window's interior refreshes that window's edge cells alone, so
+    a loop that steps from one buffer into the other copies no values
+    into a window.  Any other ``u`` is copied into the window ``out`` is
+    not in.  ``u`` and ``out`` are one row of values, or with ``stack``
+    = b a (b, n) stack of rows, each stepped as a one-row plan steps it.
+    The windows and row buffers are the plan's own, so one plan must not
+    run in two threads at once."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     shape = _shape(grid, stack)
     gaussian = [s for s in ce.scenarios if s.kind == "gaussian"]
     discrete = [s for s in ce.scenarios if s.kind != "gaussian"]
+    if all(s.sigma == 0 for s in gaussian):  # shifts alone: a Gaussian is its mean
+        discrete = [Scenario.point(s.mean, s.penalty) for s in gaussian] + discrete
+        gaussian = []
     stds = [s.sigma * std_scale for s in gaussian]
     shifts = [scale * s.mean for s in gaussian]
     dx = grid.spacing[0]
@@ -308,49 +327,59 @@ def penalized_max_plan(
     offsets = [o for scenario in atoms for _, (lo, w) in scenario for o in (lo, lo + w.size - 1)]
     reach = (min(offsets), max(offsets)) if offsets else None
     taps = gaussian_plan(grid, stds, shifts, cut, stack, reach) if gaussian else None
-    fill = None  # the window is the Gaussian plan's, filled by its call
+    own = []  # the step plan's own windows, which it fills itself
     if taps is not None and taps.spectra is None:
-        clamp = taps.clamp
+        clamps = [taps.clamp]  # the Gaussian plan's, filled by its call
     elif atoms:
-        clamp = clamped_window(grid.size, *reach, shape[:-1])
-        fill = clamp.fill
-    atom_rows = [
-        [(prob, clamp.shift(lo, w)) for prob, (lo, w) in scenario]
-        for scenario in atoms
-    ]
+        lo, hi = min(reach[0], 0), max(reach[1], 0)
+        own = clamps = [
+            clamped_window(grid.size, lo, hi, shape[:-1]) for _ in range(1 if stack else 2)
+        ]
+    else:
+        clamps = [None]  # no atom reads a window
+    read = _window_reader(own)
+    penalties = [t * s.penalty for s in discrete]
     if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
         if taps is None:
-            expect = _discrete_plan(atom_rows[0], 0.0, shape)
+            expects = [_discrete_plan(_shift_rows(atoms[0], c), 0.0, shape) for c in clamps]
 
             def single_discrete(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-                fill(u)
-                return expect(out)
+                return expects[read(u, out)](out)
 
-            return single_discrete
+            return _offering(single_discrete, own)
 
         def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
             gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
             return out
 
         return single
-    rows = []  # one per scenario, each view made once rather than per step
+    gaussian_rows = ()
     if taps is not None:
         gaussian_rows = taps.outputs
         if gaussian_rows is None:  # the direct branch writes into rows of the plan's own
             gaussian_rows = np.empty((len(gaussian),) + shape)
-        rows = list(gaussian_rows)
-    filled = []
-    for s, scenario in zip(discrete, atom_rows):
-        view = _window_view(scenario, t * s.penalty)
-        if view is None:
-            view = np.empty(shape)
-            filled.append((_discrete_plan(scenario, t * s.penalty, shape), view))
-        rows.append(view)
-    penalized = [(row, t * s.penalty) for s, row in zip(gaussian, rows) if s.penalty]
+    filled_rows = {}  # the row of each scenario that is not a view, shared by the windows
+
+    def reader(clamp):
+        """The rows of one window, one per scenario (each view made once
+        rather than per step), and the discrete rows it fills."""
+        rows, filled = list(gaussian_rows), []
+        for i, (scenario, penalty) in enumerate(zip(atoms, penalties)):
+            shift_rows = _shift_rows(scenario, clamp)
+            view = _window_view(shift_rows, penalty)
+            if view is None:
+                if i not in filled_rows:
+                    filled_rows[i] = np.empty(shape)
+                view = filled_rows[i]
+                filled.append((_discrete_plan(shift_rows, penalty, shape), view))
+            rows.append(view)
+        return rows, filled
+
+    readers = [reader(clamp) for clamp in clamps]
+    penalized = [(row, t * s.penalty) for s, row in zip(gaussian, gaussian_rows) if s.penalty]
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if fill is not None:
-            fill(u)
+        rows, filled = readers[read(u, out)]
         if taps is not None:
             gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
         for expect, row in filled:
@@ -359,6 +388,43 @@ def penalized_max_plan(
             row -= penalty
         return row_max(rows, out)
 
+    return _offering(step, own)
+
+
+def _shift_rows(scenario, clamp):
+    """A discrete scenario's atoms as (probability, shift row) pairs,
+    each row one or two scaled slices of ``clamp``."""
+    return [(prob, clamp.shift(lo, w)) for prob, (lo, w) in scenario]
+
+
+def _window_reader(windows):
+    """``read(u, out)``: the index of the window of ``windows`` (a step
+    plan's own) that a step reads ``u`` through, made to hold u's
+    clamped values.  The window whose ``interior`` is u has its edge
+    cells refreshed; else u is copied into the first window whose
+    interior is not ``out``.  With no window of its own (the Gaussian
+    plan fills its own) it is always 0."""
+    if not windows:
+        return lambda u, out: 0
+    interiors = [clamp.interior for clamp in windows]
+
+    def read(u: np.ndarray, out: np.ndarray) -> int:
+        for k, interior in enumerate(interiors):
+            if u is interior:
+                windows[k].refresh()
+                return k
+        k = 1 if out is interiors[0] else 0
+        windows[k].fill(u)
+        return k
+
+    return read
+
+
+def _offering(step, windows):
+    """``step``, offering the interiors of two ``windows`` as its
+    ``buffers`` (see ``penalized_max_plan``)."""
+    if len(windows) == 2:
+        step.buffers = tuple(clamp.interior for clamp in windows)
     return step
 
 

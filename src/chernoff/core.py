@@ -81,10 +81,6 @@ class Grid:
     def axes(self) -> tuple[np.ndarray, ...]:
         return (_frozen_array(np.linspace(self.lower[0], self.upper[0], self.counts[0])),)
 
-    def interpolate(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Piecewise-linear interpolation with constant extension."""
-        return np.interp(np.asarray(x, dtype=float), self.axes[0], np.asarray(values))
-
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of points at least ``margin`` from both ends."""
         x = self.axes[0]

@@ -15,6 +15,14 @@ plan on two ping-pong buffers, checks after every step that the
 values are finite (so the failing step is named even when a later
 step would move a non-finite value off the grid), by one sum unless
 that sum is not finite, and wraps one ``GridFunction`` at the end.
+A plan may offer its own pair of ``buffers``, arrays of the values'
+shape that it reads in place; the loop then steps from one into the
+other, and otherwise on two arrays of its own.  The families' plans
+whose window is their own offer the interiors of their two windows
+(``convex_expectation.penalized_max_plan``), so each step writes its
+values into the window the next step reads.  The returned
+``GridFunction`` and every recorded frame are copies, which later use
+of the plan does not change.
 
 A plan may also be built for a stack of b rows, ``op.plan(grid, h,
 b)``, and then steps a (b, n) array through the same code, each row to
@@ -99,7 +107,9 @@ class StepOperator:
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
     planner(grid, h, stack=None) builds the same step as a plan on value
     arrays (see ``plan``); every operator has one, and the families'
-    constructors set it to ``family_plan``.
+    constructors set it to ``family_plan``.  A plan may carry
+    ``buffers``, two arrays it reads in place, which ``chernoff_iterate``
+    steps between.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -190,17 +200,20 @@ def chernoff_iterate(
 ):
     """Apply op k = floor(t/h) times through one plan, checking after
     every step that the values are finite (``_all_finite``); optionally
-    keep (a copy of) every iterate."""
+    keep (a copy of) every iterate.  The steps alternate between the
+    plan's ``buffers`` when it offers them, else two arrays of the
+    loop's own; the first step reads ``f.values``, which no step
+    writes."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
         return (f, SpaceTimeFunction.from_functions(part.times, frames)) if record else f
     grid = f.grid
     u = f.values
-    buffers = (np.empty(grid.counts), np.empty(grid.counts))
     j = 0
     try:
         step = op.plan(grid, part.h)
+        buffers = getattr(step, "buffers", None) or (np.empty(grid.counts), np.empty(grid.counts))
         # a step that overflows is named by the check below, not warned of
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(part.k):

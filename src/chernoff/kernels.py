@@ -11,7 +11,12 @@ filled with one slice per part.  A shift row (one tap, or two on
 adjacent cells) is one or two scaled slices of a filled window
 (``ClampedWindow.shift`` and ``apply_shift``), so a step plan fills one
 window per step over all of its rows' offsets and reads each atom of a
-discrete scenario from it, with no ``apply_taps`` call.  The taps act
+discrete scenario from it, with no ``apply_taps`` call.  A window whose
+offsets cover 0 holds the values themselves in its ``interior``; a
+step that finds its input there refreshes the edge cells alone
+(``ClampedWindow.refresh``), so a step plan that writes each step into
+the interior of the window the next step reads copies no values into a
+window.  The taps act
 on the grid with constant extension at the box edges, so each step
 preserves constants, monotonicity, convexity, the sup norm, and
 Lipschitz bounds: exactly on the direct branches below, and up to
@@ -442,7 +447,10 @@ class ClampedWindow:
     for the offsets from ``lo`` to some hi, k < n + hi - lo, with the
     clamp worked out once: ``parts`` are its nonempty ``_clamp_parts``.
     ``window`` may run past n + hi - lo (the FFT branch's zero padding),
-    where ``fill`` does not write."""
+    where ``fill`` does not write.  A window whose offsets cover 0 (lo <=
+    0 <= hi) holds the values themselves in its ``interior``: a caller
+    that writes the next values there calls ``refresh``, which writes
+    the edge cells alone, in place of ``fill``."""
 
     n: int
     lo: int
@@ -453,6 +461,36 @@ class ClampedWindow:
         """Write the clamped ``values`` into the window, one slice per part."""
         for dst, src in self.parts:
             self.window[dst] = values[src]
+        return self.window
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The view of the window at offsets 0 to n - 1, which holds the
+        values themselves: the same array object on every access."""
+        if not (self.lo <= 0 and self.window.shape[-1] >= self.n - self.lo):
+            raise DomainError("the window's offsets do not cover 0")
+        return self.window[..., -self.lo : self.n - self.lo]
+
+    @cached_property
+    def _edges(self) -> tuple:
+        """The parts of the clamp but the interior as (destination,
+        source) views of the window, each source the one column of the
+        interior that its edge repeats."""
+        self.interior  # noqa: B018 - a window that does not cover 0 is refused here
+        inner = (..., slice(-self.lo, self.n - self.lo))
+        return tuple(
+            (self.window[dst], self.window[..., src.start - self.lo : src.stop - self.lo])
+            for dst, (_, src) in self.parts
+            if dst != inner
+        )
+
+    def refresh(self) -> np.ndarray:
+        """Make the window hold the clamped values of its ``interior``,
+        which holds the values already: the edge cells only, each one
+        slice from the interior's first or last value.  The window then
+        holds the bits ``fill`` writes for the same values."""
+        for dst, src in self._edges:
+            dst[...] = src
         return self.window
 
     def shift(self, offset: int, weights) -> tuple[tuple[float, np.ndarray], ...]:

@@ -52,8 +52,12 @@ class InconclusiveError(RuntimeError):
     """The data cannot support a rate estimate."""
 
 
-_CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
+_CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"
+# the columns of a CSV written before the slope tolerance was recorded;
+# it reads with the default tolerance
+_CSV_HEADER_NO_TOLERANCE = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
 DEFAULT_NOISE_FLOOR = 10.0
+DEFAULT_SLOPE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ class ErrorPoint:
 @dataclass(frozen=True)
 class ErrorCurve:
     """Errors along a strictly refining step-size list, with the
-    noise-floor multiplier that its fit uses (``rate_report``).  A curve
+    noise-floor multiplier that its fit uses and the slope tolerance its
+    verdict allows (both ``rate_report``'s defaults).  A curve
     read from a CSV that records a bound's column also carries that
     bound as ``recorded_bound`` = (held, gamma): whether it held at
     every point it was checked at, and its exponent (None when the
@@ -99,6 +104,7 @@ class ErrorCurve:
     interior_margin: float | None = None
     noise_floor: float = DEFAULT_NOISE_FLOOR
     recorded_bound: tuple[bool, float | None] | None = None
+    slope_tolerance: float = DEFAULT_SLOPE_TOLERANCE
 
     def __post_init__(self):
         hs = [pt.h for pt in self.points]
@@ -107,6 +113,10 @@ class ErrorCurve:
         if not (math.isfinite(self.noise_floor) and self.noise_floor >= 1):
             raise DomainError(
                 f"noise floor must be a finite multiplier >= 1, got {self.noise_floor!r}"
+            )
+        if not (math.isfinite(self.slope_tolerance) and self.slope_tolerance >= 0):
+            raise DomainError(
+                f"slope tolerance must be finite and >= 0, got {self.slope_tolerance!r}"
             )
 
     def __len__(self) -> int:
@@ -133,7 +143,7 @@ class ErrorCurve:
                 tail = f"{value!r},{ok}"
             lines.append(
                 f"{pt.h!r},{pt.e_plus!r},{pt.e_minus!r},{pt.oracle_uncertainty!r},"
-                f"{self.noise_floor!r},{tail}"
+                f"{self.noise_floor!r},{self.slope_tolerance!r},{tail}"
             )
         return "\n".join(lines) + "\n"
 
@@ -141,19 +151,24 @@ class ErrorCurve:
     def from_csv(cls, text: str, uncertainty: float | None = None) -> "ErrorCurve":
         """Read ``to_csv`` output; ``uncertainty``, when given, replaces
         every point's ``oracle_uncertainty``.  Every row must carry the
-        same noise floor.  A ``pass`` column that is not empty gives
+        same noise floor and slope tolerance; a CSV with no
+        ``slope_tolerance`` column (one written before it was recorded)
+        reads with the default.  A ``pass`` column that is not empty gives
         ``recorded_bound``: not held when any row reads false, and the
         exponent of c h^gamma through the first and last rows' bound
         values, log(b_first / b_last) / log(h_first / h_last), which
         every row records, skipped ones included."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _CSV_HEADER:
+        if not lines or lines[0] not in (_CSV_HEADER, _CSV_HEADER_NO_TOLERANCE):
             raise DomainError(f"expected header {_CSV_HEADER!r}")
-        points, floors, verdicts, values = [], set(), set(), []
+        width = lines[0].count(",") + 1
+        points, floors, tolerances, verdicts, values = [], set(), set(), set(), []
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) != 7:
+            if len(cells) != width:
                 raise DomainError(f"malformed error-curve row {ln!r}")
+            if width == 7:
+                cells.insert(5, repr(DEFAULT_SLOPE_TOLERANCE))
             points.append(
                 ErrorPoint(
                     h=float(cells[0]),
@@ -163,16 +178,25 @@ class ErrorCurve:
                 )
             )
             floors.add(float(cells[4]))
-            verdicts.add(cells[6])
-            values.append(cells[5])
+            tolerances.add(float(cells[5]))
+            verdicts.add(cells[7])
+            values.append(cells[6])
         if len(floors) > 1:
             raise DomainError(f"error-curve rows disagree on the noise floor: {sorted(floors)}")
-        floor = floors.pop() if floors else DEFAULT_NOISE_FLOOR
+        if len(tolerances) > 1:
+            raise DomainError(
+                f"error-curve rows disagree on the slope tolerance: {sorted(tolerances)}"
+            )
         verdicts.discard("")
         recorded = None
         if verdicts:
             recorded = ("false" not in verdicts, _recorded_gamma(points, values))
-        return cls(points=tuple(points), noise_floor=floor, recorded_bound=recorded)
+        return cls(
+            points=tuple(points),
+            noise_floor=floors.pop() if floors else DEFAULT_NOISE_FLOOR,
+            recorded_bound=recorded,
+            slope_tolerance=tolerances.pop() if tolerances else DEFAULT_SLOPE_TOLERANCE,
+        )
 
 
 def _recorded_gamma(points, values) -> float | None:
@@ -637,7 +661,7 @@ class RateReport:
 def rate_report(
     curve: ErrorCurve,
     bounds=(),
-    slope_tolerance: float = 0.05,
+    slope_tolerance: float | None = None,
     absolute_floor: float = 1e-11,
     target_gamma: float | None = None,
 ) -> RateReport:
@@ -654,9 +678,12 @@ def rate_report(
     a run's CSV passes, or fails, as the run did.  The CSV records the
     bound with the smallest exponent a run checks (``chernoff run``
     writes the first ``plus`` one), so that target is the run's.  The
-    noise-floor multiplier and the interior margin are the curve's own.
+    noise-floor multiplier and the interior margin are the curve's own,
+    and so is the slope tolerance unless ``slope_tolerance`` is given.
     """
     noise_floor_multiplier = curve.noise_floor
+    if slope_tolerance is None:
+        slope_tolerance = curve.slope_tolerance
     if slope_tolerance < 0:
         raise DomainError("slope_tolerance must be non-negative")
     checks = tuple(verify_bound(curve, b) for b in bounds)

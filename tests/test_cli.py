@@ -68,7 +68,9 @@ def test_run_writes_artifacts_and_passes(linear_config, tmp_path, capsys):
     ]
 
     csv_text = (out / "error_curve.csv").read_text()
-    assert csv_text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
+    assert csv_text.splitlines()[0] == (
+        "h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"
+    )
     assert len(csv_text.splitlines()) == 4
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -383,7 +385,9 @@ def test_bounds_subcommand(linear_config, capsys):
     assert payload[0]["constant"] > 0
 
 
-@pytest.mark.parametrize("name", ["linear_cos", "gheat_lipschitz", "clt_sublinear"])
+@pytest.mark.parametrize(
+    "name", ["linear_cos", "gheat_lipschitz", "clt_sublinear", "lln_point_pair"]
+)
 def test_shipped_example_configs_load(name, capsys):
     config = Path(__file__).resolve().parents[1] / "examples" / f"{name}.cfg"
     assert main(["bounds", str(config)]) == 0
@@ -401,6 +405,7 @@ SHIPPED_BOUNDS = {
         (0.25, 124.55172547115438),
         (0.25, 198.9611327032371),
     ],
+    "lln_point_pair": [(0.5, 221.74592695671507), (0.5, 376.1461848394509)],
 }
 
 

@@ -308,7 +308,8 @@ def _phi_1d(means, pens, ys):
 def _sup_over(grid, f, ys, costs):
     values = np.full(grid.size, -np.inf)
     for y, cost in zip(ys, costs):
-        values = np.maximum(values, grid.interpolate(f.values, grid.axes[0] + y) - cost)
+        # the linear interpolant of f, constant past the grid
+        values = np.maximum(values, np.interp(grid.axes[0] + y, grid.axes[0], f.values) - cost)
     return values
 
 

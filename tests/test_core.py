@@ -36,15 +36,6 @@ def test_grid_with_two_axes_is_rejected_naming_counts():
         Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
 
 
-def test_grid_interpolation_constant_extension():
-    g = grid1d(0.0, 1.0, 5)
-    vals = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert g.interpolate(vals, np.array([0.125]))[0] == pytest.approx(0.5)
-    # beyond the box the boundary value continues
-    assert g.interpolate(vals, np.array([2.5]))[0] == 4.0
-    assert g.interpolate(vals, np.array([-1.0]))[0] == 0.0
-
-
 def test_grid_function_rejects_nonfinite():
     g = grid1d()
     bad = np.zeros(129)

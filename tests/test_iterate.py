@@ -22,7 +22,7 @@ from chernoff.iterate import (
     partition,
     stacked_steps,
 )
-from chernoff.kernels import apply_taps, gaussian_taps
+from chernoff.kernels import apply_taps, gaussian_plan, gaussian_taps
 from chernoff.nisio import NisioFamily
 from chernoff.reference import heat_exact
 
@@ -205,6 +205,115 @@ def test_plan_iteration_matches_repeated_steps(case, h):
     np.testing.assert_array_equal(out.values, frames[-1].values)
     np.testing.assert_array_equal(recorded.values, frames[-1].values)
     np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+
+
+_G2 = Grid((-12.0,), (12.0,), (4095,))  # a Gaussian of std 1/2 takes the FFT branch
+
+# plans that fill windows of their own, so a one-row plan holds two and
+# the loop steps in their interiors: (family, scenarios, grid)
+_WINDOW_CASES = {
+    "one-sided": ("lln", _ce(Scenario.point(0.3), Scenario.point(1.7, 0.5)), _G1),
+    "one-sided-minus": ("clt", _ce(Scenario.point(-0.25), Scenario.point(-1.37, 0.2)), _G1),
+    "far-clipped": (
+        "lln",
+        _ce(Scenario.point(0.0), Scenario.point(1e4, 0.3), Scenario.point(-3e3 - 0.04, 0.1)),
+        _G1,
+    ),
+    "fractional": ("clt", _ce(Scenario.point(-0.137), Scenario.point(0.61, 0.4)), _G1),
+    "multi-atom": (
+        "lln",
+        _ce(Scenario.discrete([-0.5, 0.2, 1.1], [0.2, 0.5, 0.3]), Scenario.point(0.0, 0.1)),
+        _G1,
+    ),
+    # penalty-free whole-cell points: their rows are views of the window
+    "view-rows": (
+        "lln",
+        _ce(Scenario.point(-0.8), Scenario.point(0.4), Scenario.point(1.2, 0.3)),
+        _G1,
+    ),
+    "single-point": ("lln", _ce(Scenario.point(0.8)), _G1),
+    "single-multi-atom": ("clt", _ce(Scenario.discrete([-0.3, 0.25], [0.4, 0.6])), _G1),
+    "zero-sigma-controls": ("nisio", NisioFamily(((0.0, 0.7), (0.0, -1.3))), _G1),
+    "fft-and-atoms": (
+        "lln",
+        _ce(Scenario.gaussian(0.1, 2.0, 0.3), Scenario.point(-0.2), Scenario.point(0.5, 0.1)),
+        _G2,
+    ),
+}
+
+
+def _window_operator(case):
+    kind, fam, g = _WINDOW_CASES[case]
+    if kind == "nisio":
+        return StepOperator.from_nisio(fam), g
+    return {"lln": StepOperator.from_lln, "clt": StepOperator.from_clt}[kind](fam), g
+
+
+@pytest.mark.parametrize("h", [0.125, 0.25])
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_steps_in_the_plan_s_windows_match_repeated_steps(case, h):
+    # each op.step builds a plan of its own and copies its values into
+    # its window; the loop keeps every iterate inside the plan's two
+    # windows and refreshes their edges: tolerance 0
+    op, g = _window_operator(case)
+    assert len(op.plan(g, h).buffers) == 2
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    frames = [f]
+    for _ in range(partition(1.0, h).k):
+        frames.append(op.step(frames[-1], h))
+    out, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    np.testing.assert_array_equal(out.values, frames[-1].values)
+    np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+    np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, out.values)
+
+
+def test_a_plan_with_a_window_of_its_gaussian_plan_offers_no_buffers():
+    # the direct branch's window is the Gaussian plan's, filled by its
+    # own call; stacked plans hold one window
+    op = StepOperator.from_lln(_ce(Scenario.gaussian(0.0, 0.5), Scenario.point(0.3, 0.1)))
+    assert not hasattr(op.plan(_G1, 0.125), "buffers")
+    assert not hasattr(_window_operator("one-sided")[0].plan(_G1, 0.125, 3), "buffers")
+
+
+@pytest.mark.parametrize("case", ["one-sided", "view-rows", "fft-and-atoms"])
+def test_the_first_step_reads_an_outside_array(case):
+    # an array that is no window's interior is copied into the window
+    # that ``out`` is not in, and is left as it was
+    op, g = _window_operator(case)
+    h = 0.125
+    if case == "fft-and-atoms":
+        assert gaussian_plan(g, [2.0 * h], [0.1 * h]).spectra is not None
+    step = op.plan(g, h)
+    u = np.cos(g.axes[0]) + 0.1 * g.axes[0]
+    before = u.copy()
+    want = op.step(GridFunction(g, u), h).values
+    for out in (*step.buffers, np.empty(g.size)):
+        np.testing.assert_array_equal(step(u, out), want)
+    np.testing.assert_array_equal(u, before)
+    # a buffer's values then read in place give the next step
+    first, second = step.buffers
+    step(u, first)
+    want = op.step(GridFunction(g, want), h).values
+    np.testing.assert_array_equal(step(first, second), want)
+
+
+def test_mutating_a_plan_s_windows_leaves_the_run_s_results():
+    op, g = _window_operator("view-rows")
+    plans = []
+
+    def planner(grid, h, stack=None):
+        plans.append(op.plan(grid, h, stack))
+        return plans[-1]
+
+    held = StepOperator(name="held", step=op.step, planner=planner)
+    f = GridFunction.from_callable(g, np.cos)
+    out, traj = chernoff_iterate(held, f, 1.0, 0.125, record=True)
+    kept = out.values.copy(), traj.values.copy()
+    for buffer in plans[-1].buffers:
+        buffer.base[...] = np.nan  # the whole window the interior views
+    np.testing.assert_array_equal(out.values, kept[0])
+    np.testing.assert_array_equal(traj.values, kept[1])
+    np.testing.assert_array_equal(out.values, chernoff_iterate(op, f, 1.0, 0.125).values)
 
 
 def _clipped_shift(values, j, weight):

@@ -201,6 +201,25 @@ def test_a_clamped_shift_is_the_clipped_sum_bit_for_bit(offset, weights, minus):
     np.testing.assert_array_equal(apply_taps(values, offsets, weights), expected)
 
 
+@pytest.mark.parametrize("lo, hi", [(-7, 4), (0, 9), (-5, 0), (0, 0), (-_N, _N)])
+def test_a_refreshed_window_holds_the_bits_of_a_filled_one(lo, hi):
+    # a window over offsets that cover 0 holds the values in its interior;
+    # writing them there and refreshing the edges fills it as fill does
+    values = np.random.default_rng(11).normal(size=_N)
+    for batch, rows in [((), values), ((3,), np.stack([values, -values, values[::-1]]))]:
+        filled = clamped_window(_N, lo, hi, batch)
+        filled.fill(rows)
+        clamp = clamped_window(_N, lo, hi, batch)
+        clamp.window[...] = np.nan
+        clamp.interior[...] = rows
+        assert clamp.interior is clamp.interior
+        np.testing.assert_array_equal(clamp.refresh(), filled.window)
+    with pytest.raises(DomainError, match="cover 0"):
+        clamped_window(_N, 2, 5).refresh()
+    with pytest.raises(DomainError, match="cover 0"):
+        clamped_window(_N, -5, -2).interior  # noqa: B018
+
+
 def test_a_discrete_scenario_step_is_the_clipped_sum_of_its_atoms():
     # three atoms (one a fractional shift), probabilities and a penalty,
     # against a point at 0 whose row is the values themselves

@@ -60,7 +60,9 @@ def test_curve_validation():
 def test_csv_roundtrip_and_columns():
     curve = synthetic_curve(lambda h: 2.0 * h)
     text = curve.to_csv()
-    assert text.splitlines()[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
+    assert text.splitlines()[0] == (
+        "h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"
+    )
     back = ErrorCurve.from_csv(text)
     assert [pt.h for pt in back] == [pt.h for pt in curve]
     assert [pt.e_plus for pt in back] == [pt.e_plus for pt in curve]
@@ -122,6 +124,43 @@ def test_the_refit_restores_the_recorded_bound_s_gamma():
     zero = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 1.0, [("c", 0.0)])
     back = ErrorCurve.from_csv(synthetic_curve(lambda h: 0.0).to_csv(zero))
     assert back.recorded_bound == (True, None)
+
+
+def test_the_refit_judges_the_slope_with_the_run_s_tolerance(tmp_path, capsys):
+    # gamma_hat = 0.8 stays under 100 h and falls 0.2 short of the bound's
+    # gamma = 1: a tolerance of 0.5 passes it, the default 0.05 does not
+    from dataclasses import replace
+
+    from chernoff.cli import main
+
+    bound = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 1.0, [("c", 100.0)])
+    curve = replace(synthetic_curve(lambda h: 0.05 * h**0.8), slope_tolerance=0.5)
+    run = rate_report(curve, [bound])
+    assert run.fit.gamma_hat == pytest.approx(0.8) and run.slope_tolerance == 0.5
+    assert run.status == "pass"
+    back = ErrorCurve.from_csv(curve.to_csv(bound))
+    assert back.slope_tolerance == 0.5
+    refit = rate_report(back)
+    assert refit.target_gamma == pytest.approx(1.0, abs=1e-15)
+    assert refit.slope_tolerance == 0.5 and refit.status == "pass"
+    # a tolerance given to the refit takes the place of the recorded one
+    assert rate_report(back, slope_tolerance=0.05).status == "fail"
+    csv = tmp_path / "curve.csv"
+    csv.write_text(curve.to_csv(bound))
+    assert main(["rates", str(csv)]) == 0
+    assert main(["rates", str(csv), "--slope-tolerance", "0.05"]) == 1
+    capsys.readouterr()
+    # a CSV with no slope_tolerance column reads with the default
+    rows = curve.to_csv(bound).splitlines()
+    legacy = [",".join(cells[:5] + cells[6:]) for cells in (r.split(",") for r in rows)]
+    assert legacy[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
+    old = ErrorCurve.from_csv("\n".join(legacy))
+    assert old.slope_tolerance == 0.05 and old.points == back.points
+    assert rate_report(old).status == "fail"
+    # every row must carry the same tolerance
+    rows[2] = rows[2].replace(",0.5,", ",0.25,")
+    with pytest.raises(DomainError, match="slope tolerance"):
+        ErrorCurve.from_csv("\n".join(rows))
 
 
 def test_csv_keeps_the_noise_floor():
