@@ -248,21 +248,21 @@ def _discrete_plan(shifts, minus: float, shape: tuple[int, ...]):
     return expect
 
 
-def _clipped(taps, n: int) -> tuple[int, np.ndarray]:
+def _clipped(taps, n: int) -> tuple[int, tuple[float, ...]]:
     """A shift row's ``shift_taps`` as its first offset, clipped to rows
-    of ``n`` values by ``clip_shift``, and its weights."""
+    of ``n`` values by ``clip_shift``, and its weights as floats, which
+    ``ClampedWindow.shift`` reads faster than an array's entries."""
     offsets, weights = taps
-    return clip_shift(int(offsets[0]), n), weights
+    return clip_shift(int(offsets[0]), n), tuple(weights.tolist())
 
 
-def _window_view(shifts, minus: float) -> np.ndarray | None:
-    """The view of the window that is a discrete scenario's row when it
-    is one whole-cell atom of probability 1 and ``minus`` is 0, else
-    None."""
-    if minus or len(shifts) != 1 or shifts[0][0] != 1.0 or len(shifts[0][1]) != 1:
-        return None
-    weight, view = shifts[0][1][0]
-    return view if weight == 1.0 else None
+def _is_view(scenario, minus: float) -> bool:
+    """Whether a discrete scenario's row is a view of the window: one
+    whole-cell atom of probability 1, and ``minus`` 0."""
+    if minus or len(scenario) != 1:
+        return False
+    prob, (_, weights) = scenario[0]
+    return prob == 1.0 and weights == (1.0,)
 
 
 def penalized_max_plan(
@@ -304,7 +304,13 @@ def penalized_max_plan(
     not in.  ``u`` and ``out`` are one row of values, or with ``stack``
     = b a (b, n) stack of rows, each stepped as a one-row plan steps it.
     The windows and row buffers are the plan's own, so one plan must not
-    run in two threads at once."""
+    run in two threads at once.
+
+    Every plan declares ``drop`` = t min_i alpha_i.  Each row averages
+    ``u`` with nonnegative weights that sum to 1, less t alpha_i, and the
+    least-penalised row bounds the max from below, so a step's values
+    lie in [min u - drop, max u] up to rounding;
+    ``iterate.chernoff_iterate`` proves a run finite from it once."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     shape = _shape(grid, stack)
@@ -324,7 +330,7 @@ def penalized_max_plan(
         ]
         for s in discrete
     ]
-    offsets = [o for scenario in atoms for _, (lo, w) in scenario for o in (lo, lo + w.size - 1)]
+    offsets = [o for scenario in atoms for _, (lo, w) in scenario for o in (lo, lo + len(w) - 1)]
     reach = (min(offsets), max(offsets)) if offsets else None
     taps = gaussian_plan(grid, stds, shifts, cut, stack, reach) if gaussian else None
     own = []  # the step plan's own windows, which it fills itself
@@ -332,13 +338,14 @@ def penalized_max_plan(
         clamps = [taps.clamp]  # the Gaussian plan's, filled by its call
     elif atoms:
         lo, hi = min(reach[0], 0), max(reach[1], 0)
-        own = clamps = [
-            clamped_window(grid.size, lo, hi, shape[:-1]) for _ in range(1 if stack else 2)
-        ]
+        own = clamps = [clamped_window(grid.size, lo, hi, shape[:-1])]
+        if not stack:
+            own.append(own[0].twin())
     else:
         clamps = [None]  # no atom reads a window
     read = _window_reader(own)
     penalties = [t * s.penalty for s in discrete]
+    drop = t * min(s.penalty for s in ce.scenarios)
     if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
         if taps is None:
             expects = [_discrete_plan(_shift_rows(atoms[0], c), 0.0, shape) for c in clamps]
@@ -346,33 +353,35 @@ def penalized_max_plan(
             def single_discrete(u: np.ndarray, out: np.ndarray) -> np.ndarray:
                 return expects[read(u, out)](out)
 
-            return _offering(single_discrete, own)
+            return _declared(single_discrete, own, drop)
 
         def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
             gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
             return out
 
-        return single
+        return _declared(single, own, drop)
     gaussian_rows = ()
     if taps is not None:
         gaussian_rows = taps.outputs
         if gaussian_rows is None:  # the direct branch writes into rows of the plan's own
             gaussian_rows = np.empty((len(gaussian),) + shape)
-    filled_rows = {}  # the row of each scenario that is not a view, shared by the windows
+    # the row each scenario fills, shared by the windows, or None for a view of the window
+    filled_rows = [
+        None if _is_view(scenario, penalty) else np.empty(shape)
+        for scenario, penalty in zip(atoms, penalties)
+    ]
 
     def reader(clamp):
         """The rows of one window, one per scenario (each view made once
         rather than per step), and the discrete rows it fills."""
         rows, filled = list(gaussian_rows), []
-        for i, (scenario, penalty) in enumerate(zip(atoms, penalties)):
+        for scenario, penalty, row in zip(atoms, penalties, filled_rows):
             shift_rows = _shift_rows(scenario, clamp)
-            view = _window_view(shift_rows, penalty)
-            if view is None:
-                if i not in filled_rows:
-                    filled_rows[i] = np.empty(shape)
-                view = filled_rows[i]
-                filled.append((_discrete_plan(shift_rows, penalty, shape), view))
-            rows.append(view)
+            if row is None:
+                row = shift_rows[0][1][0][1]
+            else:
+                filled.append((_discrete_plan(shift_rows, penalty, shape), row))
+            rows.append(row)
         return rows, filled
 
     readers = [reader(clamp) for clamp in clamps]
@@ -388,7 +397,7 @@ def penalized_max_plan(
             row -= penalty
         return row_max(rows, out)
 
-    return _offering(step, own)
+    return _declared(step, own, drop)
 
 
 def _shift_rows(scenario, clamp):
@@ -420,9 +429,10 @@ def _window_reader(windows):
     return read
 
 
-def _offering(step, windows):
-    """``step``, offering the interiors of two ``windows`` as its
-    ``buffers`` (see ``penalized_max_plan``)."""
+def _declared(step, windows, drop: float):
+    """``step`` with its ``drop`` declared, offering the interiors of two
+    ``windows`` as its ``buffers`` (see ``penalized_max_plan``)."""
+    step.drop = drop
     if len(windows) == 2:
         step.buffers = tuple(clamp.interior for clamp in windows)
     return step

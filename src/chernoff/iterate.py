@@ -10,12 +10,15 @@ once for a plan: ``op.plan(grid, h)`` returns ``step(u, out)``, which
 maps the value array ``u`` to the next iterate, writes it into the
 preallocated ``out`` and returns it.  Every operator has a planner;
 the families build their taps, penalties and scratch buffers into the
-plan.  ``chernoff_iterate`` is the one loop: it runs the
-plan on two ping-pong buffers, checks after every step that the
-values are finite (so the failing step is named even when a later
-step would move a non-finite value off the grid), by one sum unless
-that sum is not finite, and wraps one ``GridFunction`` at the end.
-A plan may offer its own pair of ``buffers``, arrays of the values'
+plan.  ``chernoff_iterate`` is the one loop: it runs the plan on two
+ping-pong buffers and wraps one ``GridFunction`` at the end.  A family
+step is monotone and moves a constant down by at most t min_i alpha_i,
+so a plan that declares that ``drop`` proves a run from a payoff far
+inside the float range finite once, before the first step
+(``FINITE_SUP``); any other run is checked after every step, by one
+sum unless that sum is not finite, so the failing step is named even
+when a later step would move a non-finite value off the grid.  A plan
+may offer its own pair of ``buffers``, arrays of the values'
 shape that it reads in place; the loop then steps from one into the
 other, and otherwise on two arrays of its own.  The families' plans
 whose window is their own offer the interiors of their two windows
@@ -55,6 +58,21 @@ from .core import DomainError, Grid, GridFunction, SpaceTimeFunction
 # of values (511 rows of 513 points, 64 of 4095), so a stacked plan's
 # buffers stay a few such blocks however many rows the stack has.
 BLOCK_BYTES = 2**21
+
+# A run is proved finite before its first step when its plan declares
+# its ``drop`` (``convex_expectation.penalized_max_plan``), it has at
+# most FINITE_STEPS steps and sup|f| + k drop <= FINITE_SUP.  Each row of
+# such a step averages u with nonnegative weights, less t alpha_i >= 0,
+# and the least-penalised row lies within ``drop`` of min u, so a step
+# maps sup|u| to at most (1 + eps)(sup|u| + drop).  The weights sum to 1
+# within 1e-12 (a discrete scenario's probabilities) and a sum of m <
+# 2^36 taps or an FFT of length L < 2^36 rounds by less than 2^-17
+# relative to sup|u|, so eps < 2^-16.  Over at most 2^24 steps the growth
+# (1 + eps)^k stays below e^256 < 2^370, every iterate below 2^626, and
+# no tap sum, FFT spectrum or inverse-transform intermediate (at most
+# L^2 sup|u|, below 2^698) comes near the float range's 2^1024.
+FINITE_SUP = 2.0**256
+FINITE_STEPS = 2**24
 
 
 class IterationError(RuntimeError):
@@ -109,7 +127,9 @@ class StepOperator:
     arrays (see ``plan``); every operator has one, and the families'
     constructors set it to ``family_plan``.  A plan may carry
     ``buffers``, two arrays it reads in place, which ``chernoff_iterate``
-    steps between.
+    steps between, and ``drop``, a bound on how far a step falls below
+    min u, from which it proves a run finite (``FINITE_SUP``); both
+    belong to the plan, so an operator with another planner has neither.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -198,12 +218,19 @@ def chernoff_iterate(
     h: float,
     record: bool = False,
 ):
-    """Apply op k = floor(t/h) times through one plan, checking after
-    every step that the values are finite (``_all_finite``); optionally
-    keep (a copy of) every iterate.  The steps alternate between the
-    plan's ``buffers`` when it offers them, else two arrays of the
-    loop's own; the first step reads ``f.values``, which no step
-    writes."""
+    """Apply op k = floor(t/h) times through one plan; optionally keep (a
+    copy of) every iterate.  The steps alternate between the plan's
+    ``buffers`` when it offers them, else two arrays of the loop's own;
+    the first step reads ``f.values``, which no step writes.
+
+    A plan that declares its ``drop`` keeps sup|u| + drop within a
+    rounding of sup|u| per step, so a run with sup|f| + k drop at most
+    ``FINITE_SUP`` (and at most ``FINITE_STEPS`` steps) is finite at
+    every step, proved once before the first.  Every other run (a plan
+    that declares no ``drop``, values near the float range, an inf or
+    nan in ``f.values``) is checked after every step (``_all_finite``),
+    so the step that made a value non-finite is named even when a later
+    step would move it off the grid."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -214,11 +241,12 @@ def chernoff_iterate(
     try:
         step = op.plan(grid, part.h)
         buffers = getattr(step, "buffers", None) or (np.empty(grid.counts), np.empty(grid.counts))
+        checked = not _proved_finite(u, part.k, getattr(step, "drop", None))
         # a step that overflows is named by the check below, not warned of
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(part.k):
                 u = step(u, buffers[j % 2])
-                if not _all_finite(u):
+                if checked and not _all_finite(u):
                     raise DomainError("grid function values must be finite")
                 if record:
                     frames.append(GridFunction(grid, u))
@@ -233,7 +261,7 @@ def chernoff_iterate(
 
 def worker_count(n_tasks: int, requested: int | None = None, default: int | None = None) -> int:
     """Worker pool size: explicit argument, else CHERNOFF_WORKERS, else
-    ``default``, else cores."""
+    ``default``, else the cores this process may run on."""
     if requested is None:
         env = os.environ.get("CHERNOFF_WORKERS", "").strip()
         if env:
@@ -242,10 +270,19 @@ def worker_count(n_tasks: int, requested: int | None = None, default: int | None
             except ValueError:
                 raise DomainError(f"CHERNOFF_WORKERS must be an integer, got {env!r}")
         else:
-            requested = default or os.cpu_count() or 1
+            requested = default or _usable_cores()
     if requested < 1:
         raise DomainError("worker count must be at least 1")
     return max(1, min(requested, n_tasks))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform reports one (``taskset`` narrows it below the machine's
+    count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def chernoff_runs(
@@ -317,12 +354,23 @@ def stacked_steps(op: StepOperator, grid: Grid, h: float):
     return step
 
 
+def _proved_finite(u: np.ndarray, k: int, drop: float | None) -> bool:
+    """Whether k steps of a plan that declares ``drop`` keep every value
+    of a run from ``u`` finite (see ``FINITE_SUP``).  A plan that
+    declares none, and a ``u`` holding an inf or nan, prove nothing."""
+    if drop is None or k > FINITE_STEPS:
+        return False
+    return float(np.max(np.abs(u))) + k * drop <= FINITE_SUP
+
+
 def _all_finite(values: np.ndarray) -> bool:
     """Whether every entry of ``values`` is finite, in one ``np.add.reduce``
     for finite values: a finite sum proves every addend finite.  Only a
     sum that is not finite (an inf or nan among the values, or finite
     values whose sum passes the float range) is checked entry by entry.
-    The caller silences the sum's overflow warning."""
+    ``stacked_steps`` checks each stacked step with it, and
+    ``chernoff_iterate`` each step of a run it cannot prove finite
+    beforehand.  The caller silences the sum's overflow warning."""
     return math.isfinite(np.add.reduce(values, axis=None)) or bool(np.isfinite(values).all())
 
 

@@ -471,6 +471,12 @@ class ClampedWindow:
             raise DomainError("the window's offsets do not cover 0")
         return self.window[..., -self.lo : self.n - self.lo]
 
+    def twin(self) -> "ClampedWindow":
+        """A window of the same clamp (its ``parts`` shared, not worked
+        out again) on an unwritten array of its own; for a window with no
+        zero padding, which ``fill`` writes whole."""
+        return ClampedWindow(self.n, self.lo, np.empty_like(self.window), self.parts)
+
     @cached_property
     def _edges(self) -> tuple:
         """The parts of the clamp but the interior as (destination,

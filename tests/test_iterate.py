@@ -1,5 +1,6 @@
 import importlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,8 +418,9 @@ def test_a_shift_only_step_on_an_infinite_payoff_names_step_1(monkeypatch):
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", recorded)
-    # a finite run proves each step finite by its sum alone: the one
-    # call left is the check of the returned GridFunction
+    # a finite run is proved finite once from its plan's drop, with no
+    # per-step check: the one call left is the check of the returned
+    # GridFunction
     chernoff_iterate(op, f, 1.0, 0.125)
     assert len(calls) == 1
     # a payoff holding inf, set past GridFunction's own check
@@ -453,6 +455,133 @@ def test_a_finite_step_whose_sum_overflows_passes():
     stack[1, 7] = np.nan
     with pytest.raises(DomainError, match="grid function values must be finite"):
         stacked_steps(op, g, 0.125)(stack, np.empty_like(stack))
+
+
+def _counting_checks(monkeypatch):
+    """The calls ``chernoff_iterate`` makes to its per-step check."""
+    import chernoff.iterate as iterate_mod
+
+    calls, check = [], iterate_mod._all_finite
+    monkeypatch.setattr(iterate_mod, "_all_finite", lambda u: calls.append(1) or check(u))
+    return calls
+
+
+def _undeclared(op):
+    """``op`` whose plans declare no ``drop`` and offer the same buffers,
+    so each of its runs is checked after every step."""
+
+    def planner(grid, h, stack=None):
+        step = op.plan(grid, h, stack)
+
+        def bare(u, out):
+            return step(u, out)
+
+        if hasattr(step, "buffers"):
+            bare.buffers = step.buffers
+        return bare
+
+    return replace(op, planner=planner)
+
+
+_NISIO = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.3))))
+# (operator, grid, the std of a Gaussian factor at h = 1/8, or None for shifts alone)
+_CERTIFIED_CASES = {
+    "lln-direct": (
+        StepOperator.from_lln(_ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0))), _G1, None
+    ),
+    "lln-direct-drop": (
+        StepOperator.from_lln(_ce(Scenario.point(-0.3, 1e-12), Scenario.point(0.5, 0.2))),
+        _G1,
+        None,
+    ),
+    "lln-fft": (_window_operator("fft-and-atoms")[0], _G2, 2.0 * 0.125),
+    "clt-direct": (
+        StepOperator.from_clt(
+            _ce(Scenario.discrete([-0.3, 0.25], [0.4, 0.6]), Scenario.point(0.1, 0.2))
+        ),
+        _G1,
+        None,
+    ),
+    "clt-gaussian-direct": (
+        StepOperator.from_clt(_ce(Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0))),
+        _G1,
+        0.5 * 0.125**0.5,
+    ),
+    "clt-fft": (
+        StepOperator.from_clt(_ce(Scenario.gaussian(0.0, 0.5), Scenario.gaussian(0.0, 1.0))),
+        _G2,
+        0.5 * 0.125**0.5,
+    ),
+    "nisio-direct": (_NISIO, _G1, 0.5 * 0.125**0.5),
+    "nisio-fft": (_NISIO, _G2, 0.5 * 0.125**0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED_CASES))
+def test_a_certified_run_checks_no_step_and_matches_the_checked_run(case, monkeypatch):
+    op, g, std = _CERTIFIED_CASES[case]
+    if std is not None:  # the branch the case is named for
+        assert (gaussian_plan(g, std, 0.0).spectra is not None) == case.endswith("fft")
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    calls = _counting_checks(monkeypatch)
+    out, traj = chernoff_iterate(op, f, 1.0, 0.125, record=True)
+    assert calls == []
+    checked, checked_traj = chernoff_iterate(_undeclared(op), f, 1.0, 0.125, record=True)
+    assert len(calls) == 8
+    # tolerance 0: the proof skips the checks and nothing else
+    np.testing.assert_array_equal(out.values, checked.values)
+    np.testing.assert_array_equal(traj.values, checked_traj.values)
+
+
+def test_a_run_just_past_the_bound_is_checked_at_every_step(monkeypatch):
+    import chernoff.iterate as iterate_mod
+
+    g = grid1d(101)
+    op = StepOperator.from_lln(_ce(Scenario.point(-0.24), Scenario.point(0.24, 1.0)))
+    calls = _counting_checks(monkeypatch)
+    at = iterate_mod.FINITE_SUP
+    for sup, checks in ((at, 0), (np.nextafter(at, np.inf), 8)):
+        calls.clear()
+        f = GridFunction(g, np.where(g.axes[0] < 0, -sup, sup))
+        chernoff_iterate(op, f, 1.0, 0.125)
+        assert len(calls) == checks
+    # k drop counts too: a plan that falls by FINITE_SUP / 8 per step
+    for drop, checks in ((at / 8, 0), (np.nextafter(at / 8, np.inf), 8)):
+
+        def planner(grid, h, stack=None, drop=drop):
+            step = lambda u, out: np.copyto(out, u) or out  # noqa: E731
+            step.drop = drop
+            return step
+
+        calls.clear()
+        held = StepOperator(name="held", step=lambda f, h: f, planner=planner)
+        chernoff_iterate(held, GridFunction(g, np.zeros(g.size)), 1.0, 0.125)
+        assert len(calls) == checks
+    # and so does the number of steps
+    monkeypatch.setattr(iterate_mod, "FINITE_STEPS", 7)
+    calls.clear()
+    chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("value", [-np.inf, np.nan])
+def test_a_payoff_holding_a_non_finite_value_names_step_1(value, monkeypatch):
+    # as test_a_shift_only_step_on_an_infinite_payoff_names_step_1 with
+    # inf: set past GridFunction's own check, sup|f| proves nothing, so
+    # the run is checked after every step and fails at the first
+    g = grid1d(101)
+    values = np.cos(g.axes[0])
+    values[50] = value
+    f = object.__new__(GridFunction)
+    object.__setattr__(f, "grid", g)
+    object.__setattr__(f, "values", values)
+    calls = _counting_checks(monkeypatch)
+    for op, _, _ in _CERTIFIED_CASES.values():
+        if op.shifts_only:
+            calls.clear()
+            with pytest.raises(IterationError, match=r"step 1 of 8 .*finite"):
+                chernoff_iterate(op, f, 1.0, 0.125)
+            assert calls == [1]
 
 
 def test_a_recorded_run_keeps_a_copy_of_each_plan_step():

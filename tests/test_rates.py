@@ -193,6 +193,21 @@ def test_worker_count(monkeypatch):
         worker_count(10, 0)
 
 
+def test_worker_count_defaults_to_the_cores_the_process_may_run_on(monkeypatch):
+    import chernoff.iterate as iterate_mod
+
+    monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
+    monkeypatch.setattr(iterate_mod.os, "cpu_count", lambda: 2)
+    # pinned to one core of two, as under ``taskset -c 0``
+    monkeypatch.setattr(iterate_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(10) == 1
+    monkeypatch.setattr(iterate_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert worker_count(10) == 3
+    # a platform with no affinity call counts the machine's cores
+    monkeypatch.delattr(iterate_mod.os, "sched_getaffinity", raising=False)
+    assert worker_count(10) == 2
+
+
 def test_fit_rate_recovers_exact_power_laws():
     fit = fit_rate(synthetic_curve(lambda h: 3.0 * h))
     assert fit.gamma_hat == pytest.approx(1.0, abs=1e-12)
@@ -316,7 +331,7 @@ def test_shift_only_operators_default_to_one_thread(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(iterate_mod, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(iterate_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(iterate_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
     grid = grid1d(257, 12.0)
     f = GridFunction.from_callable(grid, lambda v: np.minimum(np.abs(v), 1.0))
@@ -411,7 +426,7 @@ def test_shift_only_operators_open_no_pool_in_the_oracle(monkeypatch):
     monkeypatch.setattr(
         iterate_mod, "ThreadPoolExecutor", _recording_pool(iterate_mod, pools, submitted)
     )
-    monkeypatch.setattr(iterate_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(iterate_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delenv("CHERNOFF_WORKERS", raising=False)
     grid = grid1d(257, 12.0)
     f = _capped(grid)
