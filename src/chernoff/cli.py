@@ -26,7 +26,6 @@ from .properties import admit_operator, appendix_suite, structural_suite
 from .rates import (
     InconclusiveError,
     measure_errors,
-    oracle_and_curve,
     rate_report,
     read_error_curve,
     write_error_curve,
@@ -78,21 +77,10 @@ def cmd_run(args) -> int:
     admitted = admit_operator(
         exp.operator, exp.grid, seed=exp.seed, n_pairs=min(64, exp.n_pairs)
     )
-    if exp.reference_kind == "oracle":
-        # the oracle's two levels and the curve's points share one pool
-        _, curve = oracle_and_curve(
-            admitted, exp.payoff, exp.t, exp.h_fine, exp.h_list, margin=exp.margin
-        )
-    else:
-        reference = exp.build_reference()
-        curve = measure_errors(
-            admitted,
-            exp.payoff,
-            exp.t,
-            exp.h_list,
-            reference,
-            margin=exp.margin,
-        )
+    # the reference's levels and the curve's points share one pool
+    curve = measure_errors(
+        admitted, exp.payoff, exp.t, exp.h_list, exp.reference(), margin=exp.margin
+    )
     # the floor and the slope tolerance go into the CSV, so ``rates``
     # refits with them
     curve = dataclasses.replace(

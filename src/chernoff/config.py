@@ -22,7 +22,7 @@ from .core import DomainError, Grid, GridFunction
 from .iterate import StepOperator, scenario_reach
 from .nisio import NisioFamily
 from .properties import SUITE_H, suite_margin
-from .reference import EXACT_CUT, OracleResult, heat_exact
+from .reference import EXACT_CUT, FineOracle, OracleResult, heat_exact
 
 
 class ConfigError(ValueError):
@@ -143,10 +143,12 @@ class Experiment:
             )
         return tuple(reports)
 
-    def build_reference(self) -> OracleResult:
-        """The exact reference, ``reference = exact``: the payoff under
-        the heat semigroup of ``[experiment] sigma`` and ``mean``.  A fine
-        oracle runs through ``rates.oracle_and_curve`` instead."""
+    def reference(self) -> OracleResult | FineOracle:
+        """The reference ``measure_errors`` finishes: the fine oracle at
+        ``h_fine`` for ``reference = oracle``, or for ``exact`` the payoff
+        under the heat semigroup of ``[experiment] sigma`` and ``mean``."""
+        if self.reference_kind == "oracle":
+            return FineOracle(self.h_fine)
         values = heat_exact(self.payoff, self.exact_sigma, self.exact_mean, self.t)
         return OracleResult(values=values, uncertainty=0.0, h_fine=None)
 

@@ -4,9 +4,9 @@ measure_errors runs the iteration at each step size and splits the
 signed error against a reference on an interior subdomain, verify_bound
 compares the curve with a closed-form constant, fit_rate estimates the
 observed order, and rate_report folds everything into one verdict.
-oracle_and_curve runs a fine oracle's two levels and the curve's points
-through one pool (``iterate.chernoff_runs``), longest first, and then
-reduces them as ``fine_oracle`` and ``measure_errors`` do.
+measure_errors runs the products its reference needs (a fine oracle's
+two levels, ``reference.FineOracle``) and the curve's points through one
+pool (``iterate.chernoff_runs``), longest first.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     positive_part_norm,
 )
 from .iterate import StepOperator, chernoff_runs, worker_count
-from .reference import OracleResult, fine_oracle, oracle_mask
+from .reference import FineOracle, OracleResult
 
 __all__ = [
     "InconclusiveError",
@@ -36,7 +36,6 @@ __all__ = [
     "read_error_curve",
     "worker_count",
     "measure_errors",
-    "oracle_and_curve",
     "RateFit",
     "fit_rate",
     "BoundCheck",
@@ -255,30 +254,27 @@ def measure_errors(
     f: GridFunction,
     t: float,
     h_list,
-    reference: OracleResult,
+    reference: OracleResult | FineOracle,
     margin: float | None = None,
     workers: int | None = None,
-    *,
-    runs=None,
 ) -> ErrorCurve:
     """Signed errors of the iteration against a reference, per step size.
 
     The split is measured on the interior of the grid only; the margin
     swallows the band where truncated convolutions pollute both runs.
-    Every check runs before any step.  The points run through one
-    ``chernoff_runs`` pool of ``workers`` threads (``worker_count``:
-    CHERNOFF_WORKERS, else one per core, and one for an operator whose
-    steps only shift), unless ``runs`` already holds their iterates, one
-    per step size in the order of ``h_list`` (``oracle_and_curve``).
+    Every check runs before any step.  The reference's ``levels`` and
+    the points run through one ``chernoff_runs`` pool of ``workers``
+    threads (``worker_count``: CHERNOFF_WORKERS, else one per core, and
+    one for an operator whose steps only shift), and the reference is
+    finished from its levels' iterates at the curve's margin.
     """
     hs, margin, mask = _curve_checks(op, f, t, h_list, reference.h_fine, margin)
-    if runs is None:
-        runs = chernoff_runs(op, f, t, hs, workers)
-    if len(runs) != len(hs):
-        raise DomainError(f"need one run per step size, got {len(runs)} for {len(hs)}")
+    levels = reference.levels
+    runs = chernoff_runs(op, f, t, [*levels, *hs], workers)
+    reference = reference.finish(op, f, t, runs[: len(levels)], margin)
     ref = reference.values
     points = []
-    for h, approx in zip(hs, runs):
+    for h, approx in zip(hs, runs[len(levels):]):
         diff = ref - approx
         points.append(
             ErrorPoint(
@@ -289,30 +285,6 @@ def measure_errors(
             )
         )
     return ErrorCurve(points=tuple(points), interior_margin=margin)
-
-
-def oracle_and_curve(
-    op: StepOperator,
-    f: GridFunction,
-    t: float,
-    h_fine: float,
-    h_list,
-    margin: float | None = None,
-    workers: int | None = None,
-) -> tuple[OracleResult, ErrorCurve]:
-    """``fine_oracle(op, f, t, h_fine, margin)`` and the ``measure_errors``
-    curve of ``h_list`` against it, with the 2 + len(h_list) Chernoff
-    products they need run through one ``chernoff_runs`` pool, longest
-    first: the oracle's levels overlap the curve's points instead of
-    running before them.  Every check of both runs before any step, in
-    the order the two calls make them; the iterates are the bits the
-    two calls compute on their own."""
-    oracle_mask(op, f, t, h_fine, margin)
-    hs, _, _ = _curve_checks(op, f, t, h_list, h_fine, margin)
-    runs = chernoff_runs(op, f, t, [h_fine, 2.0 * h_fine, *hs], workers)
-    reference = fine_oracle(op, f, t, h_fine, margin, runs=runs[:2])
-    curve = measure_errors(op, f, t, h_list, reference, margin, workers=workers, runs=runs[2:])
-    return reference, curve
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,12 @@
 volatility references for convex and concave payoffs, and fine-step
 oracles standing in for the limit semigroup.
 
-The fine oracle reports its own uncertainty (the distance between the
-h and 2h runs); experiments treat results as inconclusive when their
-measured errors sink below a multiple of that number.  Its two levels
-are independent Chernoff products and run through one pool
-(``iterate.chernoff_runs``), the h level first; ``chernoff run`` sends
-them through the same call as its curve points
-(``rates.oracle_and_curve``) and hands the iterates to ``fine_oracle``.
+A reference names the step sizes it needs (``levels``), which
+``rates.measure_errors`` runs in one pool with its curve points, and
+``finish`` turns their iterates into an ``OracleResult``: an exact
+``OracleResult`` needs none, a ``FineOracle`` the h and 2h runs of
+``fine_oracle``, whose distance is its uncertainty.  Experiments treat
+results as inconclusive when their errors sink below a multiple of it.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ from .kernels import gaussian_convolve
 
 # heat_exact's taps span this many standard deviations
 EXACT_CUT = 16.0
+# certify_shape's slack on a second difference of the wrong sign
+SHAPE_TOL = 1e-10
 
 
 def heat_exact(
@@ -39,12 +40,12 @@ def heat_exact(
     return GridFunction(f.grid, vals)
 
 
-def certify_shape(f: GridFunction, tol: float = 1e-10) -> str | None:
+def certify_shape(f: GridFunction) -> str | None:
     """'convex', 'concave', or None, from discrete second differences."""
     d2 = np.diff(f.values, 2)
-    if np.all(d2 >= -tol):
+    if np.all(d2 >= -SHAPE_TOL):
         return "convex"
-    if np.all(d2 <= tol):
+    if np.all(d2 <= SHAPE_TOL):
         return "concave"
     return None
 
@@ -78,25 +79,10 @@ class OracleResult:
     uncertainty: float
     h_fine: float | None = None
 
+    levels = ()  # it needs no Chernoff product: ``finish`` returns it
 
-def oracle_mask(
-    op: StepOperator, f: GridFunction, t: float, h_fine: float, margin: float | None = None
-) -> np.ndarray | None:
-    """``fine_oracle``'s checks, in its order: the mask of the points its
-    uncertainty is measured on, or None at t = 0, where the oracle is f
-    itself and no step runs."""
-    if h_fine <= 0:
-        raise DomainError("h_fine must be positive")
-    if t < 0:
-        raise DomainError("time must be non-negative")
-    if t == 0.0:
-        return None
-    if margin is None:
-        margin = 3.0 * op.reach(t)
-    mask = f.grid.interior_mask(margin)
-    if not np.any(mask):
-        raise DomainError("margin leaves no interior points")
-    return mask
+    def finish(self, op, f, t, runs, margin) -> "OracleResult":
+        return self
 
 
 def fine_oracle(
@@ -112,20 +98,44 @@ def fine_oracle(
 
     The uncertainty norm is taken a margin away from the boundary
     (default three times the operator's spatial reach at time t) so
-    truncation layers do not masquerade as step error.  Every check
-    (``oracle_mask``) runs before any step.  The two levels run through
-    one ``chernoff_runs`` pool, unless ``runs`` already holds their
-    iterates, at h_fine and 2 h_fine in that order (``chernoff run``
-    computes them in its own pool, with the curve points).
+    truncation layers do not masquerade as step error.  Every check runs
+    before any step.  The two levels run through one ``chernoff_runs``
+    pool, unless ``runs`` holds their iterates (``FineOracle.finish``).
     """
-    mask = oracle_mask(op, f, t, h_fine, margin)
-    if mask is None:
+    if h_fine <= 0:
+        raise DomainError("h_fine must be positive")
+    if t < 0:
+        raise DomainError("time must be non-negative")
+    if t == 0.0:
         return OracleResult(values=f, uncertainty=0.0, h_fine=h_fine)
+    if margin is None:
+        margin = 3.0 * op.reach(t)
+    mask = f.grid.interior_mask(margin)
+    if not np.any(mask):
+        raise DomainError("margin leaves no interior points")
     if runs is None:
         runs = chernoff_runs(op, f, t, (h_fine, 2.0 * h_fine))
     fine, coarse = runs
     uncertainty = sup_norm(fine - coarse, where=mask)
     return OracleResult(values=fine, uncertainty=uncertainty, h_fine=h_fine)
+
+
+@dataclass(frozen=True)
+class FineOracle:
+    """``fine_oracle`` at h_fine, finished from its levels' iterates."""
+
+    h_fine: float
+
+    def __post_init__(self):
+        if self.h_fine <= 0:
+            raise DomainError("h_fine must be positive")
+
+    @property
+    def levels(self) -> tuple[float, float]:
+        return (self.h_fine, 2.0 * self.h_fine)
+
+    def finish(self, op, f, t, runs, margin) -> OracleResult:
+        return fine_oracle(op, f, t, self.h_fine, margin, runs=runs)
 
 
 def _sublinear_gaussian_sigmas(ce) -> tuple[float, float]:
@@ -140,14 +150,9 @@ def _sublinear_gaussian_sigmas(ce) -> tuple[float, float]:
     return min(sigmas), max(sigmas)
 
 
-def clt_limit_reference(ce, f: GridFunction, h_fine: float = 2.0**-13) -> OracleResult:
-    """The t = 1 scaling limit for a centred sublinear Gaussian family.
-
-    Convex or concave payoffs use the closed worst-case-volatility
-    form (uncertainty 0); anything else falls back to the fine oracle.
-    """
+def clt_limit_reference(ce, f: GridFunction) -> OracleResult:
+    """The t = 1 scaling limit for a centred sublinear Gaussian family,
+    in the closed worst-case-volatility form (uncertainty 0).  A payoff
+    that is neither convex nor concave raises ``DomainError``."""
     lo, hi = _sublinear_gaussian_sigmas(ce)
-    if certify_shape(f) is not None:
-        return OracleResult(gheat_convex_reference(f, lo, hi, 1.0), 0.0)
-    op = StepOperator.from_clt(ce).admit()
-    return fine_oracle(op, f, 1.0, h_fine)
+    return OracleResult(gheat_convex_reference(f, lo, hi, 1.0), 0.0)

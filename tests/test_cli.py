@@ -141,6 +141,38 @@ def test_a_non_finite_number_exits_3_naming_its_key(old, new, message, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "reference, levels, code",
+    [
+        # the fine oracle's uncertainty swamps this curve's errors
+        ("reference = oracle\nh_fine = 2^-9", [2.0**-9, 2.0**-8], 2),
+        ("reference = exact\nsigma = 1", [], 0),
+    ],
+    ids=["oracle", "exact"],
+)
+def test_run_sends_the_reference_s_levels_and_the_curve_through_one_pool(
+    reference, levels, code, tmp_path, capsys, monkeypatch
+):
+    import chernoff.rates as rates_mod
+
+    calls = []
+    pooled = rates_mod.chernoff_runs
+
+    def recording(op, f, t, hs, workers=None):
+        calls.append(list(hs))
+        return pooled(op, f, t, hs, workers)
+
+    monkeypatch.setattr(rates_mod, "chernoff_runs", recording)
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        LINEAR_CFG.replace("points = 1025", "points = 513").replace(
+            "reference = exact\nsigma = 1", reference
+        )
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "artifacts")]) == code
+    assert calls == [[*levels, 2.0**-3, 2.0**-4, 2.0**-5]]
+
+
+@pytest.mark.parametrize(
     "controls, message",
     [
         ("1e300 0", "sigma 1e+300 is too large"),

@@ -4,6 +4,7 @@ import pytest
 
 from chernoff.config import ConfigError, Experiment, load_config, parse_h_list
 from chernoff.core import DomainError
+from chernoff.reference import FineOracle
 
 NISIO_CFG = """\
 [grid]
@@ -186,8 +187,11 @@ def test_exact_reference(tmp_path):
     cfg = NISIO_CFG.replace("controls = 0.5 0, 1 0", "controls = 1 0")
     cfg = cfg.replace("[experiment]\nt = 1", "[experiment]\nreference = exact\nsigma = 1\nt = 1")
     exp = load_config(write(tmp_path, cfg))
-    ref = exp.build_reference()
-    assert ref.uncertainty == 0.0 and ref.h_fine is None
+    ref = exp.reference()
+    assert ref.uncertainty == 0.0 and ref.h_fine is None and ref.levels == ()
+    oracle = NISIO_CFG.replace("[experiment]\nt = 1", "[experiment]\nh_fine = 0.0009765625\nt = 1")
+    ref = load_config(write(tmp_path, oracle, "oracle.cfg")).reference()
+    assert ref == FineOracle(2.0**-10) and ref.levels == (2.0**-10, 2.0**-9)
 
 
 def test_payoff_radius_scaling(tmp_path):

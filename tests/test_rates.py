@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -27,12 +28,11 @@ from chernoff.rates import (
     fit_rate,
     holder_check,
     measure_errors,
-    oracle_and_curve,
     rate_report,
     verify_bound,
     worker_count,
 )
-from chernoff.reference import OracleResult, fine_oracle, heat_exact
+from chernoff.reference import FineOracle, OracleResult, fine_oracle, heat_exact
 
 
 def grid1d(n=1025, half=12.0):
@@ -368,21 +368,34 @@ POOLED_FAMILIES = {
 }
 
 
+@dataclass(frozen=True)
+class KeptOracle(FineOracle):
+    """``FineOracle`` that keeps each reference it finishes."""
+
+    kept: list = field(default_factory=list, compare=False)
+
+    def finish(self, *args):
+        self.kept.append(super().finish(*args))
+        return self.kept[-1]
+
+
 @pytest.mark.parametrize("family", sorted(POOLED_FAMILIES))
 def test_pooled_oracle_and_curve_match_one_thread_bit_for_bit(family):
     grid = grid1d(513, 12.0)
     f = _capped(grid)
     op = POOLED_FAMILIES[family].admit()
     hs = [2.0**-3, 2.0**-4, 2.0**-5]
+    pooled, one = KeptOracle(2.0**-8), KeptOracle(2.0**-8)
     # more threads than runs on most hosts, switching as often as they can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ref, curve = oracle_and_curve(op, f, 0.5, 2.0**-8, hs, workers=5)
+        curve = measure_errors(op, f, 0.5, hs, pooled, workers=5)
     finally:
         sys.setswitchinterval(interval)
     serial_ref = fine_oracle(op, f, 0.5, 2.0**-8)  # its two levels through the pool
-    one_ref, one_curve = oracle_and_curve(op, f, 0.5, 2.0**-8, hs, workers=1)
+    one_curve = measure_errors(op, f, 0.5, hs, one, workers=1)
+    (ref,), (one_ref,) = pooled.kept, one.kept
     for other in (serial_ref, one_ref):
         assert np.array_equal(ref.values.values, other.values.values)
         assert ref.uncertainty == other.uncertainty and ref.h_fine == other.h_fine
@@ -414,7 +427,8 @@ def test_the_pool_submits_the_longest_runs_first(monkeypatch):
     )
     grid = grid1d(257, 12.0)
     op = POOLED_FAMILIES["nisio"].admit()
-    oracle_and_curve(op, _capped(grid), 0.25, 2.0**-8, [2.0**-3, 2.0**-4, 2.0**-5], workers=2)
+    hs = [2.0**-3, 2.0**-4, 2.0**-5]
+    measure_errors(op, _capped(grid), 0.25, hs, FineOracle(2.0**-8), workers=2)
     assert pools == [2]
     assert submitted == [2.0**-8, 2.0**-7, 2.0**-5, 2.0**-4, 2.0**-3]
 
@@ -432,7 +446,7 @@ def test_shift_only_operators_open_no_pool_in_the_oracle(monkeypatch):
     f = _capped(grid)
     points = ScenarioConvexExpectation((Scenario.point(-0.5), Scenario.point(0.5, 1.0)))
     fine_oracle(StepOperator.from_lln(points), f, 0.25, 2.0**-6)
-    oracle_and_curve(StepOperator.from_lln(points).admit(), f, 0.25, 2.0**-6, [2.0**-3])
+    measure_errors(StepOperator.from_lln(points).admit(), f, 0.25, [2.0**-3], FineOracle(2.0**-6))
     assert pools == []
     fine_oracle(POOLED_FAMILIES["nisio"], f, 0.25, 2.0**-6)
     assert pools == [2] and submitted == [2.0**-6, 2.0**-5]
@@ -475,11 +489,11 @@ def test_a_failure_at_the_finest_level_raises_as_the_serial_oracle_did(workers):
     message = r"step 60 of 64 \(h=0\.00390625\) failed: grid function values must be finite"
     op = _failing_at(POOLED_FAMILIES["nisio"], {h_fine: 60}).admit()
     with pytest.raises(IterationError, match=message):
-        oracle_and_curve(op, f, 0.25, h_fine, hs, workers=workers)
+        measure_errors(op, f, 0.25, hs, FineOracle(h_fine), workers=workers)
     # a curve point that fails first still yields to the first run in order
     op = _failing_at(POOLED_FAMILIES["nisio"], {h_fine: 60, hs[-1]: 1}, slow={h_fine}).admit()
     with pytest.raises(IterationError, match=message):
-        oracle_and_curve(op, f, 0.25, h_fine, hs, workers=workers)
+        measure_errors(op, f, 0.25, hs, FineOracle(h_fine), workers=workers)
 
 
 def test_oracle_and_curve_checks_before_any_step(monkeypatch):
@@ -492,19 +506,27 @@ def test_oracle_and_curve_checks_before_any_step(monkeypatch):
     grid = grid1d(257, 12.0)
     f = _capped(grid)
     op = POOLED_FAMILIES["nisio"]
+    with pytest.raises(DomainError, match="h_fine must be positive"):
+        FineOracle(0.0)
     cases = [
-        (op.admit(), 0.0, [0.5], "h_fine must be positive"),
         (op, 2.0**-8, [0.5], "admission"),
         (op.admit(), 2.0**-8, [0.25, 0.5], "strictly decreasing"),
         (op.admit(), 2.0**-4, [0.25, 0.125], "8x finer"),
     ]
     for operator, h_fine, hs, message in cases:
         with pytest.raises(DomainError, match=message):
-            oracle_and_curve(operator, f, 0.25, h_fine, hs)
+            measure_errors(operator, f, 0.25, hs, FineOracle(h_fine))
+    with pytest.raises(DomainError, match="need a positive terminal time"):
+        measure_errors(op.admit(), f, -1.0, [0.5], FineOracle(2.0**-8))
+    with pytest.raises(DomainError, match="margin leaves no grid points"):
+        measure_errors(op.admit(), f, 0.25, [0.5], FineOracle(2.0**-8), margin=12.5)
+    # fine_oracle on its own checks as much before its first step
+    with pytest.raises(DomainError, match="h_fine must be positive"):
+        fine_oracle(op.admit(), f, 0.25, 0.0)
     with pytest.raises(DomainError, match="time must be non-negative"):
-        oracle_and_curve(op.admit(), f, -1.0, 2.0**-8, [0.5])
+        fine_oracle(op.admit(), f, -1.0, 2.0**-8)
     with pytest.raises(DomainError, match="margin leaves no interior points"):
-        oracle_and_curve(op.admit(), f, 0.25, 2.0**-8, [0.5], margin=12.5)
+        fine_oracle(op.admit(), f, 0.25, 2.0**-8, margin=12.5)
 
 
 def transport_trajectory(speed=0.7, r=1.0, h=0.125, steps=8):

@@ -142,16 +142,11 @@ def test_clt_limit_reference_concave_path():
     np.testing.assert_array_equal(res.values.values, exact.values)
 
 
-def test_clt_limit_reference_oracle_path():
+def test_clt_limit_reference_rejects_a_payoff_neither_convex_nor_concave():
     g = grid1d(601, 6.0)
     f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.0))
-    res = clt_limit_reference(sublinear_ce(), f, h_fine=2.0**-7)
-    assert res.uncertainty > 0.0
-    assert res.h_fine == 2.0**-7
-    # the capped payoff is squeezed between the sigma_max propagation
-    # of |x| and of min(|x|,1)-with-cap-removed; sanity: below |x| ref
-    upper = heat_exact(GridFunction.from_callable(g, np.abs), 1.0, 0.0, 1.0)
-    assert np.all(res.values.values <= upper.values + 1e-9)
+    with pytest.raises(DomainError, match="neither convex nor concave"):
+        clt_limit_reference(sublinear_ce(), f)
 
 
 def test_clt_limit_reference_rejects_penalised_family():
