@@ -45,16 +45,16 @@ def _write_json(path: Path, obj):
     path.write_text(_dump_json(obj))
 
 
-def kernel_table(dim: int = 1) -> dict:
-    kernel = MollifierKernel(dim)
+def kernel_table() -> dict:
+    kernel = MollifierKernel(1)
     return {
-        "dim": dim,
+        "dim": 1,
         "constants": {f"b{k}{l}": v for (k, l), v in sorted(kernel.constants.items())},
     }
 
 
-def kernel_table_digest(dim: int = 1) -> str:
-    return hashlib.sha256(_dump_json(kernel_table(dim)).encode()).hexdigest()
+def kernel_table_digest() -> str:
+    return hashlib.sha256(_dump_json(kernel_table()).encode()).hexdigest()
 
 
 def _status_code(status: str) -> int:
@@ -149,8 +149,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_kernel_constants(args) -> int:
-    table = kernel_table(args.dim)
-    table["sha256"] = kernel_table_digest(args.dim)
+    table = kernel_table()
+    table["sha256"] = kernel_table_digest()
     sys.stdout.write(_dump_json(table))
     return EXIT_PASS
 
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(fn=cmd_bounds)
 
     ker = sub.add_parser("kernel-constants", help="mollifier constant table")
-    ker.add_argument("--dim", type=int, default=1)
     ker.set_defaults(fn=cmd_kernel_constants)
 
     fit = sub.add_parser("rates", help="fit a rate to an existing error-curve CSV")

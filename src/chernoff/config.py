@@ -107,7 +107,6 @@ class Experiment:
     margin: float | None
     property_tol: float
     n_pairs: int
-    cut: float
     raw_text: str
 
     @property
@@ -268,7 +267,7 @@ def load_config(path) -> Experiment:
 
     low = r.number("grid", "low", required=True)
     high = r.number("grid", "high", required=True)
-    points = r.integer("grid", "points", required=True, check=lambda n: n >= 3)
+    points = r.integer("grid", "points", required=True, check=lambda n: n >= 4)
     grid = None
     if not problems and low is not None and high is not None:
         try:
@@ -393,7 +392,6 @@ def load_config(path) -> Experiment:
         margin=margin,
         property_tol=property_tol,
         n_pairs=n_pairs,
-        cut=cut,
         raw_text=raw_text,
     )
     _check_bounds(experiment)

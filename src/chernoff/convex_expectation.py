@@ -346,20 +346,6 @@ def penalized_max_plan(
     read = _window_reader(own)
     penalties = [t * s.penalty for s in discrete]
     drop = t * min(s.penalty for s in ce.scenarios)
-    if len(ce.scenarios) == 1:  # its penalty is 0: the plain expectation
-        if taps is None:
-            expects = [_discrete_plan(_shift_rows(atoms[0], c), 0.0, shape) for c in clamps]
-
-            def single_discrete(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-                return expects[read(u, out)](out)
-
-            return _declared(single_discrete, own, drop)
-
-        def single(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-            gaussian_convolve(u, grid, stds, shifts, cut, out=out[np.newaxis], taps=taps)
-            return out
-
-        return _declared(single, own, drop)
     gaussian_rows = ()
     if taps is not None:
         gaussian_rows = taps.outputs

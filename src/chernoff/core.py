@@ -222,11 +222,6 @@ class SpaceTimeFunction:
             raise DomainError(f"time {t0} is not a sample (nearest: {nearest})")
         return idx
 
-    def at_time(self, t: float, tol: float = 1e-9) -> GridFunction:
-        """Slice at an exactly sampled time (within ``tol``): the
-        one-time case of ``sample_indices``."""
-        return self.slice(int(self.sample_indices(t, tol)))
-
     def interp_weights(self, times) -> np.ndarray:
         """Matrix ``W`` of shape (len(times), len(self.times)) with
         ``W @ self.values`` the linear interpolation between samples at
@@ -255,11 +250,6 @@ class SpaceTimeFunction:
         W[rows, i] = 1.0 - w
         W[rows, i + 1] = w
         return W
-
-    def interp_time(self, t: float) -> np.ndarray:
-        """Values at time ``t``, linear interpolation between samples:
-        the one-row case of ``interp_weights``."""
-        return self.interp_weights(t)[0] @ self.values
 
 
 # ---------------------------------------------------------------------------

@@ -562,10 +562,13 @@ def gaussian_convolve(
 
 
 def row_max(rows, out: np.ndarray) -> np.ndarray:
-    """The pointwise max of two or more rows (a sequence of arrays),
-    written into ``out``: one ``np.maximum`` per row after the first,
-    about half the time of a reduction over the leading axis of a short
-    stack."""
+    """The pointwise max of one or more rows (a sequence of arrays),
+    written into ``out``: a copy of a lone row, else one ``np.maximum``
+    per row after the first, about half the time of a reduction over the
+    leading axis of a short stack."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+        return out
     np.maximum(rows[0], rows[1], out=out)
     for row in rows[2:]:
         np.maximum(out, row, out=out)

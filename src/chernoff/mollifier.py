@@ -1,16 +1,15 @@
 """Space-time smoothing kernel, its derivative constants, and mollification.
 
-The kernel is a fixed tensor product of 1D bumps,
+The kernel is a fixed product of 1D bumps on the line,
 
-    eta(s, y) = tau(s) * prod_i varsigma(y_i),
-    tau(s) = 2 beta(2s - 1) / I,    varsigma(y) = sqrt(d) beta(sqrt(d) y) / I,
+    eta(s, y) = tau(s) * varsigma(y),
+    tau(s) = 2 beta(2s - 1) / I,    varsigma(y) = beta(y) / I,
     beta(z) = exp(-1/(1 - z^2)) for |z| < 1,   I = integral of beta,
 
-supported in [0,1] x B(1) and normalized to unit mass.  All rate
+supported in [0,1] x [-1, 1] and normalized to unit mass.  All rate
 constants downstream depend on the L1 norms of its derivatives
 
-    b(k, l) = max over multi-indices |alpha| = l of
-              || d^k/ds^k  D^alpha eta ||_{L1},
+    b(k, l) = || d^k/ds^k  d^l/dy^l eta ||_{L1},
 
 which factor into 1D integrals of |beta^{(n)}|.  The n-th derivative of
 the bump is beta * Q_n / (1 - z^2)^{2n} with a polynomial Q_n obtained
@@ -24,7 +23,6 @@ inside and flat at +-1, so the sum converges to roundoff: within about
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -127,37 +125,31 @@ def _bump_deriv_l1(n: int) -> float:
     )
 
 
-def _space_multi_indices(d: int, l: int):
-    """Every multi-index alpha in N^d with |alpha| = l."""
-    return [a for a in itertools.product(range(l + 1), repeat=d) if sum(a) == l]
-
-
 @dataclass(frozen=True)
 class MollifierKernel:
-    """The fixed tensor-product bump kernel in dimension ``dim``."""
+    """The fixed product bump kernel on the line.
+
+    ``dim`` accepts 1 alone.  It stays a field because the benchmark
+    builds ``MollifierKernel(1)``; it goes with the benchmark change of
+    ROADMAP item 8."""
 
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise DomainError("kernel dimension must be 1 or 2")
+        if self.dim != 1:
+            raise DomainError("the kernel is one-dimensional: dim must be 1")
 
     def time_factor(self, s):
         """tau(s), the density of the time variable on [0, 1]."""
         return 2.0 * bump(2.0 * np.asarray(s, float) - 1.0) / _bump_mass()
 
     def space_factor(self, y):
-        """varsigma(y), per-axis space density on [-1/sqrt(d), 1/sqrt(d)]."""
-        rd = np.sqrt(self.dim)
-        return rd * bump(rd * np.asarray(y, float)) / _bump_mass()
+        """varsigma(y), the density of the space variable on [-1, 1]."""
+        return bump(np.asarray(y, float)) / _bump_mass()
 
     def density(self, s, y):
-        """eta(s, y) with y of shape (..., dim)."""
-        y = np.asarray(y, dtype=float)
-        out = self.time_factor(s)
-        for ax in range(self.dim):
-            out = out * self.space_factor(y[..., ax])
-        return out
+        """eta(s, y) with y of shape (..., 1)."""
+        return self.time_factor(s) * self.space_factor(np.asarray(y, dtype=float)[..., 0])
 
     @cached_property
     def constants(self) -> dict[tuple[int, int], float]:
@@ -173,11 +165,11 @@ class MollifierKernel:
 
 
 def kernel_constant(kernel: MollifierKernel, k: int, l: int) -> float:
-    """L1 norm of the (k, alpha) kernel derivative, maximized over |alpha| = l.
+    """L1 norm of the (k, l) kernel derivative.
 
-    The kernel factors, so the norm is a product of 1D integrals:
-    the time factor contributes 2^k ||beta^(k)||_1 / I and each space
-    axis with derivative order j contributes d^(j/2) ||beta^(j)||_1 / I.
+    The kernel factors, so the norm is a product of 1D integrals: the
+    time factor contributes 2^k ||beta^(k)||_1 / I and the space factor
+    ||beta^(l)||_1 / I.
     """
     if not (0 <= k <= MAX_TIME_ORDER and 0 <= l <= MAX_SPACE_ORDER):
         raise DomainError(
@@ -186,14 +178,7 @@ def kernel_constant(kernel: MollifierKernel, k: int, l: int) -> float:
         )
     mass = _bump_mass()
     time_part = 2.0**k * _bump_deriv_l1(k) / mass
-    d = kernel.dim
-    best = 0.0
-    for alpha in _space_multi_indices(d, l):
-        part = 1.0
-        for j in alpha:
-            part *= d ** (j / 2.0) * _bump_deriv_l1(j) / mass
-        best = max(best, part)
-    return time_part * best
+    return time_part * (_bump_deriv_l1(l) / mass)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ class InconclusiveError(RuntimeError):
 
 
 _CSV_HEADER = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"
-# the columns of a CSV written before the slope tolerance was recorded;
-# it reads with the default tolerance
-_CSV_HEADER_NO_TOLERANCE = "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
 DEFAULT_NOISE_FLOOR = 10.0
+# errors at or below this count as 0: no fit point rises from them, and
+# a curve of them is an exact scheme's
+ABSOLUTE_FLOOR = 1e-11
 DEFAULT_SLOPE_TOLERANCE = 0.05
 
 
@@ -149,25 +149,22 @@ class ErrorCurve:
     @classmethod
     def from_csv(cls, text: str, uncertainty: float | None = None) -> "ErrorCurve":
         """Read ``to_csv`` output; ``uncertainty``, when given, replaces
-        every point's ``oracle_uncertainty``.  Every row must carry the
-        same noise floor and slope tolerance; a CSV with no
-        ``slope_tolerance`` column (one written before it was recorded)
-        reads with the default.  A ``pass`` column that is not empty gives
-        ``recorded_bound``: not held when any row reads false, and the
-        exponent of c h^gamma through the first and last rows' bound
-        values, log(b_first / b_last) / log(h_first / h_last), which
-        every row records, skipped ones included."""
+        every point's ``oracle_uncertainty``.  The header must be
+        ``to_csv``'s, all eight columns, and every row must carry the
+        same noise floor and slope tolerance.  A ``pass`` column that is
+        not empty gives ``recorded_bound``: not held when any row reads
+        false, and the exponent of c h^gamma through the first and last
+        rows' bound values, log(b_first / b_last) / log(h_first /
+        h_last), which every row records, skipped ones included."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] not in (_CSV_HEADER, _CSV_HEADER_NO_TOLERANCE):
+        if not lines or lines[0] != _CSV_HEADER:
             raise DomainError(f"expected header {_CSV_HEADER!r}")
-        width = lines[0].count(",") + 1
+        width = _CSV_HEADER.count(",") + 1
         points, floors, tolerances, verdicts, values = [], set(), set(), set(), []
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != width:
                 raise DomainError(f"malformed error-curve row {ln!r}")
-            if width == 7:
-                cells.insert(5, repr(DEFAULT_SLOPE_TOLERANCE))
             points.append(
                 ErrorPoint(
                     h=float(cells[0]),
@@ -309,8 +306,8 @@ class RateFit:
         }
 
 
-def _point_floor(pt: ErrorPoint, multiplier: float, absolute: float) -> float:
-    return max(multiplier * pt.oracle_uncertainty, absolute)
+def _point_floor(pt: ErrorPoint, multiplier: float) -> float:
+    return max(multiplier * pt.oracle_uncertainty, ABSOLUTE_FLOOR)
 
 
 def _loglog_slope(points, pick) -> float | None:
@@ -321,21 +318,18 @@ def _loglog_slope(points, pick) -> float | None:
     return float(coef[0])
 
 
-def fit_rate(
-    curve: ErrorCurve,
-    noise_floor_multiplier: float = DEFAULT_NOISE_FLOOR,
-    absolute_floor: float = 1e-11,
-) -> RateFit:
+def fit_rate(curve: ErrorCurve) -> RateFit:
     """Slope and intercept of log max(e+, e-) against log h.
 
-    Only points clearly above the oracle noise floor count, and the fit
-    uses the finest half of those so the pre-asymptotic head does not
-    drag the estimate.
+    Only points clearly above the oracle noise floor count: above the
+    curve's ``noise_floor`` times their uncertainty and above
+    ``ABSOLUTE_FLOOR``.  The fit uses the finest half of those so the
+    pre-asymptotic head does not drag the estimate.
     """
     usable = [
         pt
         for pt in curve.points
-        if pt.max_error > _point_floor(pt, noise_floor_multiplier, absolute_floor)
+        if pt.max_error > _point_floor(pt, curve.noise_floor)
     ]
     if len(usable) < 3:
         raise InconclusiveError(
@@ -353,7 +347,7 @@ def fit_rate(
         pts = [
             pt
             for pt in fit_points
-            if pt.error(side) > _point_floor(pt, noise_floor_multiplier, absolute_floor)
+            if pt.error(side) > _point_floor(pt, curve.noise_floor)
         ]
         return _loglog_slope(pts, lambda pt: pt.error(side))
 
@@ -634,7 +628,6 @@ def rate_report(
     curve: ErrorCurve,
     bounds=(),
     slope_tolerance: float | None = None,
-    absolute_floor: float = 1e-11,
     target_gamma: float | None = None,
 ) -> RateReport:
     """Aggregate verdict: every bound holds and the fitted slope is not
@@ -642,7 +635,7 @@ def rate_report(
 
     A curve that cannot be fitted passes with no slope estimate only in
     the exact-scheme case: the bounds hold and every point is at most
-    ``absolute_floor``.  Otherwise it is inconclusive, since a large
+    ``ABSOLUTE_FLOOR``.  Otherwise it is inconclusive, since a large
     reference uncertainty would hide any error under the noise floor.
     With no ``bounds``, a curve read from a run's CSV stands its recorded
     bound (``ErrorCurve.recorded_bound``) in for them: its verdict, and
@@ -653,7 +646,6 @@ def rate_report(
     noise-floor multiplier and the interior margin are the curve's own,
     and so is the slope tolerance unless ``slope_tolerance`` is given.
     """
-    noise_floor_multiplier = curve.noise_floor
     if slope_tolerance is None:
         slope_tolerance = curve.slope_tolerance
     if slope_tolerance < 0:
@@ -671,7 +663,7 @@ def rate_report(
     fit = None
     reason = None
     try:
-        fit = fit_rate(curve, noise_floor_multiplier, absolute_floor)
+        fit = fit_rate(curve)
     except InconclusiveError as exc:
         reason = str(exc)
     if not bounds_ok:
@@ -680,7 +672,7 @@ def rate_report(
         slope_ok = target_gamma is None or fit.gamma_hat >= target_gamma - slope_tolerance
         status = "pass" if slope_ok else "fail"
     else:
-        exact = all(pt.max_error <= absolute_floor for pt in curve.points)
+        exact = all(pt.max_error <= ABSOLUTE_FLOOR for pt in curve.points)
         status = "pass" if (bounded and exact) else "inconclusive"
     return RateReport(
         status=status,
@@ -689,7 +681,7 @@ def rate_report(
         target_gamma=target_gamma,
         checks=checks,
         slope_tolerance=slope_tolerance,
-        noise_floor_multiplier=noise_floor_multiplier,
-        absolute_floor=absolute_floor,
+        noise_floor_multiplier=curve.noise_floor,
+        absolute_floor=ABSOLUTE_FLOOR,
         interior_margin=curve.interior_margin,
     )

@@ -128,6 +128,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
         ("margin = 8.0", "margin = -inf", "[rate] margin: not a finite number"),
         ("h = 2^-3..2^-5", "h = inf", "[experiment] h: steps must be finite"),
         ("h = 2^-3..2^-5", "h = 0.5, nan", "[experiment] h: steps must be finite"),
+        # Grid needs 4 points, so the key's own range check asks for 4
+        ("points = 1025", "points = 3", "[grid] points: out of range: '3'"),
     ],
 )
 def test_a_non_finite_number_exits_3_naming_its_key(old, new, message, tmp_path, capsys):
@@ -464,10 +466,10 @@ def test_kernel_constants_subcommand(capsys):
 
 def test_rates_fit_only(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,0.0,10.0,,")
+        rows.append(f"{h!r},{3.0 * h ** 0.5!r},0.0,0.0,10.0,0.05,,")
     csv.write_text("\n".join(rows) + "\n")
 
     rc = main(["rates", str(csv)])
@@ -549,9 +551,9 @@ def test_rates_refits_an_exact_run_to_the_run_s_verdict(linear_config, tmp_path,
 
 def test_rates_inconclusive_exit_2(tmp_path, capsys):
     csv = tmp_path / "floor.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"]
     for n in range(3, 9):
-        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,0.0,10.0,,")
+        rows.append(f"{2.0 ** -n!r},{1e-14!r},0.0,0.0,10.0,0.05,,")
     csv.write_text("\n".join(rows) + "\n")
     rc = main(["rates", str(csv)])
     assert rc == 2
@@ -561,10 +563,10 @@ def test_rates_inconclusive_exit_2(tmp_path, capsys):
 
 def test_rates_out_writes_report(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
-    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"]
+    rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"]
     for n in range(3, 9):
         h = 2.0**-n
-        rows.append(f"{h!r},{2.0 * h!r},0.0,0.0,10.0,,")
+        rows.append(f"{h!r},{2.0 * h!r},0.0,0.0,10.0,0.05,,")
     csv.write_text("\n".join(rows) + "\n")
     out = tmp_path / "report"
     rc = main(["rates", str(csv), "--out", str(out)])

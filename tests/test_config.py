@@ -52,7 +52,7 @@ def test_minimal_nisio_config(tmp_path):
     assert exp.grid.counts == (513,)
     assert exp.model_kind == "nisio"
     assert exp.h_list == (0.125, 0.0625, 0.03125)
-    assert exp.seed == 0 and exp.h_fine == 2.0**-13 and exp.cut == 8.0
+    assert exp.seed == 0 and exp.h_fine == 2.0**-13
     assert exp.radius == pytest.approx(1.0)
     assert exp.raw_text == NISIO_CFG
     (report,) = exp.bounds

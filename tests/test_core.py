@@ -108,12 +108,6 @@ def test_space_time_function_validation_and_interp():
     f0 = GridFunction(g, np.zeros(17))
     f1 = GridFunction(g, np.ones(17))
     u = SpaceTimeFunction.from_functions([0.0, 1.0], [f0, f1])
-    assert np.allclose(u.interp_time(0.25), 0.25)
-    assert u.at_time(1.0).values[0] == 1.0
-    with pytest.raises(DomainError):
-        u.interp_time(1.5)
-    with pytest.raises(DomainError):
-        u.at_time(0.5)
     with pytest.raises(DomainError):
         SpaceTimeFunction.from_functions([0.0, 0.0], [f0, f1])
 
@@ -161,7 +155,6 @@ def test_interp_weights_rows_interpolate_linearly():
         w = (t - u.times[i]) / (u.times[i + 1] - u.times[i])
         ref = (1.0 - w) * u.values[i] + w * u.values[i + 1]
         np.testing.assert_allclose(row, ref, rtol=0, atol=atol)
-        np.testing.assert_allclose(u.interp_time(t), ref, rtol=0, atol=atol)
     with pytest.raises(DomainError, match="time 2.5 outside"):
         u.interp_weights([1.0, 2.5, -1.0])
     with pytest.raises(DomainError, match="outside"):

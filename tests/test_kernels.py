@@ -595,6 +595,51 @@ def _payoff(grid, scale=1.0):
     return (np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x)) * scale
 
 
+_LONE_T = 0.25
+_LONE = {
+    # (scenario, whether it is a Gaussian whose taps take the FFT branch);
+    # the whole-cell point moves 37 cells of the fine grid
+    "whole-cell-point": (Scenario.point(37 * 24.0 / (_W - 1) / _LONE_T), None),
+    "fractional-point": (Scenario.point(-0.137), None),
+    "direct-gaussian": (Scenario.gaussian(0.1, 0.05), False),
+    "fft-gaussian": (Scenario.gaussian(0.1, 2.0), True),
+}
+
+
+def _lone_primitive(scenario, grid, t):
+    """One step of size t of a lone scenario of the lln family through the
+    scenario's own primitive: its shift's taps, or its one Gaussian
+    factor."""
+    dx = grid.spacing[0]
+    if scenario.kind == "gaussian":
+        std, shift = [scenario.sigma * t], [scenario.mean * t]
+        return lambda u: gaussian_convolve(u, grid, std, shift)[0]
+    return lambda u: apply_taps(u, *shift_taps(t * scenario.mean, dx))
+
+
+@pytest.mark.parametrize("case", sorted(_LONE))
+def test_a_lone_scenario_plan_is_its_scenario_s_primitive_bit_for_bit(case):
+    # a one-scenario family runs the general step, whose max of one row
+    # is a copy of it: for one row, for each row of a stack of 3, and for
+    # 8 steps of chernoff_iterate
+    scenario, fft = _LONE[case]
+    grid, t = _fine_grid(), _LONE_T
+    if fft is not None:
+        plan = gaussian_plan(grid, [scenario.sigma * t], [scenario.mean * t])
+        assert (plan.spectra is not None) == fft
+    ce = ScenarioConvexExpectation((scenario,))
+    primitive = _lone_primitive(scenario, grid, t)
+    u = _payoff(grid)
+    np.testing.assert_array_equal(family_plan("lln", ce, grid, t)(u, np.empty(_W)), primitive(u))
+    stack = np.stack([u, -3.0 * u, u[::-1]])
+    got = family_plan("lln", ce, grid, t, stack=3)(stack, np.empty_like(stack))
+    np.testing.assert_array_equal(got, [primitive(row) for row in stack])
+    iterated = chernoff_iterate(StepOperator.from_lln(ce), GridFunction(grid, u), 8 * t, t)
+    for _ in range(8):
+        u = primitive(u)
+    np.testing.assert_array_equal(iterated.values, u)
+
+
 @pytest.mark.parametrize("h", [2.0**-7, 2.0**-1])
 @pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
 def test_a_plan_of_gaussian_factors_matches_each_factor(case, h):

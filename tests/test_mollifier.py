@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chernoff import mollifier
+from chernoff import cli, mollifier
 from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
 from chernoff.core import DomainError, Grid, GridFunction, SpaceTimeFunction
 from chernoff.iterate import StepOperator, chernoff_iterate
@@ -95,7 +95,23 @@ def test_deriv_l1_against_riemann(n):
 def test_kernel_constant_normalization():
     k = MollifierKernel(1)
     assert k.b(0, 0) == pytest.approx(1.0, abs=1e-8)
-    assert MollifierKernel(2).b(0, 0) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_the_kernel_table_is_one_product_per_entry_and_pinned():
+    # b(k, l) = (2^k ||beta^(k)||_1 / I) * (||beta^(l)||_1 / I), bit for
+    # bit, and the table every manifest digests keeps its bytes
+    k = MollifierKernel(1)
+    mass = _bump_mass()
+    for (i, j), value in k.constants.items():
+        assert value == (2.0**i * _bump_deriv_l1(i) / mass) * (_bump_deriv_l1(j) / mass)
+    assert len(k.constants) == 12
+    assert (
+        cli.kernel_table_digest()
+        == "46f2d505f68250b6b6b51fccadb7fcf20b80896e43d0728ce9af62be2f16fa40"
+    )
+    for dim in (0, 2):
+        with pytest.raises(DomainError, match="dim must be 1"):
+            MollifierKernel(dim)
 
 
 def test_kernel_constant_spatial_mode_identity():
@@ -113,23 +129,11 @@ def test_kernel_constant_table_against_riemann_oracle():
     l1 = {0: mass}
     for n in (1, 2, 3):
         l1[n] = riemann_abs_l1(lambda z: bump_derivative(n, z), n=n_oracle)
-    for d in (1, 2):
-        kern = MollifierKernel(d)
-        for k in range(3):
-            for l in range(4):
-                time_part = 2.0**k * l1[k] / mass
-                best = 0.0
-                alphas = [(l,)] if d == 1 else [(a, l - a) for a in range(l + 1)]
-                for alpha in alphas:
-                    part = 1.0
-                    for j in alpha:
-                        part *= d ** (j / 2.0) * l1[j] / mass
-                    best = max(best, part)
-                assert kern.b(k, l) == pytest.approx(time_part * best, abs=1e-6), (
-                    d,
-                    k,
-                    l,
-                )
+    kern = MollifierKernel(1)
+    for k in range(3):
+        for l in range(4):
+            oracle = (2.0**k * l1[k] / mass) * (l1[l] / mass)
+            assert kern.b(k, l) == pytest.approx(oracle, abs=1e-6), (k, l)
 
 
 def test_kernel_constant_rejects_large_orders():

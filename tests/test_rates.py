@@ -2,7 +2,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -129,8 +129,6 @@ def test_the_refit_restores_the_recorded_bound_s_gamma():
 def test_the_refit_judges_the_slope_with_the_run_s_tolerance(tmp_path, capsys):
     # gamma_hat = 0.8 stays under 100 h and falls 0.2 short of the bound's
     # gamma = 1: a tolerance of 0.5 passes it, the default 0.05 does not
-    from dataclasses import replace
-
     from chernoff.cli import main
 
     bound = BoundReport.from_addends(1.0, "plus", 1.0, 1.0, 1.0, [("c", 100.0)])
@@ -150,13 +148,12 @@ def test_the_refit_judges_the_slope_with_the_run_s_tolerance(tmp_path, capsys):
     assert main(["rates", str(csv)]) == 0
     assert main(["rates", str(csv), "--slope-tolerance", "0.05"]) == 1
     capsys.readouterr()
-    # a CSV with no slope_tolerance column reads with the default
+    # a CSV with no slope_tolerance column is refused by its header
     rows = curve.to_csv(bound).splitlines()
     legacy = [",".join(cells[:5] + cells[6:]) for cells in (r.split(",") for r in rows)]
     assert legacy[0] == "h,e_plus,e_minus,oracle_uncertainty,noise_floor,bound_value,pass"
-    old = ErrorCurve.from_csv("\n".join(legacy))
-    assert old.slope_tolerance == 0.05 and old.points == back.points
-    assert rate_report(old).status == "fail"
+    with pytest.raises(DomainError, match="expected header"):
+        ErrorCurve.from_csv("\n".join(legacy))
     # every row must carry the same tolerance
     rows[2] = rows[2].replace(",0.5,", ",0.25,")
     with pytest.raises(DomainError, match="slope tolerance"):
@@ -179,6 +176,14 @@ def test_csv_keeps_the_noise_floor():
         ErrorCurve.from_csv("\n".join(rows))
     with pytest.raises(DomainError, match="noise floor"):
         ErrorCurve(points=curve.points, noise_floor=0.5)
+
+
+def test_fit_rate_reads_the_curve_s_noise_floor():
+    # 2h for h = 2^-3..2^-9 under 100 x 1e-4 keeps 2^-3..2^-7; the default
+    # floor of 10 would keep all seven
+    curve = replace(synthetic_curve(lambda h: 2.0 * h, uncertainty=1e-4), noise_floor=100.0)
+    assert fit_rate(curve).n_usable == 5
+    assert rate_report(curve).fit == fit_rate(curve)
 
 
 def test_worker_count(monkeypatch):
@@ -475,8 +480,6 @@ def _failing_at(op, bad_steps, slow=()):
 
         return failing
 
-    from dataclasses import replace
-
     return replace(op, planner=planner)
 
 
@@ -584,7 +587,6 @@ def test_only_an_exact_scheme_passes_without_a_fit():
     # errors at most the absolute floor are the exact-scheme case
     exact = synthetic_curve(lambda h: 1e-13, uncertainty=1e-3)
     assert rate_report(exact, [bound]).status == "pass"
-    assert rate_report(exact, [bound], absolute_floor=1e-14).status == "inconclusive"
     assert rate_report(exact, []).status == "inconclusive"  # no bound to hold
 
 
