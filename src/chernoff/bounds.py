@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -123,53 +122,69 @@ def bound_table_digest() -> str:
 
 _MATH_ENV = {"exp": math.exp, "sqrt": math.sqrt, "log": math.log}
 _FUNCTIONS = frozenset(("exp", "sqrt", "log", "E"))
-_BINARY = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
+# the binary operators a table expression may use: + - * / **
+_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 @lru_cache(maxsize=None)
-def _parse(expression: str) -> ast.expr:
+def _compiled(expression: str):
+    """A table expression checked once against the whitelist and compiled:
+    its code and the names it reads, each with the text of the node that
+    reads it.  The whitelist: numbers, names, + - * / **, unary minus and
+    calls by name to exp, sqrt, log and E with keyword arguments by name;
+    a function name is no value."""
     try:
-        return ast.parse(expression, mode="eval").body
+        tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise DomainError(f"bound table expression {expression!r}: {exc.msg}") from exc
+    reads = []
 
-
-def _safe_eval(expression: str, env: dict) -> float:
-    """Evaluate a table expression: numbers, names from ``env``, + - * / **,
-    unary minus, and calls to exp, sqrt, log and E."""
-    scope = dict(_MATH_ENV)
-    scope.update(env)
-
-    def value(node: ast.expr):
+    def check(node: ast.expr) -> None:
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return node.value
-        if isinstance(node, ast.Name) and node.id in scope and node.id not in _FUNCTIONS:
-            return scope[node.id]
+            return
+        if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+            reads.append((node.id, node.id))
+            return
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](value(node.left), value(node.right))
+            check(node.left)
+            check(node.right)
+            return
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -value(node.operand)
+            check(node.operand)
+            return
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in _FUNCTIONS
-            and node.func.id in scope
             and all(kw.arg is not None for kw in node.keywords)
         ):
-            args = [value(a) for a in node.args]
-            kwargs = {kw.arg: value(kw.value) for kw in node.keywords}
-            return scope[node.func.id](*args, **kwargs)
-        raise DomainError(
-            f"bound table expression {expression!r}: {ast.unparse(node)!r} is not allowed"
-        )
+            reads.append((node.func.id, ast.unparse(node)))
+            for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                check(arg)
+            return
+        _refuse(expression, ast.unparse(node))
 
-    return float(value(_parse(expression)))
+    check(tree.body)
+    return compile(tree, "<bound table>", "eval"), tuple(reads)
+
+
+def _refuse(expression: str, part: str):
+    raise DomainError(f"bound table expression {expression!r}: {part!r} is not allowed")
+
+
+def _safe_eval(expression: str, env: dict) -> float:
+    """Evaluate a table expression: numbers, names from ``env``, + - * / **,
+    unary minus, and calls to exp, sqrt, log and E.  The expression is
+    checked and compiled once (``_compiled``); a call checks only that
+    every name it reads is in scope, then runs the code with no
+    builtins."""
+    code, reads = _compiled(expression)
+    scope = dict(_MATH_ENV)
+    scope.update(env)
+    for name, part in reads:
+        if name not in scope:
+            _refuse(expression, part)
+    return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307 - whitelisted above
 
 
 def evaluate_table_section(section: str, env: dict) -> tuple[tuple[str, float], ...]:

@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
 Subcommands: run, check-invariants, bounds, kernel-constants, rates.
-Exit codes: 0 pass, 1 verdict fail, 2 inconclusive, 3 config, input or
-step error (a step whose values stop being finite).
+Exit codes: 0 pass, 1 verdict fail, 2 inconclusive, 3 usage, config,
+input or step error (a step whose values stop being finite).  A usage
+error (no config, an unknown flag or subcommand) exits 3, not argparse's
+2, so an inconclusive verdict is the only exit 2; ``--help`` exits 0.
 Artifacts are plain CSV/JSON and byte-reproducible for a fixed config
 and seed; nothing time-dependent is written.
 """
@@ -220,7 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; 2 is the inconclusive code
+        if exc.code == 2:
+            return EXIT_CONFIG
+        raise
     try:
         return args.fn(args)
     except ConfigError as exc:

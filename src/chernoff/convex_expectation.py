@@ -310,7 +310,19 @@ def penalized_max_plan(
     ``u`` with nonnegative weights that sum to 1, less t alpha_i, and the
     least-penalised row bounds the max from below, so a step's values
     lie in [min u - drop, max u] up to rounding;
-    ``iterate.chernoff_iterate`` proves a run finite from it once."""
+    ``iterate.chernoff_iterate`` proves a run finite from it once.
+
+    A one-row plan that holds its own windows and whose every scenario
+    is one atom of probability 1 (a point, or a Gaussian of sigma 0)
+    also offers a ``frame``, a ``TiltedFrame`` that steps between the
+    same two windows with the values held tilted by a slope chosen so
+    that two rows take off no penalty (``_tilted_frame``): a step of two
+    whole-cell points is the ramps of the windows' edge cells and one
+    ``np.maximum`` of two views, and the loop applies the penalties once
+    per run.  ``step`` itself, stacked plans, Gaussian and multi-atom
+    plans are untilted.  A wrapper of the plan forwards the frame with
+    ``buffers`` and ``drop`` or not at all: the frame's steps do not
+    call ``step``."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     shape = _shape(grid, stack)
@@ -357,12 +369,14 @@ def penalized_max_plan(
         for scenario, penalty in zip(atoms, penalties)
     ]
 
-    def reader(clamp):
+    # each window's atoms, per scenario as (probability, shift row) pairs
+    window_atoms = [[_shift_rows(scenario, clamp) for scenario in atoms] for clamp in clamps]
+
+    def reader(scenarios):
         """The rows of one window, one per scenario (each view made once
         rather than per step), and the discrete rows it fills."""
         rows, filled = list(gaussian_rows), []
-        for scenario, penalty, row in zip(atoms, penalties, filled_rows):
-            shift_rows = _shift_rows(scenario, clamp)
+        for shift_rows, penalty, row in zip(scenarios, penalties, filled_rows):
             if row is None:
                 row = shift_rows[0][1][0][1]
             else:
@@ -370,10 +384,15 @@ def penalized_max_plan(
             rows.append(row)
         return rows, filled
 
-    readers = [reader(clamp) for clamp in clamps]
+    readers = []  # built by the first step, which a run in the tilted frame never takes
     penalized = [(row, t * s.penalty) for s, row in zip(gaussian, gaussian_rows) if s.penalty]
+    frame = None
+    if len(own) == 2 and taps is None and all(len(s) == 1 and s[0][0] == 1.0 for s in atoms):
+        frame = _tilted_frame([shift for (_, shift), in atoms], penalties, own, window_atoms, shape)
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not readers:
+            readers.extend(reader(shift_rows) for shift_rows in window_atoms)
         rows, filled = readers[read(u, out)]
         if taps is not None:
             gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
@@ -383,7 +402,7 @@ def penalized_max_plan(
             row -= penalty
         return row_max(rows, out)
 
-    return _declared(step, own, drop)
+    return _declared(step, own, drop, frame)
 
 
 def _shift_rows(scenario, clamp):
@@ -415,13 +434,126 @@ def _window_reader(windows):
     return read
 
 
-def _declared(step, windows, drop: float):
+def _declared(step, windows, drop: float, frame=None):
     """``step`` with its ``drop`` declared, offering the interiors of two
-    ``windows`` as its ``buffers`` (see ``penalized_max_plan``)."""
+    ``windows`` as its ``buffers`` and its tilted ``frame``, if any (see
+    ``penalized_max_plan``)."""
     step.drop = drop
     if len(windows) == 2:
         step.buffers = tuple(clamp.interior for clamp in windows)
+    if frame is not None:
+        step.frame = frame
     return step
+
+
+@dataclass(frozen=True, eq=False)
+class TiltedFrame:
+    """A one-row plan's steps on values held tilted: step j's values u_j
+    are held as Y_j = u_j + ``tilt`` + j ``rise``, with ``tilt`` = slope
+    (i - c) on the grid's indices i about its centre c = (n - 1) / 2.
+    ``step(y, out)`` maps Y_j, one of ``buffers``, to Y_(j+1) in the
+    other, and reads no other array.  Every value a step reads lies
+    within ``ramp`` = |slope| max |q - c| over the window's offsets q of
+    u plus j ``rise``."""
+
+    tilt: np.ndarray
+    rise: float
+    ramp: float
+    buffers: tuple[np.ndarray, np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def enter(self, values: np.ndarray) -> np.ndarray:
+        """Y_0, the tilted ``values``, written into the buffer the first
+        step reads."""
+        return np.add(values, self.tilt, out=self.buffers[1])
+
+    def leave(self, y: np.ndarray, j: int) -> np.ndarray:
+        """u_j from the tilted values ``y`` = Y_j, as a new array."""
+        u = y - self.tilt
+        u -= j * self.rise
+        return u
+
+
+def _tilted_frame(taps, penalties, windows, window_atoms, shape) -> TiltedFrame | None:
+    """The ``TiltedFrame`` of a one-row plan of one shift row per scenario,
+    each of probability 1, less ``penalties``, stepping between the
+    interiors of its two ``windows``: ``taps`` holds each row's (first
+    offset, weights) and ``window_atoms`` each window's (probability,
+    shift row) pairs per scenario.
+
+    Row r reads u at its mean offset o_r cells (the first offset, plus
+    the second tap's weight) less p_r.  Adding slope i to u adds slope
+    o_r to the row, so in the frame Y_j = u_j + slope (i - c) + j C the
+    row is Y_j at offset o_r less its residual slope o_r + p_r - C.  The
+    slope is the chord's through the first two rows a and b whose offsets
+    differ, slope = (p_b - p_a) / (o_a - o_b), and C = slope o_a + p_a,
+    which leaves both residuals 0: each of their rows is a view of the
+    window when it is one whole-cell tap.  With no two offsets that
+    differ the slope is 0 and C is the least p_r; a slope and a C of 0
+    would tilt nothing and defer no penalty, and give no frame (None).
+    Any other row takes its residual off into a row of its own.  The window's edge cells are
+    written as ramps (``ClampedWindow.ramps``), so the window holds the
+    clamped u tilted as its interior is.  An offset clipped to [-n, n]
+    reads edge cells alone, which the ramp tilts at the clipped offset,
+    where its row's residual is taken too."""
+    means = [lo + (w[1] if len(w) == 2 else 0.0) for lo, w in taps]
+    b = next((r for r, o in enumerate(means) if o != means[0]), None)
+    if b is None:
+        slope, rise, free = 0.0, min(penalties), ()
+    else:
+        slope = (penalties[b] - penalties[0]) / (means[0] - means[b])
+        rise, free = slope * means[0] + penalties[0], (0, b)
+    if slope == 0 and rise == 0:
+        return None
+    residuals = [
+        0.0 if r in free else slope * o + p - rise
+        for r, (o, p) in enumerate(zip(means, penalties))
+    ]
+    # a row of its own for each shift row that is no view of the window
+    filled_rows = [
+        None if res == 0.0 and w == (1.0,) else np.empty(shape)
+        for (_, w), res in zip(taps, residuals)
+    ]
+    held = []
+    for clamp, scenarios in zip(windows, window_atoms):
+        rows, filled = [], []
+        for shift_rows, res, row in zip(scenarios, residuals, filled_rows):
+            if row is None:
+                row = shift_rows[0][1][0][1]
+            else:
+                filled.append((_discrete_plan(shift_rows, res, shape), row))
+            rows.append(row)
+        held.append((clamp.ramps(slope), tuple(filled), tuple(rows)))
+    second = windows[1].interior
+
+    if len(means) != 2 or any(row is not None for row in filled_rows):
+
+        def step(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+            edges, filled, rows = held[y is second]
+            for dst, src, ramp in edges:
+                np.add(src, ramp, out=dst)
+            for expect, row in filled:
+                expect(row)
+            return row_max(rows, out)
+
+    else:  # two views of the window: the edges' ramps, then one maximum
+
+        def step(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+            edges, _, (a, b) = held[y is second]
+            for dst, src, ramp in edges:
+                np.add(src, ramp, out=dst)
+            return np.maximum(a, b, out=out)
+
+    n = shape[-1]
+    centre = (n - 1) / 2
+    first, last = windows[0].lo, windows[0].lo + windows[0].window.shape[-1] - 1
+    return TiltedFrame(
+        tilt=slope * np.arange(-centre, n - centre),
+        rise=rise,
+        ramp=abs(slope) * max(centre - first, last - centre),
+        buffers=tuple(clamp.interior for clamp in windows),
+        step=step,
+    )
 
 
 def _shape(grid: Grid, stack: int | None) -> tuple[int, ...]:

@@ -23,7 +23,16 @@ shape that it reads in place; the loop then steps from one into the
 other, and otherwise on two arrays of its own.  The families' plans
 whose window is their own offer the interiors of their two windows
 (``convex_expectation.penalized_max_plan``), so each step writes its
-values into the window the next step reads.  The returned
+values into the window the next step reads.  A plan may also offer a
+tilted ``frame`` (``convex_expectation.TiltedFrame``), which holds the
+values as u_j + tilt + j C and steps them between the plan's buffers
+with the penalties folded into the tilt; the loop runs a run it can
+prove finite with what the frame holds, and whose tilt stays within
+``FRAME_RAMP``, in that frame, enters it once and leaves it at the end
+and for each recorded frame.  A wrapper of a plan forwards its
+``frame`` with its ``buffers`` and ``drop`` or not at all, as the
+frame's steps bypass the wrapper's step; a wrapper that forwards the
+buffers alone is stepped by its own step.  The returned
 ``GridFunction`` and every recorded frame are copies, which later use
 of the plan does not change.
 
@@ -61,7 +70,9 @@ BLOCK_BYTES = 2**21
 
 # A run is proved finite before its first step when its plan declares
 # its ``drop`` (``convex_expectation.penalized_max_plan``), it has at
-# most FINITE_STEPS steps and sup|f| + k drop <= FINITE_SUP.  Each row of
+# most FINITE_STEPS steps and sup|f| + k drop <= FINITE_SUP, or in a
+# tilted frame sup|f| + k drop + R + k |C|, what its buffers hold (see
+# FRAME_RAMP): the tilt adds a fixed R and C per step.  Each row of
 # such a step averages u with nonnegative weights, less t alpha_i >= 0,
 # and the least-penalised row lies within ``drop`` of min u, so a step
 # maps sup|u| to at most (1 + eps)(sup|u| + drop).  The weights sum to 1
@@ -73,6 +84,19 @@ BLOCK_BYTES = 2**21
 # L^2 sup|u|, below 2^698) comes near the float range's 2^1024.
 FINITE_SUP = 2.0**256
 FINITE_STEPS = 2**24
+
+# A plan's tilted frame (``convex_expectation.TiltedFrame``) holds step
+# j's values plus a tilt of at most its ``ramp`` R in absolute value and
+# j times its ``rise`` C, so what its buffers hold is bounded by S =
+# sup|f| + k drop + R + k |C|, and a run is proved finite in it when S <=
+# FINITE_SUP.  A run steps in the frame only when R <= FRAME_RAMP.  Each
+# step rounds at most a few times relative to S (a ramp's edge cell, a
+# residual or a fractional row, the tilt's own roundings), so a run in the
+# frame stays within (8k + 4) eps S of the exact steps, against 2k eps
+# sup|u| for the untilted steps; R <= 16 keeps S within 16 of that sup
+# for a payoff of order 1, a few bits at most.  A steeper tilt steps
+# untilted, as every run the frame cannot prove finite does.
+FRAME_RAMP = 16.0
 
 
 class IterationError(RuntimeError):
@@ -127,9 +151,12 @@ class StepOperator:
     arrays (see ``plan``); every operator has one, and the families'
     constructors set it to ``family_plan``.  A plan may carry
     ``buffers``, two arrays it reads in place, which ``chernoff_iterate``
-    steps between, and ``drop``, a bound on how far a step falls below
-    min u, from which it proves a run finite (``FINITE_SUP``); both
-    belong to the plan, so an operator with another planner has neither.
+    steps between, ``drop``, a bound on how far a step falls below min
+    u, from which it proves a run finite (``FINITE_SUP``), and a tilted
+    ``frame`` that steps between the buffers with the penalties applied
+    once per run (``FRAME_RAMP``); all belong to the plan, so an operator
+    with another planner has none, and a planner that wraps a family's
+    plan forwards the frame with the buffers and drop or not at all.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -230,7 +257,14 @@ def chernoff_iterate(
     that declares no ``drop``, values near the float range, an inf or
     nan in ``f.values``) is checked after every step (``_all_finite``),
     so the step that made a value non-finite is named even when a later
-    step would move it off the grid."""
+    step would move it off the grid.
+
+    A plan's tilted ``frame`` runs the steps when its ``ramp`` is at most
+    ``FRAME_RAMP`` and the run is proved finite with the frame's ramp and
+    rise counted (``_proved_finite``): the values enter the frame once,
+    each step is the frame's, and the result and every recorded frame
+    leave it.  Against the untilted steps the values move by a rounding
+    of the size the frame holds: see ``FRAME_RAMP``."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -240,8 +274,13 @@ def chernoff_iterate(
     j = 0
     try:
         step = op.plan(grid, part.h)
-        buffers = getattr(step, "buffers", None) or (np.empty(grid.counts), np.empty(grid.counts))
-        checked = not _proved_finite(u, part.k, getattr(step, "drop", None))
+        drop, frame = getattr(step, "drop", None), getattr(step, "frame", None)
+        if frame is not None and frame.ramp <= FRAME_RAMP and _proved_finite(u, part.k, drop, frame):
+            step, buffers, u, checked = frame.step, frame.buffers, frame.enter(u), False
+        else:
+            frame = None
+            buffers = getattr(step, "buffers", None) or (np.empty(grid.counts), np.empty(grid.counts))
+            checked = not _proved_finite(u, part.k, drop)
         # a step that overflows is named by the check below, not warned of
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(part.k):
@@ -249,14 +288,14 @@ def chernoff_iterate(
                 if checked and not _all_finite(u):
                     raise DomainError("grid function values must be finite")
                 if record:
-                    frames.append(GridFunction(grid, u))
+                    frames.append(GridFunction(grid, u if frame is None else frame.leave(u, j + 1)))
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         raise IterationError(
             f"step {j + 1} of {part.k} (h={part.h:g}) failed: {exc}"
         ) from exc
     if record:
         return frames[-1], SpaceTimeFunction.from_functions(part.times, frames)
-    return GridFunction(grid, u)
+    return GridFunction(grid, u if frame is None else frame.leave(u, part.k))
 
 
 def worker_count(n_tasks: int, requested: int | None = None, default: int | None = None) -> int:
@@ -354,13 +393,16 @@ def stacked_steps(op: StepOperator, grid: Grid, h: float):
     return step
 
 
-def _proved_finite(u: np.ndarray, k: int, drop: float | None) -> bool:
+def _proved_finite(u: np.ndarray, k: int, drop: float | None, frame=None) -> bool:
     """Whether k steps of a plan that declares ``drop`` keep every value
-    of a run from ``u`` finite (see ``FINITE_SUP``).  A plan that
-    declares none, and a ``u`` holding an inf or nan, prove nothing."""
+    of a run from ``u`` finite (see ``FINITE_SUP``): sup|u| + k drop, and
+    in a tilted ``frame`` what its buffers hold, up to its ``ramp`` R and
+    k times its ``rise`` C more.  A plan that declares no ``drop``, and a
+    ``u`` holding an inf or nan, prove nothing."""
     if drop is None or k > FINITE_STEPS:
         return False
-    return float(np.max(np.abs(u))) + k * drop <= FINITE_SUP
+    held = 0.0 if frame is None else frame.ramp + k * abs(frame.rise)
+    return float(np.max(np.abs(u))) + k * drop + held <= FINITE_SUP
 
 
 def _all_finite(values: np.ndarray) -> bool:

@@ -450,7 +450,8 @@ class ClampedWindow:
     where ``fill`` does not write.  A window whose offsets cover 0 (lo <=
     0 <= hi) holds the values themselves in its ``interior``: a caller
     that writes the next values there calls ``refresh``, which writes
-    the edge cells alone, in place of ``fill``."""
+    the edge cells alone, in place of ``fill``, or writes the edge cells
+    as ``ramps`` for values held in a tilted frame."""
 
     n: int
     lo: int
@@ -498,6 +499,26 @@ class ClampedWindow:
         for dst, src in self._edges:
             dst[...] = src
         return self.window
+
+    def ramps(self, slope: float) -> tuple:
+        """The edge cells of the window in a frame tilted by ``slope`` per
+        cell, as (destination, source, ramp) triples: ``np.add(source,
+        ramp, out=destination)`` writes each edge cell as the interior's
+        first or last value plus ``slope`` times the cell's distance from
+        it.  If the interior holds u(i) + slope i, the window then holds
+        u(clip(q)) + slope q at every offset q: the clamp of u, tilted as
+        the interior is, so a shift and the tilt commute on it."""
+        n, lo, window = self.n, self.lo, self.window
+        hi = window.shape[-1] - n + lo
+        if not lo <= 0 <= hi:
+            raise DomainError("the window's offsets do not cover 0")
+        line = slope * np.arange(lo, hi + 1)  # slope q for the offsets q from lo to hi
+        edges = []
+        if lo < 0:  # offsets lo .. -1, below cell 0
+            edges.append((window[..., :-lo], window[..., -lo : 1 - lo], line[:-lo]))
+        if hi > 0:  # offsets n .. n + hi - 1, 1 .. hi cells above cell n - 1
+            edges.append((window[..., n - lo :], window[..., n - 1 - lo : n - lo], line[1 - lo :]))
+        return tuple(edges)
 
     def shift(self, offset: int, weights) -> tuple[tuple[float, np.ndarray], ...]:
         """The shift row of one or two ``weights`` on ``offset`` (and

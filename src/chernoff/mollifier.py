@@ -155,7 +155,7 @@ class MollifierKernel:
     def constants(self) -> dict[tuple[int, int], float]:
         """The full b(k, l) table for k <= 2, l <= 3."""
         return {
-            (k, l): kernel_constant(self, k, l)
+            (k, l): kernel_constant(k, l)
             for k in range(MAX_TIME_ORDER + 1)
             for l in range(MAX_SPACE_ORDER + 1)
         }
@@ -164,7 +164,7 @@ class MollifierKernel:
         return self.constants[(k, l)]
 
 
-def kernel_constant(kernel: MollifierKernel, k: int, l: int) -> float:
+def kernel_constant(k: int, l: int) -> float:
     """L1 norm of the (k, l) kernel derivative.
 
     The kernel factors, so the norm is a product of 1D integrals: the
@@ -430,7 +430,7 @@ def derivative_bound_check(
         raise DomainError(f"unsupported derivative order (k, l) = ({k}, {l})")
     radius = r if callable(r) else (lambda _t: float(r))
 
-    constant = kernel_constant(MollifierKernel(1), k, l - 1)
+    constant = kernel_constant(k, l - 1)
     dt = eps.eps1 / 50.0
     lo = u.t_min + k * dt
     hi = u.t_max - eps.eps1 - k * dt

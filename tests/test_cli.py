@@ -464,6 +464,27 @@ def test_kernel_constants_subcommand(capsys):
     assert len(table["sha256"]) == 64
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "the following arguments are required: config"),
+        (["kernel-constants", "--dim", "1"], "unrecognized arguments: --dim 1"),
+        (["fit", "curve.csv"], "invalid choice: 'fit'"),
+    ],
+)
+def test_a_usage_error_exits_3(argv, message, capsys):
+    # 2 is an inconclusive verdict's code, so argparse's usage exit is 3
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_rates_fit_only(tmp_path, capsys):
     csv = tmp_path / "curve.csv"
     rows = ["h,e_plus,e_minus,oracle_uncertainty,noise_floor,slope_tolerance,bound_value,pass"]

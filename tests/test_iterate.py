@@ -5,7 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chernoff.convex_expectation import Scenario, ScenarioConvexExpectation
+from chernoff.convex_expectation import (
+    Scenario,
+    ScenarioConvexExpectation,
+    TiltedFrame,
+    family_scales,
+)
 from chernoff.core import (
     DomainError,
     Grid,
@@ -14,6 +19,7 @@ from chernoff.core import (
     positive_part_norm,
 )
 from chernoff.iterate import (
+    FRAME_RAMP,
     ComparisonReport,
     IterationError,
     Partition,
@@ -23,7 +29,7 @@ from chernoff.iterate import (
     partition,
     stacked_steps,
 )
-from chernoff.kernels import apply_taps, gaussian_plan, gaussian_taps
+from chernoff.kernels import apply_taps, gaussian_plan, gaussian_taps, shift_taps
 from chernoff.nisio import NisioFamily
 from chernoff.reference import heat_exact
 
@@ -191,6 +197,65 @@ _PLAN_CASES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the tilted frame: stated bounds and a long-double reference
+
+_EPS = np.finfo(float).eps
+
+
+def _frame_of(op, g, h):
+    """The tilted frame ``chernoff_iterate`` steps a run of ``op`` at h
+    in, from a payoff of order 1, or None."""
+    frame = getattr(op.plan(g, h), "frame", None)
+    return frame if frame is not None and frame.ramp <= FRAME_RAMP else None
+
+
+def _frame_bounds(op, f, h):
+    """The stated bounds on a run in the tilted frame, with S = sup|f| +
+    k drop + R + k |C|: (8k + 4) eps S from the exact steps, and (10k +
+    4) eps S from the untilted steps, which round by up to 2k eps S."""
+    step, k = op.plan(f.grid, h), partition(1.0, h).k
+    frame = step.frame
+    size = np.max(np.abs(f.values)) + k * step.drop + frame.ramp + k * abs(frame.rise)
+    return (8 * k + 4) * _EPS * size, (10 * k + 4) * _EPS * size
+
+
+def _longdouble_steps(kind, ce, g, values, h, k):
+    """The values and the iterates of k steps of max_i (E_i[u(x + scale
+    xi)] - h alpha_i), computed from the definitions in ``np.longdouble``:
+    each atom of each scenario (a Gaussian one of sigma 0 is the point at
+    its mean) reads u through its taps (``shift_taps``) clipped to the
+    grid, and every step takes every penalty off."""
+    scale, _ = family_scales(kind, h)
+    n, dx = g.size, g.spacing[0]
+    cells = np.arange(n)
+    frames = [np.asarray(values, dtype=np.longdouble)]
+    rows = []
+    for s in ce.scenarios:
+        atoms = zip(s.atoms, s.weights) if s.kind == "discrete" else [(s.mean, 1.0)]
+        rows.append((s.penalty, [(p, shift_taps(scale * a, dx)) for a, p in atoms]))
+    for _ in range(k):
+        u, parts = frames[-1], []
+        for penalty, atoms in rows:
+            e = np.zeros(n, dtype=np.longdouble)
+            for p, (offsets, weights) in atoms:
+                for o, w in zip(offsets, weights):
+                    e += np.longdouble(p) * np.longdouble(w) * u[np.clip(cells + o, 0, n - 1)]
+            parts.append(e - np.longdouble(h) * np.longdouble(penalty))
+        frames.append(np.max(parts, axis=0))
+    return np.stack(frames)
+
+
+def _assert_framed(kind, ce, op, f, h, got, want):
+    """A run in the tilted frame: its last iterates ``got`` (a stack)
+    within the stated bounds of the untilted steps' ``want`` and of the
+    long-double reference."""
+    exact, untilted = _frame_bounds(op, f, h)
+    np.testing.assert_allclose(got, want, rtol=0, atol=untilted)
+    ref = _longdouble_steps(kind, ce, f.grid, f.values, h, partition(1.0, h).k)
+    assert float(np.max(np.abs(got - ref[-len(got) :]))) <= exact
+
+
 @pytest.mark.parametrize("h", [0.125, 0.3])
 @pytest.mark.parametrize("case", sorted(_PLAN_CASES))
 def test_plan_iteration_matches_repeated_steps(case, h):
@@ -202,10 +267,17 @@ def test_plan_iteration_matches_repeated_steps(case, h):
         frames.append(op.step(frames[-1], h))
     out = chernoff_iterate(op, f, 1.0, h)
     recorded, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    want = np.stack([fr.values for fr in frames])
+    if _frame_of(op, g, h) is not None:
+        # point scenarios step in the tilted frame: within its stated bounds
+        assert case in ("lln-whole-cell", "lln-fractional")
+        for got in (out.values[None], recorded.values[None], traj.values):
+            _assert_framed("lln", _REFERENCE_CASES[case], op, f, h, got, want[-len(got) :])
+        return
     # tolerance 0: the plan is the step, only run on reused buffers
     np.testing.assert_array_equal(out.values, frames[-1].values)
     np.testing.assert_array_equal(recorded.values, frames[-1].values)
-    np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+    np.testing.assert_array_equal(traj.values, want)
 
 
 _G2 = Grid((-12.0,), (12.0,), (4095,))  # a Gaussian of std 1/2 takes the FFT branch
@@ -263,8 +335,19 @@ def test_steps_in_the_plan_s_windows_match_repeated_steps(case, h):
     for _ in range(partition(1.0, h).k):
         frames.append(op.step(frames[-1], h))
     out, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    want = np.stack([fr.values for fr in frames])
+    frame = _frame_of(op, g, h)
+    if frame is not None:
+        # point scenarios penalised apart step in the tilted frame: within
+        # its stated bounds, recorded or not
+        kind, fam, _ = _WINDOW_CASES[case]
+        ce = fam.expectation if kind == "nisio" else fam
+        for got in (out.values[None], traj.values, chernoff_iterate(op, f, 1.0, h).values[None]):
+            _assert_framed(kind, ce, op, f, h, got, want[-len(got) :])
+        return
+    # every other family steps as before, bit for bit
     np.testing.assert_array_equal(out.values, frames[-1].values)
-    np.testing.assert_array_equal(traj.values, np.stack([fr.values for fr in frames]))
+    np.testing.assert_array_equal(traj.values, want)
     np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, out.values)
 
 
@@ -484,15 +567,16 @@ def _undeclared(op):
 
 
 _NISIO = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.3))))
+# the lln cases' scenarios, for the long-double reference of the tilted frame
+_CERTIFIED_SCENARIOS = {
+    "lln-direct": _ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0)),
+    "lln-direct-drop": _ce(Scenario.point(-0.3, 1e-12), Scenario.point(0.5, 0.2)),
+}
 # (operator, grid, the std of a Gaussian factor at h = 1/8, or None for shifts alone)
 _CERTIFIED_CASES = {
-    "lln-direct": (
-        StepOperator.from_lln(_ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0))), _G1, None
-    ),
+    "lln-direct": (StepOperator.from_lln(_CERTIFIED_SCENARIOS["lln-direct"]), _G1, None),
     "lln-direct-drop": (
-        StepOperator.from_lln(_ce(Scenario.point(-0.3, 1e-12), Scenario.point(0.5, 0.2))),
-        _G1,
-        None,
+        StepOperator.from_lln(_CERTIFIED_SCENARIOS["lln-direct-drop"]), _G1, None
     ),
     "lln-fft": (_window_operator("fft-and-atoms")[0], _G2, 2.0 * 0.125),
     "clt-direct": (
@@ -528,9 +612,119 @@ def test_a_certified_run_checks_no_step_and_matches_the_checked_run(case, monkey
     assert calls == []
     checked, checked_traj = chernoff_iterate(_undeclared(op), f, 1.0, 0.125, record=True)
     assert len(calls) == 8
+    if _frame_of(op, g, 0.125) is not None:
+        # the certified run steps in the tilted frame, the checked one as
+        # before: within the frame's stated bounds
+        assert case in _CERTIFIED_SCENARIOS
+        for got, want in ((out, checked), (traj, checked_traj)):
+            got, want = np.atleast_2d(got.values), np.atleast_2d(want.values)
+            _assert_framed("lln", _CERTIFIED_SCENARIOS[case], op, f, 0.125, got, want)
+        return
     # tolerance 0: the proof skips the checks and nothing else
     np.testing.assert_array_equal(out.values, checked.values)
     np.testing.assert_array_equal(traj.values, checked_traj.values)
+
+
+def _counting_frames(monkeypatch):
+    """The runs ``chernoff_iterate`` steps in a tilted frame: one entry
+    into the frame each."""
+    runs, enter = [], TiltedFrame.enter
+    monkeypatch.setattr(TiltedFrame, "enter", lambda *a: runs.append(1) or enter(*a))
+    return runs
+
+
+def _repeated_steps(op, f, h):
+    frames = [f]
+    for _ in range(partition(1.0, h).k):
+        frames.append(op.step(frames[-1], h))
+    return np.stack([fr.values for fr in frames])
+
+
+@pytest.mark.parametrize("case", ["one-sided", "one-sided-minus", "far-clipped", "fractional"])
+def test_point_families_step_in_the_tilted_frame(case, monkeypatch):
+    # every scenario one atom of probability 1 in a window of the plan's
+    # own: the run enters the frame, recorded or not
+    op, g = _window_operator(case)
+    runs = _counting_frames(monkeypatch)
+    f = GridFunction.from_callable(g, np.cos)
+    chernoff_iterate(op, f, 1.0, 0.125)
+    chernoff_iterate(op, f, 1.0, 0.125, record=True)
+    assert len(runs) == 2
+    # and the others do not: several atoms, a Gaussian row, or points
+    # whose frame would have slope 0 and rise 0
+    for other in ("multi-atom", "single-multi-atom", "fft-and-atoms", "view-rows",
+                  "single-point", "zero-sigma-controls"):
+        op, g = _window_operator(other)
+        assert not hasattr(op.plan(g, 0.125), "frame")
+        chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("kind", ["lln", "clt"])
+def test_a_dyadic_run_in_the_frame_is_the_repeated_steps_bit_for_bit(kind):
+    # payoff values on multiples of 2^-10, power-of-two h and penalties,
+    # whole-cell shifts whose offsets differ by a power of two: every
+    # tilt, ramp and rise is a dyadic number, so the frame rounds nothing
+    # (spacing 0.1, centre index 120): atoms 2 cells either side at h =
+    # 1/4 (lln) and 1/16 (clt), the right one penalised by h / 2
+    h = 0.25 if kind == "lln" else 0.0625
+    ce = _ce(Scenario.point(-0.8), Scenario.point(0.8, 0.5))
+    op = StepOperator.from_lln(ce) if kind == "lln" else StepOperator.from_clt(ce)
+    frame = _frame_of(op, _G1, h)
+    assert frame.tilt[1] - frame.tilt[0] == -h / 8 and frame.rise == h / 4
+    g = _G1
+    f = GridFunction.from_callable(
+        g, lambda x: np.round(1024 * (np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))) / 1024
+    )
+    out, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    want = _repeated_steps(op, f, h)
+    np.testing.assert_array_equal(traj.values, want)
+    np.testing.assert_array_equal(out.values, want[-1])
+    np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, want[-1])
+
+
+def test_a_steep_frame_and_an_unproved_run_step_as_before(monkeypatch):
+    # a ramp past FRAME_RAMP: at h = 1/8 the chord's slope is 2 h = 1/4
+    # per cell, and the window reaches 121 cells from the centre, R = 30.25
+    runs = _counting_frames(monkeypatch)
+    steep = StepOperator.from_lln(_ce(Scenario.point(0.0), Scenario.point(0.8, 2.0)))
+    assert steep.plan(_G1, 0.125).frame.ramp > FRAME_RAMP
+    f = GridFunction.from_callable(_G1, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    out, traj = chernoff_iterate(steep, f, 1.0, 0.125, record=True)
+    np.testing.assert_array_equal(traj.values, _repeated_steps(steep, f, 0.125))
+    np.testing.assert_array_equal(out.values, traj.values[-1])
+    # a payoff past FINITE_SUP proves nothing: checked at every step, as before
+    op, _ = _window_operator("one-sided")
+    calls = _counting_checks(monkeypatch)
+    huge = GridFunction(_G1, f.values * 1e300)
+    out, traj = chernoff_iterate(op, huge, 1.0, 0.125, record=True)
+    assert len(calls) == 8
+    np.testing.assert_array_equal(traj.values, _repeated_steps(op, huge, 0.125))
+    assert runs == []
+
+
+def test_a_wrapper_forwarding_buffers_alone_steps_as_before(monkeypatch):
+    # a plan's frame steps between the plan's buffers and bypasses its
+    # step: a wrapper that forwards the buffers and the drop but not the
+    # frame is stepped by its own step on them, untilted
+    op, g = _window_operator("one-sided")
+    runs, stepped = _counting_frames(monkeypatch), []
+
+    def planner(grid, h, stack=None):
+        step = op.plan(grid, h, stack)
+
+        def wrapped(u, out):
+            stepped.append(1)
+            return step(u, out)
+
+        wrapped.buffers, wrapped.drop = step.buffers, step.drop
+        return wrapped
+
+    f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    calls = _counting_checks(monkeypatch)
+    out, traj = chernoff_iterate(replace(op, planner=planner), f, 1.0, 0.125, record=True)
+    assert (len(stepped), calls, runs) == (8, [], [])
+    np.testing.assert_array_equal(traj.values, _repeated_steps(op, f, 0.125))
 
 
 def test_a_run_just_past_the_bound_is_checked_at_every_step(monkeypatch):

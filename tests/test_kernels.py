@@ -12,7 +12,7 @@ from chernoff.convex_expectation import (
     family_plan,
 )
 from chernoff.core import DomainError, Grid, GridFunction
-from chernoff.iterate import StepOperator, block_rows, chernoff_iterate
+from chernoff.iterate import FRAME_RAMP, StepOperator, block_rows, chernoff_iterate
 from chernoff.kernels import (
     _fft_is_cheaper,
     apply_shift,
@@ -307,10 +307,24 @@ def test_lln_envelope_iterates_are_the_clipped_sums(k):
     ce = ScenarioConvexExpectation((Scenario.point(-mass), Scenario.point(mass, 1.0)))
     h, cells = 2.0**-k, 512 >> k
     u = _payoff(fine)
-    got = chernoff_iterate(StepOperator.from_lln(ce), GridFunction(fine, u), 1.0, h)
+    op = StepOperator.from_lln(ce)
+    got = chernoff_iterate(op, GridFunction(fine, u), 1.0, h)
+    # the loop steps in the tilted frame of slope -1/1024 and rise h / 2
+    step = op.plan(fine, h)
+    assert step.frame.ramp <= FRAME_RAMP
+    assert (step.frame.tilt[1] - step.frame.tilt[0], step.frame.rise) == (-(2.0**-10), h / 2)
+    size = np.max(np.abs(u)) + 2**k * step.drop + step.frame.ramp + 2**k * abs(step.frame.rise)
+    eps = np.finfo(float).eps
+    # the stated bounds: (10 k + 4) eps S from the untilted steps, the
+    # per-step clipped sums, and (8 k + 4) eps S from the exact ones, in
+    # long double
+    exact = u.astype(np.longdouble)
+    left, right = (np.clip(np.arange(_W) + j, 0, _W - 1) for j in (-cells, cells))
     for _ in range(2**k):
         u = np.maximum(_clipped_sum(u, [-cells], [1.0]), _clipped_sum(u, [cells], [1.0]) - h)
-    np.testing.assert_array_equal(got.values, u)
+        exact = np.maximum(exact[left], exact[right] - np.longdouble(h))
+    np.testing.assert_allclose(got.values, u, rtol=0, atol=(10 * 2**k + 4) * eps * size)
+    assert float(np.max(np.abs(got.values - exact))) <= (8 * 2**k + 4) * eps * size
 
 
 @pytest.mark.parametrize("start", [0, 1])

@@ -137,11 +137,11 @@ def test_kernel_constant_table_against_riemann_oracle():
 
 
 def test_kernel_constant_rejects_large_orders():
-    k = MollifierKernel(1)
     with pytest.raises(DomainError):
-        kernel_constant(k, 3, 0)
+        kernel_constant(3, 0)
     with pytest.raises(DomainError):
-        kernel_constant(k, 0, 4)
+        kernel_constant(0, 4)
+    assert kernel_constant(2, 3) == MollifierKernel(1).b(2, 3)
 
 
 def test_density_support_and_positivity():
