@@ -312,17 +312,19 @@ def penalized_max_plan(
     lie in [min u - drop, max u] up to rounding;
     ``iterate.chernoff_iterate`` proves a run finite from it once.
 
-    A one-row plan that holds its own windows and whose every scenario
-    is one atom of probability 1 (a point, or a Gaussian of sigma 0)
-    also offers a ``frame``, a ``TiltedFrame`` that steps between the
-    same two windows with the values held tilted by a slope chosen so
-    that two rows take off no penalty (``_tilted_frame``): a step of two
-    whole-cell points is the ramps of the windows' edge cells and one
-    ``np.maximum`` of two views, and the loop applies the penalties once
-    per run.  ``step`` itself, stacked plans, Gaussian and multi-atom
-    plans are untilted.  A wrapper of the plan forwards the frame with
-    ``buffers`` and ``drop`` or not at all: the frame's steps do not
-    call ``step``."""
+    A one-row plan that holds its own windows and steps two whole-cell
+    points of probability 1 at offsets that differ, one penalised at
+    least (two ``lln`` or ``clt`` points, or Gaussians of sigma 0), also
+    offers ``frame()``, which builds a ``TiltedFrame`` when a run asks
+    for it (``_tilted_frame``): it steps between the same two windows
+    with the values held tilted by a slope chosen so that neither row
+    takes off its penalty, so a step is the ramps of the windows' edge
+    cells and one ``np.maximum`` of two views, and the loop applies the
+    penalties once per run.  ``step`` itself, stacked plans, Gaussian,
+    fractional and multi-atom plans and plans of more or fewer points
+    are untilted.  A wrapper of the plan forwards ``frame`` with
+    ``buffers`` and ``drop`` or not at all: the frame's steps do not call
+    ``step``."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     shape = _shape(grid, stack)
@@ -363,36 +365,31 @@ def penalized_max_plan(
         gaussian_rows = taps.outputs
         if gaussian_rows is None:  # the direct branch writes into rows of the plan's own
             gaussian_rows = np.empty((len(gaussian),) + shape)
-    # the row each scenario fills, shared by the windows, or None for a view of the window
-    filled_rows = [
-        None if _is_view(scenario, penalty) else np.empty(shape)
-        for scenario, penalty in zip(atoms, penalties)
-    ]
 
-    # each window's atoms, per scenario as (probability, shift row) pairs
-    window_atoms = [[_shift_rows(scenario, clamp) for scenario in atoms] for clamp in clamps]
+    def windows_rows(minus):
+        """Each window's rows, one per scenario (each view made once
+        rather than per step) less its entry of ``minus``, and the
+        discrete rows it fills: a row that ``_is_view`` is a view of the
+        window, any other a row of the plan's own, which the windows
+        share."""
+        filled_rows = [None if _is_view(s, m) else np.empty(shape) for s, m in zip(atoms, minus)]
+        readers = []
+        for clamp in clamps:
+            rows, filled = list(gaussian_rows), []
+            for scenario, m, row in zip(atoms, minus, filled_rows):
+                shift_rows = _shift_rows(scenario, clamp)
+                if row is None:
+                    row = shift_rows[0][1][0][1]
+                else:
+                    filled.append((_discrete_plan(shift_rows, m, shape), row))
+                rows.append(row)
+            readers.append((rows, filled))
+        return readers
 
-    def reader(scenarios):
-        """The rows of one window, one per scenario (each view made once
-        rather than per step), and the discrete rows it fills."""
-        rows, filled = list(gaussian_rows), []
-        for shift_rows, penalty, row in zip(scenarios, penalties, filled_rows):
-            if row is None:
-                row = shift_rows[0][1][0][1]
-            else:
-                filled.append((_discrete_plan(shift_rows, penalty, shape), row))
-            rows.append(row)
-        return rows, filled
-
-    readers = []  # built by the first step, which a run in the tilted frame never takes
+    readers = windows_rows(penalties)
     penalized = [(row, t * s.penalty) for s, row in zip(gaussian, gaussian_rows) if s.penalty]
-    frame = None
-    if len(own) == 2 and taps is None and all(len(s) == 1 and s[0][0] == 1.0 for s in atoms):
-        frame = _tilted_frame([shift for (_, shift), in atoms], penalties, own, window_atoms, shape)
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if not readers:
-            readers.extend(reader(shift_rows) for shift_rows in window_atoms)
         rows, filled = readers[read(u, out)]
         if taps is not None:
             gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
@@ -402,7 +399,19 @@ def penalized_max_plan(
             row -= penalty
         return row_max(rows, out)
 
-    return _declared(step, own, drop, frame)
+    _declared(step, own, drop)
+    # two whole-cell points at offsets that differ, one penalised at least
+    offsets = [scenario[0][1][0] for scenario in atoms if _is_view(scenario, 0.0)]
+    if len(own) == 2 and taps is None and len(set(offsets)) == len(atoms) == 2 and any(penalties):
+
+        def frame() -> TiltedFrame:
+            """The plan's ``TiltedFrame`` (``_tilted_frame``), built when a
+            run asks for it."""
+            views = [rows for rows, _ in windows_rows((0.0, 0.0))]
+            return _tilted_frame(offsets, penalties, own, views)
+
+        step.frame = frame
+    return step
 
 
 def _shift_rows(scenario, clamp):
@@ -434,15 +443,12 @@ def _window_reader(windows):
     return read
 
 
-def _declared(step, windows, drop: float, frame=None):
+def _declared(step, windows, drop: float):
     """``step`` with its ``drop`` declared, offering the interiors of two
-    ``windows`` as its ``buffers`` and its tilted ``frame``, if any (see
-    ``penalized_max_plan``)."""
+    ``windows`` as its ``buffers`` (see ``penalized_max_plan``)."""
     step.drop = drop
     if len(windows) == 2:
         step.buffers = tuple(clamp.interior for clamp in windows)
-    if frame is not None:
-        step.frame = frame
     return step
 
 
@@ -474,82 +480,39 @@ class TiltedFrame:
         return u
 
 
-def _tilted_frame(taps, penalties, windows, window_atoms, shape) -> TiltedFrame | None:
-    """The ``TiltedFrame`` of a one-row plan of one shift row per scenario,
-    each of probability 1, less ``penalties``, stepping between the
-    interiors of its two ``windows``: ``taps`` holds each row's (first
-    offset, weights) and ``window_atoms`` each window's (probability,
-    shift row) pairs per scenario.
+def _tilted_frame(offsets, penalties, windows, views) -> TiltedFrame:
+    """The ``TiltedFrame`` of a one-row plan of two whole-cell points a
+    and b at ``offsets`` o_a != o_b cells less ``penalties`` p_a and p_b,
+    stepping between the interiors of its two ``windows``, whose ``views``
+    hold each window's two rows (views of the window at o_a and o_b).
 
-    Row r reads u at its mean offset o_r cells (the first offset, plus
-    the second tap's weight) less p_r.  Adding slope i to u adds slope
-    o_r to the row, so in the frame Y_j = u_j + slope (i - c) + j C the
-    row is Y_j at offset o_r less its residual slope o_r + p_r - C.  The
-    slope is the chord's through the first two rows a and b whose offsets
-    differ, slope = (p_b - p_a) / (o_a - o_b), and C = slope o_a + p_a,
-    which leaves both residuals 0: each of their rows is a view of the
-    window when it is one whole-cell tap.  With no two offsets that
-    differ the slope is 0 and C is the least p_r; a slope and a C of 0
-    would tilt nothing and defer no penalty, and give no frame (None).
-    Any other row takes its residual off into a row of its own.  The window's edge cells are
-    written as ramps (``ClampedWindow.ramps``), so the window holds the
-    clamped u tilted as its interior is.  An offset clipped to [-n, n]
-    reads edge cells alone, which the ramp tilts at the clipped offset,
-    where its row's residual is taken too."""
-    means = [lo + (w[1] if len(w) == 2 else 0.0) for lo, w in taps]
-    b = next((r for r, o in enumerate(means) if o != means[0]), None)
-    if b is None:
-        slope, rise, free = 0.0, min(penalties), ()
-    else:
-        slope = (penalties[b] - penalties[0]) / (means[0] - means[b])
-        rise, free = slope * means[0] + penalties[0], (0, b)
-    if slope == 0 and rise == 0:
-        return None
-    residuals = [
-        0.0 if r in free else slope * o + p - rise
-        for r, (o, p) in enumerate(zip(means, penalties))
-    ]
-    # a row of its own for each shift row that is no view of the window
-    filled_rows = [
-        None if res == 0.0 and w == (1.0,) else np.empty(shape)
-        for (_, w), res in zip(taps, residuals)
-    ]
-    held = []
-    for clamp, scenarios in zip(windows, window_atoms):
-        rows, filled = [], []
-        for shift_rows, res, row in zip(scenarios, residuals, filled_rows):
-            if row is None:
-                row = shift_rows[0][1][0][1]
-            else:
-                filled.append((_discrete_plan(shift_rows, res, shape), row))
-            rows.append(row)
-        held.append((clamp.ramps(slope), tuple(filled), tuple(rows)))
+    Adding slope i to u adds slope o_r to row r, so in the frame Y_j =
+    u_j + slope (i - c) + j C row r is Y_j at offset o_r less o_r slope +
+    p_r - C.  The slope is minus the chord's through (o_a, p_a) and (o_b,
+    p_b), slope = (p_b - p_a) / (o_a - o_b), and C = slope o_a + p_a,
+    the chord at 0, so both rows take off nothing: each is its view, and
+    a step is the ramps of the window's edge cells
+    (``ClampedWindow.ramps``), which make the window hold the clamped u
+    tilted as its interior is, and one ``np.maximum``.  An offset clipped
+    to [-n, n] reads edge cells alone, which the ramp tilts at the
+    clipped offset, as the slope does."""
+    (o_a, o_b), (p_a, p_b) = offsets, penalties
+    slope = (p_b - p_a) / (o_a - o_b)
+    held = [(clamp.ramps(slope), *rows) for clamp, rows in zip(windows, views)]
     second = windows[1].interior
 
-    if len(means) != 2 or any(row is not None for row in filled_rows):
+    def step(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        edges, a, b = held[y is second]
+        for dst, src, ramp in edges:
+            np.add(src, ramp, out=dst)
+        return np.maximum(a, b, out=out)
 
-        def step(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-            edges, filled, rows = held[y is second]
-            for dst, src, ramp in edges:
-                np.add(src, ramp, out=dst)
-            for expect, row in filled:
-                expect(row)
-            return row_max(rows, out)
-
-    else:  # two views of the window: the edges' ramps, then one maximum
-
-        def step(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-            edges, _, (a, b) = held[y is second]
-            for dst, src, ramp in edges:
-                np.add(src, ramp, out=dst)
-            return np.maximum(a, b, out=out)
-
-    n = shape[-1]
+    n = windows[0].n
     centre = (n - 1) / 2
     first, last = windows[0].lo, windows[0].lo + windows[0].window.shape[-1] - 1
     return TiltedFrame(
         tilt=slope * np.arange(-centre, n - centre),
-        rise=rise,
+        rise=slope * o_a + p_a,
         ramp=abs(slope) * max(centre - first, last - centre),
         buffers=tuple(clamp.interior for clamp in windows),
         step=step,

@@ -23,18 +23,18 @@ shape that it reads in place; the loop then steps from one into the
 other, and otherwise on two arrays of its own.  The families' plans
 whose window is their own offer the interiors of their two windows
 (``convex_expectation.penalized_max_plan``), so each step writes its
-values into the window the next step reads.  A plan may also offer a
-tilted ``frame`` (``convex_expectation.TiltedFrame``), which holds the
-values as u_j + tilt + j C and steps them between the plan's buffers
-with the penalties folded into the tilt; the loop runs a run it can
-prove finite with what the frame holds, and whose tilt stays within
-``FRAME_RAMP``, in that frame, enters it once and leaves it at the end
-and for each recorded frame.  A wrapper of a plan forwards its
-``frame`` with its ``buffers`` and ``drop`` or not at all, as the
-frame's steps bypass the wrapper's step; a wrapper that forwards the
-buffers alone is stepped by its own step.  The returned
-``GridFunction`` and every recorded frame are copies, which later use
-of the plan does not change.
+values into the window the next step reads.  A plan of two penalised
+whole-cell points also offers ``frame()``, which builds a tilted frame
+(``convex_expectation.TiltedFrame``) that holds the values as u_j +
+tilt + j C and steps them between the plan's buffers with the
+penalties folded into the tilt; the loop runs a run it can prove finite
+with what the frame holds, and whose tilt stays within ``FRAME_RAMP``,
+in that frame, enters it once and leaves it at the end and for each
+recorded frame.  A wrapper of a plan forwards its ``frame`` with its
+``buffers`` and ``drop`` or not at all, as the frame's steps bypass the
+wrapper's step; a wrapper that forwards the buffers alone is stepped by
+its own step.  The returned ``GridFunction`` and every recorded frame
+are copies, which later use of the plan does not change.
 
 A plan may also be built for a stack of b rows, ``op.plan(grid, h,
 b)``, and then steps a (b, n) array through the same code, each row to
@@ -89,13 +89,19 @@ FINITE_STEPS = 2**24
 # j's values plus a tilt of at most its ``ramp`` R in absolute value and
 # j times its ``rise`` C, so what its buffers hold is bounded by S =
 # sup|f| + k drop + R + k |C|, and a run is proved finite in it when S <=
-# FINITE_SUP.  A run steps in the frame only when R <= FRAME_RAMP.  Each
-# step rounds at most a few times relative to S (a ramp's edge cell, a
-# residual or a fractional row, the tilt's own roundings), so a run in the
-# frame stays within (8k + 4) eps S of the exact steps, against 2k eps
-# sup|u| for the untilted steps; R <= 16 keeps S within 16 of that sup
-# for a payoff of order 1, a few bits at most.  A steeper tilt steps
-# untilted, as every run the frame cannot prove finite does.
+# FINITE_SUP.  A run steps in the frame only when R <= FRAME_RAMP.  Its
+# steps take maxima of views, which round nothing; the frame rounds on
+# entry and exit (the tilt, the values and j C: 3 eps S), in the slope
+# and C it defers (eps S + 2 eps t max alpha over a run to t) and at the
+# edge cells, each ramp add by at most eps S.  A ramp's rounding read by
+# one step costs eps S once, but where the maxima carry it from step to
+# step, as at an edge cell whose max is the ramped cell beside it, each
+# of those m <= k steps adds its own: against the exact steps a run is
+# within (5 + m) eps S + 2 eps t max alpha, and against the untilted
+# steps k eps (sup|f| + k drop) more, their own rounding of the penalty
+# at each step.  R <= 16 keeps S within 16 of that sup for a payoff of
+# order 1, a few bits at most.  A steeper tilt steps untilted, as every
+# run the frame cannot prove finite does.
 FRAME_RAMP = 16.0
 
 
@@ -152,11 +158,12 @@ class StepOperator:
     constructors set it to ``family_plan``.  A plan may carry
     ``buffers``, two arrays it reads in place, which ``chernoff_iterate``
     steps between, ``drop``, a bound on how far a step falls below min
-    u, from which it proves a run finite (``FINITE_SUP``), and a tilted
-    ``frame`` that steps between the buffers with the penalties applied
-    once per run (``FRAME_RAMP``); all belong to the plan, so an operator
-    with another planner has none, and a planner that wraps a family's
-    plan forwards the frame with the buffers and drop or not at all.
+    u, from which it proves a run finite (``FINITE_SUP``), and
+    ``frame()``, which builds a tilted frame that steps between the
+    buffers with the penalties applied once per run (``FRAME_RAMP``);
+    all belong to the plan, so an operator with another planner has
+    none, and a planner that wraps a family's plan forwards the frame
+    with the buffers and drop or not at all.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -259,12 +266,13 @@ def chernoff_iterate(
     so the step that made a value non-finite is named even when a later
     step would move it off the grid.
 
-    A plan's tilted ``frame`` runs the steps when its ``ramp`` is at most
-    ``FRAME_RAMP`` and the run is proved finite with the frame's ramp and
-    rise counted (``_proved_finite``): the values enter the frame once,
-    each step is the frame's, and the result and every recorded frame
-    leave it.  Against the untilted steps the values move by a rounding
-    of the size the frame holds: see ``FRAME_RAMP``."""
+    The tilted frame a plan's ``frame()`` builds runs the steps when its
+    ``ramp`` is at most ``FRAME_RAMP`` and the run is proved finite with
+    the frame's ramp and rise counted (``_proved_finite``): the values
+    enter the frame once, each step is the frame's, and the result and
+    every recorded frame leave it.  Against the untilted steps the
+    values move by a rounding of the size the frame holds: see
+    ``FRAME_RAMP``."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -275,6 +283,7 @@ def chernoff_iterate(
     try:
         step = op.plan(grid, part.h)
         drop, frame = getattr(step, "drop", None), getattr(step, "frame", None)
+        frame = None if frame is None else frame()
         if frame is not None and frame.ramp <= FRAME_RAMP and _proved_finite(u, part.k, drop, frame):
             step, buffers, u, checked = frame.step, frame.buffers, frame.enter(u), False
         else:

@@ -207,17 +207,22 @@ def _frame_of(op, g, h):
     """The tilted frame ``chernoff_iterate`` steps a run of ``op`` at h
     in, from a payoff of order 1, or None."""
     frame = getattr(op.plan(g, h), "frame", None)
+    frame = None if frame is None else frame()
     return frame if frame is not None and frame.ramp <= FRAME_RAMP else None
 
 
-def _frame_bounds(op, f, h):
-    """The stated bounds on a run in the tilted frame, with S = sup|f| +
-    k drop + R + k |C|: (8k + 4) eps S from the exact steps, and (10k +
-    4) eps S from the untilted steps, which round by up to 2k eps S."""
+def _frame_bounds(ce, op, f, h, chain=0):
+    """The stated bounds on a run to t = 1 in the tilted frame (see
+    ``FRAME_RAMP``), with S = sup|f| + k drop + R + k |C|: (5 + m) eps S
+    + 2 eps t max alpha from the exact steps, where the maxima carry a
+    rounded edge cell through m = ``chain`` steps, and k eps (sup|f| + k
+    drop) more, the untilted steps' own rounding, from those steps."""
     step, k = op.plan(f.grid, h), partition(1.0, h).k
-    frame = step.frame
-    size = np.max(np.abs(f.values)) + k * step.drop + frame.ramp + k * abs(frame.rise)
-    return (8 * k + 4) * _EPS * size, (10 * k + 4) * _EPS * size
+    frame = step.frame()
+    sup = float(np.max(np.abs(f.values)))
+    size = sup + k * step.drop + frame.ramp + k * abs(frame.rise)
+    exact = (5 + chain) * _EPS * size + 2 * _EPS * max(s.penalty for s in ce.scenarios)
+    return exact, exact + k * _EPS * (sup + k * step.drop)
 
 
 def _longdouble_steps(kind, ce, g, values, h, k):
@@ -246,11 +251,11 @@ def _longdouble_steps(kind, ce, g, values, h, k):
     return np.stack(frames)
 
 
-def _assert_framed(kind, ce, op, f, h, got, want):
+def _assert_framed(kind, ce, op, f, h, got, want, chain=0):
     """A run in the tilted frame: its last iterates ``got`` (a stack)
     within the stated bounds of the untilted steps' ``want`` and of the
     long-double reference."""
-    exact, untilted = _frame_bounds(op, f, h)
+    exact, untilted = _frame_bounds(ce, op, f, h, chain)
     np.testing.assert_allclose(got, want, rtol=0, atol=untilted)
     ref = _longdouble_steps(kind, ce, f.grid, f.values, h, partition(1.0, h).k)
     assert float(np.max(np.abs(got - ref[-len(got) :]))) <= exact
@@ -269,8 +274,9 @@ def test_plan_iteration_matches_repeated_steps(case, h):
     recorded, traj = chernoff_iterate(op, f, 1.0, h, record=True)
     want = np.stack([fr.values for fr in frames])
     if _frame_of(op, g, h) is not None:
-        # point scenarios step in the tilted frame: within its stated bounds
-        assert case in ("lln-whole-cell", "lln-fractional")
+        # two whole-cell points step in the tilted frame: within its
+        # stated bounds, recorded or not
+        assert (case, h) == ("lln-whole-cell", 0.125)
         for got in (out.values[None], recorded.values[None], traj.values):
             _assert_framed("lln", _REFERENCE_CASES[case], op, f, h, got, want[-len(got) :])
         return
@@ -293,6 +299,8 @@ _WINDOW_CASES = {
         _G1,
     ),
     "fractional": ("clt", _ce(Scenario.point(-0.137), Scenario.point(0.61, 0.4)), _G1),
+    # 1 and 3 cells at h = 1/8, 2 and 6 at h = 1/4: the tilted frame's family
+    "whole-cell-pair": ("lln", _ce(Scenario.point(0.8), Scenario.point(2.4, 0.3)), _G1),
     "multi-atom": (
         "lln",
         _ce(Scenario.discrete([-0.5, 0.2, 1.1], [0.2, 0.5, 0.3]), Scenario.point(0.0, 0.1)),
@@ -338,10 +346,10 @@ def test_steps_in_the_plan_s_windows_match_repeated_steps(case, h):
     want = np.stack([fr.values for fr in frames])
     frame = _frame_of(op, g, h)
     if frame is not None:
-        # point scenarios penalised apart step in the tilted frame: within
-        # its stated bounds, recorded or not
-        kind, fam, _ = _WINDOW_CASES[case]
-        ce = fam.expectation if kind == "nisio" else fam
+        # two whole-cell points step in the tilted frame: within its
+        # stated bounds, recorded or not
+        assert case == "whole-cell-pair"
+        kind, ce, _ = _WINDOW_CASES[case]
         for got in (out.values[None], traj.values, chernoff_iterate(op, f, 1.0, h).values[None]):
             _assert_framed(kind, ce, op, f, h, got, want[-len(got) :])
         return
@@ -567,16 +575,16 @@ def _undeclared(op):
 
 
 _NISIO = StepOperator.from_nisio(NisioFamily(((0.5, 0.0), (1.0, 0.3))))
-# the lln cases' scenarios, for the long-double reference of the tilted frame
-_CERTIFIED_SCENARIOS = {
-    "lln-direct": _ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0)),
-    "lln-direct-drop": _ce(Scenario.point(-0.3, 1e-12), Scenario.point(0.5, 0.2)),
-}
+# the scenarios of the case that steps in the tilted frame, for its
+# long-double reference
+_CERTIFIED_SCENARIOS = {"lln-direct": _ce(Scenario.point(-0.8), Scenario.point(0.8, 1.0))}
 # (operator, grid, the std of a Gaussian factor at h = 1/8, or None for shifts alone)
 _CERTIFIED_CASES = {
     "lln-direct": (StepOperator.from_lln(_CERTIFIED_SCENARIOS["lln-direct"]), _G1, None),
     "lln-direct-drop": (
-        StepOperator.from_lln(_CERTIFIED_SCENARIOS["lln-direct-drop"]), _G1, None
+        StepOperator.from_lln(_ce(Scenario.point(-0.3, 1e-12), Scenario.point(0.5, 0.2))),
+        _G1,
+        None,
     ),
     "lln-fft": (_window_operator("fft-and-atoms")[0], _G2, 2.0 * 0.125),
     "clt-direct": (
@@ -640,20 +648,27 @@ def _repeated_steps(op, f, h):
     return np.stack([fr.values for fr in frames])
 
 
-@pytest.mark.parametrize("case", ["one-sided", "one-sided-minus", "far-clipped", "fractional"])
-def test_point_families_step_in_the_tilted_frame(case, monkeypatch):
-    # every scenario one atom of probability 1 in a window of the plan's
-    # own: the run enters the frame, recorded or not
-    op, g = _window_operator(case)
+_ZERO_SIGMA_PAIR = StepOperator.from_lln(
+    _ce(Scenario.gaussian(0.8, 0.0), Scenario.gaussian(2.4, 0.0, 0.3))
+)
+
+
+@pytest.mark.parametrize(
+    "op", [_window_operator("whole-cell-pair")[0], _ZERO_SIGMA_PAIR], ids=["points", "zero-sigma"]
+)
+def test_two_whole_cell_points_step_in_the_tilted_frame(op, monkeypatch):
+    # two whole-cell points of probability 1, or Gaussians of sigma 0, in
+    # a window of the plan's own: the run enters the frame, recorded or not
     runs = _counting_frames(monkeypatch)
-    f = GridFunction.from_callable(g, np.cos)
+    f = GridFunction.from_callable(_G1, np.cos)
     chernoff_iterate(op, f, 1.0, 0.125)
     chernoff_iterate(op, f, 1.0, 0.125, record=True)
     assert len(runs) == 2
-    # and the others do not: several atoms, a Gaussian row, or points
-    # whose frame would have slope 0 and rise 0
-    for other in ("multi-atom", "single-multi-atom", "fft-and-atoms", "view-rows",
-                  "single-point", "zero-sigma-controls"):
+    # and the others do not: fractional points, more or fewer than two,
+    # several atoms, a Gaussian row, or points that take no penalty
+    for other in ("one-sided", "one-sided-minus", "far-clipped", "fractional", "multi-atom",
+                  "single-multi-atom", "fft-and-atoms", "view-rows", "single-point",
+                  "zero-sigma-controls"):
         op, g = _window_operator(other)
         assert not hasattr(op.plan(g, 0.125), "frame")
         chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
@@ -683,18 +698,37 @@ def test_a_dyadic_run_in_the_frame_is_the_repeated_steps_bit_for_bit(kind):
     np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, want[-1])
 
 
+def test_maxima_that_ride_a_ramped_edge_round_once_a_step():
+    # the left point reads one cell left of cell 0 with no penalty, so on
+    # a payoff that rises to the left the max at cell 0 is the ramped edge
+    # cell at every step: the untilted steps copy u(0) exactly, the frame
+    # adds the rise C to Y(0), of size about R = 10.3, and rounds at each
+    # of the 64 steps.  It misses the long-double reference by 2.3e-14,
+    # past the 1.2e-14 of a run that carries no rounded edge (chain 0),
+    # and within the bound of a chain of k steps.
+    h, g = 2.0**-6, Grid((-12.0,), (12.0,), (4095,))
+    dx = g.spacing[0]
+    ce = _ce(Scenario.point(-dx / h), Scenario.point(3 * dx / h, 10.3 * 2.0**-9 / h))
+    op = StepOperator.from_lln(ce)
+    assert FRAME_RAMP - 6 < _frame_of(op, g, h).ramp <= FRAME_RAMP
+    f = GridFunction.from_callable(g, lambda x: 0.01 * (12 - x) / 24)
+    k = partition(1.0, h).k
+    got = chernoff_iterate(op, f, 1.0, h).values[None]
+    _assert_framed("lln", ce, op, f, h, got, _repeated_steps(op, f, h)[-1:], chain=k)
+
+
 def test_a_steep_frame_and_an_unproved_run_step_as_before(monkeypatch):
     # a ramp past FRAME_RAMP: at h = 1/8 the chord's slope is 2 h = 1/4
     # per cell, and the window reaches 121 cells from the centre, R = 30.25
     runs = _counting_frames(monkeypatch)
     steep = StepOperator.from_lln(_ce(Scenario.point(0.0), Scenario.point(0.8, 2.0)))
-    assert steep.plan(_G1, 0.125).frame.ramp > FRAME_RAMP
+    assert steep.plan(_G1, 0.125).frame().ramp > FRAME_RAMP
     f = GridFunction.from_callable(_G1, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
     out, traj = chernoff_iterate(steep, f, 1.0, 0.125, record=True)
     np.testing.assert_array_equal(traj.values, _repeated_steps(steep, f, 0.125))
     np.testing.assert_array_equal(out.values, traj.values[-1])
     # a payoff past FINITE_SUP proves nothing: checked at every step, as before
-    op, _ = _window_operator("one-sided")
+    op, _ = _window_operator("whole-cell-pair")
     calls = _counting_checks(monkeypatch)
     huge = GridFunction(_G1, f.values * 1e300)
     out, traj = chernoff_iterate(op, huge, 1.0, 0.125, record=True)
@@ -707,7 +741,7 @@ def test_a_wrapper_forwarding_buffers_alone_steps_as_before(monkeypatch):
     # a plan's frame steps between the plan's buffers and bypasses its
     # step: a wrapper that forwards the buffers and the drop but not the
     # frame is stepped by its own step on them, untilted
-    op, g = _window_operator("one-sided")
+    op, g = _window_operator("whole-cell-pair")
     runs, stepped = _counting_frames(monkeypatch), []
 
     def planner(grid, h, stack=None):
