@@ -225,13 +225,9 @@ def _discrete_plan(shifts, minus: float, shape: tuple[int, ...]):
     ``expect(out)``, from its atoms' ``shifts`` ((probability, shift row)
     pairs, each row one or two scaled slices of the step's filled
     window).  One atom of probability 1 is its shift, ``minus``
-    included: one whole-cell tap less a penalty is the one subtraction
-    ``apply_shift`` makes of it, called with no wrapper."""
+    included (``apply_shift``)."""
     if len(shifts) == 1 and shifts[0][0] == 1.0:
-        shift = shifts[0][1]
-        if minus and len(shift) == 1 and shift[0][0] == 1.0:
-            return partial(np.subtract, shift[0][1], minus)
-        return partial(apply_shift, shift, minus=minus)
+        return partial(apply_shift, shifts[0][1], minus=minus)
     term = np.empty(shape)
 
     def expect(out):
@@ -294,37 +290,20 @@ def penalized_max_plan(
     penalty is a view of it, not a copy.  On the FFT branch the Gaussian
     rows are the transform's output buffer itself.
 
-    A one-row plan that holds its own window holds two, each with its
-    own row views, and offers their ``interior`` views as the plan's
-    ``buffers`` (``kernels.ClampedWindow``): a step given one of them as
-    ``out`` reads ``u`` through the other window, and a step whose ``u``
-    is a window's interior refreshes that window's edge cells alone, so
-    a loop that steps from one buffer into the other copies no values
-    into a window.  Any other ``u`` is copied into the window ``out`` is
-    not in.  ``u`` and ``out`` are one row of values, or with ``stack``
-    = b a (b, n) stack of rows, each stepped as a one-row plan steps it.
-    The windows and row buffers are the plan's own, so one plan must not
+    ``u`` and ``out`` are one row of values, or with ``stack`` = b a (b,
+    n) stack of rows, each stepped as a one-row plan steps it; the
+    plan's protocol (``drop``, ``frame()``) is ``StepOperator.plan``'s.
+    The window and row buffers are the plan's own, so one plan must not
     run in two threads at once.
 
-    Every plan declares ``drop`` = t min_i alpha_i.  Each row averages
+    Every plan declares ``drop`` = t min_i alpha_i: each row averages
     ``u`` with nonnegative weights that sum to 1, less t alpha_i, and the
     least-penalised row bounds the max from below, so a step's values
-    lie in [min u - drop, max u] up to rounding;
-    ``iterate.chernoff_iterate`` proves a run finite from it once.
-
-    A one-row plan that holds its own windows and steps two whole-cell
-    points of probability 1 at offsets that differ, one penalised at
-    least (two ``lln`` or ``clt`` points, or Gaussians of sigma 0), also
-    offers ``frame()``, which builds a ``TiltedFrame`` when a run asks
-    for it (``_tilted_frame``): it steps between the same two windows
-    with the values held tilted by a slope chosen so that neither row
-    takes off its penalty, so a step is the ramps of the windows' edge
-    cells and one ``np.maximum`` of two views, and the loop applies the
-    penalties once per run.  ``step`` itself, stacked plans, Gaussian,
-    fractional and multi-atom plans and plans of more or fewer points
-    are untilted.  A wrapper of the plan forwards ``frame`` with
-    ``buffers`` and ``drop`` or not at all: the frame's steps do not call
-    ``step``."""
+    lie in [min u - drop, max u] up to rounding.  A one-row plan that
+    fills its own window and steps two whole-cell points of probability
+    1 at offsets that differ (two ``lln`` or ``clt`` points, or Gaussians
+    of sigma 0) also offers ``frame()``, a ``TiltedFrame`` on that window
+    and its twin (``_tilted_frame``)."""
     if t < 0:
         raise DomainError("step size must be nonnegative")
     shape = _shape(grid, stack)
@@ -347,50 +326,41 @@ def penalized_max_plan(
     offsets = [o for scenario in atoms for _, (lo, w) in scenario for o in (lo, lo + len(w) - 1)]
     reach = (min(offsets), max(offsets)) if offsets else None
     taps = gaussian_plan(grid, stds, shifts, cut, stack, reach) if gaussian else None
-    own = []  # the step plan's own windows, which it fills itself
+    own = None  # the step plan's own window, which it fills itself
     if taps is not None and taps.spectra is None:
-        clamps = [taps.clamp]  # the Gaussian plan's, filled by its call
+        clamp = taps.clamp  # the Gaussian plan's, filled by its call
     elif atoms:
-        lo, hi = min(reach[0], 0), max(reach[1], 0)
-        own = clamps = [clamped_window(grid.size, lo, hi, shape[:-1])]
-        if not stack:
-            own.append(own[0].twin())
+        own = clamp = clamped_window(grid.size, min(reach[0], 0), max(reach[1], 0), shape[:-1])
     else:
-        clamps = [None]  # no atom reads a window
-    read = _window_reader(own)
+        clamp = None  # no atom reads a window
     penalties = [t * s.penalty for s in discrete]
-    drop = t * min(s.penalty for s in ce.scenarios)
     gaussian_rows = ()
     if taps is not None:
         gaussian_rows = taps.outputs
         if gaussian_rows is None:  # the direct branch writes into rows of the plan's own
             gaussian_rows = np.empty((len(gaussian),) + shape)
 
-    def windows_rows(minus):
-        """Each window's rows, one per scenario (each view made once
+    def window_rows(clamp, minus):
+        """The rows ``clamp`` gives, one per scenario (each view made once
         rather than per step) less its entry of ``minus``, and the
-        discrete rows it fills: a row that ``_is_view`` is a view of the
-        window, any other a row of the plan's own, which the windows
-        share."""
-        filled_rows = [None if _is_view(s, m) else np.empty(shape) for s, m in zip(atoms, minus)]
-        readers = []
-        for clamp in clamps:
-            rows, filled = list(gaussian_rows), []
-            for scenario, m, row in zip(atoms, minus, filled_rows):
-                shift_rows = _shift_rows(scenario, clamp)
-                if row is None:
-                    row = shift_rows[0][1][0][1]
-                else:
-                    filled.append((_discrete_plan(shift_rows, m, shape), row))
-                rows.append(row)
-            readers.append((rows, filled))
-        return readers
+        discrete rows a step fills: a row that ``_is_view`` is a view of
+        the window, any other a row of the plan's own."""
+        rows, filled = list(gaussian_rows), []
+        for scenario, m in zip(atoms, minus):
+            shift_rows = _shift_rows(scenario, clamp)
+            if _is_view(scenario, m):
+                rows.append(shift_rows[0][1][0][1])
+            else:
+                rows.append(np.empty(shape))
+                filled.append((_discrete_plan(shift_rows, m, shape), rows[-1]))
+        return rows, filled
 
-    readers = windows_rows(penalties)
+    rows, filled = window_rows(clamp, penalties)
     penalized = [(row, t * s.penalty) for s, row in zip(gaussian, gaussian_rows) if s.penalty]
 
     def step(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rows, filled = readers[read(u, out)]
+        if own is not None:
+            own.fill(u)
         if taps is not None:
             gaussian_convolve(u, grid, stds, shifts, cut, out=gaussian_rows, taps=taps)
         for expect, row in filled:
@@ -399,16 +369,17 @@ def penalized_max_plan(
             row -= penalty
         return row_max(rows, out)
 
-    _declared(step, own, drop)
-    # two whole-cell points at offsets that differ, one penalised at least
+    step.drop = t * min(s.penalty for s in ce.scenarios)
+    # two whole-cell points at offsets that differ
     offsets = [scenario[0][1][0] for scenario in atoms if _is_view(scenario, 0.0)]
-    if len(own) == 2 and taps is None and len(set(offsets)) == len(atoms) == 2 and any(penalties):
+    if own is not None and not stack and taps is None and len(set(offsets)) == len(atoms) == 2:
 
         def frame() -> TiltedFrame:
-            """The plan's ``TiltedFrame`` (``_tilted_frame``), built when a
-            run asks for it."""
-            views = [rows for rows, _ in windows_rows((0.0, 0.0))]
-            return _tilted_frame(offsets, penalties, own, views)
+            """The plan's ``TiltedFrame`` (``_tilted_frame``) on its window
+            and a twin, built when a run asks for it."""
+            windows = (own, own.twin())
+            views = [window_rows(clamp, (0.0, 0.0))[0] for clamp in windows]
+            return _tilted_frame(offsets, penalties, windows, views)
 
         step.frame = frame
     return step
@@ -418,38 +389,6 @@ def _shift_rows(scenario, clamp):
     """A discrete scenario's atoms as (probability, shift row) pairs,
     each row one or two scaled slices of ``clamp``."""
     return [(prob, clamp.shift(lo, w)) for prob, (lo, w) in scenario]
-
-
-def _window_reader(windows):
-    """``read(u, out)``: the index of the window of ``windows`` (a step
-    plan's own) that a step reads ``u`` through, made to hold u's
-    clamped values.  The window whose ``interior`` is u has its edge
-    cells refreshed; else u is copied into the first window whose
-    interior is not ``out``.  With no window of its own (the Gaussian
-    plan fills its own) it is always 0."""
-    if not windows:
-        return lambda u, out: 0
-    interiors = [clamp.interior for clamp in windows]
-
-    def read(u: np.ndarray, out: np.ndarray) -> int:
-        for k, interior in enumerate(interiors):
-            if u is interior:
-                windows[k].refresh()
-                return k
-        k = 1 if out is interiors[0] else 0
-        windows[k].fill(u)
-        return k
-
-    return read
-
-
-def _declared(step, windows, drop: float):
-    """``step`` with its ``drop`` declared, offering the interiors of two
-    ``windows`` as its ``buffers`` (see ``penalized_max_plan``)."""
-    step.drop = drop
-    if len(windows) == 2:
-        step.buffers = tuple(clamp.interior for clamp in windows)
-    return step
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,33 +8,17 @@ input unchanged.
 Every step of one run has the same h, so the run asks the operator
 once for a plan: ``op.plan(grid, h)`` returns ``step(u, out)``, which
 maps the value array ``u`` to the next iterate, writes it into the
-preallocated ``out`` and returns it.  Every operator has a planner;
-the families build their taps, penalties and scratch buffers into the
-plan.  ``chernoff_iterate`` is the one loop: it runs the plan on two
-ping-pong buffers and wraps one ``GridFunction`` at the end.  A family
-step is monotone and moves a constant down by at most t min_i alpha_i,
-so a plan that declares that ``drop`` proves a run from a payoff far
-inside the float range finite once, before the first step
-(``FINITE_SUP``); any other run is checked after every step, by one
-sum unless that sum is not finite, so the failing step is named even
-when a later step would move a non-finite value off the grid.  A plan
-may offer its own pair of ``buffers``, arrays of the values'
-shape that it reads in place; the loop then steps from one into the
-other, and otherwise on two arrays of its own.  The families' plans
-whose window is their own offer the interiors of their two windows
-(``convex_expectation.penalized_max_plan``), so each step writes its
-values into the window the next step reads.  A plan of two penalised
-whole-cell points also offers ``frame()``, which builds a tilted frame
-(``convex_expectation.TiltedFrame``) that holds the values as u_j +
-tilt + j C and steps them between the plan's buffers with the
-penalties folded into the tilt; the loop runs a run it can prove finite
-with what the frame holds, and whose tilt stays within ``FRAME_RAMP``,
-in that frame, enters it once and leaves it at the end and for each
-recorded frame.  A wrapper of a plan forwards its ``frame`` with its
-``buffers`` and ``drop`` or not at all, as the frame's steps bypass the
-wrapper's step; a wrapper that forwards the buffers alone is stepped by
-its own step.  The returned ``GridFunction`` and every recorded frame
-are copies, which later use of the plan does not change.
+preallocated ``out`` and returns it; ``StepOperator.plan`` states the
+protocol, its ``drop`` and ``frame()`` included.  Every operator has a
+planner; the families build their taps, penalties and scratch buffers
+into the plan.  ``chernoff_iterate`` is the one loop: it runs the plan
+on two ping-pong buffers, or in the plan's tilted frame, and wraps one
+``GridFunction`` at the end.  A run the plan's ``drop`` proves finite
+is not checked (``FINITE_SUP``); any other run is checked after every
+step, by one sum unless that sum is not finite, so the failing step is
+named even when a later step would move a non-finite value off the
+grid.  The returned ``GridFunction`` and every recorded frame are
+copies, which later use of the plan does not change.
 
 A plan may also be built for a stack of b rows, ``op.plan(grid, h,
 b)``, and then steps a (b, n) array through the same code, each row to
@@ -155,15 +139,7 @@ class StepOperator:
     (sigma_scale * sqrt(h) + drift_scale * h) for interior margins.
     planner(grid, h, stack=None) builds the same step as a plan on value
     arrays (see ``plan``); every operator has one, and the families'
-    constructors set it to ``family_plan``.  A plan may carry
-    ``buffers``, two arrays it reads in place, which ``chernoff_iterate``
-    steps between, ``drop``, a bound on how far a step falls below min
-    u, from which it proves a run finite (``FINITE_SUP``), and
-    ``frame()``, which builds a tilted frame that steps between the
-    buffers with the penalties applied once per run (``FRAME_RAMP``);
-    all belong to the plan, so an operator with another planner has
-    none, and a planner that wraps a family's plan forwards the frame
-    with the buffers and drop or not at all.
+    constructors set it to ``family_plan``.
     shifts_only marks a family whose steps have no Gaussian factor, so
     each step only sums a few shifted copies of the values.
     """
@@ -184,7 +160,21 @@ class StepOperator:
     ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``step(u, out)``: one step of size h on the value array u, one
         row of values or, with ``stack`` = b, a (b, n) stack of rows,
-        written into ``out`` and returned."""
+        written into ``out`` and returned; ``u`` is left as it was.
+
+        A plan may carry two attributes, which ``chernoff_iterate`` reads:
+        ``drop``, a bound on how far a step falls below min u, from which
+        the loop proves a run finite before its first step
+        (``FINITE_SUP``), and ``frame()``, which builds a tilted frame
+        (``convex_expectation.TiltedFrame``) that holds step j's values
+        as u_j + tilt + j C in two buffers of its own and steps them
+        with the penalties applied once per run (``FRAME_RAMP``).  Both
+        belong to the families' plans (``convex_expectation
+        .penalized_max_plan``), so an operator with another planner has
+        neither.  The frame's steps do not call ``step``: a planner that
+        wraps a family's plan forwards ``frame`` with ``drop`` or not at
+        all, and one that forwards ``drop`` alone is stepped by its own
+        ``step``."""
         return self.planner(grid, h, stack)
 
     @classmethod
@@ -252,10 +242,11 @@ def chernoff_iterate(
     h: float,
     record: bool = False,
 ):
-    """Apply op k = floor(t/h) times through one plan; optionally keep (a
-    copy of) every iterate.  The steps alternate between the plan's
-    ``buffers`` when it offers them, else two arrays of the loop's own;
-    the first step reads ``f.values``, which no step writes.
+    """Apply op k = floor(t/h) times through one plan (see
+    ``StepOperator.plan``); optionally keep (a copy of) every iterate.
+    The steps alternate between two arrays of the loop's own, or the
+    buffers of the plan's tilted frame; the first step reads
+    ``f.values``, which no step writes.
 
     A plan that declares its ``drop`` keeps sup|u| + drop within a
     rounding of sup|u| per step, so a run with sup|f| + k drop at most
@@ -266,13 +257,10 @@ def chernoff_iterate(
     so the step that made a value non-finite is named even when a later
     step would move it off the grid.
 
-    The tilted frame a plan's ``frame()`` builds runs the steps when its
-    ``ramp`` is at most ``FRAME_RAMP`` and the run is proved finite with
-    the frame's ramp and rise counted (``_proved_finite``): the values
-    enter the frame once, each step is the frame's, and the result and
-    every recorded frame leave it.  Against the untilted steps the
-    values move by a rounding of the size the frame holds: see
-    ``FRAME_RAMP``."""
+    The frame runs the steps when its ``ramp`` is at most ``FRAME_RAMP``
+    and the run is proved finite with the frame's ramp and rise counted
+    (``_proved_finite``).  Against the untilted steps the values move by
+    a rounding of the size the frame holds: see ``FRAME_RAMP``."""
     part = partition(t, h)
     frames = [f]
     if part.k == 0:
@@ -288,7 +276,7 @@ def chernoff_iterate(
             step, buffers, u, checked = frame.step, frame.buffers, frame.enter(u), False
         else:
             frame = None
-            buffers = getattr(step, "buffers", None) or (np.empty(grid.counts), np.empty(grid.counts))
+            buffers = (np.empty(grid.counts), np.empty(grid.counts))
             checked = not _proved_finite(u, part.k, drop)
         # a step that overflows is named by the check below, not warned of
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,19 +11,15 @@ filled with one slice per part.  A shift row (one tap, or two on
 adjacent cells) is one or two scaled slices of a filled window
 (``ClampedWindow.shift`` and ``apply_shift``), so a step plan fills one
 window per step over all of its rows' offsets and reads each atom of a
-discrete scenario from it, with no ``apply_taps`` call.  A window whose
-offsets cover 0 holds the values themselves in its ``interior``; a
-step that finds its input there refreshes the edge cells alone
-(``ClampedWindow.refresh``), so a step plan that writes each step into
-the interior of the window the next step reads copies no values into a
-window.  The taps act
-on the grid with constant extension at the box edges, so each step
-preserves constants, monotonicity, convexity, the sup norm, and
-Lipschitz bounds: exactly on the direct branches below, and up to
-roundoff (about 1e-15 * sup|u|) on the FFT branch.  The only error
-relative to the continuum operator is Gaussian sampling aliasing,
-which decays like exp(-2 pi^2 (std/dx)^2) and is negligible for std >=
-dx.
+discrete scenario from it, with no ``apply_taps`` call; a step plan's
+tilted frame steps in the interiors of two such windows (see
+``iterate.StepOperator.plan``).  The taps act on the grid with
+constant extension at the box edges, so each step preserves
+constants, monotonicity, convexity, the sup norm, and Lipschitz
+bounds: exactly on the direct branches below, and up to roundoff
+(about 1e-15 * sup|u|) on the FFT branch.  The only error relative to
+the continuum operator is Gaussian sampling aliasing, which decays
+like exp(-2 pi^2 (std/dx)^2) and is negligible for std >= dx.
 
 ``apply_taps`` takes one weight row, or k rows on shared offsets (the
 Gaussian factors of one step: a nisio family's controls, the Gaussian
@@ -448,10 +444,9 @@ class ClampedWindow:
     clamp worked out once: ``parts`` are its nonempty ``_clamp_parts``.
     ``window`` may run past n + hi - lo (the FFT branch's zero padding),
     where ``fill`` does not write.  A window whose offsets cover 0 (lo <=
-    0 <= hi) holds the values themselves in its ``interior``: a caller
-    that writes the next values there calls ``refresh``, which writes
-    the edge cells alone, in place of ``fill``, or writes the edge cells
-    as ``ramps`` for values held in a tilted frame."""
+    0 <= hi) holds the values themselves in its ``interior``, and its
+    ``ramps`` write its edge cells for values held there in a tilted
+    frame."""
 
     n: int
     lo: int
@@ -477,28 +472,6 @@ class ClampedWindow:
         out again) on an unwritten array of its own; for a window with no
         zero padding, which ``fill`` writes whole."""
         return ClampedWindow(self.n, self.lo, np.empty_like(self.window), self.parts)
-
-    @cached_property
-    def _edges(self) -> tuple:
-        """The parts of the clamp but the interior as (destination,
-        source) views of the window, each source the one column of the
-        interior that its edge repeats."""
-        self.interior  # noqa: B018 - a window that does not cover 0 is refused here
-        inner = (..., slice(-self.lo, self.n - self.lo))
-        return tuple(
-            (self.window[dst], self.window[..., src.start - self.lo : src.stop - self.lo])
-            for dst, (_, src) in self.parts
-            if dst != inner
-        )
-
-    def refresh(self) -> np.ndarray:
-        """Make the window hold the clamped values of its ``interior``,
-        which holds the values already: the edge cells only, each one
-        slice from the interior's first or last value.  The window then
-        holds the bits ``fill`` writes for the same values."""
-        for dst, src in self._edges:
-            dst[...] = src
-        return self.window
 
     def ramps(self, slope: float) -> tuple:
         """The edge cells of the window in a frame tilted by ``slope`` per

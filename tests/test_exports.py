@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,23 @@ def test_every_imported_name_is_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used | exported)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_library_imports_numpy_alone():
+    # every chernoff module, imported in a fresh interpreter, brings in no
+    # top-level module from outside the standard library but numpy; the
+    # modules loaded before the import (a site .pth may load some) are
+    # not the library's
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import chernoff\n"
+        "for info in pkgutil.iter_modules(chernoff.__path__):\n"
+        "    importlib.import_module('chernoff.' + info.name)\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'chernoff'})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["numpy"]

@@ -288,8 +288,7 @@ def test_plan_iteration_matches_repeated_steps(case, h):
 
 _G2 = Grid((-12.0,), (12.0,), (4095,))  # a Gaussian of std 1/2 takes the FFT branch
 
-# plans that fill windows of their own, so a one-row plan holds two and
-# the loop steps in their interiors: (family, scenarios, grid)
+# plans that fill windows of their own: (family, scenarios, grid)
 _WINDOW_CASES = {
     "one-sided": ("lln", _ce(Scenario.point(0.3), Scenario.point(1.7, 0.5)), _G1),
     "one-sided-minus": ("clt", _ce(Scenario.point(-0.25), Scenario.point(-1.37, 0.2)), _G1),
@@ -333,11 +332,9 @@ def _window_operator(case):
 @pytest.mark.parametrize("h", [0.125, 0.25])
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
 def test_steps_in_the_plan_s_windows_match_repeated_steps(case, h):
-    # each op.step builds a plan of its own and copies its values into
-    # its window; the loop keeps every iterate inside the plan's two
-    # windows and refreshes their edges: tolerance 0
+    # each op.step builds a plan of its own and fills its window; the
+    # loop runs one plan on two buffers of its own: tolerance 0
     op, g = _window_operator(case)
-    assert len(op.plan(g, h).buffers) == 2
     f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
     frames = [f]
     for _ in range(partition(1.0, h).k):
@@ -359,18 +356,10 @@ def test_steps_in_the_plan_s_windows_match_repeated_steps(case, h):
     np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, out.values)
 
 
-def test_a_plan_with_a_window_of_its_gaussian_plan_offers_no_buffers():
-    # the direct branch's window is the Gaussian plan's, filled by its
-    # own call; stacked plans hold one window
-    op = StepOperator.from_lln(_ce(Scenario.gaussian(0.0, 0.5), Scenario.point(0.3, 0.1)))
-    assert not hasattr(op.plan(_G1, 0.125), "buffers")
-    assert not hasattr(_window_operator("one-sided")[0].plan(_G1, 0.125, 3), "buffers")
-
-
 @pytest.mark.parametrize("case", ["one-sided", "view-rows", "fft-and-atoms"])
 def test_the_first_step_reads_an_outside_array(case):
-    # an array that is no window's interior is copied into the window
-    # that ``out`` is not in, and is left as it was
+    # the step fills its window from u, leaves u as it was and writes any
+    # out it is given, a strided one too
     op, g = _window_operator(case)
     h = 0.125
     if case == "fft-and-atoms":
@@ -379,29 +368,29 @@ def test_the_first_step_reads_an_outside_array(case):
     u = np.cos(g.axes[0]) + 0.1 * g.axes[0]
     before = u.copy()
     want = op.step(GridFunction(g, u), h).values
-    for out in (*step.buffers, np.empty(g.size)):
+    for out in (np.empty(g.size), np.empty(2 * g.size)[::2]):
         np.testing.assert_array_equal(step(u, out), want)
     np.testing.assert_array_equal(u, before)
-    # a buffer's values then read in place give the next step
-    first, second = step.buffers
-    step(u, first)
-    want = op.step(GridFunction(g, want), h).values
-    np.testing.assert_array_equal(step(first, second), want)
 
 
-def test_mutating_a_plan_s_windows_leaves_the_run_s_results():
-    op, g = _window_operator("view-rows")
-    plans = []
+def test_mutating_a_plan_s_windows_leaves_the_run_s_results(monkeypatch):
+    # the run steps in the tilted frame, in the interiors of the plan's
+    # window and its twin; writing over both leaves what it returned
+    op, g = _window_operator("whole-cell-pair")
+    frames, runs = [], _counting_frames(monkeypatch)
 
     def planner(grid, h, stack=None):
-        plans.append(op.plan(grid, h, stack))
-        return plans[-1]
+        step = op.plan(grid, h, stack)
+        build = step.frame
+        step.frame = lambda: frames.append(build()) or frames[-1]
+        return step
 
     held = StepOperator(name="held", step=op.step, planner=planner)
     f = GridFunction.from_callable(g, np.cos)
     out, traj = chernoff_iterate(held, f, 1.0, 0.125, record=True)
+    assert len(runs) == 1
     kept = out.values.copy(), traj.values.copy()
-    for buffer in plans[-1].buffers:
+    for buffer in frames[-1].buffers:
         buffer.base[...] = np.nan  # the whole window the interior views
     np.testing.assert_array_equal(out.values, kept[0])
     np.testing.assert_array_equal(traj.values, kept[1])
@@ -558,8 +547,8 @@ def _counting_checks(monkeypatch):
 
 
 def _undeclared(op):
-    """``op`` whose plans declare no ``drop`` and offer the same buffers,
-    so each of its runs is checked after every step."""
+    """``op`` whose plans declare no ``drop`` and offer no frame, so each
+    of its runs is checked after every step."""
 
     def planner(grid, h, stack=None):
         step = op.plan(grid, h, stack)
@@ -567,8 +556,6 @@ def _undeclared(op):
         def bare(u, out):
             return step(u, out)
 
-        if hasattr(step, "buffers"):
-            bare.buffers = step.buffers
         return bare
 
     return replace(op, planner=planner)
@@ -664,8 +651,8 @@ def test_two_whole_cell_points_step_in_the_tilted_frame(op, monkeypatch):
     chernoff_iterate(op, f, 1.0, 0.125)
     chernoff_iterate(op, f, 1.0, 0.125, record=True)
     assert len(runs) == 2
-    # and the others do not: fractional points, more or fewer than two,
-    # several atoms, a Gaussian row, or points that take no penalty
+    # and the others do not: fractional points (the sigma 0 controls
+    # too), more or fewer than two, several atoms, or a Gaussian row
     for other in ("one-sided", "one-sided-minus", "far-clipped", "fractional", "multi-atom",
                   "single-multi-atom", "fft-and-atoms", "view-rows", "single-point",
                   "zero-sigma-controls"):
@@ -673,6 +660,53 @@ def test_two_whole_cell_points_step_in_the_tilted_frame(op, monkeypatch):
         assert not hasattr(op.plan(g, 0.125), "frame")
         chernoff_iterate(op, GridFunction.from_callable(g, np.cos), 1.0, 0.125)
     assert len(runs) == 2
+
+
+# penalty-free pairs of whole-cell points: 1 and -3 cells at h = 1/8, 2
+# and -6 at h = 1/4
+_FREE_PAIRS = {
+    "lln-points": StepOperator.from_lln(_ce(Scenario.point(0.8), Scenario.point(-2.4))),
+    "nisio-zero-sigma": StepOperator.from_nisio(NisioFamily(((0.0, 0.8), (0.0, -2.4)))),
+}
+
+
+@pytest.mark.parametrize("h", [0.125, 0.25])
+@pytest.mark.parametrize("case", sorted(_FREE_PAIRS))
+def test_a_penalty_free_pair_steps_in_the_frame_bit_for_bit(case, h, monkeypatch):
+    # with no penalty the frame's slope, ramp and rise are 0, so each of
+    # its steps is the untilted step, at most a zero's sign apart
+    op = _FREE_PAIRS[case]
+    frame = op.plan(_G1, h).frame()
+    assert (frame.ramp, frame.rise) == (0.0, 0.0)
+    runs = _counting_frames(monkeypatch)
+    f = GridFunction.from_callable(_G1, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))
+    want = _repeated_steps(op, f, h)
+    out, traj = chernoff_iterate(op, f, 1.0, h, record=True)
+    np.testing.assert_array_equal(traj.values, want)
+    np.testing.assert_array_equal(out.values, want[-1])
+    np.testing.assert_array_equal(chernoff_iterate(op, f, 1.0, h).values, want[-1])
+    assert len(runs) == 2
+
+
+def test_a_one_row_point_plan_holds_one_window_and_its_frame_a_second(monkeypatch):
+    # the plan fills one window a step; frame() makes its twin when a run
+    # asks for it, and the frame steps in the two windows' interiors
+    from chernoff.kernels import ClampedWindow
+
+    made, init = [], ClampedWindow.__init__
+    monkeypatch.setattr(
+        ClampedWindow, "__init__", lambda self, *a, **k: made.append(1) or init(self, *a, **k)
+    )
+    op, g = _window_operator("whole-cell-pair")
+    step = op.plan(g, 0.125)
+    assert len(made) == 1
+    first, second = step.frame().buffers
+    assert len(made) == 2 and first.base is not second.base
+    # one point, three points and a stack: one window each and no frame
+    for case, stack in (("single-point", None), ("view-rows", None), ("whole-cell-pair", 3)):
+        made.clear()
+        plan = _window_operator(case)[0].plan(g, 0.125, stack)
+        assert len(made) == 1 and not hasattr(plan, "frame")
 
 
 @pytest.mark.parametrize("kind", ["lln", "clt"])
@@ -737,10 +771,9 @@ def test_a_steep_frame_and_an_unproved_run_step_as_before(monkeypatch):
     assert runs == []
 
 
-def test_a_wrapper_forwarding_buffers_alone_steps_as_before(monkeypatch):
-    # a plan's frame steps between the plan's buffers and bypasses its
-    # step: a wrapper that forwards the buffers and the drop but not the
-    # frame is stepped by its own step on them, untilted
+def test_a_wrapper_forwarding_drop_alone_steps_as_before(monkeypatch):
+    # a plan's frame bypasses its step: a wrapper that forwards the drop
+    # but not the frame is stepped by its own step, untilted
     op, g = _window_operator("whole-cell-pair")
     runs, stepped = _counting_frames(monkeypatch), []
 
@@ -751,7 +784,7 @@ def test_a_wrapper_forwarding_buffers_alone_steps_as_before(monkeypatch):
             stepped.append(1)
             return step(u, out)
 
-        wrapped.buffers, wrapped.drop = step.buffers, step.drop
+        wrapped.drop = step.drop
         return wrapped
 
     f = GridFunction.from_callable(g, lambda x: np.minimum(np.abs(x), 1.5) + 0.3 * np.sin(3 * x))

@@ -204,18 +204,25 @@ def test_a_clamped_shift_is_the_clipped_sum_bit_for_bit(offset, weights, minus):
 @pytest.mark.parametrize("lo, hi", [(-7, 4), (0, 9), (-5, 0), (0, 0), (-_N, _N)])
 def test_a_refreshed_window_holds_the_bits_of_a_filled_one(lo, hi):
     # a window over offsets that cover 0 holds the values in its interior;
-    # writing them there and refreshing the edges fills it as fill does
-    values = np.random.default_rng(11).normal(size=_N)
+    # writing them there and its edge cells as ramps of slope 0 (the tilted
+    # frame of a penalty-free pair) fills it as fill does, and ramps of
+    # slope s make it hold the clamped values plus s q at each offset q
+    # (values on multiples of 2^-10 and s = 1/4, so no sum rounds)
+    values = np.round(1024 * np.random.default_rng(11).normal(size=_N)) / 1024
+    line = 0.25 * np.arange(lo, _N + hi)
     for batch, rows in [((), values), ((3,), np.stack([values, -values, values[::-1]]))]:
         filled = clamped_window(_N, lo, hi, batch)
         filled.fill(rows)
         clamp = clamped_window(_N, lo, hi, batch)
-        clamp.window[...] = np.nan
-        clamp.interior[...] = rows
-        assert clamp.interior is clamp.interior
-        np.testing.assert_array_equal(clamp.refresh(), filled.window)
+        for slope, tilt in ((0.0, 0.0), (0.25, line)):
+            clamp.window[...] = np.nan
+            clamp.interior[...] = rows + 0.25 * np.arange(_N) if slope else rows
+            assert clamp.interior is clamp.interior
+            for dst, src, ramp in clamp.ramps(slope):
+                np.add(src, ramp, out=dst)
+            np.testing.assert_array_equal(clamp.window, filled.window + tilt)
     with pytest.raises(DomainError, match="cover 0"):
-        clamped_window(_N, 2, 5).refresh()
+        clamped_window(_N, 2, 5).ramps(0.0)
     with pytest.raises(DomainError, match="cover 0"):
         clamped_window(_N, -5, -2).interior  # noqa: B018
 
